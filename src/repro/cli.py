@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "bench",
         help="benchmark the engine, the parallel synthesis executor, "
-             "corner-robust synthesis and the sparse/batched solve core",
+             "corner-robust synthesis and the sparse solve backend",
     )
     p.add_argument("--suite", default="engine",
                    choices=["engine", "parallel", "robust", "sparse",
@@ -255,8 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="engine: compiled vs naive assembly; parallel: "
                         "multi-chain executor vs serial legs; robust: "
                         "corner-aware vs nominal-only synthesis; sparse: "
-                        "sparse vs dense solves and batched vs scalar "
-                        "candidate evaluation; analysis: static "
+                        "sparse vs dense solves; analysis: static "
                         "feasibility gate vs budgeted synthesis; store: "
                         "warm persistent-store runs and surrogate-ranked "
                         "annealing vs cold/off baselines "

@@ -10,15 +10,17 @@ helper that centres an open-loop amplifier's output before AC analysis
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from ..errors import SimulationError
 from .ac import ACResult, ac_analysis
-from .dc import OperatingPointResult, dc_operating_point
+from .dc import Border, OperatingPointResult, _newton, dc_operating_point
+from .engine import stamps_for
 from .mna import System
-from .netlist import Circuit
+from .netlist import Circuit, CurrentSource, VoltageSource
 from .transient import TransientResult
 
 __all__ = [
@@ -33,6 +35,10 @@ __all__ = [
     "measure_cmrr",
     "balance_differential",
 ]
+
+#: Largest drive change of one bordered Newton iteration, as a share of
+#: the balancing span.
+DRIVE_STEP = 0.1
 
 
 def find_crossing(
@@ -166,6 +172,63 @@ def measure_cmrr(
     return float(adm / acm)
 
 
+def _drive_column(
+    system: System, at_zero: Circuit, at_span: Circuit, v_span: float
+) -> np.ndarray | None:
+    """``dF/dv`` of the DC residual, or ``None`` when it is not affine.
+
+    The drive is affine when the two builds differ only in
+    independent-source ``dc`` values; the column is then the change of
+    the compiled source vector per volt of drive.  Leaves ``system``
+    bound to ``at_zero``.
+    """
+    zero, span = at_zero.elements, at_span.elements
+    if len(zero) != len(span):
+        return None
+    for a, b in zip(zero, span):
+        if a is b or a == b:
+            continue
+        if type(a) is not type(b) or not isinstance(
+            b, (VoltageSource, CurrentSource)
+        ):
+            return None
+        if replace(b, dc=a.dc) != a:
+            return None
+    system.rebind(at_span)
+    src_span = stamps_for(system).src_dc.copy()
+    system.rebind(at_zero)
+    return (src_span - stamps_for(system).src_dc) / v_span
+
+
+def _balance_bordered(
+    build, output_node, target, v_span, tol, retry, system, x0
+) -> tuple[float, Circuit, OperatingPointResult] | None:
+    """The bordered-Newton balance, verified, or ``None``."""
+    at_zero = build(0.0)
+    system = System(at_zero) if system is None else system.rebind(at_zero)
+    column = _drive_column(system, at_zero, build(v_span), v_span)
+    index = system.index(output_node)
+    if column is None or index < 0:
+        return None
+    try:
+        if x0 is None:
+            x0 = dc_operating_point(at_zero, retry=retry, system=system).x
+        border = Border(column, index, target, v_span, DRIVE_STEP * v_span)
+        solved = _newton(system, np.append(x0, 0.0), gmin=1e-12, border=border)
+        if solved is None:
+            return None
+        v = float(solved[0][-1])
+        ckt = build(v)
+        op = dc_operating_point(
+            ckt, x0=solved[0][:-1], retry=retry, system=system
+        )
+    except SimulationError:
+        return None
+    if not abs(op.v(output_node) - target) < tol:
+        return None
+    return v, ckt, op
+
+
 def balance_differential(
     build: Callable[[float], Circuit],
     output_node: str,
@@ -177,30 +240,43 @@ def balance_differential(
     retry=None,
     system: System | None = None,
     warm_start: bool = True,
+    x0: np.ndarray | None = None,
 ) -> tuple[float, Circuit, OperatingPointResult]:
     """Find the DC differential input that centres an amplifier's output.
 
     ``build(v_offset)`` must return a fresh circuit with the given DC
-    differential drive.  A bisection over ``[-v_span, +v_span]`` finds
-    the offset where ``V(output_node) == target`` — the standard way to
-    bias a high-gain open-loop amplifier before AC analysis.
+    differential drive.  The offset where ``V(output_node) == target``
+    is the standard bias of a high-gain open-loop amplifier before AC
+    analysis.
 
-    An optional :class:`~repro.runtime.retry.RetryPolicy` is forwarded
-    to every bisection solve so one transient non-convergence does not
-    void the whole balancing sweep.  Every ``build`` result shares one
-    :class:`System` (they are the same topology at different drives),
-    so the netlist is validated and indexed once, not per bisection;
-    pass ``system`` to share an already-built one.
+    One bordered Newton solve finds it first: its unknowns are the MNA
+    vector plus the drive, its extra equation is ``V(output_node) ==
+    target``, and the drive's Jacobian column comes from the compiled
+    source vectors of ``build(0)`` and ``build(v_span)`` — exact,
+    because the drive enters only through independent-source ``dc``
+    values.  It starts from ``x0``, the zero-drive solution (solved
+    here when not given).  Its answer is accepted only when a plain DC
+    solve of ``build(v)`` from it converges within ``tol`` of the
+    target, so the result is always a verified solution of ``build(v)``.
 
-    With ``warm_start`` (the default) every bisection's Newton solve
-    starts from the previous bisection's solution.  Consecutive drives
-    differ by at most the shrinking interval, so the operating point
-    moves continuously and the solver typically converges in a couple
-    of iterations instead of from scratch — and the tracking keeps the
-    search on one solution branch in multistable circuits.
+    When the bordered solve fails — no convergence, a drive outside
+    ``[-v_span, +v_span]``, or builds that differ in more than source
+    ``dc`` values — a bisection over ``[-v_span, +v_span]`` runs
+    instead.  An optional :class:`~repro.runtime.retry.RetryPolicy` is
+    forwarded to every DC solve.  Every ``build`` result shares one
+    :class:`System` (they are the same topology at different drives);
+    pass ``system`` to share an already-built one.  With
+    ``warm_start`` (the default) every bisection's Newton solve starts
+    from the previous bisection's solution, which keeps the search on
+    one solution branch in multistable circuits.
 
     Returns ``(v_offset, circuit, op)`` at the balanced point.
     """
+    balanced = _balance_bordered(
+        build, output_node, target, v_span, tol, retry, system, x0
+    )
+    if balanced is not None:
+        return balanced
     shared: list[System | None] = [system]
     x_last: list = [None]
 

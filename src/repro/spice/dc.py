@@ -97,6 +97,45 @@ class OperatingPointResult:
         return sat / len(self.mosfet_ops)
 
 
+@dataclass(frozen=True)
+class Border:
+    """The extra unknown and equation of a bordered Newton solve.
+
+    The unknown is a drive ``v`` that enters the DC residual affinely,
+    as ``v * column``; the equation pins unknown ``index`` to
+    ``target``.  The drive moves at most ``max_step`` per iteration and
+    must stay within ``±span``.
+    """
+
+    column: np.ndarray
+    index: int
+    target: float
+    span: float
+    max_step: float
+
+    def step(
+        self,
+        system: System,
+        jac: np.ndarray,
+        res: np.ndarray,
+        x: np.ndarray,
+        gmin: float,
+    ) -> np.ndarray:
+        """The undamped step ``(dx, dv)`` by block elimination.
+
+        One factorization of the plain Jacobian solves ``J a = -F`` and
+        ``J b = column`` together; the border row then fixes ``dv`` and
+        ``dx = a - dv b``, so either solver backend serves the solve.
+        """
+        rhs = np.column_stack((-res, self.column))
+        a, b = solve_assembled(system, jac, rhs, kind="dc", key=(gmin,)).T
+        slope = float(b[self.index])
+        if slope == 0.0:
+            raise np.linalg.LinAlgError("border row is singular")
+        dv = (x[self.index] + a[self.index] - self.target) / slope
+        return np.append(a - dv * b, dv)
+
+
 def _newton(
     system: System,
     x0: np.ndarray,
@@ -104,21 +143,40 @@ def _newton(
     gmin: float,
     source_scale: float = 1.0,
     max_iter: int = 150,
+    border: Border | None = None,
 ) -> tuple[np.ndarray, int] | None:
-    """One Newton run; returns (solution, iterations) or None."""
+    """One Newton run; returns (solution, iterations) or None.
+
+    With a ``border`` the unknown vector (``x0`` and the solution)
+    carries the border's drive as one entry after the MNA unknowns.
+    The drive is damped and gated like a node voltage, with its step
+    measured against ``border.max_step``, and the run fails as soon as
+    the drive leaves ``±border.span``.
+    """
     x = x0.copy()
+    mna = x if border is None else x[:-1]
     for iteration in range(1, max_iter + 1):
-        res, jac = assemble_dc(system, x, gmin=gmin, source_scale=source_scale)
+        res, jac = assemble_dc(
+            system, mna, gmin=gmin, source_scale=source_scale
+        )
         try:
-            dx = solve_assembled(system, jac, -res, kind="dc", key=(gmin,))
+            if border is None:
+                dx = solve_assembled(system, jac, -res, kind="dc", key=(gmin,))
+            else:
+                res += x[-1] * border.column
+                dx = border.step(system, jac, res, mna, gmin)
         except np.linalg.LinAlgError:
             return None
         if not np.all(np.isfinite(dx)):
             return None
         max_dx = float(np.max(np.abs(dx[: system.n_nodes]), initial=0.0))
+        if border is not None:
+            max_dx = max(max_dx, abs(dx[-1]) * (MAX_STEP / border.max_step))
         if max_dx > MAX_STEP:
             dx *= MAX_STEP / max_dx
         x += dx
+        if border is not None and abs(x[-1]) > border.span:
+            return None
         # SPICE-style reltol·|v| + abstol step gate: an ill-conditioned
         # Jacobian amplifies the floating-point residual floor into a
         # fixed dx noise floor proportional to the solution scale, so a
@@ -132,7 +190,7 @@ def _newton(
             # scale: |J|·|x| bounds the largest stamped current, so a
             # kiloamp circuit is not held to nanoamp residuals (and a
             # nanoamp circuit keeps the absolute RESIDUAL_TOL floor).
-            i_scale = float(np.max(np.abs(jac) @ np.abs(x), initial=0.0))
+            i_scale = float(np.max(np.abs(jac) @ np.abs(mna), initial=0.0))
             if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
                 # The residual is the ground truth (KCL satisfied at
                 # x); a dx held just above VOLTAGE_TOL by a badly

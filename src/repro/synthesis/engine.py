@@ -36,7 +36,13 @@ from ..runtime.retry import RetryPolicy
 from ..technology import Technology
 from .annealing import Annealer, AnnealingSchedule, AnnealResult
 from .cost import CostFunction, FAILURE_COST, RobustCost
-from .problems import OpAmpSizingProblem, Variable, ape_ranges, standalone_ranges
+from .problems import (
+    EVALUATOR_VERSION,
+    OpAmpSizingProblem,
+    Variable,
+    ape_ranges,
+    standalone_ranges,
+)
 from .robust import RobustEvaluator, RobustSpec
 from .specs import SynthesisSpec, opamp_synthesis_spec
 
@@ -784,7 +790,7 @@ def _synthesize_parallel(
         # is too fine costs warm hits, one that is too coarse would
         # serve a wrong result.
         store_fingerprint = _run_fingerprint(
-            kind="eval-store/1",
+            kind=f"eval-store/{EVALUATOR_VERSION}",
             tech=repr(tech),
             spec=repr(spec),
             topology=repr(topology),
@@ -829,6 +835,7 @@ def _synthesize_parallel(
             restarts=restarts,
             tolerant=tolerant,
             lint=lint,
+            evaluator=EVALUATOR_VERSION,
         )
         if robust is not None:
             # Only robust runs carry the extra part, so journals written

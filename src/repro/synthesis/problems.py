@@ -3,9 +3,13 @@
 An :class:`OpAmpSizingProblem` fixes the circuit *structure* (the
 topology, exactly as ASTRX/OBLX does) and exposes the device geometries
 and compensation capacitor as box-bounded unknowns.  Candidate
-evaluation follows the ASTRX/OBLX recipe: DC operating point (with a
-quick output-balancing search), then an AWE reduced-order model for the
-gain and unity-gain frequency — not a full AC sweep.
+evaluation follows the ASTRX/OBLX recipe: the DC operating point at
+zero differential drive, then — when the open-loop output rails — the
+balanced operating point, found by one bordered Newton solve started
+from that solution (bisection as the fallback, see
+:func:`~repro.spice.analysis.balance_differential`), then an AWE
+reduced-order model for the gain and unity-gain frequency — not a full
+AC sweep.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..spice import awe_poles, dc_operating_point
 from ..spice.analysis import balance_differential
-from ..spice.batch import CandidateBatch, operating_point_result
 from ..spice.mna import System
 from ..technology import Technology
 
 __all__ = [
+    "EVALUATOR_VERSION",
     "Variable",
     "SizingProblem",
     "OpAmpSizingProblem",
@@ -35,6 +39,12 @@ __all__ = [
     "standalone_ranges",
     "ape_ranges",
 ]
+
+#: Version of the candidate evaluation recipe.  Results journaled or
+#: stored under another version are not reused: the persistent store
+#: namespace and the run-journal fingerprint both carry it.  Version 2
+#: balances railed outputs by bordered Newton instead of bisection.
+EVALUATOR_VERSION = 2
 
 #: Hard geometry bounds for the search [m].
 W_HARD = (0.9e-6, 500e-6)
@@ -185,91 +195,6 @@ def ape_ranges(template: OpAmp, factor: float = 0.2) -> list[Variable]:
     return out
 
 
-class _BatchMember:
-    """Per-candidate state threaded through ``evaluate_batch``.
-
-    Replicates the local state of one scalar ``evaluate`` call — the
-    bench, its system, and (when the output rails) the exact variables
-    of :func:`~repro.spice.analysis.balance_differential`'s bisection —
-    so K members can advance in lockstep, one batched solve per round.
-    """
-
-    def __init__(self, index, params, amp, bench, system) -> None:
-        self.index = index
-        self.params = params
-        self.amp = amp
-        self.bench = bench
-        self.system = system
-        self.slot = -1
-        self.stage = "lo"
-        self.lo = -0.5
-        self.hi = 0.5
-        self.f_lo = 0.0
-        self.sign_lo = 0.0
-        self.x_last = None
-        self.lo_ckt = None
-        self.lo_op = None
-        self.best: tuple | None = None
-        self.rounds = 0
-        self.balanced = False
-        self.bench_now = bench
-        self.op = None
-
-    def next_drive(self) -> float:
-        """The differential drive this member's next bisection solves."""
-        if self.stage == "lo":
-            return self.lo
-        if self.stage == "hi":
-            return self.hi
-        return 0.5 * (self.lo + self.hi)
-
-    def step(self, v: float, ckt, op, tol: float) -> bool:
-        """Advance the bisection; mirrors ``balance_differential``.
-
-        Returns True when the search terminates, leaving the winning
-        (circuit, op) pair in ``bench_now`` / ``op`` — the same pair,
-        chosen by the same rules, as the scalar bisection returns.
-        """
-        f = op.v("out") - 0.0
-        if self.stage == "lo":
-            self.f_lo = f
-            self.lo_ckt, self.lo_op = ckt, op
-            self.stage = "hi"
-            return False
-        if self.stage == "hi":
-            if self.f_lo == 0.0:
-                self.bench_now, self.op = self.lo_ckt, self.lo_op
-                return True
-            if f == 0.0:
-                self.bench_now, self.op = ckt, op
-                return True
-            if self.f_lo * f > 0:
-                if abs(self.f_lo) <= abs(f):
-                    self.bench_now, self.op = self.lo_ckt, self.lo_op
-                else:
-                    self.bench_now, self.op = ckt, op
-                return True
-            self.sign_lo = math.copysign(1.0, self.f_lo)
-            self.best = (self.lo_ckt, self.lo_op, abs(self.f_lo))
-            self.stage = "bisect"
-            return False
-        assert self.best is not None
-        if abs(f) < self.best[2]:
-            self.best = (ckt, op, abs(f))
-        if abs(f) < tol or (self.hi - self.lo) < 1e-12:
-            self.bench_now, self.op = ckt, op
-            return True
-        if math.copysign(1.0, f) == self.sign_lo:
-            self.lo = v
-        else:
-            self.hi = v
-        self.rounds += 1
-        if self.rounds >= 16:
-            self.bench_now, self.op = self.best[0], self.best[1]
-            return True
-        return False
-
-
 class OpAmpSizingProblem(SizingProblem):
     """Evaluate op-amp candidates with DC + AWE (the OBLX inner loop)."""
 
@@ -308,7 +233,7 @@ class OpAmpSizingProblem(SizingProblem):
         )
         self._structural_report = None
         #: Share one MNA system across candidates and warm-start the
-        #: balancing bisections (the default).  ``False`` restores the
+        #: fallback balancing bisections (the default).  ``False`` restores the
         #: from-scratch behaviour every evaluation — only useful as a
         #: benchmark baseline.
         self.reuse_state = reuse_state
@@ -320,7 +245,7 @@ class OpAmpSizingProblem(SizingProblem):
         self.diagnostics = diagnostics
         #: Shared MNA system: every candidate netlist has the same
         #: topology, so validation/indexing happen once per synthesis
-        #: run instead of once per evaluation (and per bisection).
+        #: run instead of once per evaluation (and per balancing solve).
         self._system: System | None = None
         #: Start every candidate's DC solve from the *template's*
         #: operating point instead of the flat initial guess.  The warm
@@ -372,7 +297,8 @@ class OpAmpSizingProblem(SizingProblem):
             )
             v_out = op.v("out")
             if abs(v_out) > 0.25:
-                # Output railed at zero offset: balance quickly.
+                # Output railed at zero offset: balance, starting from
+                # this zero-drive solution.
                 _, bench, op = balance_differential(
                     lambda v: self.bench_factory(amp, v_diff=v),
                     "out",
@@ -383,6 +309,7 @@ class OpAmpSizingProblem(SizingProblem):
                     retry=self.retry,
                     system=self._system,
                     warm_start=self.reuse_state,
+                    x0=op.x,
                 )
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.
@@ -392,146 +319,6 @@ class OpAmpSizingProblem(SizingProblem):
         except SimulationError as exc:
             self._note_failure(exc)
             return None
-
-    def evaluate_batch(
-        self, params_list: list[dict[str, float]]
-    ) -> list[dict[str, float] | None]:
-        """Evaluate several candidates with batched lockstep DC solves.
-
-        Returns exactly what ``[self.evaluate(p) for p in params_list]``
-        would — the same metrics to the bit, the same lint and
-        diagnostic bookkeeping per candidate — but runs the candidates'
-        Newton iterations and output-balancing bisections as stacked
-        ``(K, n, n)`` systems solved by one batched LAPACK call per
-        round (:mod:`repro.spice.batch`).  Lockstep is only taken when
-        it is provably exact: configurations that thread state between
-        candidates (``warm_start``, ``reuse_bench``), armed fault
-        injectors, sparse-sized systems or a disabled compiled path all
-        fall back to the plain scalar loop, as does any individual
-        member whose bench cannot be batch-retargeted.  A member whose
-        lockstep Newton fails reruns the full scalar ladder, so the
-        gmin/source-stepping fallbacks behave identically too.
-        """
-        if (
-            len(params_list) < 2
-            or self.warm_start
-            or self.reuse_bench
-            or faults.active() is not None
-        ):
-            return [self.evaluate(p) for p in params_list]
-        results: list[dict[str, float] | None] = [None] * len(params_list)
-        members: list[_BatchMember] = []
-        for i, params in enumerate(params_list):
-            try:
-                amp = parameterized_opamp(self.template, params)
-            except ApeError as exc:
-                self._note_failure(exc)
-                continue
-            try:
-                bench = self.bench_factory(amp, v_diff=0.0)
-                if self.lint and self._lint_rejects(bench, amp):
-                    continue
-                system = System(bench)
-            except SimulationError as exc:
-                self._note_failure(exc)
-                continue
-            members.append(_BatchMember(i, params, amp, bench, system))
-        batch = (
-            CandidateBatch.create([m.system for m in members])
-            if members
-            else None
-        )
-        if batch is None:
-            for m in members:
-                results[m.index] = self.evaluate(m.params)
-            return results
-        gmin = 1e-12
-        solved = batch.newton({k: None for k in range(len(members))})
-        pending: list[_BatchMember] = []
-        for k, m in enumerate(members):
-            m.slot = k
-            sol = solved[k]
-            try:
-                if sol is None:
-                    # Plain Newton failed in lockstep exactly as it
-                    # would have scalar; rerun the full ladder.
-                    m.op = dc_operating_point(
-                        m.bench, retry=self.retry, system=m.system
-                    )
-                else:
-                    x, iterations = sol
-                    m.op = operating_point_result(
-                        m.system, x, iterations, gmin
-                    )
-            except SimulationError as exc:
-                self._note_failure(exc)
-                continue
-            if abs(m.op.v("out")) > 0.25:
-                pending.append(m)  # railed output: balance in lockstep
-            else:
-                self._finalize_member(m, results)
-        while pending:
-            requests: dict[int, object] = {}
-            drives: dict[int, tuple] = {}
-            stepping: list[_BatchMember] = []
-            for m in pending:
-                v = m.next_drive()
-                ckt = self.bench_factory(m.amp, v_diff=v)
-                if not batch.retarget(m.slot, ckt):
-                    # Bench changed beyond source values: this member
-                    # leaves the batch and takes the scalar path whole.
-                    results[m.index] = self.evaluate(m.params)
-                    continue
-                requests[m.slot] = m.x_last
-                drives[m.slot] = (v, ckt)
-                stepping.append(m)
-            if not stepping:
-                break
-            solved = batch.newton(requests)
-            pending = []
-            for m in stepping:
-                v, ckt = drives[m.slot]
-                sol = solved[m.slot]
-                try:
-                    if sol is None:
-                        op = dc_operating_point(
-                            ckt,
-                            x0=m.x_last,
-                            retry=self.retry,
-                            system=m.system,
-                        )
-                    else:
-                        x, iterations = sol
-                        op = operating_point_result(
-                            m.system, x, iterations, gmin
-                        )
-                except SimulationError as exc:
-                    self._note_failure(exc)
-                    continue
-                if self.reuse_state:
-                    m.x_last = op.x
-                if m.step(v, ckt, op, self.balance_tolerance):
-                    m.balanced = True
-                    self._finalize_member(m, results)
-                else:
-                    pending.append(m)
-        return results
-
-    def _finalize_member(
-        self, m: _BatchMember, results: list[dict[str, float] | None]
-    ) -> None:
-        """Measure one solved member — the tail of scalar ``evaluate``."""
-        try:
-            assert m.op is not None
-            if m.balanced and abs(m.op.v("out")) > 1.0:
-                results[m.index] = self._dead_metrics(
-                    m.bench_now, m.op, m.amp
-                )
-            else:
-                results[m.index] = self._measure(m.bench_now, m.op, m.amp)
-        except SimulationError as exc:
-            self._note_failure(exc)
-            results[m.index] = None
 
     def _warm_guess(self):
         """Run-constant DC starting vector (template OP), or ``None``.

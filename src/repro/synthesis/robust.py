@@ -386,9 +386,7 @@ class RobustEvaluator:
         ):
             self.screened_candidates += 1
             return out
-        for label in self.problems:
-            out[label] = self.evaluate_variant(label, params)
-            self.corner_evaluations += 1
+        self._fan_out(out, params)
         return out
 
     def detail(
@@ -398,10 +396,27 @@ class RobustEvaluator:
         out: dict[str, dict[str, float] | None] = {
             "nominal": self.evaluate_variant("nominal", params)
         }
-        for label in self.problems:
-            out[label] = self.evaluate_variant(label, params)
-            self.corner_evaluations += 1
+        self._fan_out(out, params)
         return out
+
+    def _fan_out(
+        self,
+        out: dict[str, dict[str, float] | None],
+        params: dict[str, float],
+    ) -> None:
+        """Add every variant to ``out``, which holds the nominal result.
+
+        A nominal alias takes a copy of the nominal metrics already in
+        ``out`` instead of evaluating them again; it still counts as a
+        logical corner evaluation.
+        """
+        nominal = out["nominal"]
+        for label, problem in self.problems.items():
+            if problem is None:
+                out[label] = None if nominal is None else dict(nominal)
+            else:
+                out[label] = self.evaluate_variant(label, params)
+            self.corner_evaluations += 1
 
     def evaluate(
         self, params: dict[str, float]

@@ -297,6 +297,29 @@ class TestRobustEvaluator:
         assert family["corner:tt"] == family["nominal"]
         assert family["corner:ss"] != family["nominal"]
 
+    def test_tt_alias_does_not_resimulate_without_memo(
+        self, template, monkeypatch
+    ):
+        from repro.synthesis.problems import OpAmpSizingProblem
+
+        calls = []
+        evaluate = OpAmpSizingProblem.evaluate
+
+        def counted(problem, params):
+            calls.append(problem)
+            return evaluate(problem, params)
+
+        monkeypatch.setattr(OpAmpSizingProblem, "evaluate", counted)
+        evaluator = self._evaluator(
+            template, corners=("tt", "ss", "ff"), screen_threshold=None
+        )
+        assert evaluator.memo is None
+        family = evaluator.variants(template.initial_point())
+        # nominal, ss and ff; the tt alias reuses the nominal metrics.
+        assert len(calls) == 3
+        assert family["corner:tt"] == family["nominal"]
+        assert evaluator.corner_evaluations == 3
+
     def test_screen_skips_corner_fanout_for_hopeless_candidates(
         self, template
     ):

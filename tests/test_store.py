@@ -409,6 +409,31 @@ class TestStoreBackedSynthesis:
         assert warm.params == cold.params
         assert warm.metrics == cold.metrics
 
+    def test_rows_of_the_previous_evaluator_are_not_served(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.synthesis.engine as engine
+
+        kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)
+        store_dir = str(tmp_path / "store")
+        fingerprint = engine._run_fingerprint
+
+        def version_1_namespace(**parts):
+            # The store namespace as the bisection evaluator wrote it.
+            if str(parts.get("kind", "")).startswith("eval-store/"):
+                parts["kind"] = "eval-store/1"
+            return fingerprint(**parts)
+
+        monkeypatch.setattr(engine, "_run_fingerprint", version_1_namespace)
+        old = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
+                               **kwargs)
+        assert old.store_writes > 0
+        monkeypatch.undo()
+        new = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
+                               **kwargs)
+        assert new.store_hits == 0
+        assert new.store_writes > 0
+
     def test_store_off_matches_plain_run(self, tmp_path):
         kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)
         plain = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)

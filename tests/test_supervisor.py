@@ -363,6 +363,28 @@ class TestResume:
                 **kwargs
             )
 
+    def test_resume_refuses_run_of_the_previous_evaluator(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.synthesis.engine as engine
+
+        kwargs = dict(seed=7, restarts=2, workers=1, **RUN_KW)
+        run_dir = str(tmp_path / "run")
+        fingerprint = engine._run_fingerprint
+
+        def version_1_fingerprint(**parts):
+            # The journal fingerprint as the bisection evaluator wrote it.
+            parts.pop("evaluator", None)
+            return fingerprint(**parts)
+
+        monkeypatch.setattr(engine, "_run_fingerprint", version_1_fingerprint)
+        synthesize_opamp(TECH, SPEC, TOPO, run_dir=run_dir, **kwargs)
+        monkeypatch.undo()
+        with pytest.raises(SpecificationError, match="refusing to resume"):
+            synthesize_opamp(
+                TECH, SPEC, TOPO, run_dir=run_dir, resume=True, **kwargs
+            )
+
 
 # ------------------------------------------------------------- interrupts
 

@@ -39,7 +39,7 @@ __all__ = [
 SPEEDUP_TARGETS = {"ac_sweep": 3.0, "anneal_eval": 2.0, "lint_gate": 3.0}
 
 #: Acceptance floor for the multi-chain executor: a 4-restart leg on
-#: 4 workers must beat 4 sequential pre-executor legs by this factor.
+#: 4 workers must beat 4 sequential serial-path legs by this factor.
 PARALLEL_SPEEDUP_TARGETS = {"synth_parallel": 2.5}
 
 #: Acceptance ceiling for the supervised leg: heartbeats, watchdog
@@ -134,8 +134,8 @@ def _anneal_fixture():
         tech, OpAmpSpec(gain=200.0, ugf=2e6, ibias=2e-6, cl=10e-12)
     )
     problem = OpAmpSizingProblem(template, ape_ranges(template))
-    # Pre-PR behaviour: no shared system, no warm-started bisections —
-    # every candidate is evaluated from scratch.
+    # From-scratch reference: no shared system, template warm start,
+    # in-place bench or warm-started bisections.
     baseline = OpAmpSizingProblem(
         template, ape_ranges(template), reuse_state=False
     )
@@ -318,16 +318,14 @@ def run_parallel_benchmark(
 
     The workload is the Table-3 OpAmp1 synthesis leg (Wilson tail,
     CMOS diff pair, output buffer, 1 kOhm load).  The baseline runs
-    ``restarts`` sequential ``synthesize_opamp`` calls exactly as the
-    pre-executor flow would have — one chain each, no evaluation memo,
-    factory-built candidate benches — seeded with the same per-chain
-    seeds the executor derives.  The contender is one
-    ``synthesize_opamp(restarts=..., workers=...)`` call: same chains,
-    same seeds, same total evaluation budget, but fanned across the
-    pool with a shared :class:`~repro.parallel.EvalMemo` and the
-    executor's fast evaluation profile.  Both sides run in this
+    ``restarts`` sequential serial ``synthesize_opamp`` calls (no
+    memo) seeded with the same per-chain seeds the executor derives.
+    The contender is one ``synthesize_opamp(restarts=..., workers=...)``
+    call: same chains, same seeds, same budget and evaluation profile,
+    fanned across the pool with a shared
+    :class:`~repro.parallel.EvalMemo`.  Both sides run in this
     process/pool with identical warm-up, so the reported speedup is a
-    like-for-like A/B of the executor, not of the hardware.
+    like-for-like A/B of the pool and the memo, not of the hardware.
 
     A third *supervised* leg repeats the parallel run with the full
     supervision stack armed — heartbeat watchdog, write-ahead run
@@ -360,8 +358,8 @@ def run_parallel_benchmark(
     log = DiagnosticLog(mirror=False)
 
     def serial_leg(chain_index: int, budget: int):
-        # The pre-executor flow: one chain, classic evaluation path
-        # (memo=False pins the cache off even for shared-log runs).
+        # One chain on the serial path (memo=False pins the cache off
+        # even for shared-log runs).
         return synthesize_opamp(
             tech, spec, topology, mode="ape",
             max_evaluations=budget,
@@ -493,8 +491,8 @@ def run_parallel_benchmark(
         quick=quick,
         baseline=(
             f"{restarts} sequential single-chain synthesize_opamp legs "
-            "(pre-executor path: no memo, factory-built benches), same "
-            "per-chain seeds and evaluation budget"
+            "(serial path: no memo), same per-chain seeds and evaluation "
+            "budget"
         ),
         measures=measures,
         targets=(

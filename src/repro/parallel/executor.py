@@ -121,7 +121,10 @@ def effective_workers(
 
 @dataclass(frozen=True)
 class ChainTask:
-    """Everything one annealing restart needs, pickle-clean."""
+    """Everything one annealing restart needs, pickle-clean.
+
+    No evaluation options: chains evaluate exactly as the serial path.
+    """
 
     tech: object
     spec: object
@@ -152,10 +155,6 @@ class ChainTask:
     fault_seed: int = 0
     #: Evaluation memo quantum; ``None`` disables memoization.
     memo_quantum: float | None = DEFAULT_QUANTUM
-    #: Evaluation profile: run-constant warm-started DC solves and
-    #: in-place bench updates (both canonical, see the module docstring).
-    warm_start: bool = True
-    reuse_bench: bool = True
     #: Optional :class:`~repro.synthesis.robust.RobustSpec` — when set,
     #: every candidate is evaluated across its corners/Monte Carlo
     #: samples and the chain anneals on the aggregated robust cost.
@@ -199,8 +198,6 @@ class ChainTask:
                 self.range_factor,
                 self.lint,
                 self.memo_quantum,
-                self.warm_start,
-                self.reuse_bench,
                 self.robust,
                 self.box_override,
                 self.store_dir,
@@ -416,8 +413,6 @@ def _bundle_for(task: ChainTask):
             template,
             variables,
             lint=task.lint,
-            warm_start=task.warm_start,
-            reuse_bench=task.reuse_bench,
         )
         bundle = (x0, cost_fn, problem, design_notes, ape_seconds)
         _WORKER_BUNDLES[key] = bundle
@@ -446,8 +441,6 @@ def _robust_evaluator_for(task: ChainTask):
             task.robust,
             cost_fn.spec,
             lint=task.lint,
-            warm_start=task.warm_start,
-            reuse_bench=task.reuse_bench,
             nominal_problem=problem,
         )
         _WORKER_ROBUST[key] = evaluator

@@ -246,8 +246,11 @@ class JobRequest:
 
     def fingerprint(self, tech: Any) -> str:
         """Problem identity: same fingerprint ⇒ bit-identical result."""
+        from ..synthesis import problems
+
         return run_fingerprint(
             _FINGERPRINT_KIND,
+            problems.EVALUATOR_VERSION,
             repr(tech),
             repr(self.spec()),
             repr(self.opamp_topology()),

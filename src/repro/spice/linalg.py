@@ -52,7 +52,6 @@ __all__ = [
     "SparseFactor",
     "factorize",
     "sparse_solve",
-    "batched_solve",
 ]
 
 _MODES = ("dense", "sparse", "auto")
@@ -234,19 +233,3 @@ def sparse_solve(a, b: np.ndarray) -> np.ndarray:
         return _splu(a).solve(b)
     except RuntimeError as exc:
         raise np.linalg.LinAlgError(str(exc)) from exc
-
-
-def batched_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a[k] @ x[k] = b[k]`` over a ``(K, n, n)`` stack.
-
-    One gufunc call looping the same LAPACK routine the scalar path
-    uses, so each slice's solution matches a per-candidate
-    ``np.linalg.solve`` to the bit.  Raises ``LinAlgError`` when *any*
-    member is singular; callers fall back to per-slice solves to
-    identify the survivors.
-
-    ``b`` has shape ``(K, n)``; the trailing axis is added explicitly
-    because NumPy 2 treats a 2-D right-hand side as a single matrix,
-    not a stack of vectors.
-    """
-    return np.linalg.solve(a, b[..., None])[..., 0]

@@ -35,8 +35,9 @@ Concurrency and durability model:
   generation replays bit-exactly on ``--resume`` regardless of what
   later runs appended.
 
-Every failure path (corrupt file, locked database, permission error,
-schema mismatch) degrades the store to a no-op and records a
+Every failure path (corrupt file, a database still locked once the
+busy timeout is spent, permission error, schema mismatch) degrades the
+store to a no-op and records a
 :class:`~repro.runtime.diagnostics.Diagnostic`: a broken store may
 cost speed, never a result.
 """
@@ -46,6 +47,7 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
+import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
@@ -158,7 +160,12 @@ class EvalStore:
         self._conn = None
 
     def _connect(self) -> sqlite3.Connection | None:
-        """The live connection for *this* process, or ``None`` if degraded."""
+        """The live connection for *this* process, or ``None`` if degraded.
+
+        A locked database is retried with short, capped backoff until
+        ``busy_timeout_s`` is spent; any other failure (a corrupt file,
+        a schema mismatch, permissions) degrades the store at once.
+        """
         if self.disabled:
             return None
         pid = os.getpid()
@@ -169,9 +176,27 @@ class EvalStore:
         # closing it from the child would corrupt the parent's handle.
         self._conn = None
         self._pid = pid
+        deadline = time.monotonic() + self.busy_timeout_s  # deterministic-ok: lock-retry deadline, not result-affecting
+        delay = 0.005
+        while True:
+            try:
+                self._conn = self._open()
+                return self._conn
+            except (sqlite3.Error, OSError) as exc:
+                left = deadline - time.monotonic()  # deterministic-ok: lock-retry deadline, not result-affecting
+                locked = isinstance(exc, sqlite3.OperationalError) and (
+                    "locked" in str(exc)
+                )
+                if not locked or left <= 0.0:
+                    self._degrade(exc, "open")
+                    return None
+                time.sleep(min(delay, left))
+                delay = min(2.0 * delay, 0.1)
+
+    def _open(self) -> sqlite3.Connection:
+        self.store_dir.mkdir(parents=True, exist_ok=True)
+        conn = sqlite3.connect(self.path, timeout=self.busy_timeout_s)
         try:
-            self.store_dir.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(self.path, timeout=self.busy_timeout_s)
             conn.execute("PRAGMA journal_mode=WAL")
             conn.execute("PRAGMA synchronous=NORMAL")
             conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
@@ -185,19 +210,15 @@ class EvalStore:
                     "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
                     ("schema_version", str(STORE_SCHEMA_VERSION)),
                 )
-                conn.commit()
             elif row[0] != str(STORE_SCHEMA_VERSION):
-                conn.close()
-                self._conn = None
                 raise sqlite3.DatabaseError(
                     f"store schema version {row[0]!r} != "
                     f"supported {STORE_SCHEMA_VERSION!r}"
                 )
             conn.commit()
-        except (sqlite3.Error, OSError) as exc:
-            self._degrade(exc, "open")
-            return None
-        self._conn = conn
+        except BaseException:
+            conn.close()
+            raise
         return conn
 
     def close(self) -> None:

@@ -199,10 +199,10 @@ def synthesize_opamp(
     chains (chain ``i`` anneals with a seed derived from ``(seed, i)``;
     chain 0 keeps ``seed``) across ``workers`` processes via
     :mod:`repro.parallel` and returns the best chain; the per-chain
-    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  Chains
-    run with the executor's fast evaluation profile (memoized,
-    warm-started, in-place benches), so ``restarts=1`` — the default,
-    bit-for-bit the classic serial path — is the reference behaviour.
+    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  The
+    serial path and every chain evaluate with the one profile of
+    :class:`OpAmpSizingProblem`, so a serial run and the same run
+    journaled to a ``run_dir`` agree bit for bit.
     ``memo`` controls the evaluation cache: ``None`` enables a private
     cache for multi-restart runs only, ``True``/``False`` force it, and
     an :class:`~repro.parallel.EvalMemo` instance is used directly (and

@@ -42,9 +42,11 @@ __all__ = [
 
 #: Version of the candidate evaluation recipe.  Results journaled or
 #: stored under another version are not reused: the persistent store
-#: namespace and the run-journal fingerprint both carry it.  Version 2
-#: balances railed outputs by bordered Newton instead of bisection.
-EVALUATOR_VERSION = 2
+#: namespace, the run-journal fingerprint and the service job
+#: fingerprint all carry it.  Version 2 balances railed outputs by
+#: bordered Newton instead of bisection; version 3 warm-starts every
+#: problem, Monte Carlo variants included, from its own template.
+EVALUATOR_VERSION = 3
 
 #: Hard geometry bounds for the search [m].
 W_HARD = (0.9e-6, 500e-6)
@@ -196,7 +198,18 @@ def ape_ranges(template: OpAmp, factor: float = 0.2) -> list[Variable]:
 
 
 class OpAmpSizingProblem(SizingProblem):
-    """Evaluate op-amp candidates with DC + AWE (the OBLX inner loop)."""
+    """Evaluate op-amp candidates with DC + AWE (the OBLX inner loop).
+
+    One evaluation profile serves every caller — the serial path,
+    pooled chains, robust corner and Monte Carlo variants.  Each
+    candidate's DC solve starts from the template's zero-drive
+    operating point, and the cached bench is updated in place whenever
+    a one-time probe proves that exact.  Both are run constants, never
+    a previous candidate's state, so evaluation stays *canonical*: the
+    result for a parameter dict is independent of evaluation order —
+    the invariant the memo cache and the executor's scheduling
+    independence rest on.
+    """
 
     def __init__(
         self,
@@ -210,8 +223,6 @@ class OpAmpSizingProblem(SizingProblem):
         reuse_state: bool = True,
         lint: bool = True,
         bench_factory: Callable[..., object] | None = None,
-        warm_start: bool = False,
-        reuse_bench: bool = False,
     ) -> None:
         self.template = template
         self._variables = variables
@@ -232,10 +243,9 @@ class OpAmpSizingProblem(SizingProblem):
             open_loop_bench if bench_factory is None else bench_factory
         )
         self._structural_report = None
-        #: Share one MNA system across candidates and warm-start the
-        #: fallback balancing bisections (the default).  ``False`` restores the
-        #: from-scratch behaviour every evaluation — only useful as a
-        #: benchmark baseline.
+        #: ``False`` evaluates every candidate from scratch (no shared
+        #: system, template warm start, in-place bench or warm-started
+        #: bisections) — the benchmark baseline and the tests' reference.
         self.reuse_state = reuse_state
         #: Optional retry policy forwarded to the DC solver so transient
         #: non-convergence is re-attempted before the candidate is
@@ -247,24 +257,16 @@ class OpAmpSizingProblem(SizingProblem):
         #: topology, so validation/indexing happen once per synthesis
         #: run instead of once per evaluation (and per balancing solve).
         self._system: System | None = None
-        #: Start every candidate's DC solve from the *template's*
-        #: operating point instead of the flat initial guess.  The warm
-        #: source is a run constant (computed once from the template,
-        #: never from previous candidates), so evaluation stays
-        #: *canonical*: the result for a parameter dict is independent
-        #: of evaluation order — the invariant the memo cache and the
-        #: parallel executor's scheduling independence rest on.
-        self.warm_start = warm_start
+        #: Template operating point (see :meth:`_warm_guess`).
         self._warm_x0 = None
         self._warm_ready = False
-        #: Update the cached bench circuit in place instead of
-        #: rebuilding the netlist for every candidate.  A one-time probe
-        #: verifies each search variable maps *identically* onto element
-        #: fields (it does for the op-amp benches: MOSFET W/L, CC, RREF,
-        #: RBIASB); any non-identity dependence, structure change or
-        #: unknown parameter key falls back to the factory build, so the
-        #: fast path is bit-for-bit equivalent or not taken at all.
-        self.reuse_bench = reuse_bench
+        #: In-place bench: ``(circuit, applied params, mapping)`` once
+        #: :meth:`_probe_bench_map` proves every search variable maps
+        #: *identically* onto element fields (MOSFET W/L, CC, RREF,
+        #: RBIASB); any derived dependence (a Monte Carlo bench's
+        #: geometry-dependent mismatch), structure change or unknown
+        #: key keeps the factory build, so the fast path is bit-for-bit
+        #: equivalent or not taken at all.
         self._bench_map: tuple | None = None
         self._bench_broken = False
 
@@ -324,12 +326,13 @@ class OpAmpSizingProblem(SizingProblem):
         """Run-constant DC starting vector (template OP), or ``None``.
 
         Computed at most once, from the template alone, with fault
-        injection suspended so enabling ``warm_start`` never shifts an
-        armed injector's decision stream.  Falls back to ``None`` (the
-        solver's cold start) when the template itself will not converge
-        or when the current system's unknown vector has another size.
+        injection suspended so the template solve never shifts an armed
+        injector's decision stream.  ``None`` (the solver's cold start)
+        without ``reuse_state``, when the template itself will not
+        converge, or when the current system's unknown vector has
+        another size.
         """
-        if not self.warm_start:
+        if not self.reuse_state:
             return None
         if not self._warm_ready:
             self._warm_ready = True
@@ -365,7 +368,7 @@ class OpAmpSizingProblem(SizingProblem):
 
     def _candidate_bench(self, amp: OpAmp, params: dict[str, float]):
         """The candidate's bench: factory build or in-place update."""
-        if not self.reuse_bench:
+        if not self.reuse_state:
             return self.bench_factory(amp, v_diff=0.0)
         if self._bench_map is None and not self._bench_broken:
             self._probe_bench_map(params)

@@ -205,9 +205,9 @@ class RobustEvaluator:
     * Corner/MC problems run with ``lint=False`` — the electrical rule
       check is structural + geometric and the nominal problem already
       gates the candidate once.
-    * Monte Carlo problems disable the in-place bench fast path: the
-      mismatch realization depends on device geometry (Pelgrom), so an
-      in-place W/L update would keep a stale perturbation.
+    * Each variant problem warm-starts from its own template.  Monte
+      Carlo problems keep factory-built benches: their mismatch depends
+      on device geometry (Pelgrom), so the in-place probe refuses them.
     """
 
     def __init__(
@@ -220,8 +220,6 @@ class RobustEvaluator:
         retry: RetryPolicy | None = None,
         diagnostics: DiagnosticLog | None = None,
         lint: bool = True,
-        warm_start: bool = False,
-        reuse_bench: bool = False,
         nominal_problem: OpAmpSizingProblem | None = None,
     ) -> None:
         self.robust = robust
@@ -240,8 +238,6 @@ class RobustEvaluator:
                 retry=retry,
                 diagnostics=diagnostics,
                 lint=lint,
-                warm_start=warm_start,
-                reuse_bench=reuse_bench,
             )
         #: Variant label -> problem; ``None`` marks a nominal alias.
         self.problems: dict[str, OpAmpSizingProblem | None] = {}
@@ -261,8 +257,6 @@ class RobustEvaluator:
                 retry=retry,
                 diagnostics=diagnostics,
                 lint=False,
-                warm_start=warm_start,
-                reuse_bench=reuse_bench,
             )
         for index in range(robust.mc_samples):
             self.problems[f"mc:{index}"] = OpAmpSizingProblem(
@@ -271,8 +265,6 @@ class RobustEvaluator:
                 retry=retry,
                 diagnostics=diagnostics,
                 lint=False,
-                warm_start=False,
-                reuse_bench=False,
                 bench_factory=_MismatchBench(
                     derive_sample_seed(robust.mc_seed, index), mismatch
                 ),

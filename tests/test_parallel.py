@@ -3,7 +3,9 @@
 Locks in the determinism contract of :mod:`repro.parallel`:
 
 * ``restarts=1`` is bit-for-bit the classic serial path (and stays so
-  with an explicit memo — hits return the stored exact result);
+  with an explicit memo — hits return the stored exact result, and
+  with a run directory — the one-chain executor run evaluates exactly
+  as the serial path does);
 * multi-restart results depend only on ``(seed, restarts)``, never on
   the worker count or scheduling;
 * everything that crosses the process-pool boundary pickle round-trips
@@ -16,6 +18,7 @@ import pickle
 import pytest
 
 from repro.opamp import OpAmpSpec, OpAmpTopology, coarse_design_opamp
+from repro.opamp.benches import open_loop_bench
 from repro.parallel import (
     ChainTask,
     DEFAULT_CAPACITY,
@@ -36,13 +39,39 @@ from repro.synthesis import (
     OpAmpSizingProblem,
     ape_ranges,
     opamp_synthesis_spec,
+    parameterized_opamp,
     synthesize_opamp,
 )
+from repro.synthesis.robust import RobustSpec
 from repro.technology import PRESET_NAMES, generic_05um, technology_by_name
 
 TECH = generic_05um()
 SPEC = OpAmpSpec(gain=100.0, ugf=2e6, ibias=2e-6, cl=10e-12)
 TOPO = OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3)
+
+
+#: Serial-vs-journaled cases: a buffered Table-1 row, an unbuffered one
+#: whose railed outputs are balanced, and Table 3's OpAmp1 sized for
+#: the worst case over three corners.
+SERIAL_CASES = {
+    "oa1": (
+        OpAmpSpec(gain=70, ugf=3.0e6, area=3000e-12, ibias=2e-6, cl=10e-12),
+        OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3),
+        None,
+    ),
+    "oa3": (
+        OpAmpSpec(gain=250, ugf=8.0e6, area=1000e-12, ibias=1e-6, cl=10e-12),
+        OpAmpTopology(
+            current_source="mirror", output_buffer=False, z_load=math.inf
+        ),
+        None,
+    ),
+    "opamp1_worst": (
+        OpAmpSpec(gain=206, ugf=1.3e6, ibias=1e-6, cl=10e-12),
+        OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3),
+        RobustSpec(corners=("tt", "ss", "ff"), mode="worst"),
+    ),
+}
 
 
 def _chain_summary(result):
@@ -246,12 +275,11 @@ class TestEvalMemo:
 
 class TestCanonicalEvaluation:
     def test_fast_profile_reuse_bench_is_exact(self):
-        """In-place bench updates reproduce factory builds bit-for-bit."""
+        """The in-place bench equals a fresh factory build exactly."""
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
         bounds = {v.name: (v.lo, v.hi) for v in variables}
-        slow = OpAmpSizingProblem(template, variables)
-        fast = OpAmpSizingProblem(template, variables, reuse_bench=True)
+        problem = OpAmpSizingProblem(template, variables)
         point = {
             name: min(max(template.initial_point().get(name, lo), lo), hi)
             for name, (lo, hi) in bounds.items()
@@ -261,14 +289,21 @@ class TestCanonicalEvaluation:
             for name, value in point.items():
                 lo, hi = bounds[name]
                 params[name] = min(max(value * scale, lo), hi)
-            assert fast.evaluate(params) == slow.evaluate(params)
-        assert not fast._bench_broken
+            assert problem.evaluate(params) is not None
+            assert problem._bench_map is not None
+            in_place = problem._bench_map[0]
+            fresh = open_loop_bench(
+                parameterized_opamp(template, params), v_diff=0.0
+            )
+            assert in_place.elements == fresh.elements
+        assert not problem._bench_broken
 
     def test_warm_start_stays_within_solver_tolerance(self):
+        """The profile agrees with from-scratch evaluation to 1e-3."""
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
-        cold = OpAmpSizingProblem(template, variables)
-        warm = OpAmpSizingProblem(template, variables, warm_start=True)
+        cold = OpAmpSizingProblem(template, variables, reuse_state=False)
+        warm = OpAmpSizingProblem(template, variables)
         point = {
             v.name: min(max(template.initial_point().get(v.name, v.lo), v.lo), v.hi)
             for v in variables
@@ -276,6 +311,8 @@ class TestCanonicalEvaluation:
         m_cold = cold.evaluate(point)
         m_warm = warm.evaluate(point)
         assert m_cold is not None and m_warm is not None
+        assert warm._warm_x0 is not None and cold._warm_x0 is None
+        assert set(m_warm) == set(m_cold)
         for key, value in m_cold.items():
             assert m_warm[key] == pytest.approx(value, rel=1e-3, abs=1e-12), key
 
@@ -285,9 +322,7 @@ class TestCanonicalEvaluation:
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
         bounds = {v.name: (v.lo, v.hi) for v in variables}
-        problem = OpAmpSizingProblem(
-            template, variables, warm_start=True, reuse_bench=True
-        )
+        problem = OpAmpSizingProblem(template, variables)
         point = {
             name: min(max(template.initial_point().get(name, lo), lo), hi)
             for name, (lo, hi) in bounds.items()
@@ -314,6 +349,24 @@ class TestDeterminism:
         assert a.metrics == b.metrics
         assert a.evaluations == b.evaluations
         assert (a.restarts, a.workers) == (1, 1)
+
+    @pytest.mark.parametrize("mode", ["ape", "standalone"])
+    @pytest.mark.parametrize("case", ["oa1", "oa3", "opamp1_worst"])
+    def test_serial_run_matches_journaled_run(self, case, mode, tmp_path):
+        """The serial path and the one-chain executor run (``run_dir``)
+        evaluate candidates identically, so they agree bit for bit."""
+        spec, topology, robust = SERIAL_CASES[case]
+        kwargs = dict(
+            mode=mode, max_evaluations=40, seed=7, name=case, robust=robust
+        )
+        serial = synthesize_opamp(TECH, spec, topology, **kwargs)
+        journaled = synthesize_opamp(
+            TECH, spec, topology, run_dir=str(tmp_path / "run"), **kwargs
+        )
+        assert journaled.run_dir is not None
+        assert serial.best_cost == journaled.best_cost
+        assert serial.params == journaled.params
+        assert serial.metrics == journaled.metrics
 
     def test_serial_memo_opt_in_is_exact(self):
         """An explicit memo on the serial path changes nothing but speed."""

@@ -343,6 +343,32 @@ class TestRobustEvaluator:
             "nominal", params
         )
 
+    def test_mc_problems_keep_factory_benches(self, template):
+        """Mismatch depends on W/L, so the in-place probe refuses Monte
+        Carlo benches; the warm-started sample still matches a
+        from-scratch evaluation to solver tolerance."""
+        from repro.synthesis.problems import OpAmpSizingProblem, ape_ranges
+
+        variables = ape_ranges(template)
+        point = template.initial_point()
+        params = {
+            v.name: min(max(point.get(v.name, v.lo), v.lo), v.hi)
+            for v in variables
+        }
+        evaluator = self._evaluator(template, corners=("tt",), mc_samples=1)
+        problem = evaluator.problems["mc:0"]
+        metrics = problem.evaluate(params)
+        assert problem._bench_broken and problem._bench_map is None
+        assert problem._warm_x0 is not None
+        reference = OpAmpSizingProblem(
+            template, variables, lint=False, reuse_state=False,
+            bench_factory=problem.bench_factory,
+        ).evaluate(params)
+        assert metrics is not None and reference is not None
+        assert set(metrics) == set(reference)
+        for key, value in reference.items():
+            assert metrics[key] == pytest.approx(value, rel=1e-3, abs=1e-12), key
+
 
 # ----------------------------------------------------- engine integration
 

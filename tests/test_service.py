@@ -134,6 +134,20 @@ class TestJobRequest:
             spec={"gain": 101, "ugf": "2Meg"}
         ).fingerprint(TECH) != base.fingerprint(TECH)
 
+    def test_fingerprint_carries_the_evaluator_version(self, monkeypatch):
+        """A result of another evaluator never dedupes a new submission."""
+        import repro.synthesis.problems as problems
+        from repro.service.jobs import job_id_for
+
+        request = make_request()
+        current = request.fingerprint(TECH)
+        monkeypatch.setattr(
+            problems, "EVALUATOR_VERSION", problems.EVALUATOR_VERSION - 1
+        )
+        previous = request.fingerprint(TECH)
+        assert previous != current
+        assert job_id_for(previous) != job_id_for(current)
+
     def test_infinite_area_round_trips(self):
         request = JobRequest.from_payload(
             {"spec": {"gain": 100, "ugf": 2e6, "area": "inf"}}
@@ -322,12 +336,16 @@ class TestJobQueue:
         assert queue.get_by_fingerprint(request.fingerprint(TECH)) is None
 
     def test_tenant_load_counts_active_only(self, tmp_path):
-        queue = make_queue(tmp_path)
+        clock = FakeClock()
+        queue = make_queue(tmp_path, clock=clock)
         a = make_request(tenant="acme", max_evaluations=30)
         b = make_request(tenant="acme", max_evaluations=40, seed=2)
         c = make_request(tenant="zeta", max_evaluations=50, seed=3)
         for request in (a, b, c):
             queue.submit(request, request.fingerprint(TECH))
+            # Distinct submit times: the claim below takes ``a`` by FIFO
+            # order, not by where its job id happens to sort.
+            clock.advance(1)
         leased = queue.claim("w1", lease_seconds=10)
         queue.complete(leased.id, "w1", {})
         jobs, evals = queue.tenant_load("acme")

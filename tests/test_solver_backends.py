@@ -161,21 +161,6 @@ class TestSolverModes:
 
 
 class TestLinalgPrimitives:
-    def test_batched_solve_matches_per_slice_exactly(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(6, 9, 9))
-        a += 9.0 * np.eye(9)
-        b = rng.normal(size=(6, 9))
-        x = linalg.batched_solve(a, b)
-        for k in range(6):
-            assert np.array_equal(x[k], np.linalg.solve(a[k], b[k]))
-
-    def test_batched_solve_raises_on_any_singular_member(self):
-        a = np.stack([np.eye(3), np.zeros((3, 3))])
-        b = np.ones((2, 3))
-        with pytest.raises(np.linalg.LinAlgError):
-            linalg.batched_solve(a, b)
-
     def test_sparse_pattern_reconstructs_matrix(self):
         rng = np.random.default_rng(5)
         n = 12

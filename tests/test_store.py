@@ -160,6 +160,40 @@ class TestEvalStore:
         assert store.disabled
         assert len(log) == 1
 
+    def test_transiently_locked_open_is_retried(self, tmp_path, monkeypatch):
+        """A lock conflict at open costs a retry, not the whole run."""
+        connect = sqlite3.connect
+        attempts = []
+
+        def locked_once(*args, **kwargs):
+            attempts.append(args)
+            if len(attempts) == 1:
+                raise sqlite3.OperationalError("database is locked")
+            return connect(*args, **kwargs)
+
+        monkeypatch.setattr(sqlite3, "connect", locked_once)
+        log = DiagnosticLog(mirror=False)
+        store = EvalStore(tmp_path, diagnostics=log)
+        assert store.put_many(FP, _entries(7)) == 7
+        assert not store.disabled
+        assert len(attempts) == 2
+        assert len(log) == 0
+        assert store.count(FP) == 7
+
+    def test_lock_outlasting_the_busy_timeout_degrades(
+        self, tmp_path, monkeypatch
+    ):
+        def always_locked(*args, **kwargs):
+            raise sqlite3.OperationalError("database is locked")
+
+        monkeypatch.setattr(sqlite3, "connect", always_locked)
+        log = DiagnosticLog(mirror=False)
+        store = EvalStore(tmp_path, diagnostics=log, busy_timeout_s=0.05)
+        assert store.put_many(FP, _entries(1)) == 0
+        assert store.disabled
+        assert "locked" in store.disable_reason
+        assert len(log) == 1
+
 
 def _writer_job(args):
     store_dir, offset = args

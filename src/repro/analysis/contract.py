@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .model import MetricModel
+from .model import BOUNDED_METRICS, MetricModel
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..synthesis.specs import Constraint
@@ -88,7 +88,7 @@ def contract_box(
     but degenerate inputs stay well-defined.
     """
     checks = _slacked(
-        [c for c in constraints if c.metric in model.bounds(box)], slack
+        [c for c in constraints if c.metric in BOUNDED_METRICS], slack
     )
     current = {name: (lo, hi) for name, (lo, hi) in box.items()}
     if not checks:

@@ -254,6 +254,14 @@ class MetricModel:
                 f"{template.name}: sink-bias diode exceeds the rails"
             )
 
+        #: Metric intervals of every box :meth:`bounds` has evaluated,
+        #: keyed by the box's exact endpoints.  One analysis contracts
+        #: the same box once per constraint (C202) and once more for
+        #: the report; they all share one evaluation per distinct box.
+        self._bounds_memo: dict[
+            frozenset[tuple[str, float, float]], dict[str, Interval]
+        ] = {}
+
     # -- per-evaluation helpers ---------------------------------------
 
     def _geom(self, dev: _Device, values: Mapping[str, Num]) -> tuple[Num, Num, Num]:
@@ -404,11 +412,21 @@ class MetricModel:
         }
 
     def bounds(self, box: Mapping[str, tuple[float, float]]) -> dict[str, Interval]:
-        """Guaranteed metric intervals over a parameter box."""
-        values: dict[str, Num] = {
-            name: Interval(lo, hi) for name, (lo, hi) in box.items()
-        }
-        return {
-            name: Interval.coerce(value)
-            for name, value in self.evaluate(values).items()
-        }
+        """Guaranteed metric intervals over a parameter box.
+
+        Each distinct box is evaluated once per model; a repeated box
+        is answered from the memo with a fresh dict, so a caller that
+        mutates the result cannot change the next answer.
+        """
+        key = frozenset((name, lo, hi) for name, (lo, hi) in box.items())
+        cached = self._bounds_memo.get(key)
+        if cached is None:
+            values: dict[str, Num] = {
+                name: Interval(lo, hi) for name, (lo, hi) in box.items()
+            }
+            cached = {
+                name: Interval.coerce(value)
+                for name, value in self.evaluate(values).items()
+            }
+            self._bounds_memo[key] = cached
+        return dict(cached)

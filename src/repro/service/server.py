@@ -9,9 +9,10 @@ routes:
 ``POST /jobs``
     Validate (400 on malformed payloads), admission-gate (422 with
     the full analyzer report for provably infeasible specs — costs a
-    millisecond, never a solver evaluation), dedupe by problem
+    few milliseconds, never a solver evaluation), dedupe by problem
     fingerprint (an identical request attaches to the existing job or
-    returns the finished result immediately), then enqueue (202).
+    returns the finished result immediately), then enqueue (202) and
+    wake the idle workers.
     Overload — queue depth at its bound, or a tenant over its
     concurrent-job / evaluation-budget cap — returns 429 with a
     ``Retry-After`` header instead of queueing unbounded work.
@@ -67,6 +68,11 @@ class ServiceConfig:
     synth_workers: int | None = 1
     oversubscribe: bool = True
     lease_seconds: float = 15.0
+    #: Timeout of an idle worker's wait.  ``submit`` wakes the workers
+    #: as soon as it enqueues a job; the timeout only picks up retries
+    #: whose backoff has elapsed, expired leases and jobs enqueued by
+    #: another process sharing the data dir.  It also paces a running
+    #: job's heartbeat (at most a third of the lease).
     poll_interval_s: float = 0.2
     #: Admission bounds: total queued+running jobs, then per-tenant
     #: concurrent jobs and summed ``max_evaluations`` budget.
@@ -140,12 +146,12 @@ class SynthesisService:
             self._threads.append(thread)
 
     def _warm_admission(self) -> None:
-        """Pay the analyzer's import/compile cost once at startup.
+        """Pay the analyzer's first-call cost once at startup.
 
-        The first `analyze_problem` call imports the estimator stack
-        and builds its interval tables (~100 ms); warming it here
-        keeps the <50 ms admission-latency contract for the first
-        real request too.
+        The first `analyze_problem` call imports the estimator and
+        synthesis stack on top of one full analysis (about 80 ms in
+        all); warming it here keeps the first real request inside the
+        same <50 ms admission-latency contract as the rest.
         """
         try:
             request = JobRequest(gain=100.0, ugf=2e6)
@@ -180,7 +186,7 @@ class SynthesisService:
                 break
             time.sleep(min(0.05, timeout / 20 if timeout > 0 else 0.05))
         for worker in self.workers:
-            worker.stop_event.set()
+            worker.stop()
         for thread in self._threads:
             thread.join(timeout=1.0)
         self.queue.close()
@@ -289,6 +295,10 @@ class SynthesisService:
         record, created = self.queue.submit(request, fingerprint)
         if created:
             self.counters.accepted += 1
+            # The row is committed, so whichever worker claims after
+            # this wake finds the job; the claim hands it to one only.
+            for worker in self.workers:
+                worker.wake_event.set()
         else:
             # Lost a submit race: someone enqueued the same problem
             # between our dedupe check and our insert.  Same contract

@@ -128,6 +128,9 @@ class JobWorker:
         self.oversubscribe = oversubscribe
         self.on_progress = on_progress
         self.stop_event = threading.Event()
+        #: Set when a claim may find work: the service enqueued a job,
+        #: or the worker is stopping.
+        self.wake_event = threading.Event()
         #: Pause claiming without stopping a job in flight (drain).
         self.draining = threading.Event()
         self.jobs_done = 0
@@ -146,17 +149,34 @@ class JobWorker:
     # -------------------------------------------------------------- loop
 
     def run_forever(self) -> None:
-        """Claim/execute until :attr:`stop_event` is set."""
+        """Claim/execute until :attr:`stop_event` is set.
+
+        An idle worker sleeps until :attr:`wake_event` is set or
+        ``poll_interval_s`` elapses; the timeout picks up work no wake
+        announces (elapsed retry backoffs, expired leases, jobs another
+        process enqueued).
+        """
         while not self.stop_event.is_set():
+            # Clear before the claim, draining or not.  A wake set after
+            # this point is either seen by the claim (submit commits the
+            # row before it wakes) or ends the wait below at once; a wake
+            # that arrived while draining is spent here rather than
+            # ending every later wait at once (a busy loop).
+            self.wake_event.clear()
             record = None
             if not self.draining.is_set():
                 record = self.queue.claim(
                     self.owner, lease_seconds=self.lease_seconds
                 )
             if record is None:
-                self.stop_event.wait(self.poll_interval_s)
+                self.wake_event.wait(self.poll_interval_s)
                 continue
             self.execute(record)
+
+    def stop(self) -> None:
+        """End :meth:`run_forever` once the job in flight (if any) ends."""
+        self.stop_event.set()
+        self.wake_event.set()
 
     def execute(self, record: JobRecord) -> str:
         """Run one leased job to a terminal state; returns the state."""

@@ -324,6 +324,62 @@ class TestContraction:
         assert not report.feasible and report.error_codes
 
 
+class TestBoundsMemo:
+    #: Table-1 oa0 as a service job: its admission contracts the box
+    #: once per constraint (C202) and once more for the report.
+    OA0 = {
+        "spec": {"gain": 200, "ugf": "1.3Meg", "area": 5e-9, "ibias": "1u",
+                 "cl": "10p"},
+        "topology": {"current_source": "wilson", "diff_pair": "cmos",
+                     "output_buffer": True, "z_load": 1e3},
+        "name": "oa0",
+    }
+
+    def test_admission_evaluates_each_distinct_box_once(self, monkeypatch):
+        from repro.service import JobRequest, admit
+
+        evaluations = 0
+        boxes = set()
+        evaluate, bounds = MetricModel.evaluate, MetricModel.bounds
+
+        def counting_evaluate(self, values):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate(self, values)
+
+        def recording_bounds(self, box):
+            boxes.add(tuple(sorted(box.items())))
+            return bounds(self, box)
+
+        monkeypatch.setattr(MetricModel, "evaluate", counting_evaluate)
+        monkeypatch.setattr(MetricModel, "bounds", recording_bounds)
+        report = admit(TECH, JobRequest.from_payload(self.OA0))
+        assert report["feasible"] is True
+        assert len(boxes) > 1
+        assert evaluations == len(boxes)
+
+    def test_repeated_box_returns_an_equal_fresh_dict(self, monkeypatch):
+        template = _template(TOPOLOGIES["wilson_buffer"])
+        model = MetricModel(template)
+        box = {v.name: (v.lo, v.hi) for v in ape_ranges(template, 0.2)}
+        first = model.bounds(box)
+        evaluations = 0
+        evaluate = model.evaluate
+
+        def counting_evaluate(values):
+            nonlocal evaluations
+            evaluations += 1
+            return evaluate(values)
+
+        monkeypatch.setattr(model, "evaluate", counting_evaluate)
+        second = model.bounds(box)
+        assert second == first and second is not first
+        first["gain"] = Interval(0.0, 0.0)
+        del first["ugf"]
+        assert model.bounds(box) == second
+        assert evaluations == 0
+
+
 # ------------------------------------------------------------- topology screen
 
 

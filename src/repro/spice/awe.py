@@ -72,11 +72,12 @@ class AweApproximant:
     def _terms(self) -> tuple[tuple[complex, complex], ...]:
         """(pole, residue) pairs as plain Python complex numbers.
 
-        The unity-gain bisection evaluates |H| at ~80 single
-        frequencies per candidate; for a handful of poles, scalar
-        complex arithmetic beats broadcasting one-element numpy arrays
-        by an order of magnitude, and the synthesis inner loop calls
-        this for every candidate.
+        :meth:`response_at` and the unity-gain bisection evaluate |H|
+        at one frequency at a time — the bisection about 55 times per
+        candidate; for a handful of poles, scalar complex arithmetic
+        beats broadcasting one-element numpy arrays by an order of
+        magnitude, and the synthesis inner loop calls this for every
+        candidate.
         """
         return tuple(
             (complex(p), complex(r))
@@ -100,20 +101,38 @@ class AweApproximant:
     ) -> float:
         """Frequency [Hz] where |H| crosses 1, by bisection on a log axis.
 
-        Raises :class:`SimulationError` when |H| never crosses unity in
-        the given range (e.g. DC gain below 1).
+        At most 80 halvings; the loop stops early once a step leaves the
+        bracket unchanged, because every later step would repeat it, so
+        the result is the one 80 full steps return.  A local function
+        evaluates |H| term for term as :meth:`response_at` does, without
+        its method lookups.  Raises
+        :class:`SimulationError` when |H| never crosses unity in the
+        given range (e.g. DC gain below 1).
         """
         lo, hi = math.log10(f_lo), math.log10(f_hi)
-        mag = lambda lf: self.magnitude_at(10.0**lf)
-        if mag(lo) < 1.0:
+        terms = self._terms
+        omega_scale = 2j * math.pi
+
+        def magnitude(log_f: float) -> float:
+            s = omega_scale * 10.0**log_f
+            total = 0j
+            for pole, residue in terms:
+                total += residue / (s - pole)
+            return abs(total)
+
+        if magnitude(lo) < 1.0:
             raise SimulationError("gain below unity at the low end")
-        if mag(hi) > 1.0:
+        if magnitude(hi) > 1.0:
             raise SimulationError("gain above unity at the high end")
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if mag(mid) > 1.0:
+            if magnitude(mid) > 1.0:
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return 10.0 ** (0.5 * (lo + hi))
 
@@ -165,8 +184,14 @@ def _pade_from_moments(moments: np.ndarray, order: int) -> tuple[np.ndarray, np.
     rhs = -mu[q : 2 * q]
     coeffs = np.linalg.solve(hankel, rhs)
     # b_i (= 1/p_i) are roots of z^q + a_{q-1} z^{q-1} + ... + a_0.
-    poly = np.concatenate(([1.0], coeffs[::-1]))
-    roots = np.roots(poly)
+    if coeffs[0] != 0.0:
+        # The companion matrix np.roots builds for a monic polynomial
+        # without zero roots, built here without its trimming passes.
+        companion = np.eye(q, k=-1)
+        companion[0] = -coeffs[::-1]
+        roots = np.linalg.eigvals(companion)
+    else:
+        roots = np.roots(np.concatenate(([1.0], coeffs[::-1])))
     roots = roots[np.abs(roots) > 1e-300]
     poles = 1.0 / roots
     # Residues: mu_j = sum_i c_i b_i^j for j = 0..q-1, c_i = -k_i / p_i.

@@ -167,9 +167,11 @@ def _newton(
                 dx = border.step(system, jac, res, mna, gmin)
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(dx)):
+        # Reductions go through ndarray methods: the same ufunc reduce
+        # as the np.max/np.all functions, without their wrapper cost.
+        if not np.isfinite(dx).all():
             return None
-        max_dx = float(np.max(np.abs(dx[: system.n_nodes]), initial=0.0))
+        max_dx = float(np.abs(dx[: system.n_nodes]).max(initial=0.0))
         if border is not None:
             max_dx = max(max_dx, abs(dx[-1]) * (MAX_STEP / border.max_step))
         if max_dx > MAX_STEP:
@@ -182,15 +184,15 @@ def _newton(
         # fixed dx noise floor proportional to the solution scale, so a
         # purely absolute tolerance can stall on circuits that are in
         # fact converged.
-        v_scale = float(np.max(np.abs(x[: system.n_nodes]), initial=0.0))
+        v_scale = float(np.abs(x[: system.n_nodes]).max(initial=0.0))
         tight = max_dx < VOLTAGE_TOL * (1.0 + v_scale)
         if tight or max_dx < DX_STALL_TOL * (1.0 + v_scale):
-            res_norm = float(np.max(np.abs(res)))
+            res_norm = float(np.abs(res).max())
             # Relative residual check against the circuit's own current
             # scale: |J|·|x| bounds the largest stamped current, so a
             # kiloamp circuit is not held to nanoamp residuals (and a
             # nanoamp circuit keeps the absolute RESIDUAL_TOL floor).
-            i_scale = float(np.max(np.abs(jac) @ np.abs(mna), initial=0.0))
+            i_scale = float((np.abs(jac) @ np.abs(mna)).max(initial=0.0))
             if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
                 # The residual is the ground truth (KCL satisfied at
                 # x); a dx held just above VOLTAGE_TOL by a badly
@@ -203,9 +205,9 @@ def _newton(
             # A small full-vector step with a modest absolute residual
             # also counts as converged (branch currents included); the
             # node-voltage check above already implies the gate.
-            x_scale = float(np.max(np.abs(x), initial=0.0))
+            x_scale = float(np.abs(x).max(initial=0.0))
             if res_norm < 1e-6 and float(
-                np.max(np.abs(dx))
+                np.abs(dx).max()
             ) < VOLTAGE_TOL * (1.0 + x_scale):
                 return x, iteration
     return None

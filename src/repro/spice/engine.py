@@ -138,6 +138,18 @@ def _stamp_pair(matrix: np.ndarray, a: int, b: int, value: float) -> None:
         matrix[b, b] += value
 
 
+def _flat(matrix: np.ndarray) -> np.ndarray:
+    """1-D view of a C-contiguous matrix, for flat-index scatters.
+
+    ``np.add.at`` on the view makes the same additions in the same
+    order as a ``(row, col)`` scatter into the matrix, at about half the
+    per-call cost.
+    """
+    if not matrix.flags.c_contiguous:
+        raise ValueError("stamp target must be C-contiguous")
+    return matrix.reshape(-1)
+
+
 def _eval_at(x, mos, device, i_d, i_g, i_s, i_b):
     return evaluate_mosfet(
         mos,
@@ -155,54 +167,39 @@ class _MosVectors:
     Replicates :func:`~repro.spice.mna.evaluate_mosfet` (polarity
     normalization, drain/source swap, Level 1-3 equations) with one
     numpy expression per quantity across every device, then scatters
-    the residual/Jacobian stamps with a single ``np.add.at`` call.
-    The arithmetic mirrors the scalar model term for term so the two
-    paths agree to rounding.
+    the residual/Jacobian stamps with ``np.add.at``.  The arithmetic
+    mirrors the scalar model term for term so the two paths agree to
+    rounding.
+
+    Each device's model and geometry parameters are one column of two
+    parameter blocks, written by :meth:`write`; a geometry swap
+    rewrites that column in place (:meth:`CompiledStamps.refresh`).
+    The scatter patterns depend only on the wiring, which never changes
+    under a refresh.
     """
 
-    def __init__(self, mosfets) -> None:
+    def __init__(self, mosfets, n: int) -> None:
         m = len(mosfets)
         self.count = m
+        self.n = n
         raw = np.empty((4, m), dtype=np.intp)
-        par = np.empty((11, m))
-        vel = np.empty(m, dtype=bool)
+        self._par = np.empty((10, m))
+        self._cpar = np.empty((9, m))
+        self.vel = np.empty(m, dtype=bool)
+        # Row views: a column write updates every per-device vector.
+        (self.sign, self.aspect, self.kp_eff, self.theta, self.lam,
+         self.gamma, self.phi, self.sqrt_phi, self.vth0,
+         self.vc) = self._par
+        (self.cox_area, self.cgs_ov, self.cgd_ov, self.cgb_ov,
+         self.cj_area, self.cjsw_perim, self.pb, self.mj,
+         self.mjsw) = self._cpar
         for k, (mos, device, i_d, i_g, i_s, i_b) in enumerate(mosfets):
-            model = mos.model
             raw[:, k] = (i_d, i_g, i_s, i_b)
-            # theta enters beta and gm only for Level >= 2 cards.
-            theta = model.theta if model.level >= 2 else 0.0
-            vc = 0.0
-            if model.level == 3 and model.vmax > 0:
-                vc = model.vmax * device.l_eff / max(model.u0, 1e-12)
-                vel[k] = True
-            else:
-                vel[k] = False
-            par[:, k] = (
-                model.polarity.sign,
-                device.aspect,
-                model.kp_effective,
-                theta,
-                model.lambda_,
-                model.gamma,
-                model.phi,
-                math.sqrt(model.phi),
-                model.vth0,
-                vc,
-                1.0,
-            )
+            self.write(k, mos, device)
+        self.derive()
         self.raw_d, self.raw_g, self.raw_s, self.raw_b = raw
         # Ground (-1) reads map to a zero slot appended to the vector.
         self.aug = np.where(raw >= 0, raw, -1)
-        (self.sign, self.aspect, self.kp_eff, self.theta, self.lam,
-         self.gamma, self.phi, self.sqrt_phi, self.vth0, self.vc,
-         _) = par
-        self.theta_on = self.theta > 0.0
-        self.vel = vel
-        # Level-1 cards make beta bias-independent and collapse the
-        # theta/velocity-saturation branches entirely.
-        self.has_theta = bool(self.theta_on.any())
-        self.has_vel = bool(vel.any())
-        self.beta0 = self.kp_eff * self.aspect
         # Reusable scatter buffers: rows/cols/vals laid out as 8 blocks
         # of m entries — (dp, sp) rows times (dp, g, sp, b) columns.
         self._rows = np.empty(8 * m, dtype=np.intp)
@@ -223,8 +220,7 @@ class _MosVectors:
         chalf[0, 3] = self.raw_b
         chalf[1] = chalf[0]
         live0 = (rows0 >= 0) & (cols0 >= 0)
-        self._j0_rows = rows0[live0]
-        self._j0_cols = cols0[live0]
+        self._j0_flat = rows0[live0] * n + cols0[live0]
         self._j0_live = None if live0.all() else live0
         d_live = self.raw_d >= 0
         self._res_d_idx = self.raw_d[d_live]
@@ -232,28 +228,6 @@ class _MosVectors:
         s_live = self.raw_s >= 0
         self._res_s_idx = self.raw_s[s_live]
         self._res_s_live = None if s_live.all() else s_live
-        # Capacitance-stamp precomputes (see MosDevice.capacitances):
-        # oxide area for the Meyer split, overlap totals, and the
-        # junction bottom/sidewall prefactors with the default
-        # diffusion extension.
-        ext = 1.5e-6
-        cpar = np.empty((9, m))
-        for k, (mos, device, _i_d, _i_g, _i_s, _i_b) in enumerate(mosfets):
-            model = mos.model
-            cpar[:, k] = (
-                model.cox * device.w * device.l_eff,
-                model.cgso * device.w,
-                model.cgdo * device.w,
-                model.cgbo * device.l,
-                model.cj * (device.w * ext),
-                model.cjsw * (device.w + 2.0 * ext),
-                model.pb,
-                model.mj,
-                model.mjsw,
-            )
-        (self.cox_area, self.cgs_ov, self.cgd_ov, self.cgb_ov,
-         self.cj_area, self.cjsw_perim, self.pb, self.mj,
-         self.mjsw) = cpar
         # Fixed scatter pattern for the forward-operation case: the
         # five (a, b) pairs of _mos_cap_pairs laid out as blocks of m.
         a0 = np.concatenate(
@@ -262,18 +236,81 @@ class _MosVectors:
         b0 = np.concatenate(
             [self.raw_s, self.raw_d, self.raw_b, self.raw_b, self.raw_b]
         )
-        self._cap_a0 = a0
-        self._cap_b0 = b0
-        self._cap_live_a0 = a0 >= 0
-        self._cap_live_b0 = b0 >= 0
-        self._cap_live_ab0 = self._cap_live_a0 & self._cap_live_b0
+        self._cap_scatter0 = self._cap_scatter(a0, b0)
 
-    def linearize(self, x: np.ndarray):
-        """Per-device stamp arrays at bias ``x``.
+    def _cap_scatter(self, a: np.ndarray, b: np.ndarray):
+        """Live masks and flat positions of the (a, b) pair stamps.
 
-        Returns ``(dp, sp, i_dp, g_dd, g_dg, g_ds, g_db, no_swap)``;
-        ``no_swap`` reports that no device is in reverse operation, so
-        the precompiled scatter pattern applies.
+        Returns ``((live_a, live_b, live_ab), (aa, bb, ab, ba))``: the
+        masks select the stamp values, the positions address the
+        (a, a), (b, b), (a, b) and (b, a) entries.
+        """
+        n = self.n
+        live_a = a >= 0
+        live_b = b >= 0
+        live_ab = live_a & live_b
+        a_ab = a[live_ab]
+        b_ab = b[live_ab]
+        return (live_a, live_b, live_ab), (
+            a[live_a] * (n + 1),
+            b[live_b] * (n + 1),
+            a_ab * n + b_ab,
+            b_ab * n + a_ab,
+        )
+
+    def write(self, k: int, mos, device) -> None:
+        """Write device ``k``'s parameter columns; :meth:`derive` after."""
+        model = mos.model
+        # theta enters beta and gm only for Level >= 2 cards.
+        theta = model.theta if model.level >= 2 else 0.0
+        vel = model.level == 3 and model.vmax > 0
+        self.vel[k] = vel
+        vc = model.vmax * device.l_eff / max(model.u0, 1e-12) if vel else 0.0
+        self._par[:, k] = (
+            model.polarity.sign,
+            device.aspect,
+            model.kp_effective,
+            theta,
+            model.lambda_,
+            model.gamma,
+            model.phi,
+            math.sqrt(model.phi),
+            model.vth0,
+            vc,
+        )
+        # Capacitance-stamp precomputes (see MosDevice.capacitances):
+        # oxide area for the Meyer split, overlap totals, and the
+        # junction bottom/sidewall prefactors with the default
+        # diffusion extension.
+        ext = 1.5e-6
+        self._cpar[:, k] = (
+            model.cox * device.w * device.l_eff,
+            model.cgso * device.w,
+            model.cgdo * device.w,
+            model.cgbo * device.l,
+            model.cj * (device.w * ext),
+            model.cjsw * (device.w + 2.0 * ext),
+            model.pb,
+            model.mj,
+            model.mjsw,
+        )
+
+    def derive(self) -> None:
+        """Recompute the cross-device summaries of the parameters."""
+        self.theta_on = self.theta > 0.0
+        # Level-1 cards make beta bias-independent and collapse the
+        # theta/velocity-saturation branches entirely.
+        self.has_theta = bool(self.theta_on.any())
+        self.has_vel = bool(self.vel.any())
+        self.beta0 = self.kp_eff * self.aspect
+
+    def _bias(self, x: np.ndarray):
+        """Effective-terminal biases of every device at ``x``.
+
+        Returns ``(swapped, no_swap, vds, vsb, vsb0, sq, vov, on,
+        vdsat, vel_live, sat_den)``, the quantities the conduction and
+        the capacitance stamps share; ``vel_live`` and ``sat_den`` are
+        None without velocity-saturated cards.
         """
         if self._xa.shape[0] != x.shape[0] + 1:
             self._xa = np.zeros(x.shape[0] + 1)
@@ -287,14 +324,10 @@ class _MosVectors:
         if no_swap:
             vsp = vs
             vds = d
-            dp = self.raw_d
-            sp = self.raw_s
         else:
             vsp = np.where(swapped, vd, vs)
             vdp = np.where(swapped, vs, vd)
             vds = sign * (vdp - vsp)
-            dp = np.where(swapped, self.raw_s, self.raw_d)
-            sp = np.where(swapped, self.raw_d, self.raw_s)
         vgs = sign * (vg - vsp)
         vsb = sign * (vsp - vb)
         vsb0 = np.maximum(vsb, 0.0)
@@ -302,14 +335,6 @@ class _MosVectors:
         vth = self.vth0 + self.gamma * (sq - self.sqrt_phi)
         vov = vgs - vth
         on = vov > 0.0
-        all_on = bool(on.all())
-        if self.has_theta:
-            theta_live = self.theta_on & on
-            beta_den = np.where(theta_live, 1.0 + self.theta * vov, 1.0)
-            kp = np.where(theta_live, self.kp_eff / beta_den, self.kp_eff)
-            beta = kp * self.aspect
-        else:
-            beta = self.beta0
         if self.has_vel:
             vel_live = self.vel & on
             sat_den = np.where(vel_live, vov + self.vc, 1.0)
@@ -318,7 +343,34 @@ class _MosVectors:
             # Pinch-off at the overdrive; cutoff rows carry vov <= 0,
             # which keeps ``triode`` False there (vds >= 0) and is
             # masked out of every current below.
+            vel_live = sat_den = None
             vdsat = vov
+        return (swapped, no_swap, vds, vsb, vsb0, sq, vov, on, vdsat,
+                vel_live, sat_den)
+
+    def _conduction(self, bias):
+        """Per-device conduction stamp arrays at ``bias`` (see _bias).
+
+        Returns ``(dp, sp, i_dp, g_dd, g_dg, g_ds, g_db, no_swap)``;
+        ``no_swap`` reports that no device is in reverse operation, so
+        the precompiled scatter pattern applies.
+        """
+        (swapped, no_swap, vds, _vsb, _vsb0, sq, vov, on, vdsat,
+         vel_live, sat_den) = bias
+        if no_swap:
+            dp = self.raw_d
+            sp = self.raw_s
+        else:
+            dp = np.where(swapped, self.raw_s, self.raw_d)
+            sp = np.where(swapped, self.raw_d, self.raw_s)
+        all_on = bool(on.all())
+        if self.has_theta:
+            theta_live = self.theta_on & on
+            beta_den = np.where(theta_live, 1.0 + self.theta * vov, 1.0)
+            kp = np.where(theta_live, self.kp_eff / beta_den, self.kp_eff)
+            beta = kp * self.aspect
+        else:
+            beta = self.beta0
         triode = vds < vdsat
         any_tri = bool(triode.any())
         lam = self.lam
@@ -365,19 +417,14 @@ class _MosVectors:
             gds = np.where(on, gds, 0.0)
         chi = self.gamma / (2.0 * sq)
         gmb = chi * gm
-        return dp, sp, sign * ids, gds, gm, -(gm + gds + gmb), gmb, no_swap
+        return (dp, sp, self.sign * ids, gds, gm, -(gm + gds + gmb), gmb,
+                no_swap)
 
     def stamp(self, x: np.ndarray, res: np.ndarray, jac: np.ndarray) -> None:
         """Add every device's conduction stamp at bias ``x``."""
-        dp, sp, i_dp, g_dd, g_dg, g_ds, g_db, no_swap = self.linearize(x)
-        m = self.count
-        vals = self._vals
-        vhalf = vals.reshape(2, 4, m)
-        vhalf[0, 0] = g_dd
-        vhalf[0, 1] = g_dg
-        vhalf[0, 2] = g_ds
-        vhalf[0, 3] = g_db
-        np.negative(vhalf[0], out=vhalf[1])
+        dp, sp, i_dp, g_dd, g_dg, g_ds, g_db, no_swap = self._conduction(
+            self._bias(x)
+        )
         if no_swap:
             d_live = self._res_d_live
             np.add.at(
@@ -389,16 +436,31 @@ class _MosVectors:
                 res, self._res_s_idx,
                 -i_dp if s_live is None else -i_dp[s_live],
             )
+        else:
+            live = dp >= 0
+            np.add.at(res, dp[live], i_dp[live])
+            live = sp >= 0
+            np.add.at(res, sp[live], -i_dp[live])
+        self._stamp_jacobian(dp, sp, g_dd, g_dg, g_ds, g_db, no_swap, jac)
+
+    def _stamp_jacobian(
+        self, dp, sp, g_dd, g_dg, g_ds, g_db, no_swap, jac
+    ) -> None:
+        m = self.count
+        vals = self._vals
+        vhalf = vals.reshape(2, 4, m)
+        vhalf[0, 0] = g_dd
+        vhalf[0, 1] = g_dg
+        vhalf[0, 2] = g_ds
+        vhalf[0, 3] = g_db
+        np.negative(vhalf[0], out=vhalf[1])
+        if no_swap:
             j_live = self._j0_live
             np.add.at(
-                jac, (self._j0_rows, self._j0_cols),
+                _flat(jac), self._j0_flat,
                 vals if j_live is None else vals[j_live],
             )
             return
-        live = dp >= 0
-        np.add.at(res, dp[live], i_dp[live])
-        live = sp >= 0
-        np.add.at(res, sp[live], -i_dp[live])
         rows = self._rows
         cols = self._cols
         rows.reshape(8, m)[:4] = dp
@@ -410,7 +472,25 @@ class _MosVectors:
         half[0, 3] = self.raw_b
         half[1] = half[0]
         live = (rows >= 0) & (cols >= 0)
-        np.add.at(jac, (rows[live], cols[live]), vals[live])
+        np.add.at(
+            _flat(jac), rows[live] * self.n + cols[live], vals[live]
+        )
+
+    def stamp_ac(
+        self, x: np.ndarray, jac: np.ndarray, cmat: np.ndarray
+    ) -> None:
+        """Add the conduction Jacobian and capacitance stamps at ``x``.
+
+        One bias evaluation serves both; no residual is built.  Each
+        matrix receives exactly the additions, in the same order, that
+        :meth:`stamp` and :meth:`stamp_caps` make.
+        """
+        bias = self._bias(x)
+        dp, sp, _i_dp, g_dd, g_dg, g_ds, g_db, no_swap = self._conduction(
+            bias
+        )
+        self._stamp_jacobian(dp, sp, g_dd, g_dg, g_ds, g_db, no_swap, jac)
+        self._stamp_caps(bias, cmat)
 
     def stamp_caps(self, x: np.ndarray, cmat: np.ndarray) -> None:
         """Add every device's Meyer + junction capacitance stamp.
@@ -419,35 +499,11 @@ class _MosVectors:
         :func:`_mos_cap_pairs` across all devices (same region rules
         and junction law as the scalar model, term for term).
         """
-        if self._xa.shape[0] != x.shape[0] + 1:
-            self._xa = np.zeros(x.shape[0] + 1)
-        xa = self._xa
-        xa[:-1] = x
-        vd, vg, vs, vb = xa[self.aug]
-        sign = self.sign
-        d = sign * (vd - vs)
-        swapped = d < 0.0
-        no_swap = not swapped.any()
-        if no_swap:
-            vsp = vs
-            vds = d
-        else:
-            vsp = np.where(swapped, vd, vs)
-            vdp = np.where(swapped, vs, vd)
-            vds = sign * (vdp - vsp)
-        vgs = sign * (vg - vsp)
-        vsb = sign * (vsp - vb)
-        vsb0 = np.maximum(vsb, 0.0)
-        sq = np.sqrt(self.phi + vsb0)
-        vth = self.vth0 + self.gamma * (sq - self.sqrt_phi)
-        vov = vgs - vth
-        on = vov > 0.0
-        if self.has_vel:
-            vel_live = self.vel & on
-            sat_den = np.where(vel_live, vov + self.vc, 1.0)
-            vdsat = np.where(vel_live, vov * self.vc / sat_den, vov)
-        else:
-            vdsat = vov
+        self._stamp_caps(self._bias(x), cmat)
+
+    def _stamp_caps(self, bias, cmat: np.ndarray) -> None:
+        (swapped, no_swap, vds, vsb, vsb0, _sq, vov, on, vdsat,
+         _vel_live, _sat_den) = bias
         triode = on & (vds < vdsat)
         sat = on & ~triode
         cox = self.cox_area
@@ -465,23 +521,26 @@ class _MosVectors:
                + self.cjsw_perim / den_s**self.mjsw)
         vals = np.concatenate([cgs, cgd, cgb, cdb, csb])
         if no_swap:
-            a, b = self._cap_a0, self._cap_b0
-            live_a = self._cap_live_a0
-            live_b = self._cap_live_b0
-            live_ab = self._cap_live_ab0
+            live, flat = self._cap_scatter0
         else:
             dp = np.where(swapped, self.raw_s, self.raw_d)
             sp = np.where(swapped, self.raw_d, self.raw_s)
-            a = np.concatenate([self.raw_g, self.raw_g, self.raw_g, dp, sp])
-            b = np.concatenate([sp, dp, self.raw_b, self.raw_b, self.raw_b])
-            live_a = a >= 0
-            live_b = b >= 0
-            live_ab = live_a & live_b
-        np.add.at(cmat, (a[live_a], a[live_a]), vals[live_a])
-        np.add.at(cmat, (b[live_b], b[live_b]), vals[live_b])
+            live, flat = self._cap_scatter(
+                np.concatenate(
+                    [self.raw_g, self.raw_g, self.raw_g, dp, sp]
+                ),
+                np.concatenate(
+                    [sp, dp, self.raw_b, self.raw_b, self.raw_b]
+                ),
+            )
+        live_a, live_b, live_ab = live
+        aa, bb, ab, ba = flat
+        target = _flat(cmat)
+        np.add.at(target, aa, vals[live_a])
+        np.add.at(target, bb, vals[live_b])
         neg = -vals[live_ab]
-        np.add.at(cmat, (a[live_ab], b[live_ab]), neg)
-        np.add.at(cmat, (b[live_ab], a[live_ab]), neg)
+        np.add.at(target, ab, neg)
+        np.add.at(target, ba, neg)
 
 
 def _mos_cap_pairs(ev, caps, i_d, i_g, i_s, i_b):
@@ -676,7 +735,8 @@ class CompiledStamps:
         self.wave_v = wave_v
         self.wave_i = wave_i
         self.mosfets = mosfets
-        self.mos_vec = _MosVectors(mosfets) if mosfets else None
+        self.mos_vec = _MosVectors(mosfets, n) if mosfets else None
+        self._dc_base: tuple[float, np.ndarray] | None = None
         self._tran_lin_cache: dict[tuple[float, float], tuple] = {}
         self._step_ctx: tuple | None = None
         self._g_scatter = g
@@ -768,16 +828,17 @@ class CompiledStamps:
         for elem in mos_changes:
             _, k = self._value_slots[elem.name]
             _, _, i_d, i_g, i_s, i_b = self.mosfets[k]
-            self.mosfets[k] = (
-                elem, system.device(elem.name), i_d, i_g, i_s, i_b
-            )
+            device = system.device(elem.name)
+            self.mosfets[k] = (elem, device, i_d, i_g, i_s, i_b)
+            self.mos_vec.write(k, elem, device)
         if mos_changes:
-            self.mos_vec = _MosVectors(self.mosfets)
+            self.mos_vec.derive()
         if src_changes:
             self._refresh_sources(system)
         if g_dirty:
             self.g_lin = self._g_scatter.dense()
             self.tran_g = self._tran_g_scatter.dense()
+            self._dc_base = None
         if cap_dirty:
             self.cap_couple = self._cap_scatter.dense()
             self.c_lin = self.cap_couple.copy()
@@ -920,6 +981,20 @@ class CompiledStamps:
         )
 
     # -- per-call assembly pieces --------------------------------------
+
+    def dc_base(self, gmin: float) -> np.ndarray:
+        """``g_lin`` plus ``gmin`` on the node diagonal, cached per gmin.
+
+        The linear part of every DC and AC Jacobian; callers copy it
+        before stamping.  A Newton run keeps one gmin, so one entry
+        serves it.
+        """
+        cached = self._dc_base
+        if cached is None or cached[0] != gmin:
+            base = self.g_lin.copy()
+            base[self.node_diag, self.node_diag] += gmin
+            cached = self._dc_base = (gmin, base)
+        return cached[1]
 
     def stamp_mosfet_conduction(
         self, x: np.ndarray, res: np.ndarray, jac: np.ndarray
@@ -1071,9 +1146,9 @@ def assemble_dc(
             system, x, gmin=gmin, source_scale=source_scale
         )
     st = stamps_for(system)
-    jac = st.g_lin.copy()
-    jac[st.node_diag, st.node_diag] += gmin
-    res = jac @ x
+    base = st.dc_base(gmin)
+    jac = base.copy()
+    res = base @ x
     if st.has_src and source_scale != 0.0:
         res += source_scale * st.src_dc
     st.stamp_mosfet_conduction(x, res, jac)
@@ -1119,12 +1194,20 @@ def linearize_ac(
 
     This is the sweep-level cache: AC analysis linearizes the circuit
     once at the operating point and then assembles each frequency point
-    with one scale-and-add instead of re-walking the netlist.
+    with one scale-and-add instead of re-walking the netlist.  ``G`` is
+    the DC Jacobian at ``x_op`` and ``C`` the capacitance matrix, bit
+    for bit; the compiled path evaluates the device biases once for
+    both and builds no DC residual.
     """
-    _, g = assemble_dc(system, x_op, gmin=gmin)
-    c = capacitance_matrix(system, x_op)
-    b = ac_rhs(system)
-    return g, c, b
+    if not _COMPILED:
+        _, g = assemble_dc(system, x_op, gmin=gmin)
+        return g, capacitance_matrix(system, x_op), ac_rhs(system)
+    st = stamps_for(system)
+    g = st.dc_base(gmin).copy()
+    c = st.c_lin.copy()
+    if st.mos_vec is not None:
+        st.mos_vec.stamp_ac(x_op, g, c)
+    return g, c, st.ac_b.copy()
 
 
 def assemble_ac(

@@ -5,9 +5,13 @@ helpers here instead of calling ``numpy.linalg`` directly.  Two
 backends exist:
 
 ``dense``
-    ``numpy.linalg.solve`` / LAPACK LU — optimal for the tens-of-node
-    op-amp benches where factorization cost is negligible and the
-    BLAS kernels beat any sparse bookkeeping.
+    ``numpy.linalg.solve`` for one-shot Newton solves and LAPACK LU for
+    repeated ones (:class:`DenseFactor`) — optimal for the tens-of-node
+    op-amp benches, where the arithmetic costs a few microseconds and
+    the per-call overhead is what counts.  :class:`DenseFactor` calls
+    scipy's own ``dgetrf``/``dgetrs`` directly, the routines
+    ``scipy.linalg.lu_factor``/``lu_solve`` wrap, so it returns their
+    bits without their per-call argument handling.
 
 ``sparse``
     SuperLU (``scipy.sparse.linalg.splu``) over a CSR/CSC structure
@@ -34,11 +38,13 @@ and ``SimulationError`` wrappers behave identically on both backends.
 from __future__ import annotations
 
 import os
+import warnings
 from contextlib import contextmanager
 
 import numpy as np
 import scipy.linalg as _dense_la
 import scipy.sparse as _sparse
+from scipy.linalg.lapack import dgetrf as _dgetrf, dgetrs as _dgetrs
 from scipy.sparse.linalg import splu as _splu
 
 __all__ = [
@@ -168,20 +174,73 @@ class SparsePattern:
         )
 
 
-class DenseFactor:
-    """LAPACK LU factorization with forward/transposed solves."""
+def _plain_float64(a) -> bool:
+    """Whether ``a`` is a non-empty float64 ndarray LAPACK takes as is."""
+    return type(a) is np.ndarray and a.dtype == np.float64 and a.size > 0
 
-    __slots__ = ("_lu", "_piv")
+
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+
+
+class DenseFactor:
+    """LAPACK LU factorization with forward/transposed solves.
+
+    A non-empty float64 matrix is factored, and float64 right-hand
+    sides solved, by scipy's ``dgetrf``/``dgetrs`` called directly —
+    the same routines :func:`scipy.linalg.lu_factor` and
+    :func:`~scipy.linalg.lu_solve` pick for those inputs, so the result
+    is bit-identical — with the wrappers' checks kept: non-finite
+    input raises ``ValueError``, an exactly singular matrix warns
+    (``LinAlgWarning``) instead of raising, and an illegal-argument
+    status raises ``ValueError``.  Every other input takes the scipy
+    wrappers.
+    """
+
+    __slots__ = ("_lu", "_piv", "_direct")
 
     def __init__(self, a: np.ndarray) -> None:
-        self._lu, self._piv = _dense_la.lu_factor(a)
+        self._direct = _plain_float64(a) and a.ndim == 2
+        if not self._direct:
+            self._lu, self._piv = _dense_la.lu_factor(a)
+            return
+        _check_finite(a)
+        self._lu, self._piv, info = _dgetrf(a)
+        if info < 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal getrf "
+                "(lu_factor)"
+            )
+        if info > 0:
+            warnings.warn(
+                f"Diagonal number {info} is exactly zero. Singular matrix.",
+                _dense_la.LinAlgWarning,
+                stacklevel=2,
+            )
+
+    def _solve(self, b: np.ndarray, trans: int) -> np.ndarray:
+        if not (
+            self._direct
+            and _plain_float64(b)
+            and 1 <= b.ndim <= 2
+            and b.shape[0] == self._lu.shape[0]
+        ):
+            return _dense_la.lu_solve((self._lu, self._piv), b, trans=trans)
+        _check_finite(b)
+        x, info = _dgetrs(self._lu, self._piv, b, trans=trans)
+        if info != 0:
+            raise ValueError(
+                f"illegal value in {-info}th argument of internal gesv|posv"
+            )
+        return x
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        return _dense_la.lu_solve((self._lu, self._piv), b)
+        return self._solve(b, 0)
 
     def solve_t(self, b: np.ndarray) -> np.ndarray:
         """Solve ``a.T @ x = b`` (plain transpose, no conjugation)."""
-        return _dense_la.lu_solve((self._lu, self._piv), b, trans=1)
+        return self._solve(b, 1)
 
 
 class SparseFactor:

@@ -30,11 +30,13 @@ from repro.spice import (
     transient_analysis,
 )
 from repro.spice.engine import (
+    ac_rhs,
     assemble_ac,
     assemble_dc,
     assemble_tran,
     capacitance_matrix,
     compiled_enabled,
+    linearize_ac,
 )
 from repro.spice.mna import (
     System,
@@ -42,8 +44,10 @@ from repro.spice.mna import (
     assemble_dc_naive,
     assemble_tran_naive,
     capacitance_matrix_naive,
+    evaluate_mosfet,
 )
 from repro.technology import generic_05um
+from tests.test_mos_levels import LEVEL1, LEVEL2_THETA, LEVEL3_VSAT
 
 TECH = generic_05um()
 
@@ -84,12 +88,12 @@ def _rlc_controlled() -> Circuit:
     return ckt
 
 
-def _mos_amp() -> Circuit:
+def _mos_amp(model=TECH.nmos) -> Circuit:
     ckt = Circuit("cs-amp")
     ckt.v("vdd", "0", dc=TECH.vdd)
     ckt.v("g", "0", dc=1.2, ac=1.0)
     ckt.r("vdd", "d", 20e3)
-    ckt.m("d", "g", "0", "0", TECH.nmos, w=10e-6, l=1e-6, name="M1")
+    ckt.m("d", "g", "0", "0", model, w=10e-6, l=1e-6, name="M1")
     ckt.c("d", "0", 1e-12)
     return ckt
 
@@ -111,6 +115,25 @@ def _bias_points(system: System) -> list[np.ndarray]:
         np.full(system.size, 0.7),
         rng.normal(0.0, 1.0, system.size),
     ]
+
+
+def _swapped_point(system: System) -> np.ndarray:
+    """A bias point at which the first MOSFET runs source/drain swapped."""
+    x = np.full(system.size, 0.7)
+    mos = system.circuit.mosfets()[0]
+    sign = mos.model.polarity.sign
+    d, s = system.index(mos.nd), system.index(mos.ns)
+    if d >= 0:
+        x[d] = (x[s] if s >= 0 else 0.0) - 0.5 * sign
+    else:
+        x[s] = 0.5 * sign
+    ev = evaluate_mosfet(
+        mos,
+        system.device(mos.name),
+        *(system.voltage(x, n) for n in (mos.nd, mos.ng, mos.ns, mos.nb)),
+    )
+    assert ev.swapped
+    return x
 
 
 def assert_same(fast, naive) -> None:
@@ -144,6 +167,22 @@ class TestAssemblyEquivalence:
                 capacitance_matrix(system, x),
                 capacitance_matrix_naive(system, x),
             )
+
+    def test_linearize_ac_is_dc_jacobian_and_capacitance(self, build):
+        # linearize_ac shares one bias evaluation between the conduction
+        # and capacitance stamps and builds no residual; its matrices
+        # must still equal the separate assemblers' bit for bit.
+        system = System(build())
+        points = _bias_points(system)
+        if system.circuit.mosfets():
+            points.append(_swapped_point(system))
+        for x in points:
+            for gmin in (1e-12, 1e-6):
+                g, c, b = linearize_ac(system, x, gmin=gmin)
+                _, jac = assemble_dc(system, x, gmin=gmin)
+                assert np.array_equal(g, jac)
+                assert np.array_equal(c, capacitance_matrix(system, x))
+                assert np.array_equal(b, ac_rhs(system))
 
     def test_ac(self, build):
         system = System(build())
@@ -478,15 +517,18 @@ class TestCompiledStampsRefresh:
         assert np.array_equal(st.c_lin, fresh.c_lin)
         assert np.array_equal(st.tran_g, fresh.tran_g)
         assert np.array_equal(st.src_dc, fresh.src_dc)
-        x = np.full(system.size, 0.3)
-        res_a, jac_a = assemble_dc(system, x)
-        res_b, jac_b = assemble_dc(System(ckt.copy()), x)
-        assert np.array_equal(res_a, res_b)
-        assert np.array_equal(jac_a, jac_b)
-        assert np.array_equal(
-            capacitance_matrix(system, x),
-            capacitance_matrix(System(ckt.copy()), x),
-        )
+        # At 0.3 V every device is off; at 1.5 V the NMOS conducts in
+        # saturation, where beta and vdsat (Level 3: vc) enter.
+        for level in (0.3, 1.5):
+            x = np.full(system.size, level)
+            res_a, jac_a = assemble_dc(system, x)
+            res_b, jac_b = assemble_dc(System(ckt.copy()), x)
+            assert np.array_equal(res_a, res_b)
+            assert np.array_equal(jac_a, jac_b)
+            assert np.array_equal(
+                capacitance_matrix(system, x),
+                capacitance_matrix(System(ckt.copy()), x),
+            )
 
     def test_resistor_value_swap_refreshes_in_place(self):
         ckt = _mos_amp()
@@ -517,6 +559,37 @@ class TestCompiledStampsRefresh:
 
         assert stamps_for(system) is st
         self._assert_matches_fresh(system, ckt)
+
+    @pytest.mark.parametrize(
+        "card",
+        [LEVEL2_THETA, LEVEL3_VSAT, LEVEL3_VSAT.with_(theta=0.0)],
+        ids=["level2_theta", "level3_vsat", "level3_vsat_no_theta"],
+    )
+    def test_level2_level3_geometry_swap_refreshes_in_place(self, card):
+        # The in-place update must re-derive what depends on geometry:
+        # beta0 (bias-independent beta without theta) and Level 3's
+        # velocity-saturation voltage vc, which follows L_eff.
+        ckt = _mos_amp(card)
+        system, st = self._compiled(ckt)
+        elem = ckt.element("M1")
+        ckt.replace(dataclasses.replace(elem, w=elem.w * 2.0, l=elem.l * 1.5))
+        from repro.spice.engine import stamps_for
+
+        assert stamps_for(system) is st
+        self._assert_matches_fresh(system, ckt)
+
+    def test_model_card_swap_refreshes_in_place(self):
+        # A card swap flips the theta and velocity-saturation branches;
+        # the refreshed stamps must take them exactly like a fresh one.
+        ckt = _mos_amp(LEVEL1)
+        system, st = self._compiled(ckt)
+        from repro.spice.engine import stamps_for
+
+        for card in (LEVEL3_VSAT, LEVEL2_THETA, LEVEL1):
+            elem = ckt.element("M1")
+            ckt.replace(dataclasses.replace(elem, model=card))
+            assert stamps_for(system) is st
+            self._assert_matches_fresh(system, ckt)
 
     def test_combined_value_sweep_stays_exact(self):
         # The synthesis pattern: many successive R/C/M value swaps on

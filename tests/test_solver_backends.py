@@ -21,6 +21,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from repro.errors import SimulationError
 from repro.opamp import OpAmpSpec, design_opamp, open_loop_bench
@@ -203,6 +204,69 @@ class TestLinalgPrimitives:
             linalg.SparseFactor(singular)
         with pytest.raises(np.linalg.LinAlgError):
             linalg.sparse_solve(singular, np.ones(3))
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_dense_factor_matches_lu_solve_bit_for_bit(self, n):
+        # DenseFactor calls LAPACK getrf/getrs itself; it must return
+        # exactly what scipy's lu_factor/lu_solve return.
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=(n, n)) + rng.uniform(0.0, 2.0) * np.eye(n)
+        reference = scipy.linalg.lu_factor(a)
+        factor = linalg.DenseFactor(a)
+        for b in (rng.normal(size=n), rng.normal(size=(n, 3))):
+            for trans, solve in ((0, factor.solve), (1, factor.solve_t)):
+                x = solve(b)
+                ref = scipy.linalg.lu_solve(reference, b, trans=trans)
+                assert x.shape == ref.shape
+                assert np.array_equal(x, ref)
+
+    def test_dense_factor_keeps_inputs_and_other_dtypes(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(6, 6)) + 3.0 * np.eye(6)
+        b = rng.normal(size=6)
+        a_copy, b_copy = a.copy(), b.copy()
+        factor = linalg.DenseFactor(a)
+        factor.solve(b)
+        assert np.array_equal(a, a_copy) and np.array_equal(b, b_copy)
+        # Complex right-hand sides and non-float64 matrices take the
+        # scipy wrappers, with their dtype promotion.
+        bc = b + 1j * rng.normal(size=6)
+        ref = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), bc)
+        assert np.array_equal(factor.solve(bc), ref)
+        a32 = a.astype(np.float32)
+        ref32 = scipy.linalg.lu_solve(scipy.linalg.lu_factor(a32), b)
+        assert np.array_equal(linalg.DenseFactor(a32).solve(b), ref32)
+        empty = linalg.DenseFactor(np.empty((0, 0)))
+        assert empty.solve(np.empty(0)).shape == (0,)
+
+    def test_dense_factor_zero_pivot_warns_like_lu_factor(self):
+        singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+        with pytest.warns(scipy.linalg.LinAlgWarning) as ours:
+            linalg.DenseFactor(singular)
+        with pytest.warns(scipy.linalg.LinAlgWarning) as theirs:
+            scipy.linalg.lu_factor(singular)
+        assert [str(w.message) for w in ours] == [
+            str(w.message) for w in theirs
+        ]
+        assert "Diagonal number 2 is exactly zero" in str(ours[0].message)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_dense_factor_non_finite_raises_like_scipy(self, bad):
+        a = np.eye(4) * 2.0
+        poisoned = a.copy()
+        poisoned[1, 2] = bad
+        with pytest.raises(ValueError) as ours:
+            linalg.DenseFactor(poisoned)
+        with pytest.raises(ValueError) as theirs:
+            scipy.linalg.lu_factor(poisoned)
+        assert str(ours.value) == str(theirs.value)
+        b = np.ones(4)
+        b[3] = bad
+        with pytest.raises(ValueError) as ours:
+            linalg.DenseFactor(a).solve(b)
+        with pytest.raises(ValueError) as theirs:
+            scipy.linalg.lu_solve(scipy.linalg.lu_factor(a), b)
+        assert str(ours.value) == str(theirs.value)
 
 
 # --------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.spice import (
+    AweApproximant,
     Circuit,
     ac_analysis,
     awe_poles,
@@ -14,7 +15,7 @@ from repro.spice import (
     dc_operating_point,
 )
 from repro.spice.ac import log_frequencies
-from repro.spice.awe import awe_moments
+from repro.spice.awe import _pade_from_moments, awe_moments
 from repro.technology import generic_05um
 
 TECH = generic_05um()
@@ -156,3 +157,157 @@ class TestAweOnMosCircuit:
         np.testing.assert_allclose(
             np.abs(h_awe), np.abs(ac.phasor("out")), rtol=0.05
         )
+
+
+# --------------------------------------------------------------------------
+# The rewritten kernels against the references they replace
+# --------------------------------------------------------------------------
+
+
+def _reference_magnitude(model, frequency):
+    """|H(j 2 pi f)|: 0j plus the terms in pole order."""
+    s = 2j * math.pi * frequency
+    total = 0j
+    for pole, residue in zip(model.poles, model.residues):
+        total += complex(residue) / (s - complex(pole))
+    return abs(total)
+
+
+def _reference_ugf(model, f_lo=1.0, f_hi=1e12):
+    """The plain 80-step log-axis bisection."""
+    lo, hi = math.log10(f_lo), math.log10(f_hi)
+    if _reference_magnitude(model, 10.0**lo) < 1.0:
+        raise SimulationError("gain below unity at the low end")
+    if _reference_magnitude(model, 10.0**hi) > 1.0:
+        raise SimulationError("gain above unity at the high end")
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if _reference_magnitude(model, 10.0**mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 10.0 ** (0.5 * (lo + hi))
+
+
+def _reference_pade(moments, order):
+    """Poles and residues with the roots taken by np.roots."""
+    q = order
+    mu = moments[: 2 * q]
+    hankel = np.array([mu[row : row + q] for row in range(q)])
+    coeffs = np.linalg.solve(hankel, -mu[q : 2 * q])
+    roots = np.roots(np.concatenate(([1.0], coeffs[::-1])))
+    roots = roots[np.abs(roots) > 1e-300]
+    poles = 1.0 / roots
+    vander = np.vander(roots, N=len(roots), increasing=True).T
+    c = np.linalg.solve(vander, mu[: len(roots)].astype(complex))
+    return poles, -c * poles
+
+
+def _random_model(rng):
+    """Stable poles (some complex pairs) and a DC gain well above one."""
+    count = rng.integers(1, 5)
+    poles: list[complex] = []
+    while len(poles) < count:
+        w = 2.0 * math.pi * 10.0 ** rng.uniform(1.0, 8.0)
+        if rng.random() < 0.3:
+            angle = rng.uniform(0.1, 1.4)
+            poles += [w * complex(-math.cos(angle), s * math.sin(angle))
+                      for s in (1.0, -1.0)]
+        else:
+            poles.append(complex(-w, 0.0))
+    poles_arr = np.array(poles)
+    weights = rng.uniform(0.1, 1.0, len(poles_arr))
+    gain = 10.0 ** rng.uniform(0.5, 5.0)
+    residues = -poles_arr * weights / weights.sum() * gain
+    return AweApproximant(
+        poles=poles_arr, residues=residues, moments=np.zeros(2)
+    )
+
+
+def _opamp_models():
+    from repro.opamp import OpAmpSpec, design_opamp, open_loop_bench
+
+    for gain, ugf in ((200.0, 2e6), (70.0, 3e6), (250.0, 8e6)):
+        amp = design_opamp(
+            TECH, OpAmpSpec(gain=gain, ugf=ugf, ibias=2e-6, cl=10e-12)
+        )
+        bench = open_loop_bench(amp, v_diff=0.0)
+        op = dc_operating_point(bench)
+        for order in (1, 2, 3):
+            yield awe_poles(bench, "out", order=order, op=op)
+
+
+class TestRewrittenKernels:
+    def test_ugf_matches_80_step_bisection_on_random_models(self):
+        rng = np.random.default_rng(11)
+        compared = 0
+        for _ in range(300):
+            model = _random_model(rng)
+            try:
+                expected = _reference_ugf(model)
+            except SimulationError as exc:
+                with pytest.raises(SimulationError, match=str(exc)):
+                    model.unity_gain_frequency()
+                continue
+            assert model.unity_gain_frequency() == expected
+            compared += 1
+        assert compared > 250
+
+    def test_ugf_matches_80_step_bisection_on_awe_models(self):
+        for model in _opamp_models():
+            assert model.unity_gain_frequency() == _reference_ugf(model)
+            for f_lo, f_hi in ((10.0, 1e9), (1.0, 1e15)):
+                assert model.unity_gain_frequency(
+                    f_lo, f_hi
+                ) == _reference_ugf(model, f_lo, f_hi)
+
+    def test_ugf_raises_the_same_two_errors(self):
+        low = AweApproximant(
+            poles=np.array([-1e3 + 0j]),
+            residues=np.array([0.5e3 + 0j]),
+            moments=np.zeros(2),
+        )
+        high = AweApproximant(
+            poles=np.array([-1e9 + 0j]),
+            residues=np.array([1e11 + 0j]),
+            moments=np.zeros(2),
+        )
+        for model, message in (
+            (low, "gain below unity at the low end"),
+            (high, "gain above unity at the high end"),
+        ):
+            with pytest.raises(SimulationError, match=message):
+                _reference_ugf(model, 1.0, 1e3)
+            with pytest.raises(SimulationError, match=message):
+                model.unity_gain_frequency(1.0, 1e3)
+
+    def test_pade_roots_match_np_roots(self):
+        rng = np.random.default_rng(5)
+        moment_sets = [rng.normal(size=8) for _ in range(200)]
+        for n in (1, 2, 3, 5):
+            moment_sets.append(awe_moments(*rc_ladder(n), 8))
+        moment_sets += [model.moments for model in _opamp_models()]
+        for moments in moment_sets:
+            scale = abs(moments[1] / moments[0]) or 1.0
+            scaled = moments / scale ** np.arange(len(moments))
+            for q in range(1, len(moments) // 2 + 1):
+                try:
+                    expected = _reference_pade(scaled, q)
+                except np.linalg.LinAlgError:
+                    with pytest.raises(np.linalg.LinAlgError):
+                        _pade_from_moments(scaled, q)
+                    continue
+                got = _pade_from_moments(scaled, q)
+                for ours, ref in zip(got, expected):
+                    assert ours.dtype == ref.dtype
+                    assert np.array_equal(ours, ref, equal_nan=True)
+
+    def test_pade_zero_constant_coefficient_takes_np_roots(self):
+        # mu = (4, 2, -1, 0.5) solves the order-2 Hankel system exactly
+        # to a = (0, 0.5): z^2 + 0.5 z has one zero root, dropped.
+        moments = np.array([4.0, 2.0, -1.0, 0.5])
+        poles, residues = _pade_from_moments(moments, 2)
+        ref_poles, ref_residues = _reference_pade(moments, 2)
+        assert np.array_equal(poles, ref_poles)
+        assert np.array_equal(residues, ref_residues)
+        assert poles.tolist() == [-2.0]

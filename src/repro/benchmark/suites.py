@@ -39,7 +39,7 @@ __all__ = [
 SPEEDUP_TARGETS = {"ac_sweep": 3.0, "anneal_eval": 2.0, "lint_gate": 3.0}
 
 #: Acceptance floor for the multi-chain executor: a 4-restart leg on
-#: 4 workers must beat 4 sequential serial-path legs by this factor.
+#: 4 workers must beat 4 sequential one-chain legs by this factor.
 PARALLEL_SPEEDUP_TARGETS = {"synth_parallel": 2.5}
 
 #: Acceptance ceiling for the supervised leg: heartbeats, watchdog
@@ -318,7 +318,7 @@ def run_parallel_benchmark(
 
     The workload is the Table-3 OpAmp1 synthesis leg (Wilson tail,
     CMOS diff pair, output buffer, 1 kOhm load).  The baseline runs
-    ``restarts`` sequential serial ``synthesize_opamp`` calls (no
+    ``restarts`` sequential one-chain ``synthesize_opamp`` calls (no
     memo) seeded with the same per-chain seeds the executor derives.
     The contender is one ``synthesize_opamp(restarts=..., workers=...)``
     call: same chains, same seeds, same budget and evaluation profile,
@@ -358,7 +358,7 @@ def run_parallel_benchmark(
     log = DiagnosticLog(mirror=False)
 
     def serial_leg(chain_index: int, budget: int):
-        # One chain on the serial path (memo=False pins the cache off
+        # One one-chain run, in-process (memo=False pins the cache off
         # even for shared-log runs).
         return synthesize_opamp(
             tech, spec, topology, mode="ape",
@@ -491,7 +491,7 @@ def run_parallel_benchmark(
         quick=quick,
         baseline=(
             f"{restarts} sequential single-chain synthesize_opamp legs "
-            "(serial path: no memo), same per-chain seeds and evaluation "
+            "(in-process, no memo), same per-chain seeds and evaluation "
             "budget"
         ),
         measures=measures,

@@ -1,10 +1,12 @@
-"""Supervised process-pool execution of independent annealing chains.
+"""Supervised execution of independent annealing chains.
 
-The unit of work is a :class:`ChainTask` — a frozen, pickle-clean
-description of one annealing restart (technology, spec, topology,
-schedule, derived seed, budget share, fault configuration).  A task is
-executed by :func:`run_chain`, either in-process or inside a worker of
-a ``fork``-based :class:`~concurrent.futures.ProcessPoolExecutor`.
+Every :func:`~repro.synthesis.synthesize_opamp` run, one chain or
+many, runs its chains here.  The unit of work is a :class:`ChainTask` —
+a frozen, pickle-clean description of one annealing restart
+(technology, spec, topology, schedule, derived seed, budget share,
+fault configuration).  A task is executed by :func:`run_chain`, either
+in-process or inside a worker of a ``fork``-based
+:class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Determinism contract (locked in by ``tests/test_parallel.py`` and
 ``tests/test_supervisor.py``):
@@ -30,26 +32,29 @@ and watched by the parent.  A killed worker (``BrokenProcessPool``)
 or a hung one (stale heartbeat / chain deadline, the worker is then
 killed) collapses the pool; the parent rebuilds it and resubmits only
 the lost chains, with bounded retries and a quarantine list for poison
-tasks.  SIGINT/SIGTERM drain in-flight chains and return the completed
-outcomes.  Every completed chain can be journaled write-ahead
+tasks.  The first SIGINT/SIGTERM drains in-flight chains and returns
+the completed outcomes; a second abandons in-flight work, in-process
+chains included.  Every completed chain can be journaled write-ahead
 (:class:`~repro.runtime.journal.RunJournal`) so an interrupted run
 resumes without repeating finished chains.
 
-Workers rebuild the sizing problem from the task description and keep
-it cached per task signature — ``System.rebind`` then reuses the
-compiled MNA engine across every candidate of every chain that worker
-runs, instead of re-pickling solver state across the pool boundary.
-Worker caches die with their processes; the parent's pool teardown is
-guaranteed on every exit path by
-:class:`~repro.runtime.supervisor.PoolManager`.
+Each process builds the sizing problem from the task description and
+keeps it cached per task signature — ``System.rebind`` then reuses the
+compiled MNA engine across every candidate of every chain of that
+problem, instead of re-pickling solver state across the pool boundary.
+A chain checks its problem out of the cache for as long as it runs, so
+threads never share one.  Pool workers' caches die with their
+processes; the parent's pool teardown is guaranteed on every exit path
+by :class:`~repro.runtime.supervisor.PoolManager`.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import threading
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 
 from ..runtime import faults
@@ -75,7 +80,6 @@ __all__ = [
     "run_chain",
     "run_annealing_chains",
     "run_supervised_chains",
-    "clear_worker_caches",
     "parallel_map",
     "robust_variant_eval",
 ]
@@ -123,7 +127,8 @@ def effective_workers(
 class ChainTask:
     """Everything one annealing restart needs, pickle-clean.
 
-    No evaluation options: chains evaluate exactly as the serial path.
+    No evaluation options: every chain evaluates with the one profile
+    of :class:`~repro.synthesis.problems.OpAmpSizingProblem`.
     """
 
     tech: object
@@ -141,14 +146,11 @@ class ChainTask:
     tolerant: bool = True
     lint: bool = True
     retry: RetryPolicy | None = None
-    #: Shared deadline as an absolute ``time.monotonic()`` instant
-    #: (every chain stops at the same moment, wherever it runs: the
-    #: pool's fork-started workers share the parent's per-boot
-    #: CLOCK_MONOTONIC timebase, and unlike wall clock it cannot be
-    #: stepped by NTP mid-run).
-    deadline_epoch: float | None = None
-    max_failures: int | None = None
-    per_eval_seconds: float | None = None
+    #: This chain's share of the caller's budget (see
+    #: :meth:`EvalBudget.share`): the caller's limits and deadline
+    #: instant, so every chain stops at the same moment wherever it
+    #: runs.  Each attempt of the chain consumes a fresh copy.
+    budget: EvalBudget | None = None
     #: Fault configuration re-armed inside the chain (None = leave the
     #: worker's fault state alone).
     fault_specs: tuple[faults.FaultSpec, ...] | None = None
@@ -179,15 +181,19 @@ class ChainTask:
     #: only the predicted best).
     surrogate: str = "off"
 
-    def problem_key(self) -> bytes:
+    def problem_key(self) -> str:
         """Signature of the sizing problem this task needs.
 
         Chains of one synthesis run (and repeated runs of the same
-        table row) share the signature, so a worker builds the
+        table row) share the signature, so a process builds the
         template, variables and compiled MNA system once and reuses
-        them via ``System.rebind`` for every such chain.
+        them via ``System.rebind`` for every such chain.  Built from
+        ``repr`` (exact for these dataclasses, as in the journal and
+        store fingerprints), not pickle: pickling reads the
+        technology's model ``__dict__``s, which slows every later
+        attribute read on them.
         """
-        return pickle.dumps(
+        return repr(
             (
                 self.tech,
                 self.spec,
@@ -196,6 +202,7 @@ class ChainTask:
                 self.synthesis_spec,
                 self.name,
                 self.range_factor,
+                self.tolerant,
                 self.lint,
                 self.memo_quantum,
                 self.robust,
@@ -235,15 +242,16 @@ class ChainOutcome:
     memo_snapshot: dict | None = None
 
 
-# Worker-local state, keyed by ChainTask.problem_key(): the sizing
-# problem (with its compiled MNA system) and the worker's memo cache
-# survive across the chains one worker executes.  In pool workers the
-# caches die with the process (PoolManager guarantees teardown); the
-# in-process caches are bounded by the distinct problem signatures of
-# one session and can be dropped with clear_worker_caches().
-_WORKER_BUNDLES: dict[bytes, tuple] = {}
-_WORKER_MEMOS: dict[bytes, EvalMemo] = {}
-_WORKER_ROBUST: dict[bytes, object] = {}
+# Process-wide state, keyed by ChainTask.problem_key(): the sizing
+# problem (with its compiled MNA system and robust evaluator) and a
+# pool worker's memo cache survive across the chains this process runs.
+# In pool workers the caches die with the process (PoolManager
+# guarantees teardown); in the caller's process they are bounded by the
+# distinct problem signatures it runs.  A bundle is checked out
+# by one chain at a time (see _checked_out), guarded by the lock.
+_BUNDLES: dict[str, tuple] = {}
+_BUNDLES_LOCK = threading.Lock()
+_WORKER_MEMOS: dict[str, EvalMemo] = {}
 #: Worker-local persistent-store handles, keyed by store directory.
 #: Connections are opened lazily per process (EvalStore re-opens after
 #: a fork), and pool workers hold them read-only.
@@ -263,16 +271,6 @@ _IN_WORKER = False
 def _mark_worker() -> None:
     global _IN_WORKER
     _IN_WORKER = True
-
-
-def clear_worker_caches() -> None:
-    """Drop the in-process problem-bundle, memo and store caches."""
-    _WORKER_BUNDLES.clear()
-    _WORKER_MEMOS.clear()
-    _WORKER_ROBUST.clear()
-    for store in _WORKER_STORES.values():
-        store.close()
-    _WORKER_STORES.clear()
 
 
 def _heartbeat(chain_index: int) -> None:
@@ -359,92 +357,91 @@ def _memo_for(task: ChainTask, shared_memo: EvalMemo | None) -> EvalMemo | None:
     return memo
 
 
-def _bundle_for(task: ChainTask):
-    """(x0, cost_fn, problem, design_notes, ape_seconds) for a task."""
-    key = task.problem_key()
-    bundle = _WORKER_BUNDLES.get(key)
-    if bundle is None:
-        from ..opamp import coarse_design_opamp, design_opamp
-        from ..synthesis.problems import (
-            OpAmpSizingProblem,
-            ape_ranges,
-            standalone_ranges,
+def _build_bundle(task: ChainTask):
+    """``(x0, cost_fn, problem, design_notes, ape_seconds, evaluator)``
+    for a task; ``evaluator`` is its robust evaluator or ``None``."""
+    from ..opamp import coarse_design_opamp, design_opamp
+    from ..synthesis.problems import (
+        OpAmpSizingProblem,
+        Variable,
+        ape_ranges,
+        standalone_ranges,
+    )
+    from ..synthesis.robust import RobustEvaluator
+    from ..synthesis.specs import opamp_synthesis_spec
+
+    t0 = time.perf_counter()
+    design_notes: list = []
+    if task.tolerant:
+        template, design_notes = coarse_design_opamp(
+            task.tech, task.spec, task.topology, name=task.name
         )
-        from ..synthesis.specs import opamp_synthesis_spec
-
-        t0 = time.perf_counter()
-        design_notes: list = []
-        if task.tolerant:
-            template, design_notes = coarse_design_opamp(
-                task.tech, task.spec, task.topology, name=task.name
+    else:
+        template = design_opamp(
+            task.tech, task.spec, task.topology, name=task.name
+        )
+    ape_seconds = time.perf_counter() - t0
+    if task.mode == "ape":
+        variables = ape_ranges(template, factor=task.range_factor)
+    else:
+        variables = standalone_ranges(template)
+    if task.box_override is not None:
+        override = dict(task.box_override)
+        variables = [
+            Variable(v.name, *override.get(v.name, (v.lo, v.hi)))
+            for v in variables
+        ]
+    if task.mode == "ape":
+        x0 = {
+            v.name: min(
+                max(template.initial_point().get(v.name, v.lo), v.lo),
+                v.hi,
             )
-        else:
-            template = design_opamp(
-                task.tech, task.spec, task.topology, name=task.name
-            )
-        ape_seconds = time.perf_counter() - t0
-        if task.mode == "ape":
-            variables = ape_ranges(template, factor=task.range_factor)
-        else:
-            variables = standalone_ranges(template)
-        if task.box_override is not None:
-            from ..synthesis.problems import Variable
-
-            override = dict(task.box_override)
-            variables = [
-                Variable(v.name, *override.get(v.name, (v.lo, v.hi)))
-                for v in variables
-            ]
-        if task.mode == "ape":
-            x0 = {
-                v.name: min(
-                    max(template.initial_point().get(v.name, v.lo), v.lo),
-                    v.hi,
-                )
-                for v in variables
-            }
-        else:
-            x0 = None
-        synthesis_spec = task.synthesis_spec
-        if synthesis_spec is None:
-            synthesis_spec = opamp_synthesis_spec(task.spec)
-        cost_fn = CostFunction(synthesis_spec)
-        problem = OpAmpSizingProblem(
+            for v in variables
+        }
+    else:
+        x0 = None
+    synthesis_spec = task.synthesis_spec
+    if synthesis_spec is None:
+        synthesis_spec = opamp_synthesis_spec(task.spec)
+    cost_fn = CostFunction(synthesis_spec)
+    problem = OpAmpSizingProblem(template, variables, lint=task.lint)
+    evaluator = None
+    if task.robust is not None:
+        # Shares the nominal problem (and its compiled MNA system); the
+        # corner/Monte Carlo problems travel with it in the bundle.
+        evaluator = RobustEvaluator(
             template,
             variables,
-            lint=task.lint,
-        )
-        bundle = (x0, cost_fn, problem, design_notes, ape_seconds)
-        _WORKER_BUNDLES[key] = bundle
-    return bundle
-
-
-def _robust_evaluator_for(task: ChainTask):
-    """The worker-cached :class:`RobustEvaluator` for a robust task.
-
-    Shares the bundle's nominal problem (and its compiled MNA system);
-    the corner/Monte Carlo problems live alongside it for every chain
-    of the same signature this worker runs.  Returns ``None`` for
-    plain (non-robust) tasks.
-    """
-    if task.robust is None:
-        return None
-    key = task.problem_key()
-    evaluator = _WORKER_ROBUST.get(key)
-    if evaluator is None:
-        from ..synthesis.robust import RobustEvaluator
-
-        _x0, cost_fn, problem, _notes, _ape = _bundle_for(task)
-        evaluator = RobustEvaluator(
-            problem.template,
-            problem.variables,
             task.robust,
-            cost_fn.spec,
+            synthesis_spec,
             lint=task.lint,
             nominal_problem=problem,
         )
-        _WORKER_ROBUST[key] = evaluator
-    return evaluator
+    return x0, cost_fn, problem, design_notes, ape_seconds, evaluator
+
+
+@contextmanager
+def _checked_out(task: ChainTask):
+    """The task's problem bundle, held by the caller alone.
+
+    Taken from the process-wide cache (or built) on entry and put back
+    only when the block exits normally: a bundle an exception ran
+    through may hold a half-updated bench.  While a fault injector is
+    armed the cache is neither read nor written — building under the
+    injector keeps its call sequence a pure function of the task.
+    """
+    key = task.problem_key() if faults.active() is None else None
+    bundle = None
+    if key is not None:
+        with _BUNDLES_LOCK:
+            bundle = _BUNDLES.pop(key, None)
+    if bundle is None:
+        bundle = _build_bundle(task)
+    yield bundle
+    if key is not None:
+        with _BUNDLES_LOCK:
+            _BUNDLES.setdefault(key, bundle)
 
 
 def robust_variant_eval(item):
@@ -461,24 +458,42 @@ def robust_variant_eval(item):
     previous = faults.active()
     faults.disarm()
     try:
-        evaluator = _robust_evaluator_for(task)
-        return label, evaluator.evaluate_variant(label, params)
+        with _checked_out(task) as bundle:
+            evaluator = bundle[-1]
+            evaluator.bind(
+                diagnostics=None, retry=_fresh_retry(task), memo=None
+            )
+            return label, evaluator.evaluate_variant(label, params)
     finally:
         if previous is not None:
             faults.arm(previous)
 
 
-def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutcome:
+def _fresh_retry(task: ChainTask) -> RetryPolicy | None:
+    """The task's retry policy with its own zeroed retry counter."""
+    if task.retry is None:
+        return None
+    return dc_replace(task.retry, total_retries=0)
+
+
+def run_chain(
+    task: ChainTask, shared_memo: EvalMemo | None = None, stop=None
+) -> ChainOutcome:
     """Execute one annealing chain described by ``task``.
 
     Runs in a pool worker or in-process; behaviour is identical either
     way because everything the chain consumes is derived from the task
     (and because evaluation is canonical, shared-memo contents cannot
-    change results — only how fast they arrive).
+    change results — only how fast they arrive).  ``stop`` is an
+    in-process run's interrupt flag: once it turns *hard* (a second
+    signal) the chain raises :class:`KeyboardInterrupt` before its next
+    candidate.  The injector the chain's own one replaced absorbs its
+    check and fire counts.
     """
     previous_injector = faults.active()
+    chain_injector = None
     if task.fault_specs is not None:
-        faults.arm(
+        chain_injector = faults.arm(
             faults.FaultInjector(
                 {spec.site: spec for spec in task.fault_specs},
                 seed=derive_chain_seed(task.fault_seed, task.chain_index),
@@ -486,170 +501,161 @@ def run_chain(task: ChainTask, shared_memo: EvalMemo | None = None) -> ChainOutc
         )
     try:
         _heartbeat(task.chain_index)
-        x0, cost_fn, problem, design_notes, ape_seconds = _bundle_for(task)
-        memo = _memo_for(task, shared_memo)
-        if faults.active() is not None:
-            # Injected faults are decided per *call* from a seeded RNG
-            # stream; a memo hit would skip those calls, making the
-            # stream depend on cache warmth — which differs between
-            # in-process and pooled scheduling.  Evaluate everything so
-            # each chain's fault sequence is a pure function of its task.
-            memo = None
-        chain_log = DiagnosticLog(mirror=False)
-        for note in design_notes:
-            chain_log.record(note)
-        problem.diagnostics = chain_log if task.tolerant else None
-        retry = (
-            dc_replace(task.retry, total_retries=0)
-            if task.retry is not None
-            else None
-        )
-        problem.retry = retry
-        evaluator = _robust_evaluator_for(task)
-        if evaluator is not None:
-            # The evaluator (and its variant problems) is worker-cached
-            # across chains; rebind this chain's log/retry/memo.  Memo
-            # tagging happens inside the evaluator, so the outer
-            # memo.wrap below stays nominal-only.
-            evaluator.bind(
-                diagnostics=chain_log if task.tolerant else None,
-                retry=retry,
-                memo=memo,
-            )
-        corner_before = (
-            evaluator.corner_evaluations if evaluator is not None else 0
-        )
-        screened_before = (
-            evaluator.screened_candidates if evaluator is not None else 0
-        )
-        lint_before = problem.lint_rejections
-        hits_before = memo.hits if memo is not None else 0
-        misses_before = memo.misses if memo is not None else 0
-        store_hits_before = memo.store_hits if memo is not None else 0
-
-        screen = None
-        if task.surrogate == "rank":
-            from ..store import SurrogateScreen
-
-            screen = SurrogateScreen(
-                problem.bounds().keys(),
-                task.memo_quantum or DEFAULT_QUANTUM,
-            )
-            if (
-                task.robust is None
-                and task.store_generation > 0
-                and memo is not None
-                and memo.store_bound
-            ):
-                # Prime the model from the persistent corpus — but only
-                # up to the journaled generation, so every worker (and
-                # a bit-exact resume) trains on the identical rows.
-                # Robust chains skip seeding: store rows hold nominal
-                # costs, not the aggregated robust cost being annealed.
-                screen.seed_corpus(
-                    memo.bound_store.corpus(
-                        memo.bound_fingerprint, task.store_generation
-                    )
-                )
-
-        def evaluate(params):
-            if evaluator is not None:
-                return evaluator.evaluate(params)
-            metrics = problem.evaluate(params)
-            return cost_fn(metrics), metrics
-
-        def evaluate_tolerant(params):
-            from ..errors import ApeError
-
-            try:
-                return evaluate(params)
-            except ApeError as exc:
-                chain_log.record_exception(
-                    "synthesis.evaluate",
-                    exc,
-                    severity="warning",
-                    suggested_fix=(
-                        "candidate penalized; see the exception chain"
-                    ),
-                )
-                return FAILURE_COST, None
-
-        chain_eval = evaluate_tolerant if task.tolerant else evaluate
-        if memo is not None and evaluator is None:
-            chain_eval = memo.wrap(chain_eval)
-
-        def supervised_eval(params, _inner=chain_eval, _idx=task.chain_index):
-            # Outermost wrapper: the fault decision and the heartbeat
-            # are per *candidate*, cache hit or not, so the worker's
-            # fault stream never depends on memo warmth.
-            _check_worker_faults(_idx)
-            _heartbeat(_idx)
-            return _inner(params)
-
-        budget = None
-        if (
-            task.deadline_epoch is not None
-            or task.max_failures is not None
-            or task.per_eval_seconds is not None
-        ):
-            deadline = None
-            if task.deadline_epoch is not None:
-                deadline = max(task.deadline_epoch - time.monotonic(), 1e-3)  # deterministic-ok: budget deadline (monotonic timebase, shared with the forking parent)
-            budget = EvalBudget(
-                deadline_seconds=deadline,
-                max_failures=task.max_failures,
-                per_eval_seconds=task.per_eval_seconds,
-            )
-
-        annealer = Annealer(
-            supervised_eval,
-            problem.bounds(),
-            schedule=task.schedule,
-            seed=derive_chain_seed(task.seed, task.chain_index),
-            screen=screen,
-        )
-        result = annealer.run(
-            x0=x0, max_evaluations=task.max_evaluations, budget=budget
-        )
-        return ChainOutcome(
-            chain_index=task.chain_index,
-            seed=derive_chain_seed(task.seed, task.chain_index),
-            anneal=result,
-            degraded_design=bool(design_notes),
-            ape_seconds=ape_seconds,
-            lint_rejections=problem.lint_rejections - lint_before,
-            retries=retry.total_retries if retry is not None else 0,
-            cache_hits=(memo.hits - hits_before) if memo is not None else 0,
-            cache_misses=(
-                (memo.misses - misses_before) if memo is not None else 0
-            ),
-            corner_evals=(
-                evaluator.corner_evaluations - corner_before
-                if evaluator is not None else 0
-            ),
-            screened_candidates=(
-                evaluator.screened_candidates - screened_before
-                if evaluator is not None else 0
-            ),
-            store_hits=(
-                (memo.store_hits - store_hits_before)
-                if memo is not None else 0
-            ),
-            surrogate_skips=result.surrogate_skips,
-            surrogate_refits=result.surrogate_refits,
-            diagnostics=list(chain_log.records),
-            memo_snapshot=(
-                memo.export()
-                if memo is not None and memo is not shared_memo
-                else None
-            ),
-        )
+        with _checked_out(task) as bundle:
+            return _anneal_chain(task, bundle, shared_memo, stop)
     finally:
-        if task.fault_specs is not None:
+        if chain_injector is not None:
             if previous_injector is None:
                 faults.disarm()
             else:
                 faults.arm(previous_injector)
+                previous_injector.absorb(chain_injector)
+
+
+def _anneal_chain(task, bundle, shared_memo, stop) -> ChainOutcome:
+    """The body of :func:`run_chain`, on a checked-out bundle."""
+    x0, cost_fn, problem, design_notes, ape_seconds, evaluator = bundle
+    memo = _memo_for(task, shared_memo)
+    if faults.active() is not None:
+        # Injected faults are decided per *call* from a seeded RNG
+        # stream; a memo hit would skip those calls, making the
+        # stream depend on cache warmth — which differs between
+        # in-process and pooled scheduling.  Evaluate everything so
+        # each chain's fault sequence is a pure function of its task.
+        memo = None
+    chain_log = DiagnosticLog(mirror=False)
+    for note in design_notes:
+        chain_log.record(note)
+    problem.diagnostics = chain_log if task.tolerant else None
+    retry = _fresh_retry(task)
+    problem.retry = retry
+    if evaluator is not None:
+        # The evaluator (and its variant problems) is cached across
+        # chains; rebind this chain's log/retry/memo.  Memo
+        # tagging happens inside the evaluator, so the outer
+        # memo.wrap below stays nominal-only.
+        evaluator.bind(
+            diagnostics=chain_log if task.tolerant else None,
+            retry=retry,
+            memo=memo,
+        )
+    corner_before = (
+        evaluator.corner_evaluations if evaluator is not None else 0
+    )
+    screened_before = (
+        evaluator.screened_candidates if evaluator is not None else 0
+    )
+    lint_before = problem.lint_rejections
+    hits_before = memo.hits if memo is not None else 0
+    misses_before = memo.misses if memo is not None else 0
+    store_hits_before = memo.store_hits if memo is not None else 0
+
+    screen = None
+    if task.surrogate == "rank":
+        from ..store import SurrogateScreen
+
+        screen = SurrogateScreen(
+            problem.bounds().keys(),
+            task.memo_quantum or DEFAULT_QUANTUM,
+        )
+        if (
+            task.robust is None
+            and task.store_generation > 0
+            and memo is not None
+            and memo.store_bound
+        ):
+            # Prime the model from the persistent corpus — but only
+            # up to the journaled generation, so every worker (and
+            # a bit-exact resume) trains on the identical rows.
+            # Robust chains skip seeding: store rows hold nominal
+            # costs, not the aggregated robust cost being annealed.
+            screen.seed_corpus(
+                memo.bound_store.corpus(
+                    memo.bound_fingerprint, task.store_generation
+                )
+            )
+
+    def evaluate(params):
+        if evaluator is not None:
+            return evaluator.evaluate(params)
+        metrics = problem.evaluate(params)
+        return cost_fn(metrics), metrics
+
+    def evaluate_tolerant(params):
+        from ..errors import ApeError
+
+        try:
+            return evaluate(params)
+        except ApeError as exc:
+            chain_log.record_exception(
+                "synthesis.evaluate",
+                exc,
+                severity="warning",
+                suggested_fix=(
+                    "candidate penalized; see the exception chain"
+                ),
+            )
+            return FAILURE_COST, None
+
+    chain_eval = evaluate_tolerant if task.tolerant else evaluate
+    if memo is not None and evaluator is None:
+        chain_eval = memo.wrap(chain_eval)
+
+    def supervised_eval(params, _inner=chain_eval, _idx=task.chain_index):
+        # Outermost wrapper: the fault decision and the heartbeat
+        # are per *candidate*, cache hit or not, so the worker's
+        # fault stream never depends on memo warmth.
+        if stop is not None and stop.hard:
+            raise KeyboardInterrupt
+        _check_worker_faults(_idx)
+        _heartbeat(_idx)
+        return _inner(params)
+
+    annealer = Annealer(
+        supervised_eval,
+        problem.bounds(),
+        schedule=task.schedule,
+        seed=derive_chain_seed(task.seed, task.chain_index),
+        screen=screen,
+    )
+    result = annealer.run(
+        x0=x0,
+        max_evaluations=task.max_evaluations,
+        budget=task.budget.share() if task.budget is not None else None,
+    )
+    return ChainOutcome(
+        chain_index=task.chain_index,
+        seed=derive_chain_seed(task.seed, task.chain_index),
+        anneal=result,
+        degraded_design=bool(design_notes),
+        ape_seconds=ape_seconds,
+        lint_rejections=problem.lint_rejections - lint_before,
+        retries=retry.total_retries if retry is not None else 0,
+        cache_hits=(memo.hits - hits_before) if memo is not None else 0,
+        cache_misses=(
+            (memo.misses - misses_before) if memo is not None else 0
+        ),
+        corner_evals=(
+            evaluator.corner_evaluations - corner_before
+            if evaluator is not None else 0
+        ),
+        screened_candidates=(
+            evaluator.screened_candidates - screened_before
+            if evaluator is not None else 0
+        ),
+        store_hits=(
+            (memo.store_hits - store_hits_before)
+            if memo is not None else 0
+        ),
+        surrogate_skips=result.surrogate_skips,
+        surrogate_refits=result.surrogate_refits,
+        diagnostics=list(chain_log.records),
+        memo_snapshot=(
+            memo.export()
+            if memo is not None and memo is not shared_memo
+            else None
+        ),
+    )
 
 
 def run_annealing_chains(
@@ -691,8 +697,10 @@ def run_supervised_chains(
 
     With one effective worker the chains run in-process, sharing
     ``memo`` directly (plus the problem/MNA state across chains) — no
-    pool, no pickling; supervision is reduced to graceful interrupt
-    handling between chains.  With more, a ``fork``-context process
+    pool, no pickling; supervision is reduced to interrupt handling: a
+    first signal lets the chain in flight finish and reports the run
+    ``interrupted``, a second abandons that chain at its next
+    candidate.  With more, a ``fork``-context process
     pool executes the tasks one-per-worker while the parent watches
     for dead workers (``BrokenProcessPool``), hung ones (stale
     heartbeats, chain deadlines) and interrupts, rebuilding the pool
@@ -801,11 +809,15 @@ def _run_in_process(
                 note_interrupt(unfinished(), "stop requested between chains")
                 break
             try:
-                outcome = run_chain(task, shared_memo=memo)
+                outcome = run_chain(task, shared_memo=memo, stop=stop)
             except KeyboardInterrupt:
                 note_interrupt(unfinished(), "interrupted mid-chain")
                 break
             finish(outcome)
+        if stop():
+            # A signal during the last chain: it drained, but the run
+            # was still interrupted.
+            note_interrupt(unfinished(), "stop requested during the last chain")
 
 
 def _run_pooled(

@@ -12,15 +12,22 @@ preempted portably, so an evaluation that overruns ``per_eval_seconds``
 is completed, counted in ``slow_evaluations`` and reported via
 diagnostics rather than aborted mid-flight.
 
+Limits apply per annealing chain: a synthesis run hands every chain a
+:meth:`~EvalBudget.share` of the caller's budget (same limits, clock
+and start instant, counters at zero) and folds what the chains consumed
+back into the caller's counters, so a result never depends on how many
+workers ran the chains.
+
 All timing uses ``time.monotonic`` (the default ``clock``), never the
 wall clock: an NTP step or DST change mid-run must not fire a deadline
-early or starve it forever.  The engine's cross-process chain deadline
-(``ChainTask.deadline_epoch``) is an absolute monotonic instant for the
-same reason — Linux's ``CLOCK_MONOTONIC`` is system-wide per boot, so
-fork-started pool workers share the parent's timebase.  Persisted
-service-layer timestamps (job leases, retry backoff gates) are the one
-deliberate exception: they must survive a reboot, so they stay in epoch
-seconds (see :mod:`repro.service.queue`).
+early or starve it forever.  Linux's ``CLOCK_MONOTONIC`` is system-wide
+per boot, so a share pickled into a fork-started pool worker keeps the
+caller's deadline instant.  A custom ``clock`` (a test's fake) is
+honored only where the chain runs in the caller's process: a pickled
+share carries the same remaining time on ``time.monotonic`` instead.
+Persisted service-layer timestamps (job leases, retry backoff gates)
+are the one deliberate exception: they must survive a reboot, so they
+stay in epoch seconds (see :mod:`repro.service.queue`).
 """
 
 from __future__ import annotations
@@ -32,7 +39,11 @@ __all__ = ["EvalBudget"]
 
 
 class EvalBudget:
-    """Caps on evaluations, failures and wall-clock time for one run."""
+    """Caps on evaluations, failures and wall-clock time for one run.
+
+    A synthesis run applies the limits to each of its annealing chains
+    (see :meth:`share`); the counters add up the whole run.
+    """
 
     def __init__(
         self,
@@ -80,6 +91,29 @@ class EvalBudget:
         if self._t0 is None:
             return 0.0
         return self._clock() - self._t0
+
+    def share(self) -> "EvalBudget":
+        """One chain's budget: these limits, clock and start instant,
+        with every counter at zero."""
+        share = EvalBudget(
+            self.max_evaluations,
+            deadline_seconds=self.deadline_seconds,
+            max_failures=self.max_failures,
+            per_eval_seconds=self.per_eval_seconds,
+            clock=self._clock,
+        )
+        share._t0 = self._t0
+        return share
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        if self._clock is not time.monotonic:
+            # Only the caller's process can read a custom clock; a pool
+            # worker gets the same remaining time on the monotonic one.
+            state["_clock"] = time.monotonic
+            if self._t0 is not None:
+                state["_t0"] = time.monotonic() - self.elapsed()
+        return state
 
     # ----------------------------------------------------------- accounting
 

@@ -212,6 +212,15 @@ class FaultInjector:
     def total_fires(self) -> int:
         return sum(self.fires_by_site.values())
 
+    def absorb(self, other: "FaultInjector") -> None:
+        """Add ``other``'s check and fire counts to this injector's."""
+        for mine, theirs in (
+            (self.checks_by_site, other.checks_by_site),
+            (self.fires_by_site, other.fires_by_site),
+        ):
+            for site, count in theirs.items():
+                mine[site] = mine.get(site, 0) + count
+
 
 _ACTIVE: FaultInjector | None = None
 

@@ -47,7 +47,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SupervisorConfig:
-    """Supervision policy for one pooled run."""
+    """Supervision policy for one synthesis run."""
 
     #: Resubmissions a chain may consume after its worker was lost
     #: (killed, hung, or collateral of a pool collapse) before it is
@@ -234,7 +234,9 @@ def interrupt_guard(enabled: bool = True) -> Iterator[_StopFlag]:
 
     The first signal requests a graceful drain (finish in-flight
     chains, journal, return partial results); the second marks the
-    flag *hard* so the loop abandons in-flight work too.  Handlers are
+    flag *hard* so the loop abandons in-flight work too — pooled
+    chains by killing their workers, an in-process chain by polling
+    the flag before each candidate.  Handlers are
     only installed from the main thread — elsewhere the flag is inert
     and signals keep their previous behaviour.
     """

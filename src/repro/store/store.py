@@ -10,7 +10,7 @@ and written to a single SQLite database shared across runs, across
 pool workers, and (combined with the service layer, ROADMAP item 1)
 across users.  The fingerprint is a SHA-256 over everything that
 defines the evaluation function (technology, spec, topology, synthesis
-configuration, memo quantum — see ``engine._synthesize_parallel``), so
+configuration, memo quantum — see ``engine.synthesize_opamp``), so
 two problems can never cross-hit; the parameter key is the same
 log-quantized :func:`~repro.parallel.memo.memo_key` the memo uses, so
 the two tiers address the same content.

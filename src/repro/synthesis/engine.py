@@ -26,24 +26,21 @@ identical to the strict one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..errors import ApeError, SpecificationError
-from ..opamp import OpAmp, OpAmpSpec, OpAmpTopology, coarse_design_opamp, design_opamp
+from ..opamp import OpAmpSpec, OpAmpTopology
+# Unused here, but the benchmark tracer (perfbench/tracing.py) patches
+# both names on this module by name.
+from ..opamp import coarse_design_opamp, design_opamp  # noqa: F401
 from ..runtime.budget import EvalBudget
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..technology import Technology
-from .annealing import Annealer, AnnealingSchedule, AnnealResult
+from .annealing import AnnealingSchedule, AnnealResult
 from .cost import CostFunction, FAILURE_COST, RobustCost
-from .problems import (
-    EVALUATOR_VERSION,
-    OpAmpSizingProblem,
-    Variable,
-    ape_ranges,
-    standalone_ranges,
-)
-from .robust import RobustEvaluator, RobustSpec
+from .problems import EVALUATOR_VERSION
+from .robust import NOMINAL_ALIAS, RobustSpec
 from .specs import SynthesisSpec, opamp_synthesis_spec
 
 from typing import TYPE_CHECKING
@@ -92,8 +89,9 @@ class SynthesisResult:
     degraded: bool = False
     #: Structured failure/degradation records accumulated by the run.
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Independent annealing chains this run fanned out (1 = classic
-    #: serial run) and the worker processes that executed them.
+    #: Independent annealing chains this run fanned out (1 = the
+    #: paper's single annealing leg) and the worker processes that
+    #: executed them.
     restarts: int = 1
     workers: int = 1
     #: Evaluation memo-cache traffic across all chains of this run.
@@ -195,28 +193,35 @@ def synthesize_opamp(
     out-of-technology circuits are rejected before a Newton solve;
     rejections are counted on ``SynthesisResult.lint_rejections``.
 
-    ``restarts`` fans out that many independently seeded annealing
-    chains (chain ``i`` anneals with a seed derived from ``(seed, i)``;
-    chain 0 keeps ``seed``) across ``workers`` processes via
-    :mod:`repro.parallel` and returns the best chain; the per-chain
-    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  The
-    serial path and every chain evaluate with the one profile of
-    :class:`OpAmpSizingProblem`, so a serial run and the same run
-    journaled to a ``run_dir`` agree bit for bit.
+    Every run executes its annealing chains through one body,
+    :func:`repro.parallel.run_supervised_chains` →
+    :func:`~repro.parallel.run_chain`.  ``restarts`` fans out that many
+    independently seeded chains (chain ``i`` anneals with a seed
+    derived from ``(seed, i)``; chain 0 keeps ``seed``) across
+    ``workers`` processes — one chain, or one worker, runs in this
+    process — and returns the best chain; the per-chain
+    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  Chains
+    evaluate with the one profile of
+    :class:`~repro.synthesis.problems.OpAmpSizingProblem`, and a
+    process reuses a problem it has built for every later run of the
+    same problem.
     ``memo`` controls the evaluation cache: ``None`` enables a private
     cache for multi-restart runs only, ``True``/``False`` force it, and
     an :class:`~repro.parallel.EvalMemo` instance is used directly (and
-    so can be shared across runs, e.g. the rows of a table).  A
-    ``budget`` deadline becomes a shared wall-clock deadline: every
-    chain stops at the same absolute instant, wherever it runs.
+    so can be shared across runs, e.g. the rows of a table).
+    ``budget`` limits apply to each chain, which gets a share with the
+    caller's limits and deadline instant (every chain stops at the same
+    moment, wherever it runs); the chains' consumption is added back
+    to ``budget``'s counters.
     ``workers`` is clamped to usable CPUs unless ``oversubscribe``.
 
-    Multi-chain runs are *supervised* (``supervisor`` overrides the
-    default :class:`~repro.runtime.SupervisorConfig`): killed or hung
+    Runs are *supervised* (``supervisor`` overrides the default
+    :class:`~repro.runtime.SupervisorConfig`): killed or hung pool
     workers are replaced and their chains re-run (bounded retries,
-    quarantine for poison tasks), and SIGINT/SIGTERM drain in-flight
-    chains and return the best-so-far partial result flagged
-    ``degraded``/``interrupted`` instead of raising.  ``run_dir``
+    quarantine for poison tasks).  A first SIGINT/SIGTERM lets the
+    chains in flight finish and returns the best-so-far result flagged
+    ``degraded``/``interrupted`` instead of raising; a second abandons
+    the chains in flight.  ``run_dir``
     write-ahead journals every finished chain; ``resume=True`` replays
     the journaled chains of an interrupted run (after verifying the
     directory's problem fingerprint) and executes only the rest,
@@ -283,11 +288,10 @@ def synthesize_opamp(
         synthesis_spec = opamp_synthesis_spec(spec)
     cost_fn = CostFunction(synthesis_spec)
     log = diagnostics if diagnostics is not None else DiagnosticLog()
-    # Shared logs/policies may carry state from earlier runs; report
-    # only this run's contribution.
+    # Shared logs may carry records from earlier runs; report only this
+    # run's contribution.
     records_before = len(log.records)
-    retries_before = retry.total_retries if retry is not None else 0
-    memo_obj = _resolve_memo(
+    memo = _resolve_memo(
         memo,
         restarts,
         journaled=run_dir is not None,
@@ -337,419 +341,6 @@ def synthesize_opamp(
             if contracted != dict(feasibility_report.box):
                 box_override = contracted
 
-    if (
-        restarts > 1
-        or run_dir is not None
-        or store_dir is not None
-        or surrogate != "off"
-    ):
-        # Store-backed and surrogate-guided runs route through the
-        # executor path even at restarts=1: it owns the memo/store
-        # two-tier plumbing, and its single-chain trajectory is the
-        # same canonical evaluation sequence as the serial path.
-        return _synthesize_parallel(
-            tech=tech,
-            spec=spec,
-            topology=topology,
-            mode=mode,
-            synthesis_spec=synthesis_spec,
-            cost_fn=cost_fn,
-            range_factor=range_factor,
-            max_evaluations=max_evaluations,
-            schedule=schedule,
-            seed=seed,
-            name=name,
-            tolerant=tolerant,
-            budget=budget,
-            retry=retry,
-            log=log,
-            records_before=records_before,
-            lint=lint,
-            restarts=restarts,
-            workers=workers,
-            memo=memo_obj,
-            oversubscribe=oversubscribe,
-            run_dir=run_dir,
-            resume=resume,
-            supervisor=supervisor,
-            robust=robust,
-            feasibility=feasibility,
-            feasibility_report=feasibility_report,
-            box_override=box_override,
-            store_dir=store_dir,
-            surrogate=surrogate,
-        )
-
-    # APE always provides the *structure* (ASTRX/OBLX also receives the
-    # topology); in standalone mode its sizes are discarded.
-    if budget is not None:
-        budget.start()
-    degraded_design = False
-    ape_start = time.perf_counter()
-    if tolerant:
-        template, design_notes = coarse_design_opamp(
-            tech, spec, topology, name=name
-        )
-        if design_notes:
-            degraded_design = True
-            for note in design_notes:
-                log.record(note)
-    else:
-        template = design_opamp(tech, spec, topology, name=name)
-    ape_seconds = time.perf_counter() - ape_start
-
-    if mode == "ape":
-        variables = ape_ranges(template, factor=range_factor)
-    else:
-        variables = standalone_ranges(template)
-    if box_override is not None:
-        # The feasibility gate's contracted box: same variables, same
-        # order, each range replaced by its spec-consistent sub-interval.
-        variables = [
-            Variable(v.name, *box_override.get(v.name, (v.lo, v.hi)))
-            for v in variables
-        ]
-    if mode == "ape":
-        x0 = {
-            v.name: min(max(template.initial_point().get(v.name, v.lo), v.lo), v.hi)
-            for v in variables
-        }
-    else:
-        x0 = None  # random start inside the wide box
-
-    problem = OpAmpSizingProblem(
-        template,
-        variables,
-        retry=retry,
-        diagnostics=log if tolerant else None,
-        lint=lint,
-    )
-    robust_eval = None
-    if robust is not None:
-        robust_eval = RobustEvaluator(
-            template,
-            variables,
-            robust,
-            synthesis_spec,
-            retry=retry,
-            diagnostics=log if tolerant else None,
-            lint=lint,
-            nominal_problem=problem,
-        )
-
-    def evaluate(params: dict[str, float]):
-        if robust_eval is not None:
-            return robust_eval.evaluate(params)
-        metrics = problem.evaluate(params)
-        return cost_fn(metrics), metrics
-
-    def evaluate_tolerant(params: dict[str, float]):
-        # The problem already absorbs the expected simulation failures;
-        # this is the last line of defence against anything else in the
-        # stack, so one bad candidate can never abort a whole table run.
-        try:
-            return evaluate(params)
-        except ApeError as exc:
-            log.record_exception(
-                "synthesis.evaluate",
-                exc,
-                severity="warning",
-                suggested_fix="candidate penalized; see the exception chain",
-            )
-            return FAILURE_COST, None
-
-    chain_eval = evaluate_tolerant if tolerant else evaluate
-    hits_before = memo_obj.hits if memo_obj is not None else 0
-    misses_before = memo_obj.misses if memo_obj is not None else 0
-    if memo_obj is not None and robust_eval is None:
-        # Explicit opt-in on a serial run (restarts=1 never enables the
-        # memo by itself): cache hits skip the evaluation entirely,
-        # which is exact for canonical evaluations but visible to an
-        # armed fault injector's call sequence.
-        chain_eval = memo_obj.wrap(chain_eval)
-    elif robust_eval is not None:
-        # Robust runs memoize per variant (tagged keys) inside the
-        # evaluator instead of wrapping the aggregated cost.
-        robust_eval.memo = memo_obj
-    annealer = Annealer(
-        chain_eval,
-        problem.bounds(),
-        schedule=schedule,
-        seed=seed,
-    )
-    start = time.perf_counter()
-    result: AnnealResult = annealer.run(
-        x0=x0, max_evaluations=max_evaluations, budget=budget
-    )
-    cpu = time.perf_counter() - start
-
-    if result.degraded:
-        log.record(
-            Diagnostic(
-                subsystem="synthesis.engine",
-                severity="warning",
-                message=(
-                    f"{name}: annealing stopped early ({result.stop_reason}) "
-                    f"after {result.evaluations} evaluations; returning the "
-                    "best point so far"
-                ),
-                suggested_fix=(
-                    "raise the budget's deadline/failure limits or reduce "
-                    "max_evaluations to finish within budget"
-                ),
-                context={
-                    "name": name,
-                    "mode": mode,
-                    "stop_reason": result.stop_reason,
-                },
-            )
-        )
-
-    meets = cost_fn.meets_spec(result.best_metrics)
-    robust_detail: dict | None = None
-    worst_corner = None
-    estimated_yield = None
-    corner_evals = 0
-    screened = 0
-    if robust_eval is not None:
-        screened = robust_eval.screened_candidates
-        if result.best_params:
-            # Final verification: the winning design's full fan-out
-            # (screening ignored), the basis of the robust report.
-            robust_detail = robust_eval.detail(result.best_params)
-            worst_corner = robust_eval.cost.worst_variant(robust_detail)
-            estimated_yield = robust_eval.cost.estimated_yield(robust_detail)
-            meets = robust_eval.cost.meets_spec(robust_detail)
-        corner_evals = robust_eval.corner_evaluations
-        if budget is not None:
-            budget.corner_evaluations += corner_evals
-    from ..runtime.stats import global_stats
-
-    global_stats().record_run(
-        evaluations=result.evaluations,
-        seconds=cpu,
-        corner_evals=corner_evals,
-        cache_hits=(memo_obj.hits - hits_before) if memo_obj is not None else 0,
-        cache_misses=(
-            (memo_obj.misses - misses_before) if memo_obj is not None else 0
-        ),
-    )
-    return SynthesisResult(
-        name=name,
-        mode=mode,
-        meets_spec=meets,
-        comment=cost_fn.describe_failure(result.best_metrics),
-        metrics=result.best_metrics,
-        best_cost=result.best_cost,
-        evaluations=result.evaluations,
-        cpu_seconds=cpu,
-        ape_seconds=ape_seconds,
-        params=result.best_params,
-        failed_evaluations=result.failed_evaluations,
-        lint_rejections=problem.lint_rejections,
-        retries=(
-            retry.total_retries - retries_before if retry is not None else 0
-        ),
-        degraded=(
-            degraded_design
-            or result.degraded
-            or result.best_metrics is None
-            or (
-                robust_detail is not None
-                and any(m is None for m in robust_detail.values())
-            )
-        ),
-        diagnostics=list(log.records[records_before:]),
-        restarts=1,
-        workers=1,
-        cache_hits=(
-            (memo_obj.hits - hits_before) if memo_obj is not None else 0
-        ),
-        cache_misses=(
-            (memo_obj.misses - misses_before) if memo_obj is not None else 0
-        ),
-        evals_per_second=result.evals_per_second,
-        chains=[result],
-        robust_mode=robust.mode if robust is not None else None,
-        corner_evals=corner_evals,
-        screened_candidates=screened,
-        worst_corner=worst_corner,
-        estimated_yield=estimated_yield,
-        corner_metrics=robust_detail if robust_detail is not None else {},
-        feasibility=feasibility_report,
-    )
-
-
-def _feasibility_gate(
-    tech,
-    spec,
-    topology,
-    synthesis_spec,
-    *,
-    mode,
-    range_factor,
-    contract,
-    name,
-    log,
-):
-    """Run the static analysis pre-gate; never raises, never blocks.
-
-    Analysis failures (unsupported topology, even a crash in the
-    analyzer) degrade to "no verdict": synthesis proceeds exactly as if
-    the gate had passed, with a diagnostic recording why.
-    """
-    from ..analysis import analyze_problem
-
-    try:
-        report = analyze_problem(
-            tech,
-            spec,
-            topology,
-            synthesis_spec,
-            mode=mode,
-            range_factor=range_factor,
-            contract=contract,
-            name=name,
-        )
-    except ApeError as exc:
-        log.record_exception(
-            "synthesis.feasibility",
-            exc,
-            severity="warning",
-            suggested_fix="feasibility gate skipped; synthesis proceeds ungated",
-        )
-        return None
-    if not report.feasible:
-        for finding in report.findings:
-            if finding.severity != "error":
-                continue
-            log.record(
-                Diagnostic(
-                    subsystem="synthesis.feasibility",
-                    severity="error",
-                    message=f"{name}: {finding.render()}",
-                    suggested_fix=finding.fix_hint,
-                    context={
-                        "name": name,
-                        "code": finding.code,
-                        "metric": finding.metric,
-                    },
-                )
-            )
-    return report
-
-
-def _resolve_memo(
-    memo, restarts: int, *, journaled: bool = False, stored: bool = False
-):
-    """Normalize the ``memo`` argument to an EvalMemo or ``None``.
-
-    ``None`` means "default policy": cache only when the run fans out
-    multiple chains, is journaled (a resumed run wants its warm cache
-    back) or is store-backed (the memo is the store's front tier) — a
-    plain serial run stays exactly the classic code path (and keeps
-    exact-count fault-injection accounting).
-    """
-    from ..parallel import EvalMemo
-
-    if isinstance(memo, EvalMemo):
-        return memo
-    if memo is True or (
-        memo is None and (restarts > 1 or journaled or stored)
-    ):
-        return EvalMemo()
-    return None
-
-
-def _box_key(box_override):
-    """Hashable, pickle-stable form of a contracted box (or ``None``)."""
-    if box_override is None:
-        return None
-    return tuple(sorted(box_override.items()))
-
-
-def _run_fingerprint(**parts):
-    """Problem identity for the run journal (see ``run_fingerprint``)."""
-    from ..runtime.journal import run_fingerprint
-
-    return run_fingerprint(tuple(sorted(parts.items())))
-
-
-def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
-    """Final per-variant verification of a winning robust design.
-
-    Fans the variant labels over the process pool
-    (:func:`~repro.parallel.parallel_map`) — corners are a second axis
-    of parallelism next to chains.  The detail is journaled
-    (``robust-verified``) keyed by the exact winning parameters, so a
-    resumed run replays the recorded fan-out instead of recomputing it
-    (JSON floats round-trip exactly, keeping resume bit-for-bit).
-    """
-    from ..parallel import parallel_map
-    from ..parallel.executor import robust_variant_eval
-
-    if journal is not None:
-        for record in journal.events():
-            if (
-                record.get("event") == "robust-verified"
-                and record.get("params") == params
-            ):
-                return {
-                    label: dict(metrics) if metrics is not None else None
-                    for label, metrics in record["detail"].items()
-                }
-    pairs = parallel_map(
-        robust_variant_eval,
-        [(task, label, params) for label in robust.variant_labels],
-        workers=workers,
-        oversubscribe=oversubscribe,
-    )
-    detail = dict(pairs)
-    if journal is not None:
-        journal.append("robust-verified", params=params, detail=detail)
-    return detail
-
-
-def _synthesize_parallel(
-    *,
-    tech,
-    spec,
-    topology,
-    mode,
-    synthesis_spec,
-    cost_fn,
-    range_factor,
-    max_evaluations,
-    schedule,
-    seed,
-    name,
-    tolerant,
-    budget,
-    retry,
-    log,
-    records_before,
-    lint,
-    restarts,
-    workers,
-    memo,
-    oversubscribe,
-    run_dir=None,
-    resume=False,
-    supervisor=None,
-    robust=None,
-    feasibility="off",
-    feasibility_report=None,
-    box_override=None,
-    store_dir=None,
-    surrogate="off",
-):
-    """Fan ``restarts`` chains across the pool and merge the outcomes.
-
-    The supervised path: chains lost to killed/hung workers are re-run
-    (bounded, then quarantined), interrupts drain to a partial result,
-    and — when ``run_dir`` is set — every finished chain is journaled
-    write-ahead so ``resume=True`` replays it instead of re-running it.
-    """
     from ..parallel import (
         ChainTask,
         derive_chain_seed,
@@ -761,16 +352,9 @@ def _synthesize_parallel(
     from ..runtime.stats import global_stats
     from ..runtime.supervisor import SupervisorConfig
 
-    deadline_epoch = None
     if budget is not None:
+        # Every chain's share counts from this instant.
         budget.start()
-        if budget.deadline_seconds is not None:
-            remaining = budget.deadline_seconds - budget.elapsed()
-            # Monotonic, not wall-clock: an NTP step mid-run would
-            # fire (or starve) a wall-clock deadline; CLOCK_MONOTONIC
-            # is system-wide per boot, so forked pool workers share
-            # the same timebase as this parent.
-            deadline_epoch = time.monotonic() + max(remaining, 0.0)  # deterministic-ok: budget deadline, not result-affecting
     injector = faults.active()
     fault_specs = (
         tuple(injector.specs.values()) if injector is not None else None
@@ -897,37 +481,35 @@ def _synthesize_parallel(
                 manifest_payload["store_generation"] = store_generation
             journal.initialize(manifest_payload)
 
+    # The chains' tasks differ only in their index.
+    first_task = ChainTask(
+        tech=tech,
+        spec=spec,
+        topology=topology,
+        mode=mode,
+        synthesis_spec=synthesis_spec,
+        name=name,
+        range_factor=range_factor,
+        max_evaluations=max_evaluations,
+        schedule=schedule,
+        seed=seed,
+        chain_index=0,
+        tolerant=tolerant,
+        lint=lint,
+        retry=retry,
+        budget=budget.share() if budget is not None else None,
+        fault_specs=fault_specs,
+        fault_seed=fault_seed,
+        memo_quantum=memo.quantum if memo is not None else None,
+        robust=robust,
+        box_override=_box_key(box_override),
+        store_dir=str(store_dir) if store is not None else None,
+        store_fingerprint=store_fingerprint,
+        store_generation=store_generation,
+        surrogate=surrogate,
+    )
     tasks = [
-        ChainTask(
-            tech=tech,
-            spec=spec,
-            topology=topology,
-            mode=mode,
-            synthesis_spec=synthesis_spec,
-            name=name,
-            range_factor=range_factor,
-            max_evaluations=max_evaluations,
-            schedule=schedule,
-            seed=seed,
-            chain_index=index,
-            tolerant=tolerant,
-            lint=lint,
-            retry=retry,
-            deadline_epoch=deadline_epoch,
-            max_failures=budget.max_failures if budget is not None else None,
-            per_eval_seconds=(
-                budget.per_eval_seconds if budget is not None else None
-            ),
-            fault_specs=fault_specs,
-            fault_seed=fault_seed,
-            memo_quantum=memo.quantum if memo is not None else None,
-            robust=robust,
-            box_override=_box_key(box_override),
-            store_dir=str(store_dir) if store is not None else None,
-            store_fingerprint=store_fingerprint,
-            store_generation=store_generation,
-            surrogate=surrogate,
-        )
+        replace(first_task, chain_index=index)
         for index in range(restarts)
         if index not in journaled_outcomes
     ]
@@ -1063,30 +645,12 @@ def _synthesize_parallel(
         corner_evals = sum(o.corner_evals for o in outcomes)
         screened = sum(o.screened_candidates for o in outcomes)
         if result.best_params:
-            verify_task = ChainTask(
-                tech=tech,
-                spec=spec,
-                topology=topology,
-                mode=mode,
-                synthesis_spec=synthesis_spec,
-                name=name,
-                range_factor=range_factor,
-                max_evaluations=max_evaluations,
-                schedule=schedule,
-                seed=seed,
-                chain_index=best.chain_index,
-                tolerant=tolerant,
-                lint=lint,
-                memo_quantum=memo.quantum if memo is not None else None,
-                robust=robust,
-                box_override=_box_key(box_override),
-            )
             robust_detail = _robust_verify(
-                verify_task,
+                first_task,
                 robust,
                 result.best_params,
                 journal=journal,
-                workers=workers,
+                workers=n_workers,
                 oversubscribe=oversubscribe,
             )
             # The verify fan-out counts whether it ran live or was
@@ -1132,35 +696,36 @@ def _synthesize_parallel(
     cache_evictions = (
         memo.evictions - evictions_before if memo is not None else 0
     )
-    log.record(
-        Diagnostic(
-            subsystem="synthesis.parallel",
-            severity="info",
-            message=(
-                f"{name}: {restarts} chains on {n_workers} worker(s): "
-                f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
-                f"cache {cache_hits} hits / {cache_misses} misses"
-                + (
-                    f", store {store_hits} hits / {store_writes} writes"
-                    if store is not None else ""
-                )
-                + (
-                    f", surrogate {surrogate_skips} skips"
-                    if surrogate != "off" else ""
-                )
-            ),
-            context={
-                "name": name,
-                "restarts": restarts,
-                "workers": n_workers,
-                "cache_hits": cache_hits,
-                "cache_misses": cache_misses,
-                "store_hits": store_hits,
-                "store_writes": store_writes,
-                "surrogate_skips": surrogate_skips,
-            },
+    if restarts > 1:
+        log.record(
+            Diagnostic(
+                subsystem="synthesis.parallel",
+                severity="info",
+                message=(
+                    f"{name}: {restarts} chains on {n_workers} worker(s): "
+                    f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
+                    f"cache {cache_hits} hits / {cache_misses} misses"
+                    + (
+                        f", store {store_hits} hits / {store_writes} writes"
+                        if store is not None else ""
+                    )
+                    + (
+                        f", surrogate {surrogate_skips} skips"
+                        if surrogate != "off" else ""
+                    )
+                ),
+                context={
+                    "name": name,
+                    "restarts": restarts,
+                    "workers": n_workers,
+                    "cache_hits": cache_hits,
+                    "cache_misses": cache_misses,
+                    "store_hits": store_hits,
+                    "store_writes": store_writes,
+                    "surrogate_skips": surrogate_skips,
+                },
+            )
         )
-    )
     global_stats().record_run(
         evaluations=evaluations,
         seconds=cpu,
@@ -1243,3 +808,149 @@ def _synthesize_parallel(
         surrogate_skips=surrogate_skips,
         surrogate_refits=surrogate_refits,
     )
+
+
+def _feasibility_gate(
+    tech,
+    spec,
+    topology,
+    synthesis_spec,
+    *,
+    mode,
+    range_factor,
+    contract,
+    name,
+    log,
+):
+    """Run the static analysis pre-gate; never raises, never blocks.
+
+    Analysis failures (unsupported topology, even a crash in the
+    analyzer) degrade to "no verdict": synthesis proceeds exactly as if
+    the gate had passed, with a diagnostic recording why.
+    """
+    from ..analysis import analyze_problem
+
+    try:
+        report = analyze_problem(
+            tech,
+            spec,
+            topology,
+            synthesis_spec,
+            mode=mode,
+            range_factor=range_factor,
+            contract=contract,
+            name=name,
+        )
+    except ApeError as exc:
+        log.record_exception(
+            "synthesis.feasibility",
+            exc,
+            severity="warning",
+            suggested_fix="feasibility gate skipped; synthesis proceeds ungated",
+        )
+        return None
+    if not report.feasible:
+        for finding in report.findings:
+            if finding.severity != "error":
+                continue
+            log.record(
+                Diagnostic(
+                    subsystem="synthesis.feasibility",
+                    severity="error",
+                    message=f"{name}: {finding.render()}",
+                    suggested_fix=finding.fix_hint,
+                    context={
+                        "name": name,
+                        "code": finding.code,
+                        "metric": finding.metric,
+                    },
+                )
+            )
+    return report
+
+
+def _resolve_memo(
+    memo, restarts: int, *, journaled: bool = False, stored: bool = False
+):
+    """Normalize the ``memo`` argument to an EvalMemo or ``None``.
+
+    ``None`` means "default policy": cache only when the run fans out
+    multiple chains, is journaled (a resumed run wants its warm cache
+    back) or is store-backed (the memo is the store's front tier) — a
+    plain one-chain run evaluates every candidate, the paper's classic
+    annealing leg.
+    """
+    from ..parallel import EvalMemo
+
+    if isinstance(memo, EvalMemo):
+        return memo
+    if memo is True or (
+        memo is None and (restarts > 1 or journaled or stored)
+    ):
+        return EvalMemo()
+    return None
+
+
+def _box_key(box_override):
+    """Hashable, pickle-stable form of a contracted box (or ``None``)."""
+    if box_override is None:
+        return None
+    return tuple(sorted(box_override.items()))
+
+
+def _run_fingerprint(**parts):
+    """Problem identity for the run journal (see ``run_fingerprint``)."""
+    from ..runtime.journal import run_fingerprint
+
+    return run_fingerprint(tuple(sorted(parts.items())))
+
+
+def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
+    """Final per-variant verification of a winning robust design.
+
+    Fans the variants that need a simulation of their own over the
+    run's workers (:func:`~repro.parallel.parallel_map`, in-process for
+    one) — corners are a second axis of parallelism next to chains.
+    The nominal alias copies the nominal result, as
+    :class:`~repro.synthesis.robust.RobustEvaluator` does.  The detail
+    is journaled (``robust-verified``) keyed by the exact winning
+    parameters, so a resumed run replays the recorded fan-out instead
+    of recomputing it (JSON floats round-trip exactly, keeping resume
+    bit-for-bit).
+    """
+    from ..parallel import parallel_map
+    from ..parallel.executor import robust_variant_eval
+
+    if journal is not None:
+        for record in journal.events():
+            if (
+                record.get("event") == "robust-verified"
+                and record.get("params") == params
+            ):
+                return {
+                    label: dict(metrics) if metrics is not None else None
+                    for label, metrics in record["detail"].items()
+                }
+    simulated = dict(
+        parallel_map(
+            robust_variant_eval,
+            [
+                (task, label, params)
+                for label in robust.variant_labels
+                if label != NOMINAL_ALIAS
+            ],
+            workers=workers,
+            oversubscribe=oversubscribe,
+        )
+    )
+    nominal = simulated["nominal"]
+    detail = {
+        label: (
+            simulated[label] if label != NOMINAL_ALIAS
+            else None if nominal is None else dict(nominal)
+        )
+        for label in robust.variant_labels
+    }
+    if journal is not None:
+        journal.append("robust-verified", params=params, detail=detail)
+    return detail

@@ -200,15 +200,15 @@ def ape_ranges(template: OpAmp, factor: float = 0.2) -> list[Variable]:
 class OpAmpSizingProblem(SizingProblem):
     """Evaluate op-amp candidates with DC + AWE (the OBLX inner loop).
 
-    One evaluation profile serves every caller — the serial path,
-    pooled chains, robust corner and Monte Carlo variants.  Each
-    candidate's DC solve starts from the template's zero-drive
-    operating point, and the cached bench is updated in place whenever
-    a one-time probe proves that exact.  Both are run constants, never
-    a previous candidate's state, so evaluation stays *canonical*: the
-    result for a parameter dict is independent of evaluation order —
-    the invariant the memo cache and the executor's scheduling
-    independence rest on.
+    One evaluation profile serves every caller — every annealing
+    chain, in-process or pooled, and robust corner and Monte Carlo
+    variants.  Each candidate's DC solve starts from the template's
+    zero-drive operating point, and the cached bench is updated in
+    place whenever a one-time probe proves that exact.  Both are run
+    constants, never a previous candidate's state, so evaluation stays
+    *canonical*: the result for a parameter dict is independent of
+    evaluation order — the invariant the memo cache and the executor's
+    scheduling independence rest on.
     """
 
     def __init__(

@@ -63,6 +63,10 @@ __all__ = [
 #: constant, which keeps screening canonical.
 DEFAULT_SCREEN_THRESHOLD = 25.0
 
+#: The variant label that aliases the nominal evaluation: a plain ``tt``
+#: corner shifts nothing, so it reuses the nominal metrics.
+NOMINAL_ALIAS = "corner:tt"
+
 
 @dataclass(frozen=True)
 class RobustSpec:
@@ -244,10 +248,10 @@ class RobustEvaluator:
         mismatch = robust.mismatch()
         for corner in robust.corners:
             label = f"corner:{corner}"
-            spec_c = parse_corner(corner)
-            if spec_c.canonical == "tt":
+            if label == NOMINAL_ALIAS:
                 self.problems[label] = None
                 continue
+            spec_c = parse_corner(corner)
             corner_template = retarget_opamp(
                 template, derive_corner(template.tech, spec_c)
             )

@@ -372,6 +372,29 @@ class TestBudgets:
         assert any("deadline" in d.message for d in result.diagnostics)
         assert result.metrics is not None  # best point so far survives
 
+    @pytest.mark.parametrize("runs", [
+        dict(),
+        dict(journaled=True),
+        dict(restarts=2, workers=1),
+        dict(restarts=2, workers=2, oversubscribe=True),
+    ], ids=["one-chain", "journaled", "two-chains-in-process", "pooled"])
+    def test_evaluation_budget_applies_to_every_chain(self, runs, tmp_path):
+        runs = dict(runs)
+        if runs.pop("journaled", False):
+            runs["run_dir"] = str(tmp_path / "run")
+        budget = EvalBudget(max_evaluations=5)
+        result = synthesize_opamp(
+            TECH, small_spec(), mode="ape",
+            max_evaluations=40, seed=3, name="t", budget=budget, **runs,
+        )
+        assert result.degraded
+        assert len(result.chains) == runs.get("restarts", 1)
+        for chain in result.chains:
+            assert chain.evaluations == 5
+            assert chain.degraded
+            assert chain.stop_reason == "evaluation budget exhausted"
+        assert budget.evaluations == result.evaluations
+
     def test_budget_validation(self):
         with pytest.raises(ValueError):
             EvalBudget(max_evaluations=0)

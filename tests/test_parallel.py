@@ -2,21 +2,27 @@
 
 Locks in the determinism contract of :mod:`repro.parallel`:
 
-* ``restarts=1`` is bit-for-bit the classic serial path (and stays so
-  with an explicit memo — hits return the stored exact result, and
-  with a run directory — the one-chain executor run evaluates exactly
-  as the serial path does);
+* every run, ``restarts=1`` included, runs its chains through the
+  executor; a one-chain run stays bit for bit the same with an explicit
+  memo (hits return the stored exact result) and with a run directory;
 * multi-restart results depend only on ``(seed, restarts)``, never on
   the worker count or scheduling;
+* the process-wide problem cache is safe: threads never share a
+  problem, a strict run never reuses a tolerant template, a repeated
+  run matches the first, and in-process runs pickle nothing;
 * everything that crosses the process-pool boundary pickle round-trips
   cleanly.
 """
 
+import contextlib
 import math
 import pickle
+import sys
+import threading
 
 import pytest
 
+from repro.errors import EstimationError
 from repro.opamp import OpAmpSpec, OpAmpTopology, coarse_design_opamp
 from repro.opamp.benches import open_loop_bench
 from repro.parallel import (
@@ -353,7 +359,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("mode", ["ape", "standalone"])
     @pytest.mark.parametrize("case", ["oa1", "oa3", "opamp1_worst"])
     def test_serial_run_matches_journaled_run(self, case, mode, tmp_path):
-        """The serial path and the one-chain executor run (``run_dir``)
+        """A one-chain run and the same run journaled to a ``run_dir``
         evaluate candidates identically, so they agree bit for bit."""
         spec, topology, robust = SERIAL_CASES[case]
         kwargs = dict(
@@ -369,7 +375,7 @@ class TestDeterminism:
         assert serial.metrics == journaled.metrics
 
     def test_serial_memo_opt_in_is_exact(self):
-        """An explicit memo on the serial path changes nothing but speed."""
+        """An explicit memo on a one-chain run changes nothing but speed."""
         kwargs = dict(mode="ape", max_evaluations=60, seed=5, name="oa")
         plain = synthesize_opamp(TECH, SPEC, TOPO, memo=False, **kwargs)
         memod = synthesize_opamp(TECH, SPEC, TOPO, memo=True, **kwargs)
@@ -501,6 +507,97 @@ class TestResultSurface:
         )
 
 
+# ----------------------------------------------------------- problem cache
+
+
+class TestProblemCache:
+    """The process-wide problem cache every in-process chain runs on."""
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_threads_on_one_problem_match_sequential_runs(self, restarts):
+        kwargs = dict(
+            mode="ape", max_evaluations=30, name="threads",
+            restarts=restarts, workers=1,
+        )
+        seeds = (1, 2)
+        expected = {
+            seed: synthesize_opamp(TECH, SPEC, TOPO, seed=seed, **kwargs)
+            for seed in seeds
+        }
+        results = {}
+        barrier = threading.Barrier(len(seeds))
+
+        def run(seed):
+            barrier.wait(timeout=60)
+            results[seed] = synthesize_opamp(
+                TECH, SPEC, TOPO, seed=seed, **kwargs
+            )
+
+        threads = [threading.Thread(target=run, args=(s,)) for s in seeds]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=240)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for seed in seeds:
+            assert _chain_summary(results[seed]) == _chain_summary(
+                expected[seed]
+            )
+
+    @pytest.mark.parametrize("spec, sites", [
+        (SPEC, {"estimator.opamp": 1.0}),
+        # Beyond the two-stage gain limit: strict APE sizing raises,
+        # while a tolerant run degrades to a coarse template.
+        (OpAmpSpec(gain=1e5, ugf=2e6, ibias=2e-6, cl=10e-12), None),
+    ], ids=["injected", "infeasible"])
+    def test_strict_run_never_reuses_a_tolerant_template(self, spec, sites):
+        kwargs = dict(
+            mode="ape", max_evaluations=10, seed=3, name="strict",
+            restarts=2, workers=1,
+        )
+        synthesize_opamp(TECH, spec, TOPO, **kwargs)
+        armed = (
+            injected_faults(sites, seed=7) if sites is not None
+            else contextlib.nullcontext()
+        )
+        with armed, pytest.raises(EstimationError):
+            synthesize_opamp(TECH, spec, TOPO, tolerant=False, **kwargs)
+
+    @pytest.mark.parametrize("restarts", [1, 2])
+    def test_in_process_runs_pickle_nothing(self, restarts, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an in-process run pickled an object")
+
+        monkeypatch.setattr(pickle, "dumps", refuse)
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, mode="ape", max_evaluations=10, seed=1,
+            restarts=restarts, workers=1,
+        )
+        assert len(result.chains) == restarts
+
+    @pytest.mark.timeout(300)
+    def test_repeated_robust_run_is_bit_identical(self):
+        kwargs = dict(
+            mode="ape", max_evaluations=20, seed=4, name="robust-again",
+            robust=RobustSpec(corners=("tt", "ss", "ff"), mode="worst"),
+        )
+        first = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        again = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        assert _chain_summary(again) == _chain_summary(first)
+        assert again.best_cost == first.best_cost
+        assert again.params == first.params
+        assert again.metrics == first.metrics
+        assert again.corner_metrics == first.corner_metrics
+        assert again.corner_evals == first.corner_evals > 0
+        assert again.screened_candidates == first.screened_candidates
+
+
 # ---------------------------------------------------------------- pickling
 
 
@@ -543,11 +640,11 @@ class TestPoolBoundaryPickling:
         )
 
     def test_problem_key_shared_after_pool_transfer(self):
-        # problem_key is process-local: its bytes depend on object
-        # identity (string interning changes pickle back-references),
-        # so a clone's key need not equal the parent's.  What the
-        # worker-local bundle cache relies on is that tasks unpickled
-        # on the same side of the pool boundary agree.
+        # problem_key is built from repr, so it no longer depends on
+        # object identity the way pickle bytes did (string interning
+        # changed pickle back-references).  What the process-wide
+        # bundle cache relies on is that tasks unpickled on the same
+        # side of the pool boundary agree.
         c0 = pickle.loads(pickle.dumps(_small_task(chain_index=0)))
         c3 = pickle.loads(pickle.dumps(_small_task(chain_index=3)))
         assert c0.problem_key() == c3.problem_key()

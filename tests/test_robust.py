@@ -450,6 +450,35 @@ class TestRobustSynthesis:
         assert resumed.resumed_chains
         assert _robust_summary(resumed) == _robust_summary(reference)
 
+    def test_verification_simulates_each_distinct_variant_once(
+        self, monkeypatch, tmp_path
+    ):
+        """The ``tt`` corner aliases the nominal: the winning design's
+        verification copies it instead of simulating the nominal
+        twice."""
+        import repro.parallel.executor as executor
+
+        verified = []
+        variant_eval = executor.robust_variant_eval
+
+        def counting(item):
+            verified.append(item[1])
+            return variant_eval(item)
+
+        monkeypatch.setattr(executor, "robust_variant_eval", counting)
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, seed=3, workers=1,
+            robust=RobustSpec(corners=("tt", "ss", "ff")),
+            run_dir=str(tmp_path / "run"), **RUN_KW
+        )
+        assert verified == ["nominal", "corner:ss", "corner:ff"]
+        assert list(result.corner_metrics) == [
+            "nominal", "corner:tt", "corner:ss", "corner:ff",
+        ]
+        assert result.corner_metrics["corner:tt"] == (
+            result.corner_metrics["nominal"]
+        )
+
     @pytest.mark.timeout(300)
     def test_persistently_failing_variants_degrade_not_crash(self):
         """Every DC solve failing is the extreme of a failing corner:

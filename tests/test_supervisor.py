@@ -14,7 +14,9 @@ Locks in the tentpole guarantees of :mod:`repro.runtime.supervisor`,
 * an interrupted run journals its finished chains and ``resume``
   replays them, reproducing the uninterrupted run's best result
   bit-for-bit;
-* SIGINT drains to a best-so-far partial result instead of raising.
+* SIGINT drains to a best-so-far partial result instead of raising,
+  also when it arrives during the last chain; a second SIGINT abandons
+  an in-process chain at its next candidate.
 
 Everything here leans on the executor's determinism contract: chain
 results are pure functions of their tasks, so recovery and resume are
@@ -413,6 +415,67 @@ class TestInterrupts:
         assert result.metrics is not None  # best-so-far, not nothing
         # The handler was restored afterwards.
         assert signal.getsignal(signal.SIGINT) is not None
+
+    def test_sigint_during_the_last_chain_reports_interrupted(
+        self, monkeypatch
+    ):
+        """The first signal drains: the chain in flight finishes, and
+        the run still reports the interrupt."""
+        import repro.parallel.executor as executor
+
+        run_chain = executor.run_chain
+
+        def signal_in_last_chain(task, *args, **kwargs):
+            if task.chain_index == 1:
+                os.kill(os.getpid(), signal.SIGINT)
+            return run_chain(task, *args, **kwargs)
+
+        monkeypatch.setattr(executor, "run_chain", signal_in_last_chain)
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, seed=5, restarts=2, workers=1, **RUN_KW
+        )
+        assert result.interrupted
+        assert result.degraded
+        assert len(result.chains) == 2
+
+    @pytest.mark.timeout(300)
+    def test_second_sigint_abandons_an_in_process_chain(
+        self, monkeypatch, tmp_path
+    ):
+        """Two signals stop a one-chain run at its next candidate,
+        journal no chain, and the run resumes bit for bit."""
+        from repro.synthesis.problems import OpAmpSizingProblem
+
+        evaluate = OpAmpSizingProblem.evaluate
+        calls = []
+
+        def interrupting(problem, params):
+            calls.append(params)
+            if len(calls) == 10:
+                os.kill(os.getpid(), signal.SIGINT)
+                os.kill(os.getpid(), signal.SIGINT)
+            return evaluate(problem, params)
+
+        monkeypatch.setattr(OpAmpSizingProblem, "evaluate", interrupting)
+        kwargs = dict(seed=5, mode="ape", max_evaluations=400, name="abandon")
+        run_dir = str(tmp_path / "run")
+        partial = synthesize_opamp(TECH, SPEC, TOPO, run_dir=run_dir, **kwargs)
+        monkeypatch.undo()
+        assert len(calls) <= 11
+        assert partial.interrupted
+        assert partial.chains == []
+        assert RunJournal(run_dir).load_outcomes() == {}
+
+        resumed = synthesize_opamp(
+            TECH, SPEC, TOPO, run_dir=run_dir, resume=True, **kwargs
+        )
+        reference = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        assert not resumed.interrupted
+        assert resumed.resumed_chains == []
+        assert _chain_summary(resumed) == _chain_summary(reference)
+        assert resumed.best_cost == reference.best_cost
+        assert resumed.params == reference.params
+        assert resumed.metrics == reference.metrics
 
     def test_interrupt_before_any_chain_returns_empty_shell(self):
         result = synthesize_opamp(

@@ -8,7 +8,9 @@ re-visit enough exact candidate duplicates that a content-addressed
 evaluation memo pays for itself even on one core.
 
 * :class:`EvalMemo` — quantized log-space parameter key ->
-  ``(cost, metrics)`` cache, shareable across chains and table rows.
+  ``(cost, metrics)`` cache, bound to one problem per run and so
+  shareable across runs of that problem; pool workers inherit it
+  through ``fork`` and send back what each chain added.
 * :class:`ChainTask` / :func:`run_chain` /
   :func:`run_supervised_chains` (and its thin
   :func:`run_annealing_chains` wrapper) — the supervised process-pool

@@ -46,6 +46,11 @@ A chain checks its problem out of the cache for as long as it runs, so
 threads never share one.  Pool workers' caches die with their
 processes; the parent's pool teardown is guaranteed on every exit path
 by :class:`~repro.runtime.supervisor.PoolManager`.
+
+The run's :class:`~repro.parallel.memo.EvalMemo` is the only memo:
+in-process chains use it directly, and pool workers get it through the
+pool initializer (a ``fork`` hands it over unpickled), evaluate through
+their copy and return what each chain added for the parent to merge.
 """
 
 from __future__ import annotations
@@ -155,7 +160,8 @@ class ChainTask:
     #: worker's fault state alone).
     fault_specs: tuple[faults.FaultSpec, ...] | None = None
     fault_seed: int = 0
-    #: Evaluation memo quantum; ``None`` disables memoization.
+    #: Quantum of the run's evaluation memo (``None``: the run has no
+    #: memo); the surrogate screen keys its samples with it.
     memo_quantum: float | None = DEFAULT_QUANTUM
     #: Optional :class:`~repro.synthesis.robust.RobustSpec` — when set,
     #: every candidate is evaluated across its corners/Monte Carlo
@@ -166,12 +172,6 @@ class ChainTask:
     #: ranges).  Part of the problem identity: chains with different
     #: boxes anneal different problems.
     box_override: tuple | None = None
-    #: Persistent evaluation store (``None`` = in-memory memo only).
-    #: Workers open the store read-only; new results travel home via
-    #: the memo snapshot and the supervisor flushes them.
-    store_dir: str | None = None
-    #: The problem's content fingerprint in the store namespace.
-    store_fingerprint: str | None = None
     #: Store watermark (max row id) at run start: the surrogate trains
     #: only on rows at or below it, so the training corpus — and hence
     #: the trajectory — is identical across workers and on resume.
@@ -204,11 +204,8 @@ class ChainTask:
                 self.range_factor,
                 self.tolerant,
                 self.lint,
-                self.memo_quantum,
                 self.robust,
                 self.box_override,
-                self.store_dir,
-                self.store_fingerprint,
             )
         )
 
@@ -237,40 +234,41 @@ class ChainOutcome:
     surrogate_skips: int = 0
     surrogate_refits: int = 0
     diagnostics: list[Diagnostic] = field(default_factory=list)
-    #: Worker-side memo snapshot for merging into the caller's cache
-    #: (``None`` when the chain already wrote into a shared memo).
+    #: What a pooled chain added to its worker's copy of the run's memo
+    #: (:meth:`EvalMemo.take_new`), for the parent to merge; ``None``
+    #: when the chain wrote into the caller's memo directly.
     memo_snapshot: dict | None = None
 
 
-# Process-wide state, keyed by ChainTask.problem_key(): the sizing
-# problem (with its compiled MNA system and robust evaluator) and a
-# pool worker's memo cache survive across the chains this process runs.
-# In pool workers the caches die with the process (PoolManager
-# guarantees teardown); in the caller's process they are bounded by the
-# distinct problem signatures it runs.  A bundle is checked out
-# by one chain at a time (see _checked_out), guarded by the lock.
+# Process-wide problem cache, keyed by ChainTask.problem_key(): the
+# sizing problem (with its compiled MNA system and robust evaluator)
+# survives across the chains this process runs.  In pool workers it
+# dies with the process (PoolManager guarantees teardown); in the
+# caller's process it is bounded by the distinct problem signatures it
+# runs.  A bundle is checked out by one chain at a time (see
+# _checked_out), guarded by the lock.
 _BUNDLES: dict[str, tuple] = {}
 _BUNDLES_LOCK = threading.Lock()
-_WORKER_MEMOS: dict[str, EvalMemo] = {}
-#: Worker-local persistent-store handles, keyed by store directory.
-#: Connections are opened lazily per process (EvalStore re-opens after
-#: a fork), and pool workers hold them read-only.
-_WORKER_STORES: dict[str, object] = {}
 
-#: Fork-shared heartbeat slots (one double per chain index), set by the
-#: parent just before it builds a pool and inherited by the workers.
+# Set only inside a pool worker, by _init_worker: its copy of the run's
+# memo and the fork-shared heartbeat slots (one double per chain index).
+# Worker-level faults fire only where the slots are set: an injected
+# ``os._exit`` in the parent would take the whole run down instead of
+# simulating a lost worker.
+_WORKER_MEMO: EvalMemo | None = None
 _HEARTBEATS = None
 
-#: True only inside a pool worker process (set by the pool
-#: initializer).  Worker-level faults fire nowhere else: an injected
-#: ``os._exit`` in the parent would take the whole run down instead of
-#: simulating a lost worker.
-_IN_WORKER = False
 
+def _init_worker(memo: EvalMemo | None, heartbeats) -> None:
+    """Pool initializer: adopt the run's memo and heartbeat slots.
 
-def _mark_worker() -> None:
-    global _IN_WORKER
-    _IN_WORKER = True
+    Under ``fork`` both arrive unpickled, as the parent held them when
+    the pool started, so runs pooling at once on several threads never
+    see each other's memo.
+    """
+    global _WORKER_MEMO, _HEARTBEATS
+    _WORKER_MEMO = memo
+    _HEARTBEATS = heartbeats
 
 
 def _heartbeat(chain_index: int) -> None:
@@ -289,7 +287,7 @@ def _check_worker_faults(chain_index: int) -> None:
     heartbeating and sleeps until the supervisor kills the worker.
     """
     injector = faults.active()
-    if injector is None or not _IN_WORKER:
+    if injector is None or _HEARTBEATS is None:
         return
     for site in (faults.WORKER_KILL, faults.WORKER_HANG):
         spec = injector.specs.get(site)
@@ -322,39 +320,6 @@ def _strip_worker_faults(task: ChainTask) -> ChainTask:
     if kept == task.fault_specs:
         return task
     return dc_replace(task, fault_specs=kept)
-
-
-def _worker_store(task: ChainTask):
-    """The worker-local read-only store handle for a store-backed task."""
-    if not task.store_dir or task.store_fingerprint is None:
-        return None
-    store = _WORKER_STORES.get(task.store_dir)
-    if store is None:
-        from ..store import EvalStore
-
-        store = EvalStore(task.store_dir, read_only=True)
-        _WORKER_STORES[task.store_dir] = store
-    return store
-
-
-def _memo_for(task: ChainTask, shared_memo: EvalMemo | None) -> EvalMemo | None:
-    """The memo this chain evaluates through (shared, worker-local, none)."""
-    if shared_memo is not None:
-        return shared_memo
-    if task.memo_quantum is None:
-        return None
-    key = task.problem_key()
-    memo = _WORKER_MEMOS.get(key)
-    if memo is None:
-        memo = EvalMemo(task.memo_quantum)
-        store = _worker_store(task)
-        if store is not None:
-            # Read-only tier: store hits serve lookups; the chain's new
-            # entries ride the memo snapshot back to the supervisor,
-            # which owns the write side.
-            memo.bind_store(store, task.store_fingerprint)
-        _WORKER_MEMOS[key] = memo
-    return memo
 
 
 def _build_bundle(task: ChainTask):
@@ -483,7 +448,8 @@ def run_chain(
 
     Runs in a pool worker or in-process; behaviour is identical either
     way because everything the chain consumes is derived from the task
-    (and because evaluation is canonical, shared-memo contents cannot
+    (and because evaluation is canonical, the contents of
+    ``shared_memo``, the memo the chain evaluates through, cannot
     change results — only how fast they arrive).  ``stop`` is an
     in-process run's interrupt flag: once it turns *hard* (a second
     signal) the chain raises :class:`KeyboardInterrupt` before its next
@@ -512,10 +478,21 @@ def run_chain(
                 previous_injector.absorb(chain_injector)
 
 
-def _anneal_chain(task, bundle, shared_memo, stop) -> ChainOutcome:
+def _run_pooled_chain(task: ChainTask) -> ChainOutcome:
+    """Pool entry point: one chain on the worker's copy of the run's memo,
+    returning only what the chain added to it."""
+    memo = _WORKER_MEMO
+    if memo is None:
+        return run_chain(task)
+    memo.take_new()
+    outcome = run_chain(task, shared_memo=memo)
+    outcome.memo_snapshot = memo.take_new()
+    return outcome
+
+
+def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
     """The body of :func:`run_chain`, on a checked-out bundle."""
     x0, cost_fn, problem, design_notes, ape_seconds, evaluator = bundle
-    memo = _memo_for(task, shared_memo)
     if faults.active() is not None:
         # Injected faults are decided per *call* from a seeded RNG
         # stream; a memo hit would skip those calls, making the
@@ -562,7 +539,7 @@ def _anneal_chain(task, bundle, shared_memo, stop) -> ChainOutcome:
             task.robust is None
             and task.store_generation > 0
             and memo is not None
-            and memo.store_bound
+            and memo.bound_store is not None
         ):
             # Prime the model from the persistent corpus — but only
             # up to the journaled generation, so every worker (and
@@ -650,11 +627,6 @@ def _anneal_chain(task, bundle, shared_memo, stop) -> ChainOutcome:
         surrogate_skips=result.surrogate_skips,
         surrogate_refits=result.surrogate_refits,
         diagnostics=list(chain_log.records),
-        memo_snapshot=(
-            memo.export()
-            if memo is not None and memo is not shared_memo
-            else None
-        ),
     )
 
 
@@ -701,14 +673,15 @@ def run_supervised_chains(
     first signal lets the chain in flight finish and reports the run
     ``interrupted``, a second abandons that chain at its next
     candidate.  With more, a ``fork``-context process
-    pool executes the tasks one-per-worker while the parent watches
+    pool, whose workers inherit ``memo``, executes the tasks
+    one-per-worker while the parent watches
     for dead workers (``BrokenProcessPool``), hung ones (stale
     heartbeats, chain deadlines) and interrupts, rebuilding the pool
     and resubmitting only the lost chains within
     ``config.max_chain_retries``; chains that keep losing their worker
     are quarantined.  Completed chains are journaled write-ahead when
-    ``journal`` is given, and worker memo snapshots are merged into
-    ``memo`` as chains finish.
+    ``journal`` is given, and what each pooled chain added to its
+    worker's copy of ``memo`` is merged into ``memo`` as it finishes.
 
     The returned mapping holds one outcome per *completed* chain —
     interrupts and quarantines leave gaps instead of raising, so the
@@ -737,11 +710,7 @@ def run_supervised_chains(
             memo.flush_store()
         if journal is not None:
             journal.record_outcome(outcome)
-            if (
-                memo is not None
-                and config.memo_snapshot_every
-                and len(outcomes) % config.memo_snapshot_every == 0
-            ):
+            if memo is not None:
                 journal.snapshot_memo(memo)
 
     def synthetic_stop() -> bool:
@@ -783,7 +752,7 @@ def run_supervised_chains(
         return outcomes, report
 
     _run_pooled(
-        tasks, n_workers, config, report,
+        tasks, n_workers, memo, config, report,
         finish=finish,
         synthetic_stop=synthetic_stop,
         note_interrupt=note_interrupt,
@@ -821,14 +790,12 @@ def _run_in_process(
 
 
 def _run_pooled(
-    tasks, n_workers, config, report, *, finish, synthetic_stop,
+    tasks, n_workers, memo, config, report, *, finish, synthetic_stop,
     note_interrupt, outcomes, journal,
 ) -> None:
     import concurrent.futures
     import multiprocessing
     from concurrent.futures.process import BrokenProcessPool
-
-    global _HEARTBEATS
 
     try:
         context = multiprocessing.get_context("fork")
@@ -844,7 +811,8 @@ def _run_pooled(
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=n_workers,
             mp_context=context,
-            initializer=_mark_worker,
+            initializer=_init_worker,
+            initargs=(memo, heartbeats),
         )
 
     pending: deque[ChainTask] = deque(tasks)
@@ -924,80 +892,76 @@ def _run_pooled(
                     return task, "chain-hung"
         return None
 
-    _HEARTBEATS = heartbeats
-    try:
-        with PoolManager(factory) as pm, \
-                interrupt_guard(config.install_signal_handlers) as stop:
-            while pending or in_flight:
-                stopping = stop() or synthetic_stop()
-                if stopping:
-                    note_interrupt(unfinished(), "stop requested")
-                    if stop.hard:
-                        # Second signal: abandon in-flight work too.
-                        pm.kill_workers()
-                        break
-                    if not in_flight:
-                        break
-                # Top up: one in-flight chain per worker, so every
-                # submitted future is actually running (which makes
-                # hang detection and loss accounting exact).
-                broken_on_submit = False
-                while (
-                    pending and len(in_flight) < n_workers and not stopping
-                ):
-                    task = pending.popleft()
-                    heartbeats[task.chain_index] = 0.0
-                    submitted_at[task.chain_index] = clock()
-                    try:
-                        future = pm.pool.submit(run_chain, task)
-                    except BrokenProcessPool:
-                        pending.appendleft(task)
-                        broken_on_submit = True
-                        break
-                    in_flight[future] = task
-                if broken_on_submit:
-                    lost = list(in_flight.values())
-                    in_flight.clear()
-                    handle_collapse(lost, pm)
-                    continue
-                if not in_flight:
-                    continue
-                done, _ = concurrent.futures.wait(
-                    list(in_flight),
-                    timeout=config.poll_interval_seconds,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                lost: list[ChainTask] = []
-                for future in done:
-                    task = in_flight.pop(future)
-                    try:
-                        finish(future.result())
-                    except (BrokenProcessPool,
-                            concurrent.futures.CancelledError):
-                        lost.append(task)
-                if lost or getattr(pm.pool, "_broken", False):
-                    # A broken pool takes every in-flight chain with it.
-                    lost.extend(in_flight.values())
-                    in_flight.clear()
-                    handle_collapse(lost, pm)
-                    continue
-                if kill_pending:
-                    continue  # workers already killed; wait for collapse
-                stuck = find_stuck()
-                if stuck is not None:
-                    task, kind = stuck
-                    report.record(
-                        kind, task.chain_index,
-                        "no heartbeat within "
-                        f"{config.heartbeat_timeout_seconds}s"
-                        if kind == "chain-hung" else
-                        f"exceeded {config.chain_timeout_seconds}s deadline",
-                    )
-                    journal_event(kind, chain_index=task.chain_index)
-                    kill_pending = True
+    with PoolManager(factory) as pm, \
+            interrupt_guard(config.install_signal_handlers) as stop:
+        while pending or in_flight:
+            stopping = stop() or synthetic_stop()
+            if stopping:
+                note_interrupt(unfinished(), "stop requested")
+                if stop.hard:
+                    # Second signal: abandon in-flight work too.
                     pm.kill_workers()
-    finally:
-        _HEARTBEATS = None
+                    break
+                if not in_flight:
+                    break
+            # Top up: one in-flight chain per worker, so every
+            # submitted future is actually running (which makes
+            # hang detection and loss accounting exact).
+            broken_on_submit = False
+            while (
+                pending and len(in_flight) < n_workers and not stopping
+            ):
+                task = pending.popleft()
+                heartbeats[task.chain_index] = 0.0
+                submitted_at[task.chain_index] = clock()
+                try:
+                    future = pm.pool.submit(_run_pooled_chain, task)
+                except BrokenProcessPool:
+                    pending.appendleft(task)
+                    broken_on_submit = True
+                    break
+                in_flight[future] = task
+            if broken_on_submit:
+                lost = list(in_flight.values())
+                in_flight.clear()
+                handle_collapse(lost, pm)
+                continue
+            if not in_flight:
+                continue
+            done, _ = concurrent.futures.wait(
+                list(in_flight),
+                timeout=config.poll_interval_seconds,
+                return_when=concurrent.futures.FIRST_COMPLETED,
+            )
+            lost: list[ChainTask] = []
+            for future in done:
+                task = in_flight.pop(future)
+                try:
+                    finish(future.result())
+                except (BrokenProcessPool,
+                        concurrent.futures.CancelledError):
+                    lost.append(task)
+            if lost or getattr(pm.pool, "_broken", False):
+                # A broken pool takes every in-flight chain with it.
+                lost.extend(in_flight.values())
+                in_flight.clear()
+                handle_collapse(lost, pm)
+                continue
+            if kill_pending:
+                continue  # workers already killed; wait for collapse
+            stuck = find_stuck()
+            if stuck is not None:
+                task, kind = stuck
+                report.record(
+                    kind, task.chain_index,
+                    "no heartbeat within "
+                    f"{config.heartbeat_timeout_seconds}s"
+                    if kind == "chain-hung" else
+                    f"exceeded {config.chain_timeout_seconds}s deadline",
+                )
+                journal_event(kind, chain_index=task.chain_index)
+                kill_pending = True
+                pm.kill_workers()
 
 
 def parallel_map(

@@ -19,31 +19,30 @@ and ``tests/test_parallel.py`` locks it in.
 
 The memo is *bounded*: entries live in an LRU ordering and the oldest
 are evicted once ``capacity`` is exceeded (long supervised runs and
-multi-row table sessions would otherwise grow the cache without
+repeated runs sharing one memo would otherwise grow the cache without
 limit).  Evictions are counted and surfaced through
 ``repro diagnostics``.
 
-The memo is pickle-clean (plain dicts and tuples), so per-worker
-caches can cross the process-pool boundary and be merged back into a
-session-wide cache shared across chains and table rows.
+Keys carry no problem identity, so a memo serves one problem: every
+run binds it to its problem fingerprint (:meth:`EvalMemo.bind`), which
+empties a memo bound to another problem.  A memo may thus be shared
+across runs of one problem (repeats, other seeds, a resume).  Pool
+workers inherit the run's memo through ``fork`` and send back only
+what each chain added (:meth:`EvalMemo.take_new`), which the parent
+folds in with :meth:`EvalMemo.merge`.
 
-Two-tier operation: :meth:`EvalMemo.bind_store` attaches a persistent
-:class:`~repro.store.EvalStore` behind the LRU.  Lookups read through
-(LRU first, then the store, promoting store hits into the LRU);
-writes go behind (new entries are buffered and flushed in batches via
-:meth:`EvalMemo.flush_store`).  Chain workers bind the store
-*read-only* — their new entries travel home through the existing
-snapshot/merge channel and the supervisor flushes them — so results
-stay worker-count independent.  Losing the store tier (corruption,
-locks) can never change a result, only how fast it arrives: the same
-canonical-evaluation contract that makes LRU eviction safe.
+The binding also names an optional :class:`~repro.store.EvalStore`
+behind the LRU.  Lookups read through (promoting store hits into the
+LRU); new entries are buffered and written behind in batches by
+:meth:`EvalMemo.flush_store`, in the parent only.  Losing the store
+tier (corruption, locks) can never change a result, only how fast it
+arrives: the same canonical-evaluation contract that makes LRU
+eviction safe.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import os
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Mapping
 
@@ -51,9 +50,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import EvalStore
 
 __all__ = ["EvalMemo", "memo_key", "DEFAULT_QUANTUM", "DEFAULT_CAPACITY"]
-
-#: Per-process source of memo generation ids (see ``EvalMemo.generation``).
-_GENERATION_COUNTER = itertools.count(1)
 
 #: Quantization step in natural-log space.  1e-9 means two values map
 #: to the same key only when they agree to ~1 part in 1e9 — far below
@@ -65,8 +61,8 @@ DEFAULT_QUANTUM = 1e-9
 #: Default LRU capacity.  An entry is a quantized key plus a small
 #: metrics dict (~a few hundred bytes), so the default bounds the memo
 #: at tens of megabytes — far beyond any single run (a 4 x 250-eval
-#: fan stores well under 1k entries) but a hard ceiling for week-long
-#: supervised sessions sharing one memo across thousands of rows.
+#: fan stores well under 1k entries) but a hard ceiling for a memo
+#: shared across thousands of runs of one problem.
 DEFAULT_CAPACITY = 65536
 
 MemoKey = tuple[tuple[str, "int | str"], ...]
@@ -142,33 +138,29 @@ class EvalMemo:
         self.evictions = 0
         self.store_hits = 0
         self.store_writes = 0
-        #: Identity of this memo instance across the pool boundary.
-        #: Worker memos persist across chains, so their *cumulative*
-        #: counters appear in every chain snapshot; the merge dedupes
-        #: per generation id and adds only the delta (pid-qualified so
-        #: a pool rebuild's fresh workers count as fresh generations).
-        self.generation = f"{os.getpid()}:{next(_GENERATION_COUNTER)}"
-        self._merged_counters: dict[str, dict[str, int]] = {}
         self._store: "EvalStore | None" = None
         self._fingerprint: str | None = None
-        self._pending: OrderedDict[MemoKey, MemoValue] = OrderedDict()
+        #: Entries added since the last flush_store (while a store is
+        #: bound) or take_new (once a pool worker reports).
+        self._pending: dict[MemoKey, MemoValue] = {}
+        self._reporting = False
+        #: Counter values at the last take_new.
+        self._taken = dict.fromkeys(self._COUNTER_FIELDS, 0)
 
-    # ---------------------------------------------------------- store tier
+    # ------------------------------------------------------------- binding
 
-    def bind_store(self, store: "EvalStore", fingerprint: str) -> None:
-        """Attach a persistent store tier behind the LRU.
+    def bind(self, fingerprint: str, store: "EvalStore | None" = None) -> None:
+        """Tie this memo to one problem and that problem's store (or none).
 
-        ``fingerprint`` is the problem's content fingerprint — the
-        store-side namespace this memo reads from and writes to.  A
-        read-only store (chain workers) only serves lookups; new
-        entries are buffered for the supervisor-side flush instead.
+        ``fingerprint`` names the evaluation function and is the store
+        namespace.  Binding to another fingerprint drops every entry;
+        counters keep running.
         """
-        self._store = store
+        if fingerprint != self._fingerprint:
+            self._data.clear()
+            self._pending.clear()
         self._fingerprint = fingerprint
-
-    @property
-    def store_bound(self) -> bool:
-        return self._store is not None
+        self._store = store
 
     @property
     def bound_store(self) -> "EvalStore | None":
@@ -183,7 +175,7 @@ class EvalMemo:
         return len(self._pending)
 
     def _queue_write(self, key: MemoKey, value: MemoValue) -> None:
-        if self._store is not None and not self._store.read_only:
+        if self._store is not None or self._reporting:
             self._pending[key] = value
 
     def flush_store(self) -> int:
@@ -301,40 +293,46 @@ class EvalMemo:
         total = self.lookups
         return (self.hits + self.store_hits) / total if total else 0.0
 
-    #: Counter fields carried in snapshots and deduped on merge.
+    #: Counter fields carried in snapshots and added up on merge.
     _COUNTER_FIELDS = ("hits", "misses", "stores", "evictions", "store_hits")
 
     def export(self) -> dict:
-        """Picklable snapshot (entries + counters) for pool merging."""
+        """Picklable snapshot of the whole memo (entries + counters)."""
         return {
             "quantum": self.quantum,
             "capacity": self.capacity,
-            "generation": self.generation,
             "data": dict(self._data),
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "evictions": self.evictions,
-            "store_hits": self.store_hits,
+            **{name: getattr(self, name) for name in self._COUNTER_FIELDS},
         }
 
+    def take_new(self) -> dict:
+        """What this memo gained since the last call, as a snapshot.
+
+        The entries added since the last call and each counter's growth,
+        in the shape :meth:`merge` reads.  A pool worker calls it as each
+        chain starts and ends, so a snapshot grows with neither the
+        inherited memo nor the worker's earlier chains.
+        """
+        counters = {name: getattr(self, name) for name in self._COUNTER_FIELDS}
+        snapshot = {
+            "quantum": self.quantum,
+            "data": self._pending,
+            **{name: counters[name] - self._taken[name] for name in counters},
+        }
+        self._pending = {}
+        self._taken = counters
+        self._reporting = True
+        return snapshot
+
     def merge(self, snapshot: "EvalMemo | dict") -> None:
-        """Fold a worker's exported snapshot (or another memo) back in.
+        """Fold a snapshot (or another memo) into this memo.
 
         Existing entries win: evaluation is canonical, so both sides
         hold the same value and keeping ours is free.  This memo's own
         ``capacity`` is enforced after the fold, and entries new to
         this memo are queued for the write-behind store flush (the
         store's ``INSERT OR IGNORE`` makes re-queuing an entry the
-        store already holds a no-op).
-
-        Counters are deduped by the source memo's *generation id*:
-        worker memos outlive a single chain, so each chain snapshot
-        carries the worker's cumulative counters, and a pool rebuild
-        can even deliver the same snapshot twice.  Per generation,
-        only the delta beyond the last merged totals is added —
-        merging a snapshot twice adds zero the second time.  Legacy
-        snapshots without a generation (old journals) add plainly.
+        store already holds a no-op).  Counters add.
         """
         if isinstance(snapshot, EvalMemo):
             snapshot = snapshot.export()
@@ -347,27 +345,5 @@ class EvalMemo:
             if key not in self._data:
                 self._store_key(key, value)
                 self._queue_write(key, value)
-        counters = {
-            name: int(snapshot.get(name, 0)) for name in self._COUNTER_FIELDS
-        }
-        generation = snapshot.get("generation")
-        if generation is None:
-            deltas = counters
-        else:
-            last = self._merged_counters.get(generation, {})
-            deltas = {
-                name: value - last.get(name, 0)
-                for name, value in counters.items()
-            }
-            if any(delta < 0 for delta in deltas.values()):
-                # A counter went backwards: the generation id was
-                # reused by a fresh memo (theoretically possible only
-                # with pid recycling mid-run) — safest is to treat the
-                # snapshot as new.
-                deltas = counters
-            self._merged_counters[generation] = counters
-        self.hits += deltas["hits"]
-        self.misses += deltas["misses"]
-        self.stores += deltas["stores"]
-        self.evictions += deltas["evictions"]
-        self.store_hits += deltas["store_hits"]
+        for name in self._COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + int(snapshot.get(name, 0)))

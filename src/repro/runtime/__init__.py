@@ -21,7 +21,9 @@ stack.  Four pieces, each usable on its own:
   graceful interrupt drain (:class:`SupervisorConfig`,
   :class:`SupervisionReport`, :class:`PoolManager`);
 * :class:`RunJournal` — write-ahead run checkpointing powering
-  ``repro synthesize --resume`` (:mod:`repro.runtime.journal`).
+  ``repro synthesize --resume`` (:mod:`repro.runtime.journal`);
+* :mod:`repro.runtime.sqlite` — how the evaluation store and the job
+  queue open their per-process SQLite WAL databases.
 
 See ``docs/ROBUSTNESS.md`` for the model and usage.
 """

@@ -17,8 +17,9 @@ A journaled run owns a *run directory*:
     ``chain-hung``, ``chain-timeout``, ``interrupted``,
     ``chain-resumed``), and ``run-finished``.
 ``memo.json``
-    Periodic snapshot of the shared :class:`~repro.parallel.EvalMemo`
-    (atomically replaced), so a resumed run starts with a warm cache.
+    Snapshot of the run's :class:`~repro.parallel.EvalMemo`, atomically
+    replaced after every finished chain, so a resumed run starts with a
+    warm cache.
 
 Because chain seeds are Weyl-derived from ``(master_seed, index)`` and
 chain results are pure functions of their tasks, a resumed run —
@@ -177,7 +178,6 @@ def outcome_from_jsonable(payload: dict) -> Any:
         diagnostics=[
             _diagnostic_from_jsonable(d) for d in payload["diagnostics"]
         ],
-        memo_snapshot=None,
     )
 
 
@@ -285,21 +285,11 @@ class RunJournal:
 
     def snapshot_memo(self, memo: Any) -> None:
         """Atomically replace the memo snapshot with ``memo``'s state."""
-        snapshot = memo.export()
-        payload = {
-            "quantum": snapshot["quantum"],
-            "capacity": snapshot.get("capacity"),
-            "generation": snapshot.get("generation"),
-            "hits": snapshot["hits"],
-            "misses": snapshot["misses"],
-            "stores": snapshot["stores"],
-            "evictions": snapshot.get("evictions", 0),
-            "store_hits": snapshot.get("store_hits", 0),
-            "entries": [
-                [[list(pair) for pair in key], cost, metrics]
-                for key, (cost, metrics) in snapshot["data"].items()
-            ],
-        }
+        payload = memo.export()
+        payload["entries"] = [
+            [[list(pair) for pair in key], cost, metrics]
+            for key, (cost, metrics) in payload.pop("data").items()
+        ]
         self._atomic_write(self.MEMO, json.dumps(payload))
 
     def load_memo(self) -> Any | None:
@@ -312,24 +302,11 @@ class RunJournal:
         except (FileNotFoundError, json.JSONDecodeError):
             return None
         memo = EvalMemo(payload["quantum"], capacity=payload.get("capacity"))
-        snapshot = {
-            "quantum": payload["quantum"],
-            "capacity": payload.get("capacity"),
-            "generation": payload.get("generation"),
-            "hits": payload["hits"],
-            "misses": payload["misses"],
-            "stores": payload["stores"],
-            "evictions": payload.get("evictions", 0),
-            "store_hits": payload.get("store_hits", 0),
-            "data": {
-                tuple((name, q) for name, q in key): (
-                    cost,
-                    dict(metrics) if metrics is not None else None,
-                )
-                for key, cost, metrics in payload["entries"]
-            },
+        payload["data"] = {
+            tuple((name, q) for name, q in key): (cost, metrics)
+            for key, cost, metrics in payload.pop("entries")
         }
-        memo.merge(snapshot)
+        memo.merge(payload)
         return memo
 
     # -------------------------------------------------------------- helpers

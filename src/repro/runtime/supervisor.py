@@ -70,8 +70,6 @@ class SupervisorConfig:
     #: Install SIGINT/SIGTERM handlers for graceful drain (main thread
     #: only; elsewhere the flag simply never trips).
     install_signal_handlers: bool = True
-    #: Journal the shared memo every N completed chains (0 disables).
-    memo_snapshot_every: int = 1
     #: Test hook: behave as if SIGINT arrived once this many chains
     #: have completed — a deterministic interrupt for resume tests.
     interrupt_after: int | None = None

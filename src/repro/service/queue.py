@@ -3,9 +3,9 @@
 The queue is the service's source of truth: every job survives a
 ``kill -9`` of the server because enqueue, lease, progress, and
 completion are all single WAL transactions on ``jobs.sqlite`` in the
-service data directory.  The connection handling mirrors
-:class:`repro.store.EvalStore` (lazy open, re-open after ``fork``,
-WAL + busy timeout) with two deliberate differences:
+service data directory.  The connection is opened like
+:class:`repro.store.EvalStore`'s (lazily, re-opened after ``fork``,
+by :func:`repro.runtime.sqlite.open_wal`), with two differences:
 
 * **Failures raise, they do not degrade.**  The evaluation store is a
   cache, so a broken file costs speed; the queue is authoritative, so
@@ -51,6 +51,7 @@ from typing import Any, Callable
 
 from ..errors import ApeError
 from ..runtime import faults
+from ..runtime.sqlite import leave_inherited, open_wal
 from .jobs import JobRequest, job_id_for
 
 __all__ = [
@@ -233,48 +234,26 @@ class JobQueue:
         pid = os.getpid()
         if self._conn is not None and self._pid == pid:
             return self._conn
-        # Post-fork (or first use): open fresh; an inherited parent
-        # connection is intentionally leaked unused — closing it from
-        # the child would corrupt the parent's handle.
+        # Post-fork (or first use): open fresh, leaving the parent's
+        # connection unused and open.
+        leave_inherited(self._conn)
         self._conn = None
         self._pid = pid
         try:
-            self.data_dir.mkdir(parents=True, exist_ok=True)
-            conn = sqlite3.connect(
+            conn = open_wal(
                 self.path,
-                timeout=self.busy_timeout_s,
+                _CREATE_SQL,
+                QUEUE_SCHEMA_VERSION,
+                busy_timeout_s=self.busy_timeout_s,
                 check_same_thread=False,
                 isolation_level=None,
             )
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(
-                f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}"
-            )
-            for statement in _CREATE_SQL:
-                conn.execute(statement)
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(QUEUE_SCHEMA_VERSION)),
-                )
-            elif row[0] != str(QUEUE_SCHEMA_VERSION):
-                conn.close()
-                raise QueueError(
-                    f"job queue schema version {row[0]!r} != supported "
-                    f"{QUEUE_SCHEMA_VERSION!r}",
-                    context={"path": str(self.path)},
-                )
         except (sqlite3.Error, OSError) as exc:
-            self._conn = None
             raise QueueError(
                 f"cannot open job queue: {exc}",
                 context={"path": str(self.path)},
             ) from exc
+        conn.row_factory = sqlite3.Row
         self._conn = conn
         return conn
 

@@ -7,23 +7,25 @@ candidate evaluation — a DC solve plus an AWE fit — is keyed by
 ``(problem fingerprint) x (quantized parameter key)``
 
 and written to a single SQLite database shared across runs, across
-pool workers, and (combined with the service layer, ROADMAP item 1)
-across users.  The fingerprint is a SHA-256 over everything that
-defines the evaluation function (technology, spec, topology, synthesis
-configuration, memo quantum — see ``engine.synthesize_opamp``), so
-two problems can never cross-hit; the parameter key is the same
-log-quantized :func:`~repro.parallel.memo.memo_key` the memo uses, so
-the two tiers address the same content.
+pool workers, and (through the service layer) across users.  The
+fingerprint is a SHA-256 over everything that defines the evaluation
+function (technology, spec, topology, synthesis configuration, memo
+quantum — see ``engine.synthesize_opamp``), so two problems can never
+cross-hit; the memo is bound to the same fingerprint and keys with the
+same :func:`~repro.parallel.memo.memo_key`, so the tiers share one key
+space.
 
 Concurrency and durability model:
 
 * The database runs in WAL mode with a busy timeout, so concurrent
   runs (and the benchmark's multi-process writer test) interleave
   safely: readers never block the writer and vice versa.
-* Within one run, chain workers open the store *read-only* (their new
-  results travel home through the existing memo-snapshot channel and
-  are flushed by the supervisor), so results remain worker-count
-  independent and chain workers stay pure.
+* Within one run, only the parent writes: pool workers read the store
+  through their fork-inherited copy of the run's memo (the handle
+  re-opens its connection in each process), and their new results
+  travel home with each chain's outcome for the parent to flush, so
+  results remain worker-count independent and chain workers stay
+  pure.
 * Writes are ``INSERT OR IGNORE`` on the ``(fingerprint, key)``
   primary key: rows are immutable once written — evaluation is
   canonical (history-independent), so both sides of any race hold the
@@ -52,6 +54,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
 
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog, global_log
+from ..runtime.sqlite import leave_inherited, open_wal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..parallel.memo import MemoKey, MemoValue
@@ -102,24 +105,21 @@ def _decode_key(text: str) -> "MemoKey":
 class EvalStore:
     """Shared on-disk evaluation cache keyed by fingerprint x memo key.
 
-    ``read_only`` marks the handle as a reader (chain workers): writes
-    raise instead of silently racing the supervisor.  Connections are
-    opened lazily and re-opened after a ``fork`` — a SQLite connection
-    must never be shared across processes, and the pool's fork-start
-    workers inherit the parent's module state.
+    Connections are opened lazily and re-opened after a ``fork`` — a
+    SQLite connection must never be shared across processes, and the
+    pool's fork-start workers inherit the parent's handle along with
+    the run's memo.
     """
 
     def __init__(
         self,
         store_dir: str | os.PathLike[str],
         *,
-        read_only: bool = False,
         diagnostics: DiagnosticLog | None = None,
         busy_timeout_s: float = 5.0,
     ) -> None:
         self.store_dir = Path(store_dir)
         self.path = self.store_dir / STORE_FILENAME
-        self.read_only = read_only
         self.busy_timeout_s = busy_timeout_s
         self._diagnostics = diagnostics
         self._conn: sqlite3.Connection | None = None
@@ -171,16 +171,21 @@ class EvalStore:
         pid = os.getpid()
         if self._conn is not None and self._pid == pid:
             return self._conn
-        # Post-fork (or first use): open a fresh connection.  The
-        # inherited parent connection is intentionally leaked unused —
-        # closing it from the child would corrupt the parent's handle.
+        # Post-fork (or first use): open a fresh connection, leaving the
+        # parent's unused and open.
+        leave_inherited(self._conn)
         self._conn = None
         self._pid = pid
         deadline = time.monotonic() + self.busy_timeout_s  # deterministic-ok: lock-retry deadline, not result-affecting
         delay = 0.005
         while True:
             try:
-                self._conn = self._open()
+                self._conn = open_wal(
+                    self.path,
+                    _CREATE_SQL,
+                    STORE_SCHEMA_VERSION,
+                    busy_timeout_s=self.busy_timeout_s,
+                )
                 return self._conn
             except (sqlite3.Error, OSError) as exc:
                 left = deadline - time.monotonic()  # deterministic-ok: lock-retry deadline, not result-affecting
@@ -192,34 +197,6 @@ class EvalStore:
                     return None
                 time.sleep(min(delay, left))
                 delay = min(2.0 * delay, 0.1)
-
-    def _open(self) -> sqlite3.Connection:
-        self.store_dir.mkdir(parents=True, exist_ok=True)
-        conn = sqlite3.connect(self.path, timeout=self.busy_timeout_s)
-        try:
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            conn.execute(f"PRAGMA busy_timeout={int(self.busy_timeout_s * 1000)}")
-            for statement in _CREATE_SQL:
-                conn.execute(statement)
-            row = conn.execute(
-                "SELECT value FROM meta WHERE key='schema_version'"
-            ).fetchone()
-            if row is None:
-                conn.execute(
-                    "INSERT OR IGNORE INTO meta (key, value) VALUES (?, ?)",
-                    ("schema_version", str(STORE_SCHEMA_VERSION)),
-                )
-            elif row[0] != str(STORE_SCHEMA_VERSION):
-                raise sqlite3.DatabaseError(
-                    f"store schema version {row[0]!r} != "
-                    f"supported {STORE_SCHEMA_VERSION!r}"
-                )
-            conn.commit()
-        except BaseException:
-            conn.close()
-            raise
-        return conn
 
     def close(self) -> None:
         if self._conn is not None and self._pid == os.getpid():
@@ -324,11 +301,6 @@ class EvalStore:
         idempotent: rows are immutable, so whoever wrote first wrote
         the same value.
         """
-        if self.read_only:
-            raise RuntimeError(
-                "EvalStore opened read-only (chain worker); writes must "
-                "flow through the supervisor's memo snapshot merge"
-            )
         conn = self._connect()
         if conn is None:
             return 0

@@ -206,9 +206,11 @@ def synthesize_opamp(
     process reuses a problem it has built for every later run of the
     same problem.
     ``memo`` controls the evaluation cache: ``None`` enables a private
-    cache for multi-restart runs only, ``True``/``False`` force it, and
-    an :class:`~repro.parallel.EvalMemo` instance is used directly (and
-    so can be shared across runs, e.g. the rows of a table).
+    cache for multi-restart, journaled and store-backed runs only,
+    ``True``/``False`` force it, and an
+    :class:`~repro.parallel.EvalMemo` instance is used directly, bound
+    to this problem: it can be shared across runs of one problem (pool
+    workers inherit it), and a run of another problem empties it.
     ``budget`` limits apply to each chain, which gets a share with the
     caller's limits and deadline instant (every chain stops at the same
     moment, wherever it runs); the chains' consumption is added back
@@ -363,41 +365,41 @@ def synthesize_opamp(
     config = supervisor if supervisor is not None else SupervisorConfig()
 
     store = None
-    store_fingerprint = None
     store_generation = 0
-    if store_dir is not None and memo is not None:
-        from ..store import EvalStore
+    if memo is not None:
+        if store_dir is not None:
+            from ..store import EvalStore
 
-        store = EvalStore(store_dir, diagnostics=log)
-        # Everything the evaluation function depends on is part of the
-        # store namespace — conservative on purpose: a fingerprint that
-        # is too fine costs warm hits, one that is too coarse would
-        # serve a wrong result.
-        store_fingerprint = _run_fingerprint(
-            kind=f"eval-store/{EVALUATOR_VERSION}",
-            tech=repr(tech),
-            spec=repr(spec),
-            topology=repr(topology),
-            mode=mode,
-            synthesis_spec=repr(synthesis_spec),
-            name=name,
-            range_factor=range_factor,
-            tolerant=tolerant,
-            lint=lint,
-            robust=repr(robust) if robust is not None else None,
-            box=repr(_box_key(box_override)),
-            quantum=memo.quantum,
+            store = EvalStore(store_dir, diagnostics=log)
+            # First contact opens the database; a corrupt/locked store
+            # degrades the whole run to memory-only here, before any
+            # pool worker inherits it.
+            store_generation = store.generation()
+            if store.disabled:
+                store = None
+                store_generation = 0
+        # One key space for both tiers: everything the evaluation
+        # function depends on is part of the fingerprint — conservative
+        # on purpose: a fingerprint that is too fine costs warm hits,
+        # one that is too coarse would serve a wrong result.
+        memo.bind(
+            _run_fingerprint(
+                kind=f"eval-store/{EVALUATOR_VERSION}",
+                tech=repr(tech),
+                spec=repr(spec),
+                topology=repr(topology),
+                mode=mode,
+                synthesis_spec=repr(synthesis_spec),
+                name=name,
+                range_factor=range_factor,
+                tolerant=tolerant,
+                lint=lint,
+                robust=repr(robust) if robust is not None else None,
+                box=repr(_box_key(box_override)),
+                quantum=memo.quantum,
+            ),
+            store,
         )
-        # First contact opens the database; a corrupt/locked store
-        # degrades the whole run to memory-only here, before any task
-        # ships the store path to a worker.
-        store_generation = store.generation()
-        if store.disabled:
-            store = None
-            store_fingerprint = None
-            store_generation = 0
-        else:
-            memo.bind_store(store, store_fingerprint)
 
     journal = None
     journaled_outcomes: dict[int, object] = {}
@@ -503,8 +505,6 @@ def synthesize_opamp(
         memo_quantum=memo.quantum if memo is not None else None,
         robust=robust,
         box_override=_box_key(box_override),
-        store_dir=str(store_dir) if store is not None else None,
-        store_fingerprint=store_fingerprint,
         store_generation=store_generation,
         surrogate=surrogate,
     )

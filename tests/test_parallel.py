@@ -10,6 +10,9 @@ Locks in the determinism contract of :mod:`repro.parallel`:
 * the process-wide problem cache is safe: threads never share a
   problem, a strict run never reuses a tolerant template, a repeated
   run matches the first, and in-process runs pickle nothing;
+* a memo shared across runs of one problem serves the repeat at any
+  worker count, pooled chains send back only what they added, and a
+  memo reused for another problem changes nothing;
 * everything that crosses the process-pool boundary pickle round-trips
   cleanly.
 """
@@ -78,6 +81,12 @@ SERIAL_CASES = {
         RobustSpec(corners=("tt", "ss", "ff"), mode="worst"),
     ),
 }
+
+
+#: Table 1's oa4: oa3's topology with another spec.  Standalone boxes
+#: do not depend on the spec, so at one seed both rows propose the same
+#: first candidates.
+OA4_SPEC = OpAmpSpec(gain=150, ugf=3.0e6, area=1000e-12, ibias=100e-6, cl=10e-12)
 
 
 def _chain_summary(result):
@@ -198,6 +207,35 @@ class TestEvalMemo:
             cached({"a": 1.0})
             cached({"a": 1.0})
         assert len(calls) == 2
+
+    def test_take_new_holds_only_what_was_added_since_the_last_take(self):
+        memo = EvalMemo()
+        memo.store({"old": 1.0}, 0.1, None)
+        memo.take_new()
+        memo.lookup({"old": 1.0})
+        memo.lookup({"new": 1.0})
+        memo.store({"new": 1.0}, 0.2, None)
+        snapshot = memo.take_new()
+        assert list(snapshot["data"]) == [memo_key({"new": 1.0})]
+        assert (snapshot["hits"], snapshot["misses"], snapshot["stores"]) == (
+            1, 1, 1,
+        )
+        parent = EvalMemo()
+        parent.merge(snapshot)
+        assert len(parent) == 1 and parent.hits == 1
+        empty = memo.take_new()
+        assert empty["data"] == {} and empty["hits"] == 0
+
+    def test_bind_to_another_problem_drops_entries(self):
+        memo = EvalMemo()
+        memo.bind("fp-a")
+        memo.store({"a": 1.0}, 0.1, None)
+        memo.bind("fp-a")
+        assert memo.lookup({"a": 1.0}) == (0.1, None)
+        memo.bind("fp-b")
+        assert len(memo) == 0
+        assert memo.lookup({"a": 1.0}) is None
+        assert memo.bound_fingerprint == "fp-b"
 
     def test_export_merge_roundtrip(self):
         memo = EvalMemo()
@@ -471,6 +509,63 @@ class TestResultSurface:
         assert again.cache_misses == 0
         assert again.best_cost == first.best_cost
         assert again.params == first.params
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_shared_memo_serves_a_repeat_at_any_worker_count(self, workers):
+        memo = EvalMemo()
+        kwargs = dict(
+            mode="ape", max_evaluations=30, seed=8, name="oa", restarts=4,
+            workers=workers, oversubscribe=True, memo=memo,
+        )
+        first = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        again = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        assert again.workers == workers
+        assert again.cache_hits == again.evaluations
+        assert again.cache_misses == 0
+        assert again.best_cost == first.best_cost
+        assert again.params == first.params
+
+    @pytest.mark.timeout(300)
+    def test_pooled_snapshots_hold_only_their_chains_entries(
+        self, monkeypatch
+    ):
+        memo = EvalMemo()
+        kwargs = dict(
+            mode="ape", max_evaluations=30, name="oa", restarts=4,
+            workers=2, oversubscribe=True, memo=memo,
+        )
+        synthesize_opamp(TECH, SPEC, TOPO, seed=8, **kwargs)  # binds memo
+        for i in range(5000):
+            memo.store({"unrelated": float(i + 1)}, 0.0, None)
+        sizes = []
+        merge = EvalMemo.merge
+
+        def recording_merge(self, snapshot):
+            sizes.append(len(snapshot["data"]))
+            merge(self, snapshot)
+
+        monkeypatch.setattr(EvalMemo, "merge", recording_merge)
+        synthesize_opamp(TECH, SPEC, TOPO, seed=9, **kwargs)
+        assert len(sizes) == 4
+        assert max(sizes) <= 30
+
+    def test_memo_reused_for_another_problem_changes_nothing(self):
+        oa3_spec, mirror, _ = SERIAL_CASES["oa3"]
+        kwargs = dict(
+            mode="standalone", max_evaluations=60, seed=11, workers=1
+        )
+        alone = synthesize_opamp(TECH, OA4_SPEC, mirror, name="oa4", **kwargs)
+        memo = EvalMemo()
+        synthesize_opamp(TECH, oa3_spec, mirror, name="oa3", memo=memo, **kwargs)
+        after = synthesize_opamp(
+            TECH, OA4_SPEC, mirror, name="oa4", memo=memo, **kwargs
+        )
+        assert after.cache_hits == 0
+        assert after.best_cost == alone.best_cost
+        assert after.params == alone.params
+        assert after.metrics == alone.metrics
+        assert _chain_summary(after) == _chain_summary(alone)
 
     def test_session_stats_accumulate(self):
         from repro.runtime import global_stats

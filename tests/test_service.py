@@ -23,6 +23,7 @@ import json
 import math
 import os
 import signal
+import sqlite3
 import subprocess
 import sys
 import threading
@@ -45,6 +46,7 @@ from repro.service import (
     SynthesisService,
     admit,
 )
+from repro.service.queue import QUEUE_SCHEMA_VERSION
 from repro.service.worker import CRASH_EXIT_CODE, JobWorker
 from repro.technology import generic_05um
 
@@ -247,6 +249,20 @@ class TestJobQueue:
         record = fresh.get_by_fingerprint(request.fingerprint(TECH))
         assert record is not None and record.state == "queued"
         assert JobRequest.from_payload(record.payload) == request
+
+    def test_other_schema_version_raises_naming_both(self, tmp_path):
+        queue = make_queue(tmp_path)
+        request = make_request()
+        queue.submit(request, request.fingerprint(TECH))
+        queue.close()
+        conn = sqlite3.connect(queue.path)
+        conn.execute("UPDATE meta SET value='7' WHERE key='schema_version'")
+        conn.commit()
+        conn.close()
+        with pytest.raises(QueueError) as raised:
+            make_queue(tmp_path).depth()
+        assert "'7'" in str(raised.value)
+        assert f"supported {QUEUE_SCHEMA_VERSION}" in str(raised.value)
 
     def test_expired_lease_is_reclaimed_fresh_one_is_not(self, tmp_path):
         clock = FakeClock()

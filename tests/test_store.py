@@ -10,11 +10,12 @@ Locks in the contracts of :mod:`repro.store`:
   chain-local observations) — worker-count independent, bit-exact on
   ``--resume``, and bit-identical to ``surrogate="off"`` until the
   model activates;
-* counter merging across the pool boundary dedupes by memo generation
-  (the double-count regression behind pool rebuilds).
+* only the run's parent process writes the store, and a memo reused
+  for another problem never writes into the earlier problem's store.
 """
 
 import json
+import math
 import multiprocessing
 import shutil
 import sqlite3
@@ -118,13 +119,6 @@ class TestEvalStore:
         bounded = store.corpus(FP, up_to_generation=watermark)
         assert bounded == full[:3]
 
-    def test_read_only_rejects_writes(self, tmp_path):
-        EvalStore(tmp_path).put_many(FP, _entries(1))
-        reader = EvalStore(tmp_path, read_only=True)
-        assert reader.get(FP, _entries(1)[0][0]) is not None
-        with pytest.raises(RuntimeError):
-            reader.put_many(FP, _entries(1, offset=5))
-
     def test_corrupt_file_degrades_with_diagnostic(self, tmp_path):
         (tmp_path / STORE_FILENAME).write_bytes(b"this is not sqlite\n" * 64)
         log = DiagnosticLog(mirror=False)
@@ -225,7 +219,7 @@ class TestTwoTierMemo:
         params = {"w": 2e-6}
         store.put_many(FP, [(memo_key(params), (0.3, {"gain": 5.0}))])
         memo = EvalMemo()
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         assert memo.lookup(params) == (0.3, {"gain": 5.0})
         assert (memo.hits, memo.store_hits, memo.misses) == (0, 1, 0)
         assert memo.lookups == 1
@@ -239,7 +233,7 @@ class TestTwoTierMemo:
     def test_store_tier_backstops_lru_eviction(self, tmp_path):
         store = EvalStore(tmp_path)
         memo = EvalMemo(capacity=2)
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         for i in range(4):
             memo.store({"w": float(i + 1)}, 0.1 * i, None)
         assert memo.flush_store() == 4
@@ -251,7 +245,7 @@ class TestTwoTierMemo:
     def test_flush_drains_and_is_idempotent(self, tmp_path):
         store = EvalStore(tmp_path)
         memo = EvalMemo()
-        memo.bind_store(store, FP)
+        memo.bind(FP, store)
         memo.store({"w": 1.0}, 0.5, {"gain": 1.0})
         assert memo.pending_writes == 1
         assert memo.flush_store() == 1
@@ -259,18 +253,21 @@ class TestTwoTierMemo:
         assert memo.flush_store() == 0
         assert memo.store_writes == 1
 
-    def test_readonly_binding_never_queues(self, tmp_path):
-        EvalStore(tmp_path).put_many(FP, _entries(1))
+    def test_binding_without_a_store_detaches_it(self, tmp_path):
+        store = EvalStore(tmp_path)
         memo = EvalMemo()
-        memo.bind_store(EvalStore(tmp_path, read_only=True), FP)
+        memo.bind(FP, store)
+        memo.bind(FP)
+        assert memo.bound_store is None
         memo.store({"w": 99.0}, 1.0, None)
         assert memo.pending_writes == 0
         assert memo.flush_store() == 0
+        assert store.count() == 0
 
     def test_merge_queues_new_entries_for_flush(self, tmp_path):
         store = EvalStore(tmp_path)
         parent = EvalMemo()
-        parent.bind_store(store, FP)
+        parent.bind(FP, store)
         worker = EvalMemo()
         worker.store({"w": 1.0}, 0.1, None)
         worker.store({"w": 2.0}, 0.2, None)
@@ -289,37 +286,11 @@ class TestTwoTierMemo:
         assert memo.flush_store() == 0
 
 
-# ----------------------------------------------- counter-merge dedup (gen)
+# ------------------------------------------------------------ counter merge
 
 
 class TestMergeGenerationDedup:
-    def test_same_snapshot_merged_twice_counts_once(self):
-        """Regression: a pool rebuild re-delivers a worker snapshot."""
-        worker = EvalMemo()
-        worker.store({"a": 1.0}, 0.1, None)
-        worker.lookup({"a": 1.0})
-        worker.lookup({"b": 1.0})
-        snapshot = worker.export()
-        parent = EvalMemo()
-        parent.merge(snapshot)
-        parent.merge(snapshot)  # the rebuild's duplicate delivery
-        assert parent.hits == worker.hits
-        assert parent.misses == worker.misses
-        assert parent.stores == worker.stores
-
-    def test_cumulative_snapshots_add_only_the_delta(self):
-        """Worker memos outlive chains: each chain snapshot carries the
-        worker's cumulative totals, not per-chain counts."""
-        worker = EvalMemo()
-        worker.store({"a": 1.0}, 0.1, None)
-        worker.lookup({"a": 1.0})
-        parent = EvalMemo()
-        parent.merge(worker.export())  # after chain 1
-        worker.lookup({"a": 1.0})
-        worker.lookup({"c": 1.0})
-        parent.merge(worker.export())  # after chain 2
-        assert parent.hits == worker.hits == 2
-        assert parent.misses == worker.misses == 1
+    """Merged counters add up: each snapshot is one chain's growth."""
 
     def test_distinct_memos_both_count(self):
         a, b = EvalMemo(), EvalMemo()
@@ -331,17 +302,6 @@ class TestMergeGenerationDedup:
         parent.merge(b.export())
         assert parent.hits == 2
         assert parent.stores == 2
-
-    def test_legacy_snapshot_without_generation_adds_plainly(self):
-        worker = EvalMemo()
-        worker.store({"a": 1.0}, 0.1, None)
-        worker.lookup({"a": 1.0})
-        snapshot = worker.export()
-        del snapshot["generation"]  # pre-generation journal payload
-        parent = EvalMemo()
-        parent.merge(snapshot)
-        parent.merge(snapshot)
-        assert parent.hits == 2  # no dedup possible — documents the gap
 
 
 # ---------------------------------------------------------------- surrogate
@@ -467,6 +427,47 @@ class TestStoreBackedSynthesis:
                                **kwargs)
         assert new.store_hits == 0
         assert new.store_writes > 0
+
+    @pytest.mark.timeout(300)
+    def test_only_the_parent_writes(self, tmp_path):
+        kwargs = dict(
+            seed=3, restarts=4, workers=2, oversubscribe=True, **RUN_KW
+        )
+        store_dir = str(tmp_path / "store")
+        cold = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
+                                **kwargs)
+        assert cold.workers == 2
+        assert cold.store_writes > 0
+        assert EvalStore(store_dir).count() == cold.store_writes
+        warm = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
+                                **kwargs)
+        assert warm.store_writes == 0
+        assert EvalStore(store_dir).count() == cold.store_writes
+
+    def test_memo_reused_without_a_store_leaves_the_store_alone(
+        self, tmp_path
+    ):
+        oa3 = OpAmpSpec(gain=250, ugf=8.0e6, area=1000e-12, ibias=1e-6,
+                        cl=10e-12)
+        oa4 = OpAmpSpec(gain=150, ugf=3.0e6, area=1000e-12, ibias=100e-6,
+                        cl=10e-12)
+        mirror = OpAmpTopology(
+            current_source="mirror", output_buffer=False, z_load=math.inf
+        )
+        kwargs = dict(mode="standalone", max_evaluations=60, workers=1)
+        store_dir = str(tmp_path / "store")
+        memo = EvalMemo()
+        synthesize_opamp(TECH, oa3, mirror, name="oa3", seed=11, memo=memo,
+                         store_dir=store_dir, **kwargs)
+        synthesize_opamp(TECH, oa4, mirror, name="oa4", seed=5, memo=memo,
+                         **kwargs)
+        stored = synthesize_opamp(TECH, oa3, mirror, name="oa3", seed=5,
+                                  store_dir=store_dir, **kwargs)
+        plain = synthesize_opamp(TECH, oa3, mirror, name="oa3", seed=5,
+                                 **kwargs)
+        assert stored.best_cost == plain.best_cost
+        assert stored.params == plain.params
+        assert _chain_summary(stored) == _chain_summary(plain)
 
     def test_store_off_matches_plain_run(self, tmp_path):
         kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)

@@ -5,7 +5,7 @@ parallel multi-chain executor (:func:`run_parallel_benchmark`),
 corner-robust synthesis (:func:`run_robust_benchmark`), the
 sparse linear-solve backend (:func:`run_sparse_benchmark`), the
 static feasibility gate (:func:`run_analysis_benchmark`) and the
-persistent evaluation store with surrogate screening
+persistent evaluation store with APE-screened annealing
 (:func:`run_store_benchmark`) — all return a
 :class:`~repro.benchmark.report.BenchReport`, the single validated
 schema behind every committed ``BENCH_*.json``.

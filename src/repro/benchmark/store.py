@@ -1,7 +1,7 @@
-"""Persistent-store benchmark: warm re-runs and surrogate screening.
+"""Persistent-store benchmark: warm re-runs and APE-screened moves.
 
-Two A/B legs justify the cross-run evaluation store and the ridge
-surrogate that ranks annealer move batches:
+Two A/B legs justify the cross-run evaluation store and the move
+screen that ranks annealer proposals by the APE equations:
 
 * **Warm re-run speed** — the Table-3 OpAmp1 workload is synthesized
   twice into one ``store_dir``.  The cold run pays every Newton solve
@@ -10,14 +10,15 @@ surrogate that ranks annealer move batches:
   The measure is the cold/warm wall-time ratio, and the two runs must
   agree on the best cost bit-for-bit (cache hits may only change
   speed, never results).
-* **Surrogate evaluations-to-target** — a seed-0 run first fills the
-  store with a training corpus.  Then, for each benchmark seed, the
-  same problem is run twice from that store: ``surrogate="off"`` and
-  ``surrogate="rank"``, which pre-ranks every move batch with a ridge
-  model and spends a full evaluation only on the best-ranked
-  candidate.  The measure is evaluations-to-target: how many *full*
-  evaluations each leg needs before its running best cost reaches the
-  worse of the two final costs, summed over seeds.
+* **Screened evaluations-to-target** — for each benchmark seed the
+  same problem is run twice into one store: ``surrogate="off"`` and
+  ``surrogate="rank"``, which draws four proposals per move, ranks
+  them by the cost of their APE closed-form estimates and spends a
+  full evaluation only on the best-ranked one.  The measure is
+  evaluations-to-target: how many *full* evaluations each leg needs
+  before its running best cost reaches the worse of the two final
+  costs, summed over seeds.  Evaluations are counted, not timed, so
+  the measure is deterministic.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import os
 import tempfile
 import time
 
+from .analysis import _evals_to_target
 from .report import BenchMeasure, BenchReport, BenchTarget
 
 __all__ = [
@@ -37,7 +39,7 @@ __all__ = [
 ]
 
 #: A warm store-backed re-run must be at least 3x faster than the cold
-#: run that filled the store; surrogate ranking must reach the common
+#: run that filled the store; APE-screened moves must reach the common
 #: cost target in at least 1.3x fewer full evaluations than the
 #: unscreened annealer, aggregated over the benchmark seeds.
 STORE_TARGETS = {
@@ -46,22 +48,12 @@ STORE_TARGETS = {
 }
 
 #: Quick (CI smoke) floors: tiny budgets leave the warm run dominated
-#: by fixed per-run costs and give the surrogate little corpus, so the
+#: by fixed per-run costs and the screen few moves to rank, so the
 #: quick targets only assert "no slower / no more evaluations".
 STORE_TARGETS_QUICK = {
     "warm_synth": 1.0,
     "surrogate_evals": 1.0,
 }
-
-
-def _evals_to_target(history: list[float], target: float) -> int:
-    """Evaluations until the running best cost first reaches ``target``."""
-    best = math.inf
-    for index, cost in enumerate(history):
-        best = min(best, cost)
-        if best <= target:
-            return index + 1
-    return len(history)
 
 
 def _full_history(result) -> list[float]:
@@ -81,7 +73,7 @@ def run_store_benchmark(
     max_evaluations: int | None = None,
     warm_repeats: int = 3,
 ) -> BenchReport:
-    """A/B the persistent store and the surrogate screen vs baselines."""
+    """A/B the persistent store and the APE move screen vs baselines."""
     from ..opamp import OpAmpSpec, OpAmpTopology
     from ..runtime.diagnostics import DiagnosticLog
     from ..synthesis import synthesize_opamp
@@ -137,13 +129,8 @@ def run_store_benchmark(
                 f"{warm.best_cost!r} != {cold.best_cost!r}"
             )
 
-        # ---- leg 2: surrogate off vs rank from one warmed corpus ----
+        # ---- leg 2: unscreened vs APE-screened moves ---------------
         surr_dir = os.path.join(scratch, "surrogate")
-        # A distinct corpus seed keeps the training rows disjoint from
-        # the measured trajectories.
-        leg(store_dir=surr_dir, seed=seed + 100)
-        corpus_rows = 0
-
         seeds = tuple(range(seed, seed + 3))
         off_evals = 0
         rank_evals = 0
@@ -151,7 +138,6 @@ def run_store_benchmark(
         off_seconds = 0.0
         rank_seconds = 0.0
         skips = 0
-        refits = 0
         for leg_seed in seeds:
             start = time.perf_counter()
             off = leg(store_dir=surr_dir, seed=leg_seed, surrogate="off")
@@ -165,8 +151,6 @@ def run_store_benchmark(
             off_evals += seed_off
             rank_evals += seed_rank
             skips += rank.surrogate_skips
-            refits += rank.surrogate_refits
-            corpus_rows = max(corpus_rows, rank.store_hits)
             per_seed.append({
                 "seed": leg_seed,
                 "target_cost": target_cost,
@@ -175,7 +159,6 @@ def run_store_benchmark(
                 "off_best_cost": off.best_cost,
                 "rank_best_cost": rank.best_cost,
                 "surrogate_skips": rank.surrogate_skips,
-                "surrogate_refits": rank.surrogate_refits,
             })
 
     measures = {
@@ -214,7 +197,6 @@ def run_store_benchmark(
                 "off_seconds": off_seconds,
                 "rank_seconds": rank_seconds,
                 "surrogate_skips": skips,
-                "surrogate_refits": refits,
             },
         ),
     }
@@ -225,8 +207,7 @@ def run_store_benchmark(
         quick=quick,
         baseline=(
             "cold store-backed run (leg 1) and surrogate='off' legs "
-            "from the same warmed store (leg 2); same seeds, budget, "
-            "topology and box throughout"
+            "(leg 2); same seeds, budget, topology and box throughout"
         ),
         measures=measures,
         targets=tuple(
@@ -268,8 +249,7 @@ def render_store_report(report: BenchReport) -> str:
         f"{'ok' if met['warm_synth'] else 'MISSED'})",
         f"surrogate rank: {surr.detail['rank_evals_to_target']} evals "
         f"to target vs {surr.detail['off_evals_to_target']} off "
-        f"({surr.detail['surrogate_skips']} proposals skipped, "
-        f"{surr.detail['surrogate_refits']} refits)",
+        f"({surr.detail['surrogate_skips']} proposals skipped)",
         f"  ratio {surr.ratio:.2f}x  (target "
         f"{targets['surrogate_evals'].value:.1f}x: "
         f"{'ok' if met['surrogate_evals'] else 'MISSED'})",

@@ -203,10 +203,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "reuse them across runs that share the same "
                         "problem fingerprint")
     p.add_argument("--surrogate", default=None, choices=["off", "rank"],
-                   help="surrogate-guided annealing: rank each move "
-                        "batch with a ridge model fitted to past "
-                        "evaluations and only evaluate the best-ranked "
-                        "candidate (default: off)")
+                   help="screened annealing: draw four proposals per "
+                        "move, rank them by the cost of their APE "
+                        "closed-form estimates and evaluate only the "
+                        "best-ranked one (default: off)")
 
     p = sub.add_parser(
         "analyze",
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "corner-aware vs nominal-only synthesis; sparse: "
                         "sparse vs dense solves; analysis: static "
                         "feasibility gate vs budgeted synthesis; store: "
-                        "warm persistent-store runs and surrogate-ranked "
+                        "warm persistent-store runs and APE-screened "
                         "annealing vs cold/off baselines "
                         "(default: engine)")
     p.add_argument("--quick", action="store_true",
@@ -599,8 +599,7 @@ def _cmd_synthesize(args, tech) -> int:
               f"{result.store_writes} new rows)")
     if result.surrogate != "off":
         print(f"surrogate:   {result.surrogate} "
-              f"({result.surrogate_skips} proposals skipped, "
-              f"{result.surrogate_refits} refits)")
+              f"({result.surrogate_skips} proposals skipped)")
     _render_diagnostics(log)
     return 0 if result.meets_spec else 1
 

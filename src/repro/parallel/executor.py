@@ -74,7 +74,7 @@ from ..runtime.supervisor import (
 )
 from ..synthesis.annealing import Annealer, AnnealingSchedule, AnnealResult
 from ..synthesis.cost import CostFunction, FAILURE_COST
-from .memo import DEFAULT_QUANTUM, EvalMemo
+from .memo import EvalMemo
 
 __all__ = [
     "ChainTask",
@@ -160,9 +160,6 @@ class ChainTask:
     #: worker's fault state alone).
     fault_specs: tuple[faults.FaultSpec, ...] | None = None
     fault_seed: int = 0
-    #: Quantum of the run's evaluation memo (``None``: the run has no
-    #: memo); the surrogate screen keys its samples with it.
-    memo_quantum: float | None = DEFAULT_QUANTUM
     #: Optional :class:`~repro.synthesis.robust.RobustSpec` — when set,
     #: every candidate is evaluated across its corners/Monte Carlo
     #: samples and the chain anneals on the aggregated robust cost.
@@ -172,13 +169,9 @@ class ChainTask:
     #: ranges).  Part of the problem identity: chains with different
     #: boxes anneal different problems.
     box_override: tuple | None = None
-    #: Store watermark (max row id) at run start: the surrogate trains
-    #: only on rows at or below it, so the training corpus — and hence
-    #: the trajectory — is identical across workers and on resume.
-    store_generation: int = 0
-    #: Surrogate screening mode: ``"off"`` (classic loop, bit-identical
-    #: to a store-less run) or ``"rank"`` (batch proposals, evaluate
-    #: only the predicted best).
+    #: Move screening mode: ``"off"`` (one proposal per move) or
+    #: ``"rank"`` (each move evaluates the best of a proposal batch by
+    #: the APE equations' estimated cost).
     surrogate: str = "off"
 
     def problem_key(self) -> str:
@@ -230,9 +223,9 @@ class ChainOutcome:
     screened_candidates: int = 0
     #: Persistent-store lookups served from disk during this chain.
     store_hits: int = 0
-    #: Surrogate-screen counters (0 with ``surrogate="off"``).
+    #: Proposals the APE screen left unevaluated (0 with
+    #: ``surrogate="off"``).
     surrogate_skips: int = 0
-    surrogate_refits: int = 0
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: What a pooled chain added to its worker's copy of the run's memo
     #: (:meth:`EvalMemo.take_new`), for the parent to merge; ``None``
@@ -527,30 +520,10 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
     misses_before = memo.misses if memo is not None else 0
     store_hits_before = memo.store_hits if memo is not None else 0
 
-    screen = None
-    if task.surrogate == "rank":
-        from ..store import SurrogateScreen
-
-        screen = SurrogateScreen(
-            problem.bounds().keys(),
-            task.memo_quantum or DEFAULT_QUANTUM,
-        )
-        if (
-            task.robust is None
-            and task.store_generation > 0
-            and memo is not None
-            and memo.bound_store is not None
-        ):
-            # Prime the model from the persistent corpus — but only
-            # up to the journaled generation, so every worker (and
-            # a bit-exact resume) trains on the identical rows.
-            # Robust chains skip seeding: store rows hold nominal
-            # costs, not the aggregated robust cost being annealed.
-            screen.seed_corpus(
-                memo.bound_store.corpus(
-                    memo.bound_fingerprint, task.store_generation
-                )
-            )
+    screen = (
+        _ape_screen(task, problem.template, cost_fn, chain_log)
+        if task.surrogate == "rank" else None
+    )
 
     def evaluate(params):
         if evaluator is not None:
@@ -625,9 +598,41 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
             if memo is not None else 0
         ),
         surrogate_skips=result.surrogate_skips,
-        surrogate_refits=result.surrogate_refits,
         diagnostics=list(chain_log.records),
     )
+
+
+def _ape_screen(task, template, cost_fn, chain_log):
+    """The chain's move screen: ``cost_fn`` of the APE closed-form
+    metrics (:class:`~repro.analysis.MetricModel`) of the nominal
+    template, or ``None`` when the model does not cover the topology.
+
+    A pure function of the template, so the ranking is the same in
+    every process and on resume.  Robust chains rank by this nominal
+    estimate too; their robust cost still decides acceptance.
+    """
+    from ..analysis import MetricModel, UnsupportedTopologyError
+
+    try:
+        model = MetricModel(template)
+    except UnsupportedTopologyError as exc:
+        chain_log.record(
+            Diagnostic(
+                subsystem="synthesis.surrogate",
+                severity="info",
+                message=(
+                    f"{task.name}: chain {task.chain_index} runs "
+                    f"unscreened: {exc}"
+                ),
+                context={"name": task.name, "chain_index": task.chain_index},
+            )
+        )
+        return None
+
+    def screen(params):
+        return cost_fn(model.evaluate(params))
+
+    return screen
 
 
 def run_annealing_chains(

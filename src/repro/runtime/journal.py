@@ -115,7 +115,6 @@ def outcome_to_jsonable(outcome: Any) -> dict:
             "wall_seconds": anneal.wall_seconds,
             "evals_per_second": anneal.evals_per_second,
             "surrogate_skips": anneal.surrogate_skips,
-            "surrogate_refits": anneal.surrogate_refits,
         },
         "degraded_design": outcome.degraded_design,
         "ape_seconds": outcome.ape_seconds,
@@ -127,7 +126,6 @@ def outcome_to_jsonable(outcome: Any) -> dict:
         "screened_candidates": outcome.screened_candidates,
         "store_hits": outcome.store_hits,
         "surrogate_skips": outcome.surrogate_skips,
-        "surrogate_refits": outcome.surrogate_refits,
         "diagnostics": [
             _diagnostic_to_jsonable(d) for d in outcome.diagnostics
         ],
@@ -159,7 +157,6 @@ def outcome_from_jsonable(payload: dict) -> Any:
             wall_seconds=anneal["wall_seconds"],
             evals_per_second=anneal["evals_per_second"],
             surrogate_skips=anneal.get("surrogate_skips", 0),
-            surrogate_refits=anneal.get("surrogate_refits", 0),
         ),
         degraded_design=payload["degraded_design"],
         ape_seconds=payload["ape_seconds"],
@@ -174,7 +171,6 @@ def outcome_from_jsonable(payload: dict) -> Any:
         screened_candidates=payload.get("screened_candidates", 0),
         store_hits=payload.get("store_hits", 0),
         surrogate_skips=payload.get("surrogate_skips", 0),
-        surrogate_refits=payload.get("surrogate_refits", 0),
         diagnostics=[
             _diagnostic_from_jsonable(d) for d in payload["diagnostics"]
         ],

@@ -35,10 +35,9 @@ class SessionStats:
     #: flushed back by store-backed runs.
     store_hits: int = 0
     store_writes: int = 0
-    #: Surrogate screening: proposals discarded un-evaluated and model
-    #: (re)fits across all chains of all runs.
+    #: Proposals the APE move screen left unevaluated, across all
+    #: chains of all runs.
     surrogate_skips: int = 0
-    surrogate_refits: int = 0
 
     def record_run(
         self,
@@ -56,7 +55,6 @@ class SessionStats:
         store_hits: int = 0,
         store_writes: int = 0,
         surrogate_skips: int = 0,
-        surrogate_refits: int = 0,
     ) -> None:
         self.runs += 1
         self.evaluations += evaluations
@@ -72,7 +70,6 @@ class SessionStats:
         self.store_hits += store_hits
         self.store_writes += store_writes
         self.surrogate_skips += surrogate_skips
-        self.surrogate_refits += surrogate_refits
 
     @property
     def evals_per_second(self) -> float:
@@ -100,7 +97,6 @@ class SessionStats:
         self.store_hits = 0
         self.store_writes = 0
         self.surrogate_skips = 0
-        self.surrogate_refits = 0
 
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot of every counter plus derived rates."""
@@ -121,7 +117,6 @@ class SessionStats:
             "store_hits": self.store_hits,
             "store_writes": self.store_writes,
             "surrogate_skips": self.surrogate_skips,
-            "surrogate_refits": self.surrogate_refits,
         }
 
     def render(self) -> str:
@@ -152,10 +147,10 @@ class SessionStats:
                 f"persistent store: {self.store_hits} hits / "
                 f"{self.store_writes} new rows written"
             )
-        if self.surrogate_skips or self.surrogate_refits:
+        if self.surrogate_skips:
             lines.append(
                 f"surrogate screen: {self.surrogate_skips} proposals "
-                f"skipped, {self.surrogate_refits} model refits"
+                "skipped"
             )
         if (
             self.worker_restarts

@@ -1,30 +1,16 @@
-"""Persistent cross-run evaluation store and surrogate screening.
+"""Persistent cross-run evaluation store.
 
 ``repro.store`` extends the evaluation-economy ladder one more rung:
 the APE estimator avoids simulating non-candidates, the lint gate
 avoids solving broken candidates, the in-memory memo avoids
 re-solving within a run — and the :class:`EvalStore` avoids re-solving
-across runs, workers and users, while :class:`SurrogateScreen` uses
-the accumulated corpus to avoid evaluating unpromising proposals at
-all.
+across runs, workers and users.
 """
 
 from .store import STORE_FILENAME, STORE_SCHEMA_VERSION, EvalStore
-from .surrogate import (
-    DEFAULT_BATCH,
-    DEFAULT_MIN_SAMPLES,
-    DEFAULT_REFIT_EVERY,
-    RidgeSurrogate,
-    SurrogateScreen,
-)
 
 __all__ = [
     "EvalStore",
     "STORE_FILENAME",
     "STORE_SCHEMA_VERSION",
-    "RidgeSurrogate",
-    "SurrogateScreen",
-    "DEFAULT_BATCH",
-    "DEFAULT_MIN_SAMPLES",
-    "DEFAULT_REFIT_EVERY",
 ]

@@ -31,11 +31,12 @@ Concurrency and durability model:
   canonical (history-independent), so both sides of any race hold the
   same value and first-writer-wins is correct, not just convenient.
 * Rows are never updated or deleted, and the ``id`` column is
-  ``AUTOINCREMENT`` (monotone, never reused).  ``generation()`` — the
-  max row id — therefore names an immutable prefix of the corpus: the
-  surrogate trains on ``rows with id <= generation`` so a journaled
-  generation replays bit-exactly on ``--resume`` regardless of what
-  later runs appended.
+  ``AUTOINCREMENT`` (monotone, never reused), so ``generation()`` —
+  the max row id — names an immutable prefix of the log and
+  ``corpus()`` reads one problem's rows in insertion order.  No run
+  reads either (a synthesis run calls ``generation()`` only to open the
+  database eagerly); both stay because the repository benchmark's
+  tracer (``perfbench/tracing.py``) wraps them by name.
 
 Every failure path (corrupt file, a database still locked once the
 busy timeout is spent, permission error, schema mismatch) degrades the
@@ -266,9 +267,8 @@ class EvalStore:
     ) -> list[tuple["MemoKey", float]]:
         """``(key, cost)`` rows for one problem, in insertion order.
 
-        ``up_to_generation`` bounds the read to the journaled watermark
-        so a resumed run trains its surrogate on exactly the corpus the
-        original run saw, no matter what later runs appended.
+        ``up_to_generation`` bounds the read to rows at or below a
+        :meth:`generation` watermark.
         """
         conn = self._connect()
         if conn is None:

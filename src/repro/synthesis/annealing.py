@@ -12,13 +12,15 @@ and the search continues from the best point so far.  An optional
 run that exceeds its deadline or failure budget stops gracefully with
 ``degraded`` set instead of hanging or dying.
 
-An optional *screen* (:class:`~repro.store.SurrogateScreen`) turns
-each move into a small batch: several proposals are drawn, the screen
-ranks them by predicted cost, and only the predicted-best one pays a
-full evaluation — the rest are counted as ``surrogate_skips``.  While
-the screen reports itself inactive (not enough training data) the
-move loop draws exactly one proposal, so the RNG stream — and hence
-the whole trajectory — is bit-identical to running with no screen.
+An optional *screen* — a cheap cost estimate, ``params -> float`` —
+turns each move into a small batch: :data:`SCREEN_BATCH` proposals are
+drawn, and only the one with the lowest estimate (the first drawn on a
+tie) pays a full evaluation; the rest are counted as
+``surrogate_skips``.  Synthesis runs pass the APE closed-form
+equations priced by the run's cost function
+(:class:`~repro.analysis.MetricModel`), so the screen needs no
+training data.  With no screen the move loop draws one proposal per
+move, as the classic annealer does.
 """
 
 from __future__ import annotations
@@ -32,7 +34,11 @@ from typing import Callable
 from ..errors import SpecificationError
 from ..runtime.budget import EvalBudget
 
-__all__ = ["AnnealingSchedule", "AnnealResult", "Annealer"]
+__all__ = ["AnnealingSchedule", "AnnealResult", "Annealer", "SCREEN_BATCH"]
+
+#: Proposals drawn per move when a screen ranks them; one is evaluated,
+#: the rest are counted as ``surrogate_skips``.
+SCREEN_BATCH = 4
 
 
 @dataclass(frozen=True)
@@ -68,10 +74,8 @@ class AnnealResult:
     wall_seconds: float = 0.0
     #: Throughput: ``evaluations / wall_seconds`` (0 when unmeasured).
     evals_per_second: float = 0.0
-    #: Proposals discarded un-evaluated by the surrogate screen.
+    #: Proposals discarded un-evaluated by the screen.
     surrogate_skips: int = 0
-    #: Surrogate (re)fits performed during this run.
-    surrogate_refits: int = 0
 
 
 class Annealer:
@@ -89,7 +93,7 @@ class Annealer:
         bounds: dict[str, tuple[float, float]],
         schedule: AnnealingSchedule | None = None,
         seed: int = 1,
-        screen=None,
+        screen: Callable[[dict[str, float]], float] | None = None,
     ) -> None:
         for name, (lo, hi) in bounds.items():
             if not 0 < lo <= hi:
@@ -106,23 +110,9 @@ class Annealer:
         self._names = tuple(bounds)
         self.schedule = schedule or AnnealingSchedule()
         self.rng = random.Random(seed)
-        #: Optional :class:`~repro.store.SurrogateScreen` (duck-typed:
-        #: ``active``/``batch``/``select``/``observe``/``skips``/
-        #: ``refits``).  ``None`` keeps the classic one-proposal loop.
+        #: Optional cost estimate ranking each move's proposals (see the
+        #: module docstring); ``None`` keeps the one-proposal loop.
         self.screen = screen
-
-    def _propose(
-        self, current: dict[str, float], temperature: float
-    ) -> dict[str, float]:
-        """One move's candidate: a single perturbation, or — when the
-        screen is active — the predicted-best of a proposal batch."""
-        screen = self.screen
-        if screen is None or not screen.active:
-            return self._perturb(current, temperature)
-        proposals = [
-            self._perturb(current, temperature) for _ in range(screen.batch)
-        ]
-        return dict(screen.select(proposals))
 
     def _random_point(self) -> dict[str, float]:
         point = {}
@@ -163,15 +153,12 @@ class Annealer:
         if budget is not None:
             budget.start()
         screen = self.screen
-        skips_before = screen.skips if screen is not None else 0
-        refits_before = screen.refits if screen is not None else 0
+        skips = 0
         failed = 0
         current = dict(x0) if x0 is not None else self._random_point()
         for name, (lo, hi) in self.bounds.items():
             current[name] = min(max(current.get(name, lo), lo), hi)
         current_cost, current_metrics = self.evaluate(current)
-        if screen is not None:
-            screen.observe(current, current_cost)
         if current_metrics is None:
             failed += 1
         if budget is not None:
@@ -191,10 +178,16 @@ class Annealer:
                     if reason is not None:
                         stop_reason = reason
                         break
-                candidate = self._propose(current, temperature)
+                if screen is None:
+                    candidate = self._perturb(current, temperature)
+                else:
+                    proposals = [
+                        self._perturb(current, temperature)
+                        for _ in range(SCREEN_BATCH)
+                    ]
+                    candidate = min(proposals, key=screen)
+                    skips += SCREEN_BATCH - 1
                 cost, metrics = self.evaluate(candidate)
-                if screen is not None:
-                    screen.observe(candidate, cost)
                 evaluations += 1
                 if metrics is None:
                     failed += 1
@@ -227,10 +220,5 @@ class Annealer:
             stop_reason=stop_reason,
             wall_seconds=wall,
             evals_per_second=(evaluations / wall) if wall > 0 else 0.0,
-            surrogate_skips=(
-                screen.skips - skips_before if screen is not None else 0
-            ),
-            surrogate_refits=(
-                screen.refits - refits_before if screen is not None else 0
-            ),
+            surrogate_skips=skips,
         )

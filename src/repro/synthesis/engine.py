@@ -139,11 +139,10 @@ class SynthesisResult:
     store_dir: str | None = None
     store_hits: int = 0
     store_writes: int = 0
-    #: Surrogate screening mode plus its counters: proposals discarded
-    #: un-evaluated and model (re)fits across all chains.
+    #: Move screening mode and the proposals it left unevaluated
+    #: across all chains.
     surrogate: str = "off"
     surrogate_skips: int = 0
-    surrogate_refits: int = 0
 
     def metric(self, key: str, default: float = float("nan")) -> float:
         if self.metrics is None:
@@ -247,14 +246,21 @@ def synthesize_opamp(
     (:mod:`repro.store`): every exact evaluation is read through and
     written behind a shared SQLite database keyed by the problem's
     content fingerprint, so a repeated (or resumed, or multi-tenant)
-    run starts warm.  ``surrogate="rank"`` additionally screens each
-    annealer move through a cheap ridge model fitted on the accumulated
-    corpus — several proposals are drawn, only the predicted best pays
-    a full evaluation.  ``store_dir=None, surrogate="off"`` (the
-    defaults) are bit-identical to the store-less code path; a
-    store-backed run's *results* are worker-count independent, and a
-    corrupt or locked store degrades to memory-only with a Diagnostic
-    instead of failing the run.
+    run starts warm.  ``store_dir=None`` (the default) is
+    bit-identical to the store-less code path; a store-backed run's
+    *results* are worker-count independent, and a corrupt or locked
+    store degrades to memory-only with a Diagnostic instead of failing
+    the run.
+
+    ``surrogate="rank"`` screens each annealer move with the APE
+    equations: four proposals are drawn and only the one whose
+    closed-form metrics (:class:`~repro.analysis.MetricModel` of the
+    nominal template) cost least pays a full evaluation.  The screen
+    needs no data and is a pure function of the problem, so results
+    stay worker-count independent and resume bit-for-bit.  A topology
+    the model does not cover (the folded cascode) runs unscreened, with
+    an info Diagnostic.  ``"off"`` (the default) draws one proposal per
+    move.
 
     ``feasibility`` arms the static pre-solve gate (:mod:`repro.analysis`):
     ``"reject"`` runs the interval feasibility analysis first and, when
@@ -365,19 +371,17 @@ def synthesize_opamp(
     config = supervisor if supervisor is not None else SupervisorConfig()
 
     store = None
-    store_generation = 0
     if memo is not None:
         if store_dir is not None:
             from ..store import EvalStore
 
             store = EvalStore(store_dir, diagnostics=log)
-            # First contact opens the database; a corrupt/locked store
-            # degrades the whole run to memory-only here, before any
-            # pool worker inherits it.
-            store_generation = store.generation()
+            # First contact (a one-row read) opens the database; a
+            # corrupt/locked store degrades the whole run to memory-only
+            # here, before any pool worker inherits it.
+            store.generation()
             if store.disabled:
                 store = None
-                store_generation = 0
         # One key space for both tiers: everything the evaluation
         # function depends on is part of the fingerprint — conservative
         # on purpose: a fingerprint that is too fine costs warm hits,
@@ -434,10 +438,12 @@ def synthesize_opamp(
                 (feasibility, _box_key(box_override))
             )
         if surrogate != "off":
-            # Surrogate screening changes the trajectory, so it is part
-            # of the problem identity; a bare store (surrogate off)
-            # only changes speed and stays out of the fingerprint.
-            fingerprint_parts["surrogate"] = surrogate
+            # Screening changes the trajectory, so it is part of the
+            # problem identity; a bare store only changes speed and
+            # stays out.  "/ape" names the screen: rank runs journaled
+            # under the earlier learned screen ("rank") are refused
+            # instead of replayed with a different one.
+            fingerprint_parts["surrogate"] = f"{surrogate}/ape"
         fingerprint = _run_fingerprint(**fingerprint_parts)
         if resume:
             manifest = journal.load_manifest()
@@ -461,11 +467,6 @@ def synthesize_opamp(
                 warm = journal.load_memo()
                 if warm is not None and warm.quantum == memo.quantum:
                     memo.merge(warm)
-            if store is not None:
-                # Re-run chains must train their surrogate on exactly
-                # the corpus the original run saw — the journaled
-                # watermark, not whatever the store holds by now.
-                store_generation = int(manifest.get("store_generation", 0))
         else:
             manifest_payload = {
                 "fingerprint": fingerprint,
@@ -480,7 +481,6 @@ def synthesize_opamp(
             }
             if store is not None:
                 manifest_payload["store_dir"] = str(store_dir)
-                manifest_payload["store_generation"] = store_generation
             journal.initialize(manifest_payload)
 
     # The chains' tasks differ only in their index.
@@ -502,10 +502,8 @@ def synthesize_opamp(
         budget=budget.share() if budget is not None else None,
         fault_specs=fault_specs,
         fault_seed=fault_seed,
-        memo_quantum=memo.quantum if memo is not None else None,
         robust=robust,
         box_override=_box_key(box_override),
-        store_generation=store_generation,
         surrogate=surrogate,
     )
     tasks = [
@@ -624,9 +622,6 @@ def synthesize_opamp(
     cache_misses = sum(o.cache_misses for o in outcomes)
     store_hits = sum(getattr(o, "store_hits", 0) for o in outcomes)
     surrogate_skips = sum(getattr(o, "surrogate_skips", 0) for o in outcomes)
-    surrogate_refits = sum(
-        getattr(o, "surrogate_refits", 0) for o in outcomes
-    )
     if retry is not None:
         # Chains consume per-chain copies of the policy; fold their
         # retries back so shared policies keep session-wide totals.
@@ -740,7 +735,6 @@ def synthesize_opamp(
         store_hits=store_hits,
         store_writes=store_writes,
         surrogate_skips=surrogate_skips,
-        surrogate_refits=surrogate_refits,
     )
     if store is not None:
         store.close()
@@ -806,7 +800,6 @@ def synthesize_opamp(
         store_writes=store_writes,
         surrogate=surrogate,
         surrogate_skips=surrogate_skips,
-        surrogate_refits=surrogate_refits,
     )
 
 

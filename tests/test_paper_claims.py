@@ -23,13 +23,16 @@ TABLE1_SEED = 11
 
 
 @functools.lru_cache(maxsize=None)
-def _verdicts(mode: str, seed: int) -> dict[str, bool]:
+def _verdicts(
+    mode: str, seed: int, surrogate: str = "off"
+) -> dict[str, bool]:
     """Row name -> meets spec, for one leg over the ten Table-1 specs."""
     tech = generic_05um()
     return {
         row.name: synthesize_opamp(
             tech, row.spec(), row.topology(), mode=mode,
             max_evaluations=SYNTH_BUDGET, seed=seed, name=row.name,
+            surrogate=surrogate,
         ).meets_spec
         for row in TABLE1
     }
@@ -58,4 +61,21 @@ def test_table1_standalone_runs_mostly_fail():
     ape_met = sum(_verdicts("ape", TABLE4_SEED).values())
     assert ape_met > met, (
         f"APE leg ({ape_met}/10) does not beat standalone ({met}/10)"
+    )
+
+
+def test_table1_standalone_with_the_ape_screen_meets_spec():
+    """Ablation under Table 1: the standalone leg with its moves ranked
+    by the APE equations (``surrogate="rank"``) meets spec on at least
+    9 of 10 rows, more than the unscreened leg.
+
+    The estimator earns its keep inside the search loop too, not only
+    as the starting point; this reproduction records 9 (oa2 misses).
+    """
+    screened = _verdicts("standalone", TABLE1_SEED, "rank")
+    met = sum(screened.values())
+    assert met >= 9, f"screened standalone leg met spec on {met}/10: {screened}"
+    plain = sum(_verdicts("standalone", TABLE1_SEED).values())
+    assert met > plain, (
+        f"screened standalone ({met}/10) does not beat unscreened ({plain}/10)"
     )

@@ -31,7 +31,6 @@ from repro.opamp.benches import open_loop_bench
 from repro.parallel import (
     ChainTask,
     DEFAULT_CAPACITY,
-    DEFAULT_QUANTUM,
     EvalMemo,
     derive_chain_seed,
     effective_workers,
@@ -764,7 +763,6 @@ def _small_task(chain_index: int) -> ChainTask:
         schedule=None,
         seed=1,
         chain_index=chain_index,
-        memo_quantum=DEFAULT_QUANTUM,
     )
 
 

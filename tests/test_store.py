@@ -1,4 +1,4 @@
-"""Persistent evaluation store, two-tier memo and surrogate screen.
+"""Persistent evaluation store, two-tier memo and the APE move screen.
 
 Locks in the contracts of :mod:`repro.store`:
 
@@ -6,18 +6,19 @@ Locks in the contracts of :mod:`repro.store`:
   (canonical evaluation), so warm runs are bit-identical to cold ones;
 * the store survives concurrent multi-process writers (WAL) and every
   failure path degrades to the in-memory memo with a Diagnostic;
-* surrogate screening is a pure function of (journaled store corpus,
-  chain-local observations) — worker-count independent, bit-exact on
-  ``--resume``, and bit-identical to ``surrogate="off"`` until the
-  model activates;
 * only the run's parent process writes the store, and a memo reused
   for another problem never writes into the earlier problem's store.
+
+And of ``surrogate="rank"``, the move screen that ranks proposals by
+the APE equations: it is a pure function of the problem, so it is
+worker-count independent and bit-exact on ``--resume`` whatever the
+store holds; run dirs journaled under the earlier learned screen are
+refused; a topology the equations do not cover runs unscreened.
 """
 
 import json
 import math
 import multiprocessing
-import shutil
 import sqlite3
 
 import pytest
@@ -25,15 +26,8 @@ import pytest
 from repro.errors import SpecificationError
 from repro.opamp import OpAmpSpec, OpAmpTopology
 from repro.parallel import EvalMemo, memo_key
-from repro.parallel.memo import DEFAULT_QUANTUM
 from repro.runtime.diagnostics import DiagnosticLog
-from repro.store import (
-    DEFAULT_MIN_SAMPLES,
-    EvalStore,
-    RidgeSurrogate,
-    STORE_FILENAME,
-    SurrogateScreen,
-)
+from repro.store import EvalStore, STORE_FILENAME
 from repro.synthesis import synthesize_opamp
 from repro.technology import generic_05um
 
@@ -304,86 +298,6 @@ class TestMergeGenerationDedup:
         assert parent.stores == 2
 
 
-# ---------------------------------------------------------------- surrogate
-
-
-class TestRidgeSurrogate:
-    def test_learns_a_quadratic_bowl(self):
-        model = RidgeSurrogate(1, l2=1e-9)
-        xs = [[0.1 * i] for i in range(-10, 11)]
-        ys = [3.0 + (x[0] - 0.4) ** 2 for x in xs]
-        assert model.fit(xs, ys)
-        best = min(xs, key=lambda x: float(model.predict([x])[0]))
-        assert best[0] == pytest.approx(0.4, abs=0.11)
-
-    def test_singular_fit_keeps_previous_weights(self):
-        model = RidgeSurrogate(1, l2=1e-6)
-        assert model.fit([[0.0], [1.0], [2.0]], [0.0, 1.0, 2.0])
-        weights_before = model.predict([[1.5]])
-        # Degenerate refit data (all-identical rows, non-finite target)
-        # must not poison the model.
-        assert not model.fit([[1.0], [1.0]], [float("nan"), float("nan")])
-        assert model.fitted
-        assert model.predict([[1.5]]) == pytest.approx(weights_before)
-
-
-class TestSurrogateScreen:
-    def _screen(self, **kw):
-        kw.setdefault("min_samples", 6)
-        return SurrogateScreen(("l", "w"), DEFAULT_QUANTUM, **kw)
-
-    def test_inactive_below_min_samples(self):
-        screen = self._screen()
-        assert not screen.active
-        for i in range(5):
-            screen.observe({"w": 1.0 + i, "l": 2.0 + i}, float(i))
-        assert not screen.active
-        screen.observe({"w": 9.0, "l": 9.0}, 9.0)
-        assert screen.active
-
-    def test_min_samples_floor_scales_with_dims(self):
-        screen = SurrogateScreen(
-            ("a", "b", "c", "d"), DEFAULT_QUANTUM, min_samples=2
-        )
-        assert screen.min_samples == 2 * 4 + 2
-
-    def test_select_is_deterministic_and_counts_skips(self):
-        screen = self._screen()
-        for i in range(12):
-            w = 1.0 + 0.3 * i
-            screen.observe({"w": w, "l": 1.0}, (w - 2.5) ** 2)
-        proposals = [{"w": 1.2, "l": 1.0}, {"w": 2.4, "l": 1.0},
-                     {"w": 4.0, "l": 1.0}]
-        first = screen.select(proposals)
-        assert first == {"w": 2.4, "l": 1.0}
-        assert screen.skips == 2
-        assert screen.select(proposals) == first  # pure re-rank
-
-    def test_seed_corpus_decodes_quantized_keys(self):
-        screen = self._screen()
-        rows = [
-            (memo_key({"w": 1.0 + 0.3 * i, "l": 1.0}), float(i))
-            for i in range(8)
-        ]
-        assert screen.seed_corpus(rows) == 8
-        assert screen.active
-
-    def test_seed_corpus_skips_foreign_rows(self):
-        screen = self._screen()
-        rows = [
-            (memo_key({"w": 1.0, "l": 1.0}, tag="corner:ss"), 1.0),
-            (memo_key({"w": 1.0}), 2.0),  # wrong parameter set
-            (memo_key({"w": -1.0, "l": 1.0}), 3.0),  # non-int quant
-        ]
-        assert screen.seed_corpus(rows) == 0
-
-    def test_unfitted_select_returns_first(self):
-        screen = self._screen()
-        proposals = [{"w": 5.0, "l": 1.0}, {"w": 1.0, "l": 1.0}]
-        assert screen.select(proposals) is proposals[0]
-        assert screen.skips == 0
-
-
 # ----------------------------------------------------- synthesis end-to-end
 
 
@@ -482,41 +396,23 @@ class TestStoreBackedSynthesis:
 
     def test_results_worker_count_independent_with_store(self, tmp_path):
         kwargs = dict(seed=5, restarts=3, surrogate="rank", **RUN_KW)
-        warm_dir = tmp_path / "warm"
-        synthesize_opamp(TECH, SPEC, TOPO, store_dir=str(warm_dir),
+        store_dir = str(tmp_path / "store")
+        synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
                          seed=50, restarts=2, workers=1, **RUN_KW)
-        # Identical store content for both sides: the first measured
-        # run appends rows, which would advance the second run's
-        # corpus watermark.
-        copy_dir = tmp_path / "copy"
-        shutil.copytree(warm_dir, copy_dir)
+        # One store for both sides: the rows the first measured run
+        # appends may only make the second faster.
         one = synthesize_opamp(
-            TECH, SPEC, TOPO, store_dir=str(warm_dir), workers=1, **kwargs
+            TECH, SPEC, TOPO, store_dir=store_dir, workers=1, **kwargs
         )
         pooled = synthesize_opamp(
-            TECH, SPEC, TOPO, store_dir=str(copy_dir), workers=3,
+            TECH, SPEC, TOPO, store_dir=store_dir, workers=3,
             oversubscribe=True, **kwargs
         )
+        assert pooled.workers == 3
+        assert pooled.store_hits > 0
         assert _chain_summary(one) == _chain_summary(pooled)
         assert one.best_cost == pooled.best_cost
-        assert one.surrogate_skips == pooled.surrogate_skips
-
-    def test_inactive_surrogate_is_bit_identical_to_off(self, tmp_path):
-        # 25 evaluations per chain < DEFAULT_MIN_SAMPLES + refit data on
-        # a fresh store: the screen never activates, so the trajectory
-        # (including RNG stream) must equal surrogate="off" exactly.
-        assert RUN_KW["max_evaluations"] < DEFAULT_MIN_SAMPLES + 2
-        kwargs = dict(seed=7, restarts=2, workers=1, **RUN_KW)
-        off = synthesize_opamp(
-            TECH, SPEC, TOPO, store_dir=str(tmp_path / "a"),
-            surrogate="off", **kwargs
-        )
-        rank = synthesize_opamp(
-            TECH, SPEC, TOPO, store_dir=str(tmp_path / "b"),
-            surrogate="rank", **kwargs
-        )
-        assert _chain_summary(rank) == _chain_summary(off)
-        assert rank.surrogate_skips == 0
+        assert one.surrogate_skips == pooled.surrogate_skips > 0
 
     def test_surrogate_requires_known_mode(self):
         with pytest.raises(SpecificationError):
@@ -533,7 +429,6 @@ class TestStoreBackedSynthesis:
         )
         assert ranked.surrogate == "rank"
         assert ranked.surrogate_skips > 0
-        assert ranked.surrogate_refits > 0
 
     def test_corrupt_store_degrades_to_memory_only(self, tmp_path):
         store_dir = tmp_path / "bad"
@@ -551,25 +446,21 @@ class TestStoreBackedSynthesis:
         assert broken.store_hits == broken.store_writes == 0
         assert any(d.subsystem == "store.evals" for d in log)
 
+
+class TestApeScreen:
+    """``surrogate="rank"``: each move evaluates the proposal whose APE
+    closed-form estimate costs least."""
+
     @pytest.mark.timeout(300)
-    def test_resume_trains_on_the_journaled_generation(self, tmp_path):
-        """A resumed surrogate run must replay bit-exactly even after
-        other runs appended rows to the shared store."""
+    def test_resume_is_bit_exact_after_the_store_grows(self, tmp_path):
         from repro.runtime import SupervisorConfig
 
-        store_dir = str(tmp_path / "store")
-        # Prime a corpus so the measured runs seed their surrogate
-        # from a nonzero generation.
-        synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
-                         seed=40, restarts=2, workers=1, **RUN_KW)
         kwargs = dict(seed=7, restarts=4, workers=1, surrogate="rank",
                       **RUN_KW)
-        reference_dir = tmp_path / "refcopy"
-        shutil.copytree(tmp_path / "store", reference_dir)
         reference = synthesize_opamp(
-            TECH, SPEC, TOPO, store_dir=str(reference_dir), **kwargs
+            TECH, SPEC, TOPO, store_dir=str(tmp_path / "ref"), **kwargs
         )
-
+        store_dir = str(tmp_path / "store")
         run_dir = str(tmp_path / "run")
         partial = synthesize_opamp(
             TECH, SPEC, TOPO, store_dir=store_dir, run_dir=run_dir,
@@ -580,10 +471,11 @@ class TestStoreBackedSynthesis:
         )
         assert partial.interrupted
         assert len(partial.chains) == 2
-        # Another run appends rows between the interrupt and the
-        # resume — the journaled generation must shield the replay.
+        # Another run appends rows between the interrupt and the resume.
+        rows = EvalStore(store_dir).count()
         synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
                          seed=41, restarts=2, workers=1, **RUN_KW)
+        assert EvalStore(store_dir).count() > rows
 
         resumed = synthesize_opamp(
             TECH, SPEC, TOPO, store_dir=store_dir, run_dir=run_dir,
@@ -594,6 +486,76 @@ class TestStoreBackedSynthesis:
         assert _chain_summary(resumed) == _chain_summary(reference)
         assert resumed.best_cost == reference.best_cost
         assert resumed.params == reference.params
+        assert resumed.surrogate_skips == reference.surrogate_skips > 0
+
+    def test_run_dir_of_the_learned_screen_is_refused(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.synthesis.engine as engine
+        from repro.runtime import SupervisorConfig
+        from repro.runtime.journal import RunJournal
+
+        journal_parts = []
+        fingerprint = engine._run_fingerprint
+
+        def recording(**parts):
+            if "schema" in parts:
+                journal_parts.append(dict(parts))
+            return fingerprint(**parts)
+
+        monkeypatch.setattr(engine, "_run_fingerprint", recording)
+        kwargs = dict(seed=7, restarts=2, workers=1, **RUN_KW)
+        interrupt = SupervisorConfig(
+            interrupt_after=1, install_signal_handlers=False
+        )
+        rank_dir = tmp_path / "rank"
+        synthesize_opamp(TECH, SPEC, TOPO, surrogate="rank",
+                         run_dir=str(rank_dir), supervisor=interrupt,
+                         **kwargs)
+        parts = journal_parts[-1]
+        assert parts["surrogate"] == "rank/ape"
+        # The fingerprint a run dir of the ridge-screened code carries.
+        learned = fingerprint(**{**parts, "surrogate": "rank"})
+        manifest_path = rank_dir / RunJournal.MANIFEST
+        manifest = json.loads(manifest_path.read_text())
+        current = manifest["fingerprint"]
+        assert current != learned
+        manifest["fingerprint"] = learned
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(SpecificationError) as excinfo:
+            synthesize_opamp(TECH, SPEC, TOPO, surrogate="rank",
+                             run_dir=str(rank_dir), resume=True, **kwargs)
+        assert current in str(excinfo.value)
+        assert learned in str(excinfo.value)
+
+        # Off runs add no part, so their run dirs keep resuming.
+        off_dir = str(tmp_path / "off")
+        synthesize_opamp(TECH, SPEC, TOPO, run_dir=off_dir,
+                         supervisor=interrupt, **kwargs)
+        assert "surrogate" not in journal_parts[-1]
+        resumed = synthesize_opamp(TECH, SPEC, TOPO, run_dir=off_dir,
+                                   resume=True, **kwargs)
+        assert resumed.resumed_chains == [0]
+        assert len(resumed.chains) == 2
+
+    def test_unsupported_topology_runs_unscreened(self):
+        folded = OpAmpTopology(diff_pair="folded")
+        spec = OpAmpSpec(gain=3000.0, ugf=5e6, ibias=5e-6, cl=5e-12)
+        kwargs = dict(mode="ape", max_evaluations=25, name="fc", seed=3)
+        off = synthesize_opamp(TECH, spec, folded, **kwargs)
+        rank = synthesize_opamp(TECH, spec, folded, surrogate="rank",
+                                **kwargs)
+        assert _chain_summary(rank) == _chain_summary(off)
+        assert rank.best_cost == off.best_cost
+        assert rank.params == off.params
+        assert rank.surrogate_skips == 0
+        notes = [
+            d for d in rank.diagnostics
+            if d.subsystem == "synthesis.surrogate"
+        ]
+        assert len(notes) == 1
+        assert notes[0].severity == "info"
+        assert "unscreened" in notes[0].message
 
 
 # ----------------------------------------------------------------- CLI/JSON
@@ -627,5 +589,5 @@ class TestCliSurface:
         payload = json.loads(capsys.readouterr().out)
         assert "diagnostics" in payload
         for field in ("store_hits", "store_writes", "surrogate_skips",
-                      "surrogate_refits", "cache_hits", "evaluations"):
+                      "cache_hits", "evaluations"):
             assert field in payload["stats"]

@@ -269,6 +269,24 @@ class TestRunJournal:
         for key, value in outcome_fields.items():
             assert getattr(rebuilt, key) == value
 
+    def test_outcome_journaled_with_refit_counters_still_loads(self):
+        from repro.parallel import ChainOutcome
+
+        anneal = AnnealResult(
+            best_params={"w1": 1e-6}, best_cost=0.1, best_metrics=None,
+            evaluations=5, accepted=2, surrogate_skips=12,
+        )
+        payload = outcome_to_jsonable(
+            ChainOutcome(chain_index=1, seed=9, anneal=anneal,
+                         surrogate_skips=12)
+        )
+        # Journals of the ridge-screened code carried a refit counter.
+        payload["surrogate_refits"] = 3
+        payload["anneal"]["surrogate_refits"] = 3
+        rebuilt = outcome_from_jsonable(payload)
+        assert rebuilt.anneal == anneal
+        assert rebuilt.surrogate_skips == 12
+
     def test_journal_tolerates_torn_tail_line(self, tmp_path):
         journal = RunJournal(tmp_path)
         journal.initialize({"fingerprint": "f"})

@@ -176,6 +176,72 @@ class TestAnnealer:
             Annealer(self.quadratic, {"x": (0.0, 1.0)})
         assert excinfo.value.context["variable"] == "x"
 
+    def _recorded_run(self, screen, max_evaluations=60):
+        """Run on the quadratic; return (result, proposals drawn,
+        candidates evaluated)."""
+        evaluated = []
+
+        def evaluate(params):
+            evaluated.append(params)
+            return self.quadratic(params)
+
+        ann = Annealer(
+            evaluate, {"x": (0.1, 100.0), "y": (0.1, 100.0)}, seed=3,
+            screen=screen,
+        )
+        drawn = []
+        perturb = ann._perturb
+
+        def recording_perturb(params, temperature):
+            proposal = perturb(params, temperature)
+            drawn.append(proposal)
+            return proposal
+
+        ann._perturb = recording_perturb
+        return ann.run(max_evaluations=max_evaluations), drawn, evaluated
+
+    def test_screen_evaluates_the_lowest_of_each_batch(self):
+        from repro.synthesis.annealing import SCREEN_BATCH
+
+        def screen(params):
+            return self.quadratic(params)[0]
+
+        result, drawn, evaluated = self._recorded_run(screen)
+        moves = result.evaluations - 1
+        assert SCREEN_BATCH == 4
+        assert len(drawn) == SCREEN_BATCH * moves
+        assert result.surrogate_skips == (SCREEN_BATCH - 1) * moves
+        for index, candidate in enumerate(evaluated[1:]):
+            batch = drawn[SCREEN_BATCH * index:SCREEN_BATCH * (index + 1)]
+            estimates = [screen(p) for p in batch]
+            assert candidate is batch[estimates.index(min(estimates))]
+
+    def test_screen_ties_go_to_the_first_proposal(self):
+        from repro.synthesis.annealing import SCREEN_BATCH
+
+        result, drawn, evaluated = self._recorded_run(lambda params: 0.0)
+        moves = result.evaluations - 1
+        assert result.surrogate_skips == (SCREEN_BATCH - 1) * moves
+        assert evaluated[1:] == drawn[::SCREEN_BATCH]
+        assert all(
+            candidate is first
+            for candidate, first in zip(evaluated[1:], drawn[::SCREEN_BATCH])
+        )
+
+    def test_no_screen_draws_one_proposal_per_move(self):
+        import hashlib
+
+        result, drawn, evaluated = self._recorded_run(None, 80)
+        assert evaluated[1:] == drawn
+        assert result.surrogate_skips == 0
+        # The one-proposal loop as it ran before screens took a cost
+        # estimate: same draws, same trajectory.
+        assert result.best_cost == 0.028182670776523373
+        assert (result.evaluations, result.accepted) == (80, 56)
+        assert hashlib.sha256(repr(result.history).encode()).hexdigest() == (
+            "8b0b3ff26dec5440290db2075d2ed8faf5783fcc49008a4ce458fe2c63c728be"
+        )
+
 
 class TestParameterizedOpamp:
     def test_geometry_override(self):

@@ -35,6 +35,7 @@ from .estimator import OpAmp, SINK_BIAS_CURRENT
 
 __all__ = [
     "place_opamp",
+    "differential_drive",
     "open_loop_bench",
     "balanced_open_loop",
     "cmrr_benches",
@@ -193,6 +194,17 @@ def _attach_loads(opamp: OpAmp, ckt: Circuit) -> None:
         ckt.r("out", "0", opamp.topology.z_load, name="RLOAD")
 
 
+def differential_drive(v_diff: float, v_cm: float = 0.0) -> dict[str, float]:
+    """DC values of the open-loop bench's input sources at one drive.
+
+    ``v_diff`` is split symmetrically around the common mode ``v_cm``:
+    ``VINP`` sits at ``v_cm + v_diff / 2`` and ``VINN`` at
+    ``v_cm - v_diff / 2``.  No other element of the bench depends on
+    the drive.
+    """
+    return {"VINP": v_cm + v_diff / 2.0, "VINN": v_cm - v_diff / 2.0}
+
+
 def open_loop_bench(
     opamp: OpAmp,
     v_diff: float = 0.0,
@@ -211,9 +223,10 @@ def open_loop_bench(
         "common": (1.0, 1.0),
         "none": (0.0, 0.0),
     }[ac_mode]
+    drive = differential_drive(v_diff, v_cm)
     ckt = _bench_shell(opamp, f"{opamp.name}-openloop-{ac_mode}")
-    ckt.v("inp", "0", dc=v_cm + v_diff / 2.0, ac=acp, name="VINP")
-    ckt.v("inn", "0", dc=v_cm - v_diff / 2.0, ac=acn, name="VINN")
+    ckt.v("inp", "0", dc=drive["VINP"], ac=acp, name="VINP")
+    ckt.v("inn", "0", dc=drive["VINN"], ac=acn, name="VINN")
     place_opamp(
         opamp, ckt, "X1", inp="inp", inn="inn", out="out", vdd="vdd", vss="vss"
     )

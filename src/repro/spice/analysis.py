@@ -201,12 +201,15 @@ def _drive_column(
 
 
 def _balance_bordered(
-    build, output_node, target, v_span, tol, retry, system, x0
+    build, output_node, target, v_span, tol, retry, system, x0, column
 ) -> tuple[float, Circuit, OperatingPointResult] | None:
     """The bordered-Newton balance, verified, or ``None``."""
-    at_zero = build(0.0)
-    system = System(at_zero) if system is None else system.rebind(at_zero)
-    column = _drive_column(system, at_zero, build(v_span), v_span)
+    if column is None:
+        at_zero = build(0.0)
+        system = System(at_zero) if system is None else system.rebind(at_zero)
+        column = _drive_column(system, at_zero, build(v_span), v_span)
+    else:
+        at_zero = system.circuit
     index = system.index(output_node)
     if column is None or index < 0:
         return None
@@ -241,6 +244,7 @@ def balance_differential(
     system: System | None = None,
     warm_start: bool = True,
     x0: np.ndarray | None = None,
+    column: np.ndarray | None = None,
 ) -> tuple[float, Circuit, OperatingPointResult]:
     """Find the DC differential input that centres an amplifier's output.
 
@@ -270,10 +274,19 @@ def balance_differential(
     from the previous bisection's solution, which keeps the search on
     one solution branch in multistable circuits.
 
+    A caller that knows the drive column already passes it as
+    ``column``: it depends only on which sources the drive moves and
+    how, so it is the same for every circuit of one topology driven
+    the same way.  The bordered solve then calls neither ``build(0)``
+    nor ``build(v_span)``, and starts from ``system``, which must be
+    given, bound to the zero-drive circuit.
+
     Returns ``(v_offset, circuit, op)`` at the balanced point.
     """
+    if column is not None and system is None:
+        raise ValueError("balance_differential: column= needs system=")
     balanced = _balance_bordered(
-        build, output_node, target, v_span, tol, retry, system, x0
+        build, output_node, target, v_span, tol, retry, system, x0, column
     )
     if balanced is not None:
         return balanced

@@ -9,7 +9,10 @@ balanced operating point, found by one bordered Newton solve started
 from that solution (bisection as the fallback, see
 :func:`~repro.spice.analysis.balance_differential`), then an AWE
 reduced-order model for the gain and unity-gain frequency — not a full
-AC sweep.
+AC sweep.  A railed candidate on the in-place bench is balanced on
+copies of that bench with only the two input sources retargeted, and
+the balance's drive column is computed once per problem, not once per
+candidate.
 """
 
 from __future__ import annotations
@@ -21,13 +24,14 @@ from typing import Callable
 
 from ..errors import ApeError, SimulationError, SpecificationError
 from ..opamp import OpAmp
-from ..opamp.benches import open_loop_bench
+from ..opamp.benches import differential_drive, open_loop_bench
 from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..spice import awe_poles, dc_operating_point
-from ..spice.analysis import balance_differential
+from ..spice.analysis import _drive_column, balance_differential
 from ..spice.mna import System
+from ..spice.netlist import VoltageSource
 from ..technology import Technology
 
 __all__ = [
@@ -57,6 +61,12 @@ CC_HARD = (0.2e-12, 30e-12)
 #: bias points as unknowns; a wrong reference current wrecks the whole
 #: amplifier, which is exactly why uninformed search is hard.
 RBIAS_HARD = (5e3, 50e6)
+#: Differential drive bracket of the output balancing [V].
+BALANCE_SPAN = 0.5
+#: The drive proof's third drive [V]: negative and not a dyadic
+#: fraction, so a factory that rounds or mirrors the drive otherwise
+#: than :func:`~repro.opamp.benches.differential_drive` shows it.
+PROOF_DRIVE = -0.3
 
 
 @dataclass(frozen=True)
@@ -203,8 +213,10 @@ class OpAmpSizingProblem(SizingProblem):
     One evaluation profile serves every caller — every annealing
     chain, in-process or pooled, and robust corner and Monte Carlo
     variants.  Each candidate's DC solve starts from the template's
-    zero-drive operating point, and the cached bench is updated in
-    place whenever a one-time probe proves that exact.  Both are run
+    zero-drive operating point, the cached bench is updated in place
+    whenever a one-time probe proves that exact, and railed candidates
+    are balanced on copies of it whenever a second one-time proof, of
+    how the factory applies the drive, does too.  All three are run
     constants, never a previous candidate's state, so evaluation stays
     *canonical*: the result for a parameter dict is independent of
     evaluation order — the invariant the memo cache and the executor's
@@ -244,8 +256,9 @@ class OpAmpSizingProblem(SizingProblem):
         )
         self._structural_report = None
         #: ``False`` evaluates every candidate from scratch (no shared
-        #: system, template warm start, in-place bench or warm-started
-        #: bisections) — the benchmark baseline and the tests' reference.
+        #: system, template warm start, in-place bench or drive, or
+        #: warm-started bisections) — the benchmark baseline and the
+        #: tests' reference.
         self.reuse_state = reuse_state
         #: Optional retry policy forwarded to the DC solver so transient
         #: non-convergence is re-attempted before the candidate is
@@ -269,6 +282,15 @@ class OpAmpSizingProblem(SizingProblem):
         #: equivalent or not taken at all.
         self._bench_map: tuple | None = None
         self._bench_broken = False
+        #: In-place drive: the balancing solve's drive column once
+        #: :meth:`_prove_drive` shows, from the template's bench, that
+        #: the factory applies the drive exactly as
+        #: :func:`~repro.opamp.benches.differential_drive` does and in
+        #: nothing else.  The proof runs at most once, at the first
+        #: railed candidate on the in-place bench; a custom factory
+        #: that fails it (``None``) keeps factory-built drives.
+        self._column = None
+        self._column_ready = False
 
     @property
     def variables(self) -> list[Variable]:
@@ -301,17 +323,19 @@ class OpAmpSizingProblem(SizingProblem):
             if abs(v_out) > 0.25:
                 # Output railed at zero offset: balance, starting from
                 # this zero-drive solution.
+                build, column = self._drive(amp, bench)
                 _, bench, op = balance_differential(
-                    lambda v: self.bench_factory(amp, v_diff=v),
+                    build,
                     "out",
                     target=0.0,
-                    v_span=0.5,
+                    v_span=BALANCE_SPAN,
                     tol=self.balance_tolerance,
                     max_bisections=16,
                     retry=self.retry,
                     system=self._system,
                     warm_start=self.reuse_state,
                     x0=op.x,
+                    column=column,
                 )
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.
@@ -450,6 +474,80 @@ class OpAmpSizingProblem(SizingProblem):
             mapping[name] = tuple(entries)
         applied = {name: params[name] for name in mapping}
         self._bench_map = (base, applied, mapping)
+
+    def _drive(self, amp: OpAmp, bench):
+        """``(build, column)`` for balancing a railed candidate.
+
+        On the in-place bench, once :meth:`_prove_drive` has shown the
+        factory drives it only through the sources
+        :func:`~repro.opamp.benches.differential_drive` names, every
+        driven circuit is a new copy of ``bench`` with those sources
+        retargeted, and the drive column is the problem's own.  The
+        copies share every other element object with ``bench``, so the
+        system rebinds to them as a source-only edit, and ``bench``
+        itself stays at zero drive.  Anything else builds every drive
+        with the factory and leaves the column to the balance.
+        """
+        if self._bench_map is not None and bench is self._bench_map[0]:
+            if not self._column_ready:
+                self._column_ready = True
+                self._column = self._prove_drive()
+            if self._column is not None:
+
+                def build(v: float):
+                    ckt = bench.copy()
+                    for name, dc in differential_drive(v).items():
+                        ckt.replace(replace(ckt.element(name), dc=dc))
+                    return ckt
+
+                return build, self._column
+        return (lambda v: self.bench_factory(amp, v_diff=v)), None
+
+    def _prove_drive(self):
+        """One-time proof of the in-place drive; its column, or ``None``.
+
+        Builds the template's bench at zero drive, at
+        :data:`BALANCE_SPAN` and at :data:`PROOF_DRIVE`, and accepts
+        only when every build differs from the zero-drive one in
+        exactly the ``dc`` of the sources
+        :func:`~repro.opamp.benches.differential_drive` names, with
+        exactly its values.  Like :meth:`_warm_guess` it reads only the
+        template, so the verdict never depends on which candidate
+        rails first.  The column then comes from the zero and span
+        builds, as the balance would compute it for any candidate: no
+        other source moves with the drive, and none moves with the
+        search variables (the bench-map probe proved that).
+        """
+        try:
+            builds = {
+                v: self.bench_factory(self.template, v_diff=v)
+                for v in (0.0, BALANCE_SPAN, PROOF_DRIVE)
+            }
+        except ApeError:
+            return None
+        at_zero = builds[0.0]
+        if not (
+            self._system.structure_matches(at_zero)
+            and all(name in at_zero for name in differential_drive(0.0))
+        ):
+            return None
+        for v, ckt in builds.items():
+            drive = differential_drive(v)
+            if len(ckt) != len(at_zero):
+                return None
+            for a, b in zip(at_zero, ckt):
+                if b.name not in drive:
+                    if a != b:
+                        return None
+                elif not (
+                    isinstance(b, VoltageSource)
+                    and replace(b, dc=a.dc) == a
+                    and b.dc == drive[b.name]
+                ):
+                    return None
+        return _drive_column(
+            System(at_zero), at_zero, builds[BALANCE_SPAN], BALANCE_SPAN
+        )
 
     def _lint_rejects(self, bench, amp: OpAmp) -> bool:
         """True when the ERC finds an error — reject before Newton.

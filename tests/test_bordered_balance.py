@@ -5,21 +5,28 @@ differential drive together (one bordered Newton run) and accepts the
 answer only after a plain DC solve of ``build(v)`` confirms it.  These
 tests pin that contract on seeded candidates from the APE boxes of the
 unbuffered Table-1 rows (oa3-oa6, whose outputs rail at zero drive),
-and pin the bisection fallback for builds the bordered solve must not
-take.
+pin the bisection fallback for builds the bordered solve must not
+take, and pin the sizing problem's in-place drive: railed candidates
+balanced on copies of the cached bench with a per-problem drive
+column return the same floats as factory-built drives.
 """
 
 import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 
 import repro.spice.analysis as analysis
+import repro.synthesis.problems as problems
 from repro.opamp import OpAmpSpec, OpAmpTopology, design_opamp, open_loop_bench
+from repro.opamp.benches import differential_drive
 from repro.spice import dc_operating_point
 from repro.spice.analysis import balance_differential
 from repro.synthesis.problems import (
+    BALANCE_SPAN,
+    PROOF_DRIVE,
     OpAmpSizingProblem,
     ape_ranges,
     parameterized_opamp,
@@ -82,6 +89,38 @@ def railed_candidates():
 def _bisection_only(patch) -> None:
     """Make every bordered attempt fail, so only the bisection runs."""
     patch.setattr(analysis, "_balance_bordered", lambda *a: None)
+
+
+def _counting_factory(calls: list):
+    """The default bench factory, recording the drive of every build."""
+
+    def factory(amp, v_diff=0.0):
+        calls.append(v_diff)
+        return open_loop_bench(amp, v_diff=v_diff)
+
+    return factory
+
+
+def _shifted_drive(v_diff, v_cm=0.0):
+    """A drive the factory does not apply: the drive proof rejects it."""
+    return differential_drive(v_diff, v_cm + 1.0)
+
+
+def _exact(metrics) -> dict[str, str]:
+    """Metrics as ``float.hex`` text; every NaN reads the same."""
+    return {
+        key: "nan" if math.isnan(value) else float(value).hex()
+        for key, value in metrics.items()
+    }
+
+
+def _by_row(railed_candidates):
+    """``(problem, params)`` per candidate, one problem per Table-1 row."""
+    by_row: dict[str, OpAmpSizingProblem] = {}
+    for amp, params, _build in railed_candidates:
+        if amp.name not in by_row:
+            by_row[amp.name] = OpAmpSizingProblem(amp, ape_ranges(amp))
+        yield by_row[amp.name], params
 
 
 class TestBorderedBalance:
@@ -202,3 +241,84 @@ class TestBisectionFallback:
         )
         assert got[0] == want[0]
         assert got[2].v("out") == want[2].v("out")
+
+
+class TestInPlaceDrive:
+    @pytest.mark.parametrize("bisection", [False, True])
+    def test_same_floats_as_the_factory_path(
+        self, railed_candidates, monkeypatch, bisection
+    ):
+        if bisection:
+            _bisection_only(monkeypatch)
+        in_place = []
+        for problem, params in _by_row(railed_candidates):
+            in_place.append(_exact(problem.evaluate(params)))
+            assert problem._column is not None
+        monkeypatch.setattr(problems, "differential_drive", _shifted_drive)
+        factory = []
+        for problem, params in _by_row(railed_candidates):
+            factory.append(_exact(problem.evaluate(params)))
+            assert problem._column_ready and problem._column is None
+        assert in_place == factory
+
+    def test_factory_builds_only_for_the_proof(self, railed_candidates):
+        amp = railed_candidates[0][0]
+        rows = [params for a, params, _ in railed_candidates if a is amp]
+        calls: list[float] = []
+        problem = OpAmpSizingProblem(
+            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
+        )
+        assert problem.evaluate(rows[0]) is not None
+        assert calls[-3:] == [0.0, BALANCE_SPAN, PROOF_DRIVE]
+        assert [v for v in calls if v != 0.0] == [BALANCE_SPAN, PROOF_DRIVE]
+        built = len(calls)
+        for params in rows[1:]:
+            assert problem.evaluate(params) is not None
+            assert len(calls) == built
+
+    def test_buffered_problem_never_proves(self):
+        spec = OpAmpSpec(gain=70, ugf=3.0e6, area=3000e-12, ibias=2e-6, cl=10e-12)
+        topology = OpAmpTopology(
+            current_source="wilson", output_buffer=True, z_load=1e3
+        )
+        amp = design_opamp(TECH, spec, topology, name="oa1")
+        calls: list[float] = []
+        problem = OpAmpSizingProblem(
+            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
+        )
+        for params in _candidates(amp, seed=7):
+            assert problem.evaluate(params) is not None
+        assert problem._bench_map is not None
+        assert not problem._column_ready
+        assert set(calls) == {0.0}
+
+    def test_bisection_returns_its_own_circuit(
+        self, railed_candidates, monkeypatch
+    ):
+        _bisection_only(monkeypatch)
+        returned = []
+        balance = problems.balance_differential
+
+        def spy(*args, **kwargs):
+            returned.append(balance(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(problems, "balance_differential", spy)
+        for problem, params in _by_row(railed_candidates):
+            problem.evaluate(params)
+            v, ckt, op = returned[-1]
+            bench = problem._bench_map[0]
+            assert problem._column is not None
+            assert ckt is not bench
+            assert op.system.circuit is ckt
+            for name, dc in differential_drive(v).items():
+                assert ckt.element(name).dc == dc
+                assert bench.element(name).dc == 0.0
+        assert len(returned) == len(railed_candidates)
+
+    def test_column_needs_a_system(self, railed_candidates):
+        _, _, build = railed_candidates[0]
+        with pytest.raises(ValueError):
+            balance_differential(
+                build, "out", v_span=0.5, column=np.zeros(3)
+            )

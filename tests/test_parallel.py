@@ -82,6 +82,13 @@ SERIAL_CASES = {
 }
 
 
+#: A buffered problem and one whose railed outputs are balanced.
+BALANCE_CASES = {
+    "buffered": (SPEC, TOPO),
+    "oa3": SERIAL_CASES["oa3"][:2],
+}
+
+
 #: Table 1's oa4: oa3's topology with another spec.  Standalone boxes
 #: do not depend on the spec, so at one seed both rows propose the same
 #: first candidates.
@@ -359,10 +366,11 @@ class TestCanonicalEvaluation:
         for key, value in m_cold.items():
             assert m_warm[key] == pytest.approx(value, rel=1e-3, abs=1e-12), key
 
-    def test_evaluation_is_history_independent(self):
+    @pytest.mark.parametrize("case", sorted(BALANCE_CASES))
+    def test_evaluation_is_history_independent(self, case):
         """The memo/scheduling contract: same params -> same metrics,
         whatever was evaluated in between."""
-        template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
+        template, _ = coarse_design_opamp(TECH, *BALANCE_CASES[case])
         variables = ape_ranges(template)
         bounds = {v.name: (v.lo, v.hi) for v in variables}
         problem = OpAmpSizingProblem(template, variables)
@@ -423,11 +431,17 @@ class TestDeterminism:
         assert memod.cache_hits + memod.cache_misses == memod.evaluations
         assert plain.cache_hits == plain.cache_misses == 0
 
-    def test_results_depend_on_seed_and_restarts_not_workers(self):
+    @pytest.mark.parametrize("case", sorted(BALANCE_CASES))
+    def test_results_depend_on_seed_and_restarts_not_workers(self, case):
+        """Also on a problem whose railed candidates are balanced
+        (oa3), wherever its drive column was computed."""
+        spec, topology = BALANCE_CASES[case]
         kwargs = dict(mode="ape", max_evaluations=30, seed=9, name="oa")
-        one = synthesize_opamp(TECH, SPEC, TOPO, restarts=3, workers=1, **kwargs)
+        one = synthesize_opamp(
+            TECH, spec, topology, restarts=3, workers=1, **kwargs
+        )
         pooled = synthesize_opamp(
-            TECH, SPEC, TOPO, restarts=3, workers=3, oversubscribe=True,
+            TECH, spec, topology, restarts=3, workers=3, oversubscribe=True,
             **kwargs,
         )
         assert _chain_summary(one) == _chain_summary(pooled)

@@ -10,7 +10,7 @@ examples and fixes.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from ..errors import SimulationError
 from ..spice.netlist import (
@@ -27,16 +27,57 @@ from ..spice.netlist import (
 from .core import Finding, LintContext, Rule, register_rule
 from .graph import GROUND, alias, loop_closing_elements
 
-__all__ = ["CORE_RULES", "CANDIDATE_RULES"]
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
+    from ..technology import Technology
+
+__all__ = ["CORE_RULES", "CANDIDATE_RULES", "candidate_error"]
 
 #: Codes of the fast subset ``Circuit.validate()`` runs (kept in sync
 #: by the ``core=True`` registrations below; exported for callers that
 #: want to extend the set explicitly).
 CORE_RULES = ("E001", "E002", "E003", "E004", "E201")
 
-#: Cheap per-candidate rules the synthesis gate re-runs for every
-#: proposed sizing (topology rules run once per structure instead).
+#: Value and geometry rules, whose verdict can change with every
+#: proposed sizing; the synthesis gate checks them per candidate and
+#: every other rule once per problem (the structure never changes).
 CANDIDATE_RULES = ("E004", "E301", "E302", "W504")
+
+
+def candidate_error(element: object, tech: "Technology | None") -> bool:
+    """True when a :data:`CANDIDATE_RULES` rule reports ``element`` as an error.
+
+    Each of those findings depends on its own element alone (E004, E301
+    and E302 are errors, W504 only warns), so a caller that edits a few
+    elements can track this flag per element and run the rules only
+    when some element is flagged.  noqa tags are not consulted here:
+    :func:`~repro.lint.core.lint_circuit` applies them.
+    """
+    if isinstance(element, Capacitor):
+        return _nonpositive_capacitance(element)
+    if isinstance(element, Mosfet):
+        return _nonpositive_leff(element) or (
+            tech is not None and bool(_outside_tech(element, tech))
+        )
+    return False
+
+
+def _nonpositive_capacitance(element: Capacitor) -> bool:
+    return element.value <= 0.0
+
+
+def _nonpositive_leff(element: Mosfet) -> bool:
+    return element.l <= 2.0 * element.model.ld
+
+
+def _outside_tech(element: Mosfet, tech: "Technology") -> list[str]:
+    problems: list[str] = []
+    if element.w < tech.w_min:
+        problems.append(f"W={element.w:g} < w_min={tech.w_min:g}")
+    if element.w > tech.w_max:
+        problems.append(f"W={element.w:g} > w_max={tech.w_max:g}")
+    if element.l < tech.l_min:
+        problems.append(f"L={element.l:g} < l_min={tech.l_min:g}")
+    return problems
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +141,7 @@ def _check_dangling(rule: Rule, ctx: LintContext) -> Iterator[Finding]:
 )
 def _check_capacitors(rule: Rule, ctx: LintContext) -> Iterator[Finding]:
     for element in ctx.circuit:
-        if isinstance(element, Capacitor) and element.value <= 0.0:
+        if isinstance(element, Capacitor) and _nonpositive_capacitance(element):
             yield rule.finding(
                 f"capacitor {element.name} has non-positive value "
                 f"{element.value:g} F; every simulated capacitor must "
@@ -369,13 +410,7 @@ def _check_tech_geometry(rule: Rule, ctx: LintContext) -> Iterator[Finding]:
     for element in ctx.circuit:
         if not isinstance(element, Mosfet):
             continue
-        problems: list[str] = []
-        if element.w < tech.w_min:
-            problems.append(f"W={element.w:g} < w_min={tech.w_min:g}")
-        if element.w > tech.w_max:
-            problems.append(f"W={element.w:g} > w_max={tech.w_max:g}")
-        if element.l < tech.l_min:
-            problems.append(f"L={element.l:g} < l_min={tech.l_min:g}")
+        problems = _outside_tech(element, tech)
         if problems:
             yield rule.finding(
                 f"{element.name}: {'; '.join(problems)} for technology "
@@ -396,7 +431,7 @@ def _check_leff(rule: Rule, ctx: LintContext) -> Iterator[Finding]:
         if not isinstance(element, Mosfet):
             continue
         ld = element.model.ld
-        if element.l <= 2.0 * ld:
+        if _nonpositive_leff(element):
             yield rule.finding(
                 f"{element.name}: drawn L={element.l:g} m <= 2*LD="
                 f"{2.0 * ld:g} m of model {element.model.name!r}; the "

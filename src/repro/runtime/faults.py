@@ -47,11 +47,13 @@ Instrumented sites:
     (``@N`` in ``REPRO_FAULTS``) restricts a fault to one chain
     index, so tests can kill *exactly one* worker deterministically.
 ``service.crash``
-    Checked by the synthesis service's job monitor once per progress
-    poll *after* at least one chain has been journaled; fires via
-    ``os._exit`` so the whole server dies exactly like ``kill -9``,
-    leaving a leased job with a partial journal for the restarted
-    server to reclaim and resume bit-exact.
+    Checked by :meth:`repro.runtime.journal.RunJournal.record_outcome`
+    right after each ``chain-finished`` record is fsynced, on the
+    thread that finished the chain; fires via ``os._exit`` with
+    :data:`CRASH_EXIT_CODE`, so a synthesis server dies exactly like
+    ``kill -9``, leaving a leased job whose journal holds exactly the
+    chains finished so far for the restarted server to reclaim and
+    resume bit-exact.
 ``queue.busy``
     Checked by every :class:`repro.service.queue.JobQueue` statement
     batch; fires as a synthetic ``sqlite3.OperationalError: database
@@ -100,6 +102,7 @@ __all__ = [
     "WORKER_HANG",
     "WORKER_SITES",
     "SERVICE_CRASH",
+    "CRASH_EXIT_CODE",
     "QUEUE_BUSY",
     "JOB_POISON",
     "arm",
@@ -119,13 +122,17 @@ WORKER_HANG = "worker.hang"
 WORKER_SITES = frozenset({WORKER_KILL, WORKER_HANG})
 
 #: Service-layer fault sites (see the module docstring).
-#: ``service.crash`` hard-exits the server process (handled by the
-#: service's job monitor, never via :func:`check`); ``queue.busy``
+#: ``service.crash`` hard-exits the process (handled by the run
+#: journal, never via :func:`check`); ``queue.busy``
 #: degrades into a synthetic SQLite lock inside the job queue;
 #: ``job.poison`` raises through :func:`check` on job execution.
 SERVICE_CRASH = "service.crash"
 QUEUE_BUSY = "queue.busy"
 JOB_POISON = "job.poison"
+
+#: Process exit status of the ``service.crash`` fault site, so a
+#: harness can tell an injected crash from any organic failure.
+CRASH_EXIT_CODE = 86
 
 #: Canonical exception raised by :func:`check` for each site.
 KNOWN_SITES: dict[str, type[ApeError]] = {

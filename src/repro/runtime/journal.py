@@ -37,6 +37,7 @@ import os
 from typing import Any, Iterator
 
 from ..errors import ApeError
+from . import faults
 
 __all__ = ["RunJournal", "run_fingerprint"]
 
@@ -266,7 +267,16 @@ class RunJournal:
                     return
 
     def record_outcome(self, outcome: Any) -> None:
+        """Append a ``chain-finished`` record; host ``service.crash``.
+
+        The fault site fires right after the record is fsynced, on the
+        thread that finished the chain: a simulated ``kill -9`` (no
+        cleanup, no flush, no queue update) that leaves exactly that
+        chain durable.
+        """
         self.append("chain-finished", outcome=outcome_to_jsonable(outcome))
+        if faults.fires(faults.SERVICE_CRASH):
+            os._exit(faults.CRASH_EXIT_CODE)
 
     def load_outcomes(self) -> dict[int, Any]:
         """Finished chains by index (later duplicates win harmlessly)."""

@@ -12,13 +12,13 @@ per-job ``run_dir`` (write-ahead journal) and the service-wide
 * identical problems submitted later are served warm from the store.
 
 The synthesis itself runs on a helper thread while the worker thread
-stays responsive: it renews the queue lease, publishes progress
-(chains done, best cost so far, straight from the journal), and hosts
-the ``service.crash`` fault site — which hard-exits the whole process
-(``os._exit(86)``), deliberately indistinguishable from ``kill -9``,
-once at least one chain is durably journaled.  The ``job.poison``
-fault site raises at the top of every execution attempt to exercise
-the backoff/quarantine ladder.
+stays responsive: it renews the queue lease and publishes progress
+(chains done, best cost so far, straight from the journal).  The
+``service.crash`` fault site lives in the run journal: it hard-exits
+the whole process (``os._exit(86)``), deliberately indistinguishable
+from ``kill -9``, on the synthesis thread right after a chain's record
+is fsynced.  The ``job.poison`` fault site raises at the top of every
+execution attempt to exercise the backoff/quarantine ladder.
 """
 
 from __future__ import annotations
@@ -30,15 +30,12 @@ from typing import Any, Callable
 from ..errors import ApeError, SpecificationError
 from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, global_log
+from ..runtime.faults import CRASH_EXIT_CODE
 from ..runtime.journal import RunJournal
 from .jobs import JobRequest
 from .queue import JobQueue, JobRecord
 
 __all__ = ["JobWorker", "CRASH_EXIT_CODE"]
-
-#: Process exit status used by the ``service.crash`` fault site, so a
-#: harness can tell an injected crash from any organic failure.
-CRASH_EXIT_CODE = 86
 
 
 def _journal_progress(run_dir: str) -> dict[str, Any]:
@@ -210,22 +207,15 @@ class JobWorker:
             target=run_synthesis, name=f"synthesis-{record.id}", daemon=True
         )
         thread.start()
-        # Monitor: heartbeat the lease, publish progress, host the
-        # crash fault.  The heartbeat cadence stays well inside the
-        # lease so a healthy job never loses it.
+        # Monitor: heartbeat the lease and publish progress.  The
+        # heartbeat cadence stays well inside the lease so a healthy
+        # job never loses it.
         interval = min(self.poll_interval_s, self.lease_seconds / 3.0)
         while thread.is_alive():
             thread.join(timeout=interval)
             if not thread.is_alive():
                 break
             progress = _journal_progress(run_dir)
-            if progress["chains_done"] >= 1 and faults.fires(
-                faults.SERVICE_CRASH
-            ):
-                # Simulated kill -9: no cleanup, no flush, no queue
-                # update.  The lease simply stops being renewed and a
-                # restarted server reclaims the job from its journal.
-                os._exit(CRASH_EXIT_CODE)
             if not self.queue.heartbeat(
                 record.id, self.owner, lease_seconds=self.lease_seconds
             ):

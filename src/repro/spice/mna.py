@@ -68,7 +68,10 @@ class System:
     :mod:`repro.spice.engine`) hangs off it and tracks the circuit's
     edit revision, and :meth:`rebind` lets optimization loops move an
     existing system onto a structurally identical circuit without
-    re-validating and re-indexing the netlist.
+    re-validating and re-indexing the netlist.  Each transistor's
+    :class:`~repro.devices.MosDevice` is built once and rebuilt only
+    when that transistor's element object changes, so a sizing loop
+    that edits one device pays for one.
     """
 
     def __init__(self, circuit: Circuit) -> None:
@@ -83,13 +86,13 @@ class System:
             for k, e in enumerate(circuit.branch_elements())
         }
         self.size = self.n_nodes + len(self.branch_index)
-        # MosDevice objects are immutable; build them once per analysis.
-        self._devices: dict[str, MosDevice] = {
-            m.name: m.device for m in circuit.mosfets()
-        }
+        # MosDevice objects are immutable: one per transistor, kept
+        # with the element object it was built from.
+        self._devices: dict[str, MosDevice] = {}
+        self._device_sources: dict[str, Mosfet] = {}
+        self._bind_devices()
         #: Compiled stamp cache, managed by :mod:`repro.spice.engine`.
         self._compiled = None
-        self._topo_revision = circuit.topology_revision
 
     def index(self, node: str) -> int:
         """Unknown index of a node; -1 for ground."""
@@ -119,10 +122,22 @@ class System:
         would keep using the old geometry.
         """
         if self._topo_revision != self.circuit.topology_revision:
-            self._devices = {
-                m.name: m.device for m in self.circuit.mosfets()
-            }
-            self._topo_revision = self.circuit.topology_revision
+            self._bind_devices()
+
+    def _bind_devices(self) -> None:
+        """Point the device cache at the current circuit's transistors.
+
+        Builds a :class:`MosDevice` only for a transistor whose element
+        object is not the one its cached device was built from; a
+        device is a pure function of its element, so the others stand.
+        """
+        devices = self._devices
+        sources = self._device_sources
+        for m in self.circuit.mosfets():
+            if sources.get(m.name) is not m:
+                devices[m.name] = m.device
+                sources[m.name] = m
+        self._topo_revision = self.circuit.topology_revision
 
     def structure_matches(self, circuit: Circuit) -> bool:
         """True when ``circuit`` shares this system's element structure.
@@ -136,6 +151,8 @@ class System:
         if len(ours) != len(theirs):
             return False
         for a, b in zip(ours, theirs):
+            if a is b:
+                continue
             if (
                 type(a) is not type(b)
                 or a.name != b.name
@@ -163,8 +180,7 @@ class System:
         if not self.structure_matches(circuit):
             return System(circuit)
         self.circuit = circuit
-        self._devices = {m.name: m.device for m in circuit.mosfets()}
-        self._topo_revision = circuit.topology_revision
+        self._bind_devices()
         return self
 
 

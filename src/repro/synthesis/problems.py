@@ -22,7 +22,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from ..errors import ApeError, SimulationError, SpecificationError
+from ..devices import MosDevice
+from ..errors import ApeError, SimulationError, SizingError, SpecificationError
 from ..opamp import OpAmp
 from ..opamp.benches import differential_drive, open_loop_bench
 from ..runtime import faults
@@ -106,8 +107,6 @@ def parameterized_opamp(template: OpAmp, params: dict[str, float]) -> OpAmp:
     ``<stage>.<role>.w``, ``<stage>.<role>.l`` and ``cc``.  Unknown
     keys are ignored so annealer dictionaries can carry extras.
     """
-    from ..devices import MosDevice
-
     new_stages = {}
     for stage_name, stage in template.stages.items():
         new_devices = {}
@@ -221,6 +220,21 @@ class OpAmpSizingProblem(SizingProblem):
     *canonical*: the result for a parameter dict is independent of
     evaluation order — the invariant the memo cache and the executor's
     scheduling independence rest on.
+
+    On the in-place bench a candidate is applied as a delta against
+    the last applied one: no :class:`~repro.opamp.OpAmp` is built
+    (``tech`` comes from the template, ``r_ref`` from the params), the
+    :class:`~repro.devices.MosDevice` checks run on the changed devices
+    before anything is written, only the changed elements are written
+    into the bench (which stays the one source of truth), the lint gate
+    runs its candidate rules only when a written element is flagged,
+    and the shared :class:`~repro.spice.mna.System` rebuilds only the
+    changed transistors' devices.  A candidate that fails the device
+    checks calls :func:`parameterized_opamp` for its exact
+    ``SizingError``.  The factory path — ``reuse_state=False``, Monte
+    Carlo variants, custom factories the probe rejects, non-canonical
+    dicts — builds an ``OpAmp`` and a bench per candidate and is the
+    tests' reference.
     """
 
     def __init__(
@@ -241,10 +255,10 @@ class OpAmpSizingProblem(SizingProblem):
         self.awe_order = awe_order
         self.balance_tolerance = balance_tolerance
         #: Gate each candidate through the electrical rule checker
-        #: before any matrix is assembled: the full structural catalog
-        #: once per topology (cached — the structure never changes
-        #: between candidates), then the cheap per-candidate value and
-        #: geometry subset (:data:`repro.lint.rules.CANDIDATE_RULES`).
+        #: before any matrix is assembled: every structural rule once
+        #: per problem (cached — the structure never changes between
+        #: candidates), then the cheap per-candidate value and geometry
+        #: subset (:data:`repro.lint.rules.CANDIDATE_RULES`).
         self.lint = lint
         #: Candidates rejected by the lint gate without a Newton solve.
         self.lint_rejections = 0
@@ -282,6 +296,22 @@ class OpAmpSizingProblem(SizingProblem):
         #: equivalent or not taken at all.
         self._bench_map: tuple | None = None
         self._bench_broken = False
+        #: In-place bench elements that draw a candidate-rule error.
+        self._flagged: set[str] = set()
+        #: Geometry key -> ``(model card, W key, L key, template W,
+        #: template L)`` of its device, for :meth:`_sizable`.
+        self._device_keys = {
+            f"{stage_name}.{role}.{axis}": (
+                sized.device.model,
+                f"{stage_name}.{role}.w",
+                f"{stage_name}.{role}.l",
+                sized.w,
+                sized.l,
+            )
+            for stage_name, stage in template.stages.items()
+            for role, sized in stage.devices.items()
+            for axis in ("w", "l")
+        }
         #: In-place drive: the balancing solve's drive column once
         #: :meth:`_prove_drive` shows, from the template's bench, that
         #: the factory applies the drive exactly as
@@ -297,15 +327,24 @@ class OpAmpSizingProblem(SizingProblem):
         return self._variables
 
     def evaluate(self, params: dict[str, float]) -> dict[str, float] | None:
-        try:
-            amp = parameterized_opamp(self.template, params)
-        except ApeError as exc:
-            self._note_failure(exc)
-            return None
+        changes = self._changes(params)
+        amp = None
+        if changes is None or not self._sizable(changes, params):
+            # The factory path; on the in-place bench, the exact
+            # SizingError of a candidate that fails the device checks.
+            try:
+                amp = parameterized_opamp(self.template, params)
+            except ApeError as exc:
+                self._note_failure(exc)
+                return None
         try:
             faults.check("synthesis.evaluate")
-            bench = self._candidate_bench(amp, params)
-            if self.lint and self._lint_rejects(bench, amp):
+            if changes is None:
+                bench = self._candidate_bench(amp, params)
+            else:
+                bench = self._apply(changes)
+            tech = self.template.tech
+            if self.lint and self._lint_rejects(bench, tech):
                 return None
             if not self.reuse_state:
                 self._system = None
@@ -323,7 +362,7 @@ class OpAmpSizingProblem(SizingProblem):
             if abs(v_out) > 0.25:
                 # Output railed at zero offset: balance, starting from
                 # this zero-drive solution.
-                build, column = self._drive(amp, bench)
+                build, column = self._drive(amp, params, bench)
                 _, bench, op = balance_differential(
                     build,
                     "out",
@@ -339,9 +378,10 @@ class OpAmpSizingProblem(SizingProblem):
                 )
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.
-                    return self._dead_metrics(bench, op, amp)
-            metrics = self._measure(bench, op, amp)
-            return metrics
+                    return self._dead_metrics(bench, op, tech)
+            return self._measure(
+                bench, op, tech, params.get("r.ref", self.template.r_ref)
+            )
         except SimulationError as exc:
             self._note_failure(exc)
             return None
@@ -390,27 +430,79 @@ class OpAmpSizingProblem(SizingProblem):
             return None
         return x0
 
-    def _candidate_bench(self, amp: OpAmp, params: dict[str, float]):
-        """The candidate's bench: factory build or in-place update."""
-        if not self.reuse_state:
-            return self.bench_factory(amp, v_diff=0.0)
-        if self._bench_map is None and not self._bench_broken:
-            self._probe_bench_map(params)
-        if self._bench_broken or self._bench_map is None:
-            return self.bench_factory(amp, v_diff=0.0)
-        circuit, applied, mapping = self._bench_map
-        if set(params) != set(applied):
-            # Unknown or missing keys could affect the bench in ways the
-            # probe never saw; build this candidate the slow, safe way.
-            return self.bench_factory(amp, v_diff=0.0)
-        for name, value in params.items():
-            if value == applied[name]:
+    def _changes(self, params: dict[str, float]) -> dict[str, float] | None:
+        """The variables ``params`` moves on the in-place bench, or ``None``.
+
+        ``None`` (the factory path) until the bench-map probe has proven
+        the in-place bench, and for a dict whose keys are not exactly
+        the mapped variables: unknown or missing keys could affect the
+        bench in ways the probe never saw.
+        """
+        if self._bench_map is None:
+            return None
+        applied = self._bench_map[1]
+        if params.keys() != applied.keys():
+            return None
+        return {
+            name: value
+            for name, value in params.items()
+            if value != applied[name]
+        }
+
+    def _sizable(
+        self, changes: dict[str, float], params: dict[str, float]
+    ) -> bool:
+        """True when every device ``changes`` resizes passes the
+        :class:`~repro.devices.MosDevice` checks.
+
+        Unchanged devices passed them when they were applied.
+        """
+        for name in changes:
+            device = self._device_keys.get(name)
+            if device is None:
                 continue
+            model, w_key, l_key, w, l = device
+            try:
+                MosDevice(model, params.get(w_key, w), params.get(l_key, l))
+            except SizingError:
+                return False
+        return True
+
+    def _apply(self, changes: dict[str, float]):
+        """Write ``changes`` into the in-place bench and return it.
+
+        Each written element's :func:`~repro.lint.rules.candidate_error`
+        flag is updated with it, so the lint gate knows whether the
+        bench can draw a candidate-rule error without running the rules.
+        """
+        from ..lint.rules import candidate_error
+
+        circuit, applied, mapping = self._bench_map
+        tech = self.template.tech
+        flagged = self._flagged
+        for name, value in changes.items():
             for elem_name, field_name in mapping[name]:
-                elem = circuit.element(elem_name)
-                circuit.replace(replace(elem, **{field_name: value}))
+                elem = replace(circuit.element(elem_name), **{field_name: value})
+                circuit.replace(elem)
+                if candidate_error(elem, tech):
+                    flagged.add(elem_name)
+                else:
+                    flagged.discard(elem_name)
             applied[name] = value
         return circuit
+
+    def _candidate_bench(self, amp: OpAmp, params: dict[str, float]):
+        """The bench of a candidate :meth:`_changes` cannot place.
+
+        A factory build, except at the first canonical candidate of a
+        problem whose bench map is unproven: the probe runs, and the
+        bench it built at exactly ``params`` becomes the in-place bench.
+        """
+        if self.reuse_state and self._bench_map is None and not self._bench_broken:
+            self._probe_bench_map(params)
+            if self._bench_map is not None:
+                return self._bench_map[0]
+        return self.bench_factory(amp, v_diff=0.0)
 
     def _probe_bench_map(self, params: dict[str, float]) -> None:
         """One-time discovery of the variable -> element-field mapping.
@@ -422,6 +514,8 @@ class OpAmpSizingProblem(SizingProblem):
         structure, non-positive parameters) marks the fast path broken
         and every candidate keeps using the factory build.
         """
+        from ..lint.rules import candidate_error
+
         if set(params) != {v.name for v in self._variables}:
             # A non-canonical dict (extra or missing keys) could bake
             # effects into the cached bench the mapping would not track;
@@ -473,9 +567,13 @@ class OpAmpSizingProblem(SizingProblem):
                         return
             mapping[name] = tuple(entries)
         applied = {name: params[name] for name in mapping}
+        tech = self.template.tech
+        self._flagged = {
+            e.name for e in base_elements if candidate_error(e, tech)
+        }
         self._bench_map = (base, applied, mapping)
 
-    def _drive(self, amp: OpAmp, bench):
+    def _drive(self, amp: OpAmp | None, params: dict[str, float], bench):
         """``(build, column)`` for balancing a railed candidate.
 
         On the in-place bench, once :meth:`_prove_drive` has shown the
@@ -486,7 +584,9 @@ class OpAmpSizingProblem(SizingProblem):
         copies share every other element object with ``bench``, so the
         system rebinds to them as a source-only edit, and ``bench``
         itself stays at zero drive.  Anything else builds every drive
-        with the factory and leaves the column to the balance.
+        with the factory (from ``amp``, built from ``params`` when the
+        candidate was placed without one) and leaves the column to the
+        balance.
         """
         if self._bench_map is not None and bench is self._bench_map[0]:
             if not self._column_ready:
@@ -501,6 +601,8 @@ class OpAmpSizingProblem(SizingProblem):
                     return ckt
 
                 return build, self._column
+        if amp is None:
+            amp = parameterized_opamp(self.template, params)
         return (lambda v: self.bench_factory(amp, v_diff=v)), None
 
     def _prove_drive(self):
@@ -549,26 +651,36 @@ class OpAmpSizingProblem(SizingProblem):
             System(at_zero), at_zero, builds[BALANCE_SPAN], BALANCE_SPAN
         )
 
-    def _lint_rejects(self, bench, amp: OpAmp) -> bool:
+    def _lint_rejects(self, bench, tech: Technology) -> bool:
         """True when the ERC finds an error — reject before Newton.
 
-        The full structural catalog (source loops, floating gates,
-        current-source cutsets, ...) runs exactly once: every candidate
-        shares the template's topology, so the structural verdict is a
-        property of the run, not of the candidate.  Per candidate only
-        the cheap value/geometry subset runs — no graph analysis, no
-        matrix assembly.
+        Every rule outside :data:`~repro.lint.rules.CANDIDATE_RULES`
+        (source loops, floating gates, current-source cutsets, ...) runs
+        exactly once: every candidate shares the template's topology,
+        so that verdict is a property of the problem, not of whichever
+        candidate came first.  The candidate rules, whose verdict moves
+        with the sizing, run per candidate — on the in-place bench only
+        when some element is flagged by
+        :func:`~repro.lint.rules.candidate_error`, since a bench with
+        no flagged element draws no error from them.  Rejections, noqa
+        tags and Diagnostics are therefore those of a full run.
         """
         from ..lint import lint_circuit
         from ..lint.rules import CANDIDATE_RULES
 
         if self._structural_report is None:
-            self._structural_report = lint_circuit(bench, tech=amp.tech)
+            self._structural_report = lint_circuit(
+                bench, tech=tech, suppress=CANDIDATE_RULES
+            )
         report = self._structural_report
         if report.ok:
-            report = lint_circuit(
-                bench, tech=amp.tech, rules=CANDIDATE_RULES
-            )
+            if (
+                not self._flagged
+                and self._bench_map is not None
+                and bench is self._bench_map[0]
+            ):
+                return False
+            report = lint_circuit(bench, tech=tech, rules=CANDIDATE_RULES)
             if report.ok:
                 return False
         self.lint_rejections += 1
@@ -607,27 +719,29 @@ class OpAmpSizingProblem(SizingProblem):
     def _supply_power(self, op, tech: Technology) -> float:
         return tech.vdd * (-op.i("VDDSUP")) + tech.vss * (-op.i("VSSSUP"))
 
-    def _dead_metrics(self, bench, op, amp: OpAmp) -> dict[str, float]:
+    def _dead_metrics(self, bench, op, tech: Technology) -> dict[str, float]:
         return {
             "gain": 0.0,
             "ugf": math.nan,
             "gate_area": bench.total_gate_area(),
-            "dc_power": self._supply_power(op, amp.tech),
+            "dc_power": self._supply_power(op, tech),
             "offset": op.v("out"),
         }
 
-    def _measure(self, bench, op, amp: OpAmp) -> dict[str, float]:
+    def _measure(
+        self, bench, op, tech: Technology, r_ref: float
+    ) -> dict[str, float]:
         metrics = {
             "gate_area": bench.total_gate_area(),
-            "dc_power": self._supply_power(op, amp.tech),
+            "dc_power": self._supply_power(op, tech),
             "offset": op.v("out"),
         }
         # The realized reference current — Table 1's Ibias is an input
         # the surrounding system provides, so a working design must
         # draw (roughly) that current through its reference branch.
-        if amp.r_ref > 0:
+        if r_ref > 0:
             v_bias = op.v("X1_nbias_a")
-            metrics["i_ref"] = (amp.tech.vdd - v_bias) / amp.r_ref
+            metrics["i_ref"] = (tech.vdd - v_bias) / r_ref
         try:
             model = awe_poles(bench, "out", order=self.awe_order, op=op)
             metrics["gain"] = abs(model.dc_gain)

@@ -800,9 +800,9 @@ def test_crash_recovery_resumes_bit_exact(tmp_path):
     from repro.synthesis import synthesize_opamp
 
     data_dir = tmp_path / "svc"
-    # The service.crash site hard-exits the server on the first
-    # progress poll that finds >= 1 journaled chain: a deterministic
-    # kill -9 in the middle of the 3-chain job.
+    # The service.crash site hard-exits the server right after the
+    # first chain-finished record is fsynced: a deterministic kill -9
+    # in the middle of the 3-chain job.
     process, url = _spawn_server(
         data_dir, faults_env="service.crash=1.0:1"
     )
@@ -816,14 +816,14 @@ def test_crash_recovery_resumes_bit_exact(tmp_path):
         if process.poll() is None:
             process.kill()
 
-    # The journal shows partial progress — the crash hit mid-run.
+    # The journal holds exactly the one chain the crash followed.
     journal_path = data_dir / "runs" / job_id / "journal.jsonl"
     assert journal_path.exists()
     chains_done = sum(
         1 for line in journal_path.read_text().splitlines()
         if '"chain-finished"' in line
     )
-    assert 1 <= chains_done < 3
+    assert chains_done == 1
 
     # Restart on the same data dir, no faults: the lease lapses, the
     # job is reclaimed and resumed from its journal.

@@ -4,13 +4,12 @@ Four op-amps in the paper's configurations (OpAmp1-3: Wilson tail +
 CMOS diff pair + output buffer; OpAmp4: simple-mirror tail + CMOS diff
 pair, no buffer) are sized by APE and then fully simulated: DC power,
 differential gain, UGF, output impedance, gate area, CMRR and slew
-rate.  Expected shape: every est/sim pair agrees within tens of
+rate.  Expected shape: simulated gain and DC power within 10 % of the
+estimate, gate area equal to it, and UGF and Zout within tens of
 percent (the paper's own deviations run up to ~70 % on UGF).
 """
 
 from __future__ import annotations
-
-import math
 
 import pytest
 
@@ -75,13 +74,13 @@ def test_table3_est_vs_sim(benchmark, tech, show):
          header, lines)
     for name, amp, sim in results:
         est = amp.estimate
-        assert sim["gain"] == pytest.approx(est.gain, rel=0.25), name
+        assert sim["gain"] == pytest.approx(est.gain, rel=0.1), name
         assert sim["ugf"] == pytest.approx(est.ugf, rel=0.7), name
-        assert sim["dc_power"] == pytest.approx(est.dc_power, rel=0.3), name
+        assert sim["dc_power"] == pytest.approx(est.dc_power, rel=0.1), name
         # Zout of the unbuffered two-stage is the softest estimate (the
         # simulated second-stage bias shifts its lambda-dependent gds).
         assert sim["zout"] == pytest.approx(est.zout, rel=0.7), name
-        assert sim["gate_area"] == pytest.approx(est.gate_area, rel=0.1), name
+        assert sim["gate_area"] == pytest.approx(est.gate_area, rel=1e-12), name
 
 
 @pytest.mark.benchmark(group="table3")

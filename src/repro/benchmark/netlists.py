@@ -6,8 +6,8 @@ families cover the structures module-level analog netlists exhibit:
 
 * :func:`ladder_circuit` — a driven RC ladder: series resistors with
   shunt capacitors, the near-banded (tridiagonal) pattern of
-  interconnect and filter chains.  This is the fixture behind the
-  committed ``ac_ladder_<n>`` measures.
+  interconnect and filter chains, which
+  ``benchmarks/bench_sparse_ac.py`` times at 50, 200 and 1000 unknowns.
 * :func:`module_chain_circuit` — a cascade of linear gain modules
   (transconductance stage into an RC load, resistively coupled to the
   next stage), the slightly denser block-bidiagonal pattern of

@@ -16,10 +16,6 @@ Commands mirror the library's main entry points:
 * ``simulate`` — DC/AC/transient analysis of a SPICE deck file,
 * ``lint`` — electrical rule check of SPICE deck files (text or JSON
   findings; exit 1 on error-severity findings),
-* ``bench`` — A/B benchmarks: the stamp-compiled engine against the
-  naive assembly path (``BENCH_engine.json``) and the parallel
-  multi-chain synthesis executor against serial legs
-  (``BENCH_parallel.json``), selected via ``--suite``,
 * ``diagnostics`` — render the Diagnostic records and session-wide
   throughput/cache counters accumulated by runs in this process.
 
@@ -243,46 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "feasibility instead of analyzing one candidate")
     p.add_argument("--format", default="text", choices=["text", "json"],
                    help="report format (default: text)")
-
-    p = sub.add_parser(
-        "bench",
-        help="benchmark the engine, the parallel synthesis executor, "
-             "corner-robust synthesis and the sparse solve backend",
-    )
-    p.add_argument("--suite", default="engine",
-                   choices=["engine", "parallel", "robust", "sparse",
-                            "analysis", "store", "all"],
-                   help="engine: compiled vs naive assembly; parallel: "
-                        "multi-chain executor vs serial legs; robust: "
-                        "corner-aware vs nominal-only synthesis; sparse: "
-                        "sparse vs dense solves; analysis: static "
-                        "feasibility gate vs budgeted synthesis; store: "
-                        "warm persistent-store runs and APE-screened "
-                        "annealing vs cold/off baselines "
-                        "(default: engine)")
-    p.add_argument("--quick", action="store_true",
-                   help="short per-measurement floor (CI smoke mode)")
-    p.add_argument("--min-time", default=None,
-                   help="seconds per measurement (engine suite only; "
-                        "overrides --quick)")
-    p.add_argument("--workers", type=int, default=4,
-                   help="worker processes for the parallel suite "
-                        "(default: 4)")
-    p.add_argument("--out", default=None,
-                   help="report path (default: BENCH_engine.json / "
-                        "BENCH_parallel.json / BENCH_robust.json / "
-                        "BENCH_sparse.json / BENCH_analysis.json / "
-                        "BENCH_store.json per suite)")
-    p.add_argument("--check", action="store_true",
-                   help="exit non-zero when a target is missed or a "
-                        "measure regressed beyond tolerance against the "
-                        "previously committed report")
-    p.add_argument("--validate", nargs="+", default=None, metavar="PATH",
-                   help="validate existing BENCH_*.json files against "
-                        "the report schema and exit (no benchmarks run)")
-    p.add_argument("--oversubscribe", action="store_true",
-                   help="allow more workers than usable CPUs (CI smoke "
-                        "runs on small machines)")
 
     p = sub.add_parser(
         "diagnostics",
@@ -705,121 +661,6 @@ def _cmd_analyze(args, tech) -> int:
     return 0 if report.feasible else 1
 
 
-def _cmd_bench(args, tech) -> int:
-    import os
-
-    from .benchmark import (
-        check_regression,
-        load_report,
-        render_analysis_report,
-        render_parallel_report,
-        render_report,
-        render_robust_report,
-        render_sparse_report,
-        render_store_report,
-        run_analysis_benchmark,
-        run_engine_benchmark,
-        run_parallel_benchmark,
-        run_robust_benchmark,
-        run_sparse_benchmark,
-        run_store_benchmark,
-        write_report,
-    )
-
-    if args.validate is not None:
-        failures = 0
-        for path in args.validate:
-            try:
-                report = load_report(path)
-            except ApeError as exc:
-                print(f"{path}: INVALID — {exc}")
-                failures += 1
-            else:
-                met = report.target_results()
-                print(f"{path}: ok (suite {report.suite}, "
-                      f"{len(report.measures)} measure(s), "
-                      f"{sum(met.values())}/{len(met)} target(s) met)")
-        return 1 if failures else 0
-
-    min_time = (
-        parse_quantity(args.min_time) if args.min_time is not None else None
-    )
-
-    def finish(report, out: str) -> bool:
-        """Write the report; True when targets hold and nothing regressed."""
-        previous = None
-        if args.check and os.path.exists(out):
-            try:
-                previous = load_report(out)
-            except ApeError:
-                previous = None  # pre-schema or corrupt: no baseline
-        write_report(report, out)
-        print(f"report written to {out}")
-        ok = report.all_targets_met()
-        for name in report.missed_targets():
-            print(f"target MISSED: {name}")
-        if previous is not None:
-            for line in check_regression(report, previous):
-                print(f"regression: {line}")
-                ok = False
-        return ok
-
-    ok = True
-    if args.suite in ("engine", "all"):
-        report = run_engine_benchmark(quick=args.quick, min_time=min_time)
-        print(render_report(report))
-        out = args.out if args.suite == "engine" and args.out else "BENCH_engine.json"
-        ok = finish(report, out) and ok
-    if args.suite in ("parallel", "all"):
-        report = run_parallel_benchmark(
-            quick=args.quick, workers=args.workers
-        )
-        print(render_parallel_report(report))
-        out = (
-            args.out if args.suite == "parallel" and args.out
-            else "BENCH_parallel.json"
-        )
-        ok = finish(report, out) and ok
-    if args.suite in ("robust", "all"):
-        report = run_robust_benchmark(
-            quick=args.quick, workers=args.workers,
-            oversubscribe=args.oversubscribe,
-        )
-        print(render_robust_report(report))
-        out = (
-            args.out if args.suite == "robust" and args.out
-            else "BENCH_robust.json"
-        )
-        ok = finish(report, out) and ok
-    if args.suite in ("sparse", "all"):
-        report = run_sparse_benchmark(quick=args.quick, min_time=min_time)
-        print(render_sparse_report(report))
-        out = (
-            args.out if args.suite == "sparse" and args.out
-            else "BENCH_sparse.json"
-        )
-        ok = finish(report, out) and ok
-    if args.suite in ("analysis", "all"):
-        report = run_analysis_benchmark(quick=args.quick)
-        print(render_analysis_report(report))
-        out = (
-            args.out if args.suite == "analysis" and args.out
-            else "BENCH_analysis.json"
-        )
-        ok = finish(report, out) and ok
-    if args.suite in ("store", "all"):
-        report = run_store_benchmark(quick=args.quick)
-        print(render_store_report(report))
-        out = (
-            args.out if args.suite == "store" and args.out
-            else "BENCH_store.json"
-        )
-        ok = finish(report, out) and ok
-    if args.check and not ok:
-        return 1
-    return 0
-
-
 def _cmd_diagnostics(args, tech) -> int:
     import dataclasses
     import json
@@ -990,7 +831,6 @@ def main(argv: list[str] | None = None) -> int:
             "analyze": _cmd_analyze,
             "lint": _cmd_lint,
             "simulate": _cmd_simulate,
-            "bench": _cmd_bench,
             "diagnostics": _cmd_diagnostics,
             "serve": _cmd_serve,
         }[args.command]

@@ -149,7 +149,6 @@ class ChainTask:
     seed: int
     chain_index: int
     tolerant: bool = True
-    lint: bool = True
     retry: RetryPolicy | None = None
     #: This chain's share of the caller's budget (see
     #: :meth:`EvalBudget.share`): the caller's limits and deadline
@@ -196,7 +195,6 @@ class ChainTask:
                 self.name,
                 self.range_factor,
                 self.tolerant,
-                self.lint,
                 self.robust,
                 self.box_override,
             )
@@ -363,7 +361,7 @@ def _build_bundle(task: ChainTask):
     if synthesis_spec is None:
         synthesis_spec = opamp_synthesis_spec(task.spec)
     cost_fn = CostFunction(synthesis_spec)
-    problem = OpAmpSizingProblem(template, variables, lint=task.lint)
+    problem = OpAmpSizingProblem(template, variables)
     evaluator = None
     if task.robust is not None:
         # Shares the nominal problem (and its compiled MNA system); the
@@ -373,7 +371,6 @@ def _build_bundle(task: ChainTask):
             variables,
             task.robust,
             synthesis_spec,
-            lint=task.lint,
             nominal_problem=problem,
         )
     return x0, cost_fn, problem, design_notes, ape_seconds, evaluator

@@ -14,11 +14,10 @@ both from scratch:
   extraction (Pillage & Rohrer),
 * :mod:`repro.spice.analysis` — measurement helpers (gain, UGF,
   bandwidth, phase margin, slew rate, output impedance, CMRR),
-* :mod:`repro.spice.engine` — stamp-compiled assembly fast path (the
-  naive per-element loops live in :mod:`repro.spice.mna`).
+* :mod:`repro.spice.engine` — stamp-compiled MNA assembly (the index
+  bookkeeping lives in :mod:`repro.spice.mna`).
 """
 
-from .engine import compiled_enabled, naive_assembly, set_compiled
 from .linalg import (
     SPARSE_AUTO_THRESHOLD,
     set_solver_mode,
@@ -64,9 +63,6 @@ from .analysis import (
 __all__ = [
     "System",
     "system_for_op",
-    "set_compiled",
-    "compiled_enabled",
-    "naive_assembly",
     "SPARSE_AUTO_THRESHOLD",
     "solver_mode",
     "set_solver_mode",

@@ -19,12 +19,7 @@ import numpy as np
 from ..errors import SimulationError
 from . import linalg
 from .dc import OperatingPointResult, dc_operating_point
-from .engine import (
-    assemble_ac,
-    compiled_enabled,
-    linearize_ac,
-    sparse_pattern_for,
-)
+from .engine import linearize_ac, sparse_pattern_for
 from .mna import System, system_for_op
 from .netlist import Circuit
 
@@ -97,45 +92,33 @@ def ac_analysis(
         raise SimulationError("AC frequencies must be positive")
     system = system_for_op(circuit, op.system)
     solutions = np.zeros((len(freqs), system.size), dtype=complex)
-    if compiled_enabled():
-        # Sweep-level cache: linearize once at the operating point, then
-        # each frequency point is one scale-and-add plus one solve.
-        g, c, b = linearize_ac(system, op.x)
-        if linalg.use_sparse(system.size):
-            # The symbolic structure (one CSC pattern from the compiled
-            # scatter positions) is shared by every frequency point;
-            # per point only the numeric values move.
-            pattern = sparse_pattern_for(system)
-            g_data = pattern.gather(g)
-            c_data = pattern.gather(c)
-            for k, freq in enumerate(freqs):
-                data = g_data + (2j * np.pi * freq) * c_data
-                try:
-                    solutions[k] = linalg.sparse_solve(pattern.csc(data), b)
-                except np.linalg.LinAlgError as exc:
-                    raise SimulationError(
-                        f"{circuit.title}: singular AC system at {freq:g} Hz"
-                    ) from exc
-            return ACResult(
-                system=system, frequencies=freqs, solutions=solutions
-            )
+    # Sweep-level cache: linearize once at the operating point, then
+    # each frequency point is one scale-and-add plus one solve.
+    g, c, b = linearize_ac(system, op.x)
+    if linalg.use_sparse(system.size):
+        # The symbolic structure (one CSC pattern from the compiled
+        # scatter positions) is shared by every frequency point; per
+        # point only the numeric values move.
+        pattern = sparse_pattern_for(system)
+        g_data = pattern.gather(g)
+        c_data = pattern.gather(c)
         for k, freq in enumerate(freqs):
-            y = g + (2j * np.pi * freq) * c
+            data = g_data + (2j * np.pi * freq) * c_data
             try:
-                solutions[k] = np.linalg.solve(y, b)
+                solutions[k] = linalg.sparse_solve(pattern.csc(data), b)
             except np.linalg.LinAlgError as exc:
                 raise SimulationError(
                     f"{circuit.title}: singular AC system at {freq:g} Hz"
                 ) from exc
-    else:
-        for k, freq in enumerate(freqs):
-            y, b = assemble_ac(system, op.x, 2.0 * np.pi * freq)
-            try:
-                solutions[k] = np.linalg.solve(y, b)
-            except np.linalg.LinAlgError as exc:
-                raise SimulationError(
-                    f"{circuit.title}: singular AC system at {freq:g} Hz"
-                ) from exc
+        return ACResult(system=system, frequencies=freqs, solutions=solutions)
+    for k, freq in enumerate(freqs):
+        y = g + (2j * np.pi * freq) * c
+        try:
+            solutions[k] = np.linalg.solve(y, b)
+        except np.linalg.LinAlgError as exc:
+            raise SimulationError(
+                f"{circuit.title}: singular AC system at {freq:g} Hz"
+            ) from exc
     return ACResult(system=system, frequencies=freqs, solutions=solutions)
 
 

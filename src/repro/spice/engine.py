@@ -1,11 +1,11 @@
 """Stamp-compiled MNA assembly — the solver hot path.
 
-The naive assembly in :mod:`repro.spice.mna` walks the netlist in pure
-Python at every Newton iteration, every AC frequency point and every
-transient step, even though all *linear* elements (R, L, V, E, G, I, C)
-contribute exactly the same stamps every time.  This module compiles
-those stamps once per circuit revision into dense cached matrices built
-with one vectorized ``np.add.at`` scatter, so per-call work reduces to:
+A naive assembly walks the netlist in pure Python at every Newton
+iteration, every AC frequency point and every transient step, even
+though all *linear* elements (R, L, V, E, G, I, C) contribute exactly
+the same stamps every time.  This module compiles those stamps once per
+circuit revision into dense cached matrices built with one vectorized
+``np.add.at`` scatter, so per-call work reduces to:
 
 * copy the cached linear skeleton (one ``ndarray.copy``),
 * one matmul for the linear residual,
@@ -15,37 +15,26 @@ The compiled linear parts are exact algebra, not an approximation: the
 DC residual is ``(G_lin + gmin·diag) x + source_scale · s`` plus MOSFET
 terms, AC is ``Y(ω) = G + jωC`` with a constant RHS, and the transient
 companion models factor into per-``(h, gmin)`` constant matrices plus a
-per-step matrix that depends only on the previous-step bias.  The A/B
-suite in ``tests/test_engine_equivalence.py`` holds the two paths to
+per-step matrix that depends only on the previous-step bias.
+``tests/test_engine_equivalence.py`` holds every entry point to the
+naive per-element loops (``tests/naive_mna.py``, the oracle) at
 ``rtol=1e-12`` on every fixture.
 
 Caches hang off :class:`~repro.spice.mna.System` and are invalidated by
 the circuit's monotonic edit revision, so in-place ``Circuit.replace``
 edits (DC sweeps, bisection loops) recompile automatically while pure
 re-solves pay nothing.
-
-Set :func:`set_compiled` (or use the :func:`naive_assembly` context
-manager) to fall back to the reference implementations — that is how
-the benchmark measures its own baseline.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
 
 from . import linalg
-from .mna import (
-    System,
-    assemble_ac_naive,
-    assemble_dc_naive,
-    assemble_tran_naive,
-    capacitance_matrix_naive,
-    evaluate_mosfet,
-)
+from .mna import System, evaluate_mosfet
 from .netlist import (
     Capacitor,
     CurrentSource,
@@ -61,41 +50,13 @@ __all__ = [
     "CompiledStamps",
     "stamps_for",
     "assemble_dc",
-    "assemble_ac",
     "assemble_tran",
     "capacitance_matrix",
     "linearize_ac",
     "ac_rhs",
     "solve_assembled",
     "sparse_pattern_for",
-    "set_compiled",
-    "compiled_enabled",
-    "naive_assembly",
 ]
-
-_COMPILED = True
-
-
-def set_compiled(enabled: bool) -> bool:
-    """Switch the compiled fast path on/off; returns the previous state."""
-    global _COMPILED
-    previous = _COMPILED
-    _COMPILED = bool(enabled)
-    return previous
-
-
-def compiled_enabled() -> bool:
-    return _COMPILED
-
-
-@contextmanager
-def naive_assembly():
-    """Run the enclosed block on the naive reference assembly."""
-    previous = set_compiled(False)
-    try:
-        yield
-    finally:
-        set_compiled(previous)
 
 
 class _Scatter:
@@ -1112,15 +1073,14 @@ def solve_assembled(
 ) -> np.ndarray:
     """Backend-dispatched linear solve for an assembled Newton system.
 
-    Dense mode (and the naive-assembly fallback, which has no scatter
-    patterns to reuse) is exactly ``np.linalg.solve``; sparse mode
-    routes through the compiled stamps' shared CSC pattern.  ``kind``
+    Dense mode is exactly ``np.linalg.solve``; sparse mode routes
+    through the compiled stamps' shared CSC pattern.  ``kind``
     and ``key`` name the matrix for numeric-factorization reuse on
     linear circuits — e.g. ``("dc", gmin)`` or ``("tran", h, gmin)``;
     nonlinear circuits re-factor every call (the Jacobian moves with
     the bias) but still skip the symbolic work.
     """
-    if not (_COMPILED and linalg.use_sparse(jac.shape[0])):
+    if not linalg.use_sparse(jac.shape[0]):
         return np.linalg.solve(jac, rhs)
     st = stamps_for(system)
     factor_key = (kind, *key) if not st.mosfets else None
@@ -1139,12 +1099,7 @@ def assemble_dc(
     gmin: float = 1e-12,
     source_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual and Jacobian of the DC equations (compiled fast path)."""
-    if not _COMPILED:
-        system._sync_devices()
-        return assemble_dc_naive(
-            system, x, gmin=gmin, source_scale=source_scale
-        )
+    """Residual and Jacobian of the DC equations."""
     st = stamps_for(system)
     base = st.dc_base(gmin)
     jac = base.copy()
@@ -1157,9 +1112,6 @@ def assemble_dc(
 
 def capacitance_matrix(system: System, x_op: np.ndarray) -> np.ndarray:
     """The C matrix of ``Y = G + sC`` linearized at ``x_op``."""
-    if not _COMPILED:
-        system._sync_devices()
-        return capacitance_matrix_naive(system, x_op)
     st = stamps_for(system)
     cmat = st.c_lin.copy()
     if st.mos_vec is not None:
@@ -1169,22 +1121,7 @@ def capacitance_matrix(system: System, x_op: np.ndarray) -> np.ndarray:
 
 def ac_rhs(system: System) -> np.ndarray:
     """The frequency-independent AC source vector ``b``."""
-    if _COMPILED:
-        return stamps_for(system).ac_b.copy()
-    b = np.zeros(system.size, dtype=complex)
-    idx = system.index
-    for element in system.circuit:
-        if isinstance(element, VoltageSource):
-            if element.ac:
-                b[system.branch_index[element.name]] += element.ac
-        elif isinstance(element, CurrentSource):
-            if element.ac:
-                a, c = idx(element.np), idx(element.nn)
-                if a >= 0:
-                    b[a] -= element.ac
-                if c >= 0:
-                    b[c] += element.ac
-    return b
+    return stamps_for(system).ac_b.copy()
 
 
 def linearize_ac(
@@ -1199,26 +1136,12 @@ def linearize_ac(
     for bit; the compiled path evaluates the device biases once for
     both and builds no DC residual.
     """
-    if not _COMPILED:
-        _, g = assemble_dc(system, x_op, gmin=gmin)
-        return g, capacitance_matrix(system, x_op), ac_rhs(system)
     st = stamps_for(system)
     g = st.dc_base(gmin).copy()
     c = st.c_lin.copy()
     if st.mos_vec is not None:
         st.mos_vec.stamp_ac(x_op, g, c)
     return g, c, st.ac_b.copy()
-
-
-def assemble_ac(
-    system: System, x_op: np.ndarray, omega: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Complex system ``Y(ω) v = b`` at one frequency."""
-    if not _COMPILED:
-        system._sync_devices()
-        return assemble_ac_naive(system, x_op, omega)
-    g, c, b = linearize_ac(system, x_op)
-    return g + (1j * omega) * c, b
 
 
 def assemble_tran(
@@ -1231,11 +1154,6 @@ def assemble_tran(
     gmin: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Transient residual and Jacobian at time ``t`` with step ``h``."""
-    if not _COMPILED:
-        system._sync_devices()
-        return assemble_tran_naive(
-            system, x, x_prev, cap_currents, t, h, gmin
-        )
     st = stamps_for(system)
     a_step, const = st.tran_step(x_prev, cap_currents, t, h, gmin)
     jac = a_step.copy()

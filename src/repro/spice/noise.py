@@ -26,7 +26,7 @@ import numpy as np
 from ..errors import SimulationError
 from . import linalg
 from .dc import OperatingPointResult, dc_operating_point
-from .engine import compiled_enabled, linearize_ac, sparse_pattern_for
+from .engine import linearize_ac, sparse_pattern_for
 from .mna import System, evaluate_mosfet, system_for_op
 from .netlist import Circuit, Mosfet, Resistor, VoltageSource
 
@@ -188,7 +188,7 @@ def noise_analysis(
                     system.index(element.ns),
                 )
             )
-    sparse = compiled_enabled() and linalg.use_sparse(system.size)
+    sparse = linalg.use_sparse(system.size)
     pattern = sparse_pattern_for(system) if sparse else None
     if sparse:
         g_data = pattern.gather(g_mat)

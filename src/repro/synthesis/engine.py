@@ -166,7 +166,6 @@ def synthesize_opamp(
     budget: EvalBudget | None = None,
     retry: RetryPolicy | None = None,
     diagnostics: DiagnosticLog | None = None,
-    lint: bool = True,
     restarts: int = 1,
     workers: int | None = None,
     memo: "bool | EvalMemo | None" = None,
@@ -187,10 +186,10 @@ def synthesize_opamp(
     pre-design or the evaluation loop propagates.  ``budget``, ``retry``
     and ``diagnostics`` are optional runtime hooks — absent (and with no
     faults occurring), results are bit-for-bit identical to a plain run.
-    ``lint`` (the default) pre-screens every candidate with the
-    electrical rule checker so structurally singular or
-    out-of-technology circuits are rejected before a Newton solve;
-    rejections are counted on ``SynthesisResult.lint_rejections``.
+    Every candidate is pre-screened by the electrical rule checker, so
+    structurally singular or out-of-technology circuits are rejected
+    before a Newton solve; rejections are counted on
+    ``SynthesisResult.lint_rejections``.
 
     Every run executes its annealing chains through one body,
     :func:`repro.parallel.run_supervised_chains` →
@@ -397,7 +396,9 @@ def synthesize_opamp(
                 name=name,
                 range_factor=range_factor,
                 tolerant=tolerant,
-                lint=lint,
+                # The lint gate is always on; the part stays so stored
+                # rows and journaled runs keep their fingerprints.
+                lint=True,
                 robust=repr(robust) if robust is not None else None,
                 box=repr(_box_key(box_override)),
                 quantum=memo.quantum,
@@ -424,7 +425,7 @@ def synthesize_opamp(
             seed=seed,
             restarts=restarts,
             tolerant=tolerant,
-            lint=lint,
+            lint=True,  # constant, as in the store fingerprint
             evaluator=EVALUATOR_VERSION,
         )
         if robust is not None:
@@ -497,7 +498,6 @@ def synthesize_opamp(
         seed=seed,
         chain_index=0,
         tolerant=tolerant,
-        lint=lint,
         retry=retry,
         budget=budget.share() if budget is not None else None,
         fault_specs=fault_specs,

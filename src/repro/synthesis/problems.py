@@ -247,32 +247,25 @@ class OpAmpSizingProblem(SizingProblem):
         retry: RetryPolicy | None = None,
         diagnostics: DiagnosticLog | None = None,
         reuse_state: bool = True,
-        lint: bool = True,
         bench_factory: Callable[..., object] | None = None,
     ) -> None:
         self.template = template
         self._variables = variables
         self.awe_order = awe_order
         self.balance_tolerance = balance_tolerance
-        #: Gate each candidate through the electrical rule checker
-        #: before any matrix is assembled: every structural rule once
-        #: per problem (cached — the structure never changes between
-        #: candidates), then the cheap per-candidate value and geometry
-        #: subset (:data:`repro.lint.rules.CANDIDATE_RULES`).
-        self.lint = lint
-        #: Candidates rejected by the lint gate without a Newton solve.
+        #: Candidates rejected by the lint gate without a Newton solve
+        #: (see :meth:`_lint_rejects`).
         self.lint_rejections = 0
         #: Bench constructor ``(amp, v_diff=...) -> Circuit``; defaults
-        #: to :func:`~repro.opamp.benches.open_loop_bench`.  Benchmarks
-        #: inject structurally broken benches through this hook.
+        #: to :func:`~repro.opamp.benches.open_loop_bench`.  Monte Carlo
+        #: variants inject their mismatch benches through this hook.
         self.bench_factory = (
             open_loop_bench if bench_factory is None else bench_factory
         )
         self._structural_report = None
         #: ``False`` evaluates every candidate from scratch (no shared
         #: system, template warm start, in-place bench or drive, or
-        #: warm-started bisections) — the benchmark baseline and the
-        #: tests' reference.
+        #: warm-started bisections) — the tests' reference.
         self.reuse_state = reuse_state
         #: Optional retry policy forwarded to the DC solver so transient
         #: non-convergence is re-attempted before the candidate is
@@ -344,7 +337,7 @@ class OpAmpSizingProblem(SizingProblem):
             else:
                 bench = self._apply(changes)
             tech = self.template.tech
-            if self.lint and self._lint_rejects(bench, tech):
+            if self._lint_rejects(bench, tech):
                 return None
             if not self.reuse_state:
                 self._system = None

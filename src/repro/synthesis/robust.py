@@ -190,6 +190,19 @@ class _MismatchBench:
         )
 
 
+class _VariantProblem(OpAmpSizingProblem):
+    """A corner or Monte Carlo variant of the nominal sizing problem.
+
+    The electrical rule check is structural and geometric, and neither
+    a corner's model cards nor a mismatch sample changes the topology
+    or a device's drawn geometry, so the nominal problem's lint gate
+    already judges every candidate; a variant skips it.
+    """
+
+    def _lint_rejects(self, bench, tech: Technology) -> bool:
+        return False
+
+
 class RobustEvaluator:
     """Evaluate candidates across corners and mismatch samples.
 
@@ -206,9 +219,9 @@ class RobustEvaluator:
     * A plain ``tt`` corner is an alias of the nominal evaluation (the
       speed shift for ``t`` is the identity), so it reuses the nominal
       metrics instead of re-simulating.
-    * Corner/MC problems run with ``lint=False`` — the electrical rule
-      check is structural + geometric and the nominal problem already
-      gates the candidate once.
+    * Corner/MC problems skip the lint gate (:class:`_VariantProblem`)
+      — the electrical rule check is structural + geometric and the
+      nominal problem already gates the candidate once.
     * Each variant problem warm-starts from its own template.  Monte
       Carlo problems keep factory-built benches: their mismatch depends
       on device geometry (Pelgrom), so the in-place probe refuses them.
@@ -223,7 +236,6 @@ class RobustEvaluator:
         *,
         retry: RetryPolicy | None = None,
         diagnostics: DiagnosticLog | None = None,
-        lint: bool = True,
         nominal_problem: OpAmpSizingProblem | None = None,
     ) -> None:
         self.robust = robust
@@ -241,7 +253,6 @@ class RobustEvaluator:
                 variables,
                 retry=retry,
                 diagnostics=diagnostics,
-                lint=lint,
             )
         #: Variant label -> problem; ``None`` marks a nominal alias.
         self.problems: dict[str, OpAmpSizingProblem | None] = {}
@@ -255,20 +266,18 @@ class RobustEvaluator:
             corner_template = retarget_opamp(
                 template, derive_corner(template.tech, spec_c)
             )
-            self.problems[label] = OpAmpSizingProblem(
+            self.problems[label] = _VariantProblem(
                 corner_template,
                 variables,
                 retry=retry,
                 diagnostics=diagnostics,
-                lint=False,
             )
         for index in range(robust.mc_samples):
-            self.problems[f"mc:{index}"] = OpAmpSizingProblem(
+            self.problems[f"mc:{index}"] = _VariantProblem(
                 template,
                 variables,
                 retry=retry,
                 diagnostics=diagnostics,
-                lint=False,
                 bench_factory=_MismatchBench(
                     derive_sample_seed(robust.mc_seed, index), mismatch
                 ),

@@ -99,29 +99,6 @@ class TestCommands:
         assert code in (0, 1)
         assert "robust:" in out  # corners came back from cli.json
 
-    def test_bench_validate_rejects_bad_report(self, capsys, tmp_path):
-        good = tmp_path / "BENCH_ok.json"
-        bad = tmp_path / "BENCH_bad.json"
-        import json
-
-        from repro.benchmark import (
-            BenchMeasure, BenchReport, BenchTarget, write_report,
-        )
-
-        write_report(
-            BenchReport(
-                suite="engine", generated_at="t", quick=True, baseline="b",
-                measures={"m": BenchMeasure("m", 2.0, 1.0, 2.0)},
-                targets=(BenchTarget("m", "floor", 1.0),),
-            ),
-            str(good),
-        )
-        bad.write_text(json.dumps({"schema": "nope"}))
-        assert main(["bench", "--validate", str(good)]) == 0
-        assert main(["bench", "--validate", str(good), str(bad)]) == 1
-        out = capsys.readouterr().out
-        assert "INVALID" in out
-
     def test_simulate_deck(self, capsys, tmp_path):
         deck = tmp_path / "div.cir"
         deck.write_text("divider\nVIN in 0 10\nR1 in out 1k\nR2 out 0 3k\n")

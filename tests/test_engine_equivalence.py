@@ -1,19 +1,22 @@
-"""A/B equivalence of the stamp-compiled engine vs naive assembly.
+"""Equivalence of the stamp-compiled engine and the naive assembly.
 
 Every assembly entry point (DC, AC, C-matrix, transient) is compared
-between the compiled fast path (`repro.spice.engine`) and the naive
-reference loops (`repro.spice.mna`) on a spread of fixture circuits
-covering every element type, plus end-to-end analyses run under both
-paths.  Also holds the dedicated regression tests for the four solver /
-measurement bugs fixed alongside the engine.
+between the compiled engine (`repro.spice.engine`) and the naive
+per-element loops (`tests/naive_mna.py`, the oracle) on a spread of
+fixture circuits covering every element type, plus end-to-end analyses
+run on both.  Also holds the dedicated regression tests for the four
+solver / measurement bugs fixed alongside the engine.
 """
 
 import dataclasses
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+import repro.spice.dc
+import repro.spice.transient
 from repro.errors import ConvergenceError, SimulationError
 from repro.opamp import OpAmpSpec, design_opamp, open_loop_bench
 from repro.runtime.faults import injected_faults
@@ -25,28 +28,24 @@ from repro.spice import (
     ac_analysis,
     dc_operating_point,
     dc_sweep,
-    naive_assembly,
     phase_margin,
     transient_analysis,
 )
 from repro.spice.engine import (
     ac_rhs,
-    assemble_ac,
     assemble_dc,
     assemble_tran,
     capacitance_matrix,
-    compiled_enabled,
     linearize_ac,
 )
-from repro.spice.mna import (
-    System,
+from repro.spice.mna import System, evaluate_mosfet
+from repro.technology import generic_05um
+from tests.naive_mna import (
     assemble_ac_naive,
     assemble_dc_naive,
     assemble_tran_naive,
     capacitance_matrix_naive,
-    evaluate_mosfet,
 )
-from repro.technology import generic_05um
 from tests.test_mos_levels import LEVEL1, LEVEL2_THETA, LEVEL3_VSAT
 
 TECH = generic_05um()
@@ -189,9 +188,9 @@ class TestAssemblyEquivalence:
         x_op = _bias_points(system)[2]
         for freq in (1.0, 1e3, 1e6, 1e9):
             omega = 2.0 * math.pi * freq
-            y_c, b_c = assemble_ac(system, x_op, omega)
+            g, c, b_c = linearize_ac(system, x_op)
             y_n, b_n = assemble_ac_naive(system, x_op, omega)
-            assert_same(y_c, y_n)
+            assert_same(g + (1j * omega) * c, y_n)
             assert_same(b_c, b_n)
 
     def test_transient(self, build):
@@ -272,19 +271,24 @@ class TestCacheInvalidation:
         assert system.rebind(other) is not system
 
 
-class TestEndToEndEquivalence:
-    def test_flag_restored(self):
-        assert compiled_enabled()
-        with naive_assembly():
-            assert not compiled_enabled()
-        assert compiled_enabled()
+@contextmanager
+def naive_assembly(monkeypatch):
+    """Run the DC and transient solvers on the naive loops."""
+    with monkeypatch.context() as patch:
+        patch.setattr(repro.spice.dc, "assemble_dc", assemble_dc_naive)
+        patch.setattr(
+            repro.spice.transient, "assemble_tran", assemble_tran_naive
+        )
+        yield
 
+
+class TestEndToEndEquivalence:
     @pytest.mark.parametrize(
         "build", FIXTURES, ids=lambda b: b.__name__.strip("_")
     )
-    def test_operating_point(self, build):
+    def test_operating_point(self, build, monkeypatch):
         op_fast = dc_operating_point(build())
-        with naive_assembly():
+        with naive_assembly(monkeypatch):
             op_ref = dc_operating_point(build())
         np.testing.assert_allclose(
             op_fast.x, op_ref.x, rtol=1e-6, atol=1e-8
@@ -298,37 +302,39 @@ class TestEndToEndEquivalence:
         op = dc_operating_point(ckt)
         freqs = np.logspace(0, 9, 40)
         ac_fast = ac_analysis(ckt, op=op, frequencies=freqs)
-        with naive_assembly():
-            ac_ref = ac_analysis(ckt, op=op, frequencies=freqs)
-        scale = float(np.max(np.abs(ac_ref.solutions)))
+        reference = np.array([
+            np.linalg.solve(*assemble_ac_naive(op.system, op.x, 2 * np.pi * f))
+            for f in freqs
+        ])
+        scale = float(np.max(np.abs(reference)))
         np.testing.assert_allclose(
             ac_fast.solutions,
-            ac_ref.solutions,
+            reference,
             rtol=1e-9,
             atol=1e-12 * (1.0 + scale),
         )
 
-    def test_transient_run(self):
+    def test_transient_run(self, monkeypatch):
         def run():
             ckt = _rc_with_sources()
             op = dc_operating_point(ckt)
             return transient_analysis(ckt, t_stop=2e-7, dt=1e-9, op=op)
 
         tran_fast = run()
-        with naive_assembly():
+        with naive_assembly(monkeypatch):
             tran_ref = run()
         np.testing.assert_allclose(
             tran_fast.solutions, tran_ref.solutions, rtol=1e-6, atol=1e-9
         )
 
-    def test_opamp_transient_run(self):
+    def test_opamp_transient_run(self, monkeypatch):
         def run():
             ckt = _mos_amp()
             op = dc_operating_point(ckt)
             return transient_analysis(ckt, t_stop=1e-7, dt=1e-9, op=op)
 
         tran_fast = run()
-        with naive_assembly():
+        with naive_assembly(monkeypatch):
             tran_ref = run()
         np.testing.assert_allclose(
             tran_fast.solutions, tran_ref.solutions, rtol=1e-6, atol=1e-9

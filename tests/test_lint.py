@@ -338,3 +338,67 @@ class TestValidateIntegration:
     def test_validate_empty_message_compatible(self):
         with pytest.raises(NetlistError, match="empty"):
             Circuit("void").validate()
+
+
+class TestSynthesisGate:
+    """The gate rejects structurally broken candidates without a solve."""
+
+    def _problem(self):
+        from repro.opamp import OpAmpSpec, coarse_design_opamp
+        from repro.opamp.benches import open_loop_bench
+        from repro.spice.netlist import Mosfet
+        from repro.synthesis.problems import OpAmpSizingProblem, ape_ranges
+
+        template, _ = coarse_design_opamp(
+            TECH, OpAmpSpec(gain=200.0, ugf=2e6, ibias=2e-6, cl=10e-12)
+        )
+
+        def floating_gate_bench(amp, v_diff=0.0):
+            # AC-couple a mirror-load gate: every candidate draws E101.
+            bench = open_loop_bench(amp, v_diff=v_diff)
+            mosfets = [e for e in bench if isinstance(e, Mosfet)]
+            target = next(
+                (m for m in mosfets if m.name.endswith("DFML2")), mosfets[-1]
+            )
+            floated = dataclasses.replace(target, ng=target.ng + "_float")
+            rebuilt = Circuit(bench.title)
+            for element in bench:
+                rebuilt.add(floated if element.name == target.name else element)
+            rebuilt.c(target.ng, floated.ng, 1e-12, name="CACGATE")
+            return rebuilt
+
+        problem = OpAmpSizingProblem(
+            template, ape_ranges(template), bench_factory=floating_gate_bench
+        )
+        base = template.initial_point()
+        candidates = [
+            {key: value * scale for key, value in base.items()}
+            for scale in (1.0, 0.95, 1.05, 0.9)
+        ]
+        return problem, candidates
+
+    def test_floating_gate_candidates_rejected_before_any_solve(
+        self, monkeypatch
+    ):
+        import repro.synthesis.problems as problems
+
+        solves = []
+        solve = problems.dc_operating_point
+
+        def counted(*args, **kwargs):
+            solves.append(args[0])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "dc_operating_point", counted)
+        gated, candidates = self._problem()
+        assert [gated.evaluate(p) for p in candidates] == [None] * 4
+        assert gated.lint_rejections == 4
+        assert solves == []
+        # The same problem without its gate solves the template and
+        # every candidate: five DC solves the gate saves.
+        ungated, candidates = self._problem()
+        monkeypatch.setattr(ungated, "_lint_rejects", lambda bench, tech: False)
+        for params in candidates:
+            ungated.evaluate(params)
+        assert ungated.lint_rejections == 0
+        assert len(solves) == 5

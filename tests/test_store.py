@@ -37,6 +37,11 @@ TOPO = OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3)
 
 RUN_KW = dict(mode="ape", max_evaluations=25, name="st", tolerant=True)
 
+#: Table-3 OpAmp1, two chains of 250 evaluations each, in-process.
+OPAMP1 = OpAmpSpec(gain=206.0, ugf=1.3e6, ibias=1e-6, cl=10e-12)
+OPAMP1_KW = dict(mode="ape", max_evaluations=250, name="OpAmp1",
+                 tolerant=True, restarts=2, workers=1)
+
 FP = "fp-test"
 
 
@@ -47,6 +52,17 @@ def _chain_summary(result):
          c.accepted, c.failed_evaluations, c.stop_reason)
         for c in result.chains
     ]
+
+
+def evals_to_target(history, target):
+    """Evaluations until the running best cost first reaches ``target``
+    (all of ``history`` when it never does)."""
+    best = math.inf
+    for index, cost in enumerate(history):
+        best = min(best, cost)
+        if best <= target:
+            return index + 1
+    return len(history)
 
 
 def _entries(n, offset=0):
@@ -302,15 +318,25 @@ class TestMergeGenerationDedup:
 
 
 class TestStoreBackedSynthesis:
-    def test_warm_run_is_bit_identical_and_hits(self, tmp_path):
-        kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)
-        store_dir = str(tmp_path / "store")
-        cold = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
-                                **kwargs)
-        warm = synthesize_opamp(TECH, SPEC, TOPO, store_dir=store_dir,
-                                **kwargs)
+    def test_warm_run_is_bit_identical_and_hits(self, tmp_path, monkeypatch):
+        from repro.synthesis.problems import OpAmpSizingProblem
+
+        evaluations = []
+        evaluate = OpAmpSizingProblem.evaluate
+
+        def counted(problem, params):
+            evaluations.append(params)
+            return evaluate(problem, params)
+
+        monkeypatch.setattr(OpAmpSizingProblem, "evaluate", counted)
+        kwargs = dict(seed=1, store_dir=str(tmp_path / "store"), **OPAMP1_KW)
+        cold = synthesize_opamp(TECH, OPAMP1, TOPO, **kwargs)
+        cold_evaluations = len(evaluations)
+        warm = synthesize_opamp(TECH, OPAMP1, TOPO, **kwargs)
         assert cold.store_writes > 0
-        assert warm.store_hits > 0
+        # Every evaluation of the warm run is served from the store.
+        assert len(evaluations) == cold_evaluations
+        assert warm.store_hits == cold.store_writes
         assert warm.store_writes == 0
         assert _chain_summary(warm) == _chain_summary(cold)
         assert warm.best_cost == cold.best_cost
@@ -450,6 +476,33 @@ class TestStoreBackedSynthesis:
 class TestApeScreen:
     """``surrogate="rank"``: each move evaluates the proposal whose APE
     closed-form estimate costs least."""
+
+    def test_evals_to_target(self):
+        history = [10.0, 8.0, 9.0, 4.0, 5.0]
+        assert evals_to_target(history, 10.0) == 1
+        assert evals_to_target(history, 8.0) == 2
+        assert evals_to_target(history, 4.5) == 4
+        assert evals_to_target(history, 1.0) == 5  # never reached -> len
+
+    def test_rank_reaches_the_target_in_fewer_evaluations(self):
+        """Table-3 OpAmp1, seeds 1-3: summed over the seeds, the
+        unscreened legs need at least 1.3x the evaluations the screened
+        legs need to reach the worse of each seed's two best costs
+        (810 against 574)."""
+        off_evals = rank_evals = 0
+        for seed in (1, 2, 3):
+            off = synthesize_opamp(TECH, OPAMP1, TOPO, seed=seed,
+                                   surrogate="off", **OPAMP1_KW)
+            rank = synthesize_opamp(TECH, OPAMP1, TOPO, seed=seed,
+                                    surrogate="rank", **OPAMP1_KW)
+            target = max(off.best_cost, rank.best_cost)
+            off_evals += evals_to_target(
+                [c for chain in off.chains for c in chain.history], target
+            )
+            rank_evals += evals_to_target(
+                [c for chain in rank.chains for c in chain.history], target
+            )
+        assert off_evals >= 1.3 * rank_evals
 
     @pytest.mark.timeout(300)
     def test_resume_is_bit_exact_after_the_store_grows(self, tmp_path):

@@ -405,6 +405,30 @@ class TestResume:
                 TECH, SPEC, TOPO, run_dir=run_dir, resume=True, **kwargs
             )
 
+    def test_fingerprints_are_pinned(self, tmp_path):
+        """The journal's and the store's problem fingerprints, byte for
+        byte: a dropped or renamed part would refuse every existing run
+        directory and leave every existing store cold."""
+        memo = EvalMemo()
+        run_dir = str(tmp_path / "run")
+        synthesize_opamp(
+            TECH,
+            OpAmpSpec(gain=206.0, ugf=1.3e6, ibias=1e-6, cl=10e-12),
+            TOPO,
+            mode="ape",
+            max_evaluations=20,
+            seed=1,
+            name="OpAmp1",
+            memo=memo,
+            run_dir=run_dir,
+        )
+        assert RunJournal(run_dir).load_manifest()["fingerprint"] == (
+            "bb2b011ed1a312bb6c9027741c6127e543b3d6093c934ae1e40f25435bbc3243"
+        )
+        assert memo.bound_fingerprint == (
+            "a776569306179ebc8befb910e60f251b0af2ea2965dfd9cb32ef7e3760c37d09"
+        )
+
 
 # ------------------------------------------------------------- interrupts
 

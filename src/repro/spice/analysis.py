@@ -16,8 +16,15 @@ from typing import Callable
 import numpy as np
 
 from ..errors import SimulationError
+from ..runtime import faults
 from .ac import ACResult, ac_analysis
-from .dc import Border, OperatingPointResult, _newton, dc_operating_point
+from .dc import (
+    Border,
+    OperatingPointResult,
+    _newton,
+    _operating_point,
+    dc_operating_point,
+)
 from .engine import stamps_for
 from .mna import System
 from .netlist import Circuit, CurrentSource, VoltageSource
@@ -203,7 +210,13 @@ def _drive_column(
 def _balance_bordered(
     build, output_node, target, v_span, tol, retry, system, x0, column
 ) -> tuple[float, Circuit, OperatingPointResult] | None:
-    """The bordered-Newton balance, verified, or ``None``."""
+    """The bordered-Newton balance, or ``None``.
+
+    The converged vector is taken as the operating point of
+    ``build(v)`` without another solve: Newton's residual gate tested
+    ``F(x) + v * column``, which is ``build(v)``'s own residual because
+    the drive enters only through source ``dc`` values.
+    """
     if column is None:
         at_zero = build(0.0)
         system = System(at_zero) if system is None else system.rebind(at_zero)
@@ -213,18 +226,21 @@ def _balance_bordered(
     index = system.index(output_node)
     if column is None or index < 0:
         return None
+    gmin = 1e-12
     try:
         if x0 is None:
             x0 = dc_operating_point(at_zero, retry=retry, system=system).x
         border = Border(column, index, target, v_span, DRIVE_STEP * v_span)
-        solved = _newton(system, np.append(x0, 0.0), gmin=1e-12, border=border)
+        solved = _newton(system, np.append(x0, 0.0), gmin=gmin, border=border)
         if solved is None:
             return None
-        v = float(solved[0][-1])
+        x, iterations = solved
+        v = float(x[-1])
         ckt = build(v)
-        op = dc_operating_point(
-            ckt, x0=solved[0][:-1], retry=retry, system=system
-        )
+        # The accepted point is a DC solution of ``ckt``, so it answers
+        # to the DC solve's fault site like any other.
+        faults.check("spice.dc")
+        op = _operating_point(system.rebind(ckt), x[:-1], iterations, gmin)
     except SimulationError:
         return None
     if not abs(op.v(output_node) - target) < tol:
@@ -258,10 +274,13 @@ def balance_differential(
     target``, and the drive's Jacobian column comes from the compiled
     source vectors of ``build(0)`` and ``build(v_span)`` — exact,
     because the drive enters only through independent-source ``dc``
-    values.  It starts from ``x0``, the zero-drive solution (solved
-    here when not given).  Its answer is accepted only when a plain DC
-    solve of ``build(v)`` from it converges within ``tol`` of the
-    target, so the result is always a verified solution of ``build(v)``.
+    values.  It starts from ``x0`` at zero drive: the zero-drive
+    solution (solved here when not given) or any vector near the
+    balanced point, such as a similar circuit's balanced solution.
+    Newton's residual gate tests ``build(v)``'s own residual, so the
+    converged vector is returned as the operating point of
+    ``build(v)`` without another solve, once its output lies within
+    ``tol`` of the target.
 
     When the bordered solve fails — no convergence, a drive outside
     ``[-v_span, +v_span]``, or builds that differ in more than source

@@ -350,7 +350,13 @@ def dc_operating_point(
                 "nodes": system.n_nodes,
             },
         )
-    x, iterations, gmin_used = solution
+    return _operating_point(system, *solution)
+
+
+def _operating_point(
+    system: System, x: np.ndarray, iterations: int, gmin_used: float
+) -> OperatingPointResult:
+    """The solved vector ``x`` as the operating point of ``system``."""
     result = OperatingPointResult(
         system=system, x=x, iterations=iterations, gmin_used=gmin_used
     )

@@ -5,9 +5,7 @@ indices, and :func:`evaluate_mosfet` linearizes one transistor at a
 bias point.  The assembly itself — the DC/transient residual and
 Jacobian, the linearization ``G + jωC`` for AC — lives in
 :mod:`repro.spice.engine`, which compiles every linear stamp once per
-circuit and re-stamps only the MOSFETs per call; its
-:func:`assemble_dc` / :func:`capacitance_matrix` /
-:func:`assemble_tran` are re-exported here.
+circuit and re-stamps only the MOSFETs per call.
 
 Conventions: the residual ``f`` is the sum of currents *leaving* each
 node (KCL) plus one row per branch element (voltage sources, VCVS,
@@ -31,9 +29,6 @@ __all__ = [
     "MosEval",
     "evaluate_mosfet",
     "system_for_op",
-    "assemble_dc",
-    "capacitance_matrix",
-    "assemble_tran",
 ]
 
 
@@ -267,20 +262,3 @@ def evaluate_mosfet(
         vsb=vsb,
         swapped=swapped,
     )
-
-
-# The assembly entry points live in the engine module; re-export them
-# lazily so ``from repro.spice.mna import assemble_dc`` imports keep
-# working without creating an import cycle (the engine imports
-# System and evaluate_mosfet from this module at load time).
-_ENGINE_EXPORTS = frozenset(
-    {"assemble_dc", "capacitance_matrix", "assemble_tran"}
-)
-
-
-def __getattr__(name: str):
-    if name in _ENGINE_EXPORTS:
-        from . import engine
-
-        return getattr(engine, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

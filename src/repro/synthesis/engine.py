@@ -396,9 +396,6 @@ def synthesize_opamp(
                 name=name,
                 range_factor=range_factor,
                 tolerant=tolerant,
-                # The lint gate is always on; the part stays so stored
-                # rows and journaled runs keep their fingerprints.
-                lint=True,
                 robust=repr(robust) if robust is not None else None,
                 box=repr(_box_key(box_override)),
                 quantum=memo.quantum,
@@ -425,7 +422,6 @@ def synthesize_opamp(
             seed=seed,
             restarts=restarts,
             tolerant=tolerant,
-            lint=True,  # constant, as in the store fingerprint
             evaluator=EVALUATOR_VERSION,
         )
         if robust is not None:

@@ -3,16 +3,18 @@
 An :class:`OpAmpSizingProblem` fixes the circuit *structure* (the
 topology, exactly as ASTRX/OBLX does) and exposes the device geometries
 and compensation capacitor as box-bounded unknowns.  Candidate
-evaluation follows the ASTRX/OBLX recipe: the DC operating point at
-zero differential drive, then — when the open-loop output rails — the
-balanced operating point, found by one bordered Newton solve started
-from that solution (bisection as the fallback, see
-:func:`~repro.spice.analysis.balance_differential`), then an AWE
-reduced-order model for the gain and unity-gain frequency — not a full
-AC sweep.  A railed candidate on the in-place bench is balanced on
-copies of that bench with only the two input sources retargeted, and
-the balance's drive column is computed once per problem, not once per
-candidate.
+evaluation follows the ASTRX/OBLX recipe: a DC operating point, then
+an AWE reduced-order model for the gain and unity-gain frequency — not
+a full AC sweep.  An open-loop output that rails at zero differential
+drive is measured at the balanced operating point instead, found by
+one bordered Newton solve (bisection as the fallback, see
+:func:`~repro.spice.analysis.balance_differential`).  When the
+template itself rails, every candidate is balanced directly, starting
+from the template's balanced point; otherwise a candidate is solved at
+zero drive first and balanced from there only when it rails.  A
+candidate on the in-place bench is balanced on copies of that bench
+with only the two input sources retargeted, and the balance's drive
+column is computed once per problem, not once per candidate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from ..opamp.benches import differential_drive, open_loop_bench
 from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
-from ..spice import awe_poles, dc_operating_point
+from ..spice import analysis, awe_poles, dc_operating_point
 from ..spice.analysis import _drive_column, balance_differential
 from ..spice.mna import System
 from ..spice.netlist import VoltageSource
@@ -51,7 +53,12 @@ __all__ = [
 #: fingerprint all carry it.  Version 2 balances railed outputs by
 #: bordered Newton instead of bisection; version 3 warm-starts every
 #: problem, Monte Carlo variants included, from its own template.
-EVALUATOR_VERSION = 3
+#: Version 4 balances every candidate of a problem whose template rails
+#: directly from the template's balanced point, with no zero-drive
+#: solve, and accepts the bordered solution without re-solving it.  So
+#: a candidate of such a problem whose own zero-drive output would not
+#: rail is now measured balanced too.
+EVALUATOR_VERSION = 4
 
 #: Hard geometry bounds for the search [m].
 W_HARD = (0.9e-6, 500e-6)
@@ -62,6 +69,9 @@ CC_HARD = (0.2e-12, 30e-12)
 #: bias points as unknowns; a wrong reference current wrecks the whole
 #: amplifier, which is exactly why uninformed search is hard.
 RBIAS_HARD = (5e3, 50e6)
+#: Zero-drive |V(out)| above which an open-loop output counts as
+#: railed and is balanced [V].
+RAIL = 0.25
 #: Differential drive bracket of the output balancing [V].
 BALANCE_SPAN = 0.5
 #: The drive proof's third drive [V]: negative and not a dyadic
@@ -129,6 +139,23 @@ def parameterized_opamp(template: OpAmp, params: dict[str, float]) -> OpAmp:
         r_ref=params.get("r.ref", template.r_ref),
         r_bias=params.get("r.bias", template.r_bias),
     )
+
+
+def _driven_copies(bench):
+    """``build(v)``: a new copy of ``bench`` at differential drive ``v``.
+
+    Only the sources :func:`~repro.opamp.benches.differential_drive`
+    names are retargeted; every other element object is shared with
+    ``bench``, so a system rebinds to the copy as a source-only edit.
+    """
+
+    def build(v: float):
+        ckt = bench.copy()
+        for name, dc in differential_drive(v).items():
+            ckt.replace(replace(ckt.element(name), dc=dc))
+        return ckt
+
+    return build
 
 
 def _geometry_keys(template: OpAmp) -> list[str]:
@@ -212,10 +239,12 @@ class OpAmpSizingProblem(SizingProblem):
     One evaluation profile serves every caller — every annealing
     chain, in-process or pooled, and robust corner and Monte Carlo
     variants.  Each candidate's DC solve starts from the template's
-    zero-drive operating point, the cached bench is updated in place
-    whenever a one-time probe proves that exact, and railed candidates
-    are balanced on copies of it whenever a second one-time proof, of
-    how the factory applies the drive, does too.  All three are run
+    zero-drive operating point — or, when the template's output rails,
+    the candidate is balanced directly from the template's balanced
+    operating point — the cached bench is updated in place whenever a
+    one-time probe proves that exact, and railed candidates are
+    balanced on copies of it whenever a second one-time proof, of how
+    the factory applies the drive, does too.  All of these are run
     constants, never a previous candidate's state, so evaluation stays
     *canonical*: the result for a parameter dict is independent of
     evaluation order — the invariant the memo cache and the executor's
@@ -277,8 +306,10 @@ class OpAmpSizingProblem(SizingProblem):
         #: topology, so validation/indexing happen once per synthesis
         #: run instead of once per evaluation (and per balancing solve).
         self._system: System | None = None
-        #: Template operating point (see :meth:`_warm_guess`).
+        #: Template operating points at zero drive and, when that one
+        #: rails, balanced (see :meth:`_warm_start`).
         self._warm_x0 = None
+        self._balanced_x0 = None
         self._warm_ready = False
         #: In-place bench: ``(circuit, applied params, mapping)`` once
         #: :meth:`_probe_bench_map` proves every search variable maps
@@ -309,9 +340,10 @@ class OpAmpSizingProblem(SizingProblem):
         #: :meth:`_prove_drive` shows, from the template's bench, that
         #: the factory applies the drive exactly as
         #: :func:`~repro.opamp.benches.differential_drive` does and in
-        #: nothing else.  The proof runs at most once, at the first
-        #: railed candidate on the in-place bench; a custom factory
-        #: that fails it (``None``) keeps factory-built drives.
+        #: nothing else.  The proof runs at most once: when the template
+        #: rails, or else at the first railed candidate on the in-place
+        #: bench; a custom factory that fails it (``None``) keeps
+        #: factory-built drives.
         self._column = None
         self._column_ready = False
 
@@ -345,16 +377,18 @@ class OpAmpSizingProblem(SizingProblem):
                 self._system = System(bench)
             else:
                 self._system = self._system.rebind(bench)
-            op = dc_operating_point(
-                bench,
-                x0=self._warm_guess(),
-                retry=self.retry,
-                system=self._system,
-            )
-            v_out = op.v("out")
-            if abs(v_out) > 0.25:
-                # Output railed at zero offset: balance, starting from
-                # this zero-drive solution.
+            warm, balanced = self._warm_start()
+            if balanced is None:
+                op = dc_operating_point(
+                    bench, x0=warm, retry=self.retry, system=self._system
+                )
+                x0 = op.x
+            else:
+                op, x0 = None, balanced
+            if op is None or abs(op.v("out")) > RAIL:
+                # The template rails, or this candidate does: balance,
+                # starting from the template's balanced point or from
+                # this candidate's zero-drive solution.
                 build, column = self._drive(amp, params, bench)
                 _, bench, op = balance_differential(
                     build,
@@ -366,7 +400,7 @@ class OpAmpSizingProblem(SizingProblem):
                     retry=self.retry,
                     system=self._system,
                     warm_start=self.reuse_state,
-                    x0=op.x,
+                    x0=x0,
                     column=column,
                 )
                 if abs(op.v("out")) > 1.0:
@@ -379,28 +413,34 @@ class OpAmpSizingProblem(SizingProblem):
             self._note_failure(exc)
             return None
 
-    def _warm_guess(self):
-        """Run-constant DC starting vector (template OP), or ``None``.
+    def _warm_start(self):
+        """Run-constant starting vectors ``(zero-drive, balanced)``.
 
-        Computed at most once, from the template alone, with fault
-        injection suspended so the template solve never shifts an armed
-        injector's decision stream.  ``None`` (the solver's cold start)
-        without ``reuse_state``, when the template itself will not
-        converge, or when the current system's unknown vector has
-        another size.
+        The template's operating point at zero drive and, only when its
+        output rails there, its balanced operating point (see
+        :meth:`_balance_template`).  Both are computed at most once,
+        from the template alone, with fault injection suspended so the
+        template solves never shift an armed injector's decision
+        stream.  Either is ``None`` without ``reuse_state``, when the
+        template will not converge or balance, or when the current
+        system's unknown vector has another size.  ``None`` at zero
+        drive is the solver's cold start; ``None`` balanced solves the
+        candidate at zero drive first.
         """
         if not self.reuse_state:
-            return None
+            return None, None
         if not self._warm_ready:
             self._warm_ready = True
             previous = faults.active()
             faults.disarm()
             try:
                 bench = self.bench_factory(self.template, v_diff=0.0)
-                op = dc_operating_point(bench, system=System(bench))
+                system = System(bench)
+                op = dc_operating_point(bench, system=system)
                 self._warm_x0 = op.x.copy()
+                if abs(op.v("out")) > RAIL:
+                    self._balanced_x0 = self._balance_template(system, op.x)
             except ApeError as exc:
-                self._warm_x0 = None
                 if self.diagnostics is not None:
                     self.diagnostics.record_exception(
                         "synthesis.evaluate",
@@ -414,14 +454,49 @@ class OpAmpSizingProblem(SizingProblem):
             finally:
                 if previous is not None:
                     faults.arm(previous)
-        x0 = self._warm_x0
-        if (
-            x0 is not None
-            and self._system is not None
-            and len(x0) != self._system.size
-        ):
+        size = self._system.size
+        return tuple(
+            x if x is not None and len(x) == size else None
+            for x in (self._warm_x0, self._balanced_x0)
+        )
+
+    def _balance_template(self, system: System, x0):
+        """The template's balanced MNA vector, or ``None``.
+
+        The template is balanced as a candidate is, from its zero-drive
+        solution ``x0`` on ``system``, which is bound to its zero-drive
+        bench: on copies of that bench with the problem's drive column
+        once the drive proof holds, else on factory builds.  ``None``
+        when the output does not land within the balance tolerance.
+        The balance is called through its module, so that this module's
+        ``balance_differential`` name, which the benchmark's tracer
+        counts, balances candidates only.
+        """
+        column = self._proven_column()
+        if column is not None:
+            build = _driven_copies(system.circuit)
+        else:
+
+            def build(v: float):
+                return self.bench_factory(self.template, v_diff=v)
+
+        try:
+            _, _, op = analysis.balance_differential(
+                build,
+                "out",
+                target=0.0,
+                v_span=BALANCE_SPAN,
+                tol=self.balance_tolerance,
+                max_bisections=16,
+                system=system,
+                x0=x0,
+                column=column,
+            )
+        except ApeError:
             return None
-        return x0
+        if not abs(op.v("out")) < self.balance_tolerance:
+            return None
+        return op.x.copy()
 
     def _changes(self, params: dict[str, float]) -> dict[str, float] | None:
         """The variables ``params`` moves on the in-place bench, or ``None``.
@@ -582,21 +657,19 @@ class OpAmpSizingProblem(SizingProblem):
         balance.
         """
         if self._bench_map is not None and bench is self._bench_map[0]:
-            if not self._column_ready:
-                self._column_ready = True
-                self._column = self._prove_drive()
-            if self._column is not None:
-
-                def build(v: float):
-                    ckt = bench.copy()
-                    for name, dc in differential_drive(v).items():
-                        ckt.replace(replace(ckt.element(name), dc=dc))
-                    return ckt
-
-                return build, self._column
+            column = self._proven_column()
+            if column is not None:
+                return _driven_copies(bench), column
         if amp is None:
             amp = parameterized_opamp(self.template, params)
         return (lambda v: self.bench_factory(amp, v_diff=v)), None
+
+    def _proven_column(self):
+        """The problem's drive column, proving the drive on first use."""
+        if not self._column_ready:
+            self._column_ready = True
+            self._column = self._prove_drive()
+        return self._column
 
     def _prove_drive(self):
         """One-time proof of the in-place drive; its column, or ``None``.
@@ -606,7 +679,7 @@ class OpAmpSizingProblem(SizingProblem):
         only when every build differs from the zero-drive one in
         exactly the ``dc`` of the sources
         :func:`~repro.opamp.benches.differential_drive` names, with
-        exactly its values.  Like :meth:`_warm_guess` it reads only the
+        exactly its values.  Like :meth:`_warm_start` it reads only the
         template, so the verdict never depends on which candidate
         rails first.  The column then comes from the zero and span
         builds, as the balance would compute it for any candidate: no

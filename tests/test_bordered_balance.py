@@ -1,14 +1,19 @@
 """Output balancing by bordered Newton, with bisection as the fallback.
 
 ``balance_differential`` first solves the MNA unknowns and the
-differential drive together (one bordered Newton run) and accepts the
-answer only after a plain DC solve of ``build(v)`` confirms it.  These
-tests pin that contract on seeded candidates from the APE boxes of the
-unbuffered Table-1 rows (oa3-oa6, whose outputs rail at zero drive),
-pin the bisection fallback for builds the bordered solve must not
-take, and pin the sizing problem's in-place drive: railed candidates
-balanced on copies of the cached bench with a per-problem drive
-column return the same floats as factory-built drives.
+differential drive together (one bordered Newton run) and returns the
+converged vector as the operating point of ``build(v)``, without
+another solve: Newton's residual gate already tested ``build(v)``'s own
+residual.  These tests pin that contract on seeded candidates from the
+APE boxes of the unbuffered Table-1 rows (oa3-oa6, whose outputs rail
+at zero drive): the returned point lands on the target and a plain DC
+solve of ``build(v)`` from it converges in one iteration.  They pin
+the bisection fallback for builds the bordered solve must not take,
+and the sizing problem's railed recipe: a problem whose template rails
+balances every candidate directly from the template's balanced point,
+with no zero-drive solve, on copies of the cached bench with a
+per-problem drive column, returning the same floats as factory-built
+drives and as a fresh problem per candidate.
 """
 
 import dataclasses
@@ -20,6 +25,7 @@ import pytest
 
 import repro.spice.analysis as analysis
 import repro.synthesis.problems as problems
+from repro.errors import ApeError
 from repro.opamp import OpAmpSpec, OpAmpTopology, design_opamp, open_loop_bench
 from repro.opamp.benches import differential_drive
 from repro.spice import dc_operating_point
@@ -27,9 +33,11 @@ from repro.spice.analysis import balance_differential
 from repro.synthesis.problems import (
     BALANCE_SPAN,
     PROOF_DRIVE,
+    RAIL,
     OpAmpSizingProblem,
     ape_ranges,
     parameterized_opamp,
+    standalone_ranges,
 )
 from repro.technology import generic_05um
 
@@ -322,3 +330,88 @@ class TestInPlaceDrive:
             balance_differential(
                 build, "out", v_span=0.5, column=np.zeros(3)
             )
+
+
+class TestBalancedStart:
+    """A problem whose template rails starts every candidate at the
+    template's balanced point: one bordered solve, no zero-drive solve."""
+
+    def test_railed_candidate_makes_one_bordered_solve(
+        self, railed_candidates, monkeypatch
+    ):
+        solves, bordered = [], []
+        dc = problems.dc_operating_point
+        newton = analysis._newton
+
+        def dc_spy(*args, **kwargs):
+            solves.append(args)
+            return dc(*args, **kwargs)
+
+        def newton_spy(*args, **kwargs):
+            if kwargs.get("border") is not None:
+                bordered.append(args)
+            return newton(*args, **kwargs)
+
+        monkeypatch.setattr(problems, "dc_operating_point", dc_spy)
+        monkeypatch.setattr(analysis, "_newton", newton_spy)
+        seen = set()
+        for problem, params in _by_row(railed_candidates):
+            if problem not in seen:
+                seen.add(problem)
+                problem.evaluate(params)
+                assert problem._balanced_x0 is not None
+                continue
+            del solves[:], bordered[:]
+            metrics = problem.evaluate(params)
+            assert solves == []
+            assert len(bordered) == 1
+            assert abs(metrics["offset"]) <= 1e-9
+        assert len(seen) == len(UNBUFFERED_ROWS)
+
+    @pytest.mark.parametrize("bisection", [False, True])
+    def test_fresh_problem_per_candidate_gives_the_same_floats(
+        self, railed_candidates, monkeypatch, bisection
+    ):
+        if bisection:
+            _bisection_only(monkeypatch)
+        long_lived: dict[str, OpAmpSizingProblem] = {}
+        history = {}
+        for amp, params, _build in reversed(railed_candidates):
+            if amp.name not in long_lived:
+                long_lived[amp.name] = OpAmpSizingProblem(amp, ape_ranges(amp))
+            history[id(params)] = _exact(long_lived[amp.name].evaluate(params))
+        for amp, params, _build in railed_candidates:
+            fresh = OpAmpSizingProblem(amp, ape_ranges(amp))
+            assert _exact(fresh.evaluate(params)) == history[id(params)]
+            assert fresh._balanced_x0 is not None
+
+    @pytest.mark.parametrize("row", ["oa4", "oa5"])
+    def test_candidate_that_does_not_rail_is_measured_balanced(self, row):
+        """Version 4's one semantic change: a railed problem measures
+        every candidate balanced, also one whose own zero-drive output
+        sits inside the rail threshold."""
+        amp = _amp(row)
+        variables = standalone_ranges(amp)
+        problem = OpAmpSizingProblem(amp, variables)
+        rng = random.Random(f"{row}/standalone")
+        found = 0
+        for _ in range(300):
+            params = {
+                v.name: math.exp(rng.uniform(math.log(v.lo), math.log(v.hi)))
+                for v in variables
+            }
+            bench = open_loop_bench(parameterized_opamp(amp, params))
+            try:
+                at_zero = dc_operating_point(bench).v("out")
+            except ApeError:
+                continue
+            if abs(at_zero) > RAIL:
+                continue
+            assert abs(at_zero) > problem.balance_tolerance
+            metrics = problem.evaluate(params)
+            assert problem._balanced_x0 is not None
+            assert abs(metrics["offset"]) <= 1e-9
+            found += 1
+            if found == 2:
+                break
+        assert found == 2

@@ -423,10 +423,10 @@ class TestResume:
             run_dir=run_dir,
         )
         assert RunJournal(run_dir).load_manifest()["fingerprint"] == (
-            "bb2b011ed1a312bb6c9027741c6127e543b3d6093c934ae1e40f25435bbc3243"
+            "0206e3d460a20c5cfa9dbbca22d1241f12b964c1a86f65a0cde1abc4e4928a86"
         )
         assert memo.bound_fingerprint == (
-            "a776569306179ebc8befb910e60f251b0af2ea2965dfd9cb32ef7e3760c37d09"
+            "2a34174c77af2e84a51bc8ae7e3f7cda0983a281fa1ec6ff040cc91d211882da"
         )
 
 

@@ -22,12 +22,28 @@ returns the same floats, bit for bit, on this set (about 5 s on a
 
 Every float enters the digest through ``float.hex``.  ``--verbose``
 also prints one digest per part, to show which part moved.
+
+A change that moves result bits bumps ``EVALUATOR_VERSION``, and a
+hash cannot vouch for it.  So the tool also writes every call's
+metrics, keyed by part and call, and compares two such files:
+
+    PYTHONPATH=src python tools/eval_fingerprint.py --write base.json
+    PYTHONPATH=src python tools/eval_fingerprint.py --compare base.json head.json
+
+The comparison prints each metric's largest relative deviation, on all
+walks and on the APE-box walks, and the count of calls that flipped
+between evaluated and failed (a NaN against a number counts as a
+flip).  It exits 1 beyond the bound: no flips, and the metrics of
+:data:`BOUNDED` within :data:`BOUND_ALL` on every walk and within
+:data:`BOUND_APE` on the APE-box walks.  ``offset``, which no cost
+reads, and the syntheses' best costs are reported but not bounded.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import random
 import sys
@@ -45,6 +61,7 @@ from repro.opamp import coarse_design_opamp  # noqa: E402
 from repro.runtime.diagnostics import DiagnosticLog  # noqa: E402
 from repro.synthesis import synthesize_opamp  # noqa: E402
 from repro.synthesis.problems import (  # noqa: E402
+    EVALUATOR_VERSION,
     OpAmpSizingProblem,
     ape_ranges,
     standalone_ranges,
@@ -59,6 +76,12 @@ MOVES = 60
 STEP = 0.3
 #: Moves of one lint-gate walk; every tenth leaves the box.
 GATE_MOVES = 30
+#: Metrics a cost reads, bounded by the comparison.
+BOUNDED = ("gain", "ugf", "phase_margin", "gate_area", "dc_power", "i_ref")
+#: Largest relative deviation of a bounded metric on any walk.
+BOUND_ALL = 1e-2
+#: Largest relative deviation of a bounded metric on an APE-box walk.
+BOUND_APE = 1e-4
 
 
 def _metrics_text(metrics: dict[str, float] | None) -> str:
@@ -69,6 +92,12 @@ def _metrics_text(metrics: dict[str, float] | None) -> str:
     )
 
 
+def _hex_metrics(metrics: dict[str, float] | None) -> dict[str, str] | None:
+    if metrics is None:
+        return None
+    return {key: float(value).hex() for key, value in sorted(metrics.items())}
+
+
 def _rows():
     rows = [(row.name, row.spec(), row.topology()) for row in TABLE1]
     name, spec, topology = OPAMPS[0]
@@ -76,8 +105,13 @@ def _rows():
     return rows
 
 
-def _walk(tech, name, spec, topology, mode: str, seed: int, digest) -> None:
-    """60 one-variable moves from the box-clamped APE point."""
+def _walk(
+    tech, name, spec, topology, mode: str, seed: int, digest, calls: list
+) -> None:
+    """60 one-variable moves from the box-clamped APE point.
+
+    Each call's metrics are appended to ``calls``.
+    """
     template, _notes = coarse_design_opamp(tech, spec, topology, name=name)
     if mode == "ape":
         variables = ape_ranges(template)
@@ -96,13 +130,19 @@ def _walk(tech, name, spec, topology, mode: str, seed: int, digest) -> None:
         value = point[var.name] * math.exp(rng.gauss(0.0, STEP))
         moved[var.name] = min(max(value, var.lo), var.hi)
         metrics = problem.evaluate(moved)
+        calls.append(metrics)
         digest.update(f"{var.name}:{_metrics_text(metrics)}\n".encode())
         if metrics is not None:
             point = moved
 
 
-def _gate_walk(tech, name, spec, topology, mode: str, digest) -> None:
-    """The template point, then 30 moves, every tenth out of the box."""
+def _gate_walk(
+    tech, name, spec, topology, mode: str, digest, calls: list
+) -> None:
+    """The template point, then 30 moves, every tenth out of the box.
+
+    Each call's metrics are appended to ``calls``.
+    """
     template, _notes = coarse_design_opamp(tech, spec, topology, name=name)
     if mode == "ape":
         variables = ape_ranges(template)
@@ -120,6 +160,7 @@ def _gate_walk(tech, name, spec, topology, mode: str, digest) -> None:
         seen = len(log)
         rejections = problem.lint_rejections
         metrics = problem.evaluate(params)
+        calls.append(metrics)
         recorded = ";".join(
             f"{d.subsystem}|{d.severity}|{d.message}|"
             f"{sorted(d.context.items())!r}"
@@ -163,26 +204,130 @@ def _synthesis_runs():
     ]
 
 
+def _relative(head: float, base: float) -> float:
+    if head == base:
+        return 0.0
+    if base == 0.0:
+        return math.inf
+    return abs(head - base) / abs(base)
+
+
+def _flipped(head: dict | None, base: dict | None) -> bool:
+    """True when one side evaluated and the other failed.
+
+    A metric that is NaN on one side only, or present on one side only,
+    counts as a flip too.
+    """
+    if head is None or base is None:
+        return head is not base
+    if head.keys() != base.keys():
+        return True
+    return any(
+        math.isnan(float.fromhex(head[k])) != math.isnan(float.fromhex(base[k]))
+        for k in head
+    )
+
+
+def compare(base: dict, head: dict) -> tuple[list[str], bool]:
+    """The deviation report of ``head`` against ``base``: ``(lines, ok)``.
+
+    Both are files written by ``--write``.  ``ok`` holds when no call
+    flipped and every metric of :data:`BOUNDED` stays within its bound.
+    """
+    if base["calls"].keys() != head["calls"].keys():
+        raise SystemExit("the two files hold different walks")
+    worst: dict[tuple[str, bool], tuple[float, str]] = {}
+    flips = []
+    for key, base_metrics in base["calls"].items():
+        head_metrics = head["calls"][key]
+        if _flipped(head_metrics, base_metrics):
+            flips.append(key)
+            continue
+        if head_metrics is None:
+            continue
+        ape = " ape " in key
+        for metric, text in head_metrics.items():
+            dev = _relative(float.fromhex(text), float.fromhex(base_metrics[metric]))
+            if math.isnan(dev):  # NaN on both sides
+                dev = 0.0
+            for scope in {False, ape}:
+                if dev > worst.get((metric, scope), (-1.0, ""))[0]:
+                    worst[(metric, scope)] = (dev, key)
+    lines = [
+        f"evaluator {base['evaluator']} ({base['solver']}) -> "
+        f"{head['evaluator']} ({head['solver']}), {len(base['calls'])} calls",
+        f"{'metric':<14}{'all walks':>12}{'bound':>8}"
+        f"{'APE boxes':>12}{'bound':>8}  worst call",
+    ]
+    ok = not flips
+    for metric in sorted({metric for metric, _ in worst}):
+        dev_all, key = worst[(metric, False)]
+        dev_ape = worst.get((metric, True), (0.0, ""))[0]
+        bounded = metric in BOUNDED
+        if bounded and not (dev_all <= BOUND_ALL and dev_ape <= BOUND_APE):
+            ok = False
+        lines.append(
+            f"{metric:<14}{dev_all:>12.2g}"
+            f"{f'{BOUND_ALL:g}' if bounded else '-':>8}"
+            f"{dev_ape:>12.2g}{f'{BOUND_APE:g}' if bounded else '-':>8}"
+            f"  {key if dev_all else '-'}"
+        )
+    lines.append(f"flips: {len(flips)} (bound 0) {' '.join(flips[:5])}".rstrip())
+    for label, base_run in base["syntheses"].items():
+        head_cost = float.fromhex(head["syntheses"][label]["best_cost"])
+        base_cost = float.fromhex(base_run["best_cost"])
+        lines.append(
+            f"synthesis {label}: best cost {base_cost:.6g} -> {head_cost:.6g}"
+            f" (rel {_relative(head_cost, base_cost):.2g}, not bounded)"
+        )
+    lines.append("within the bound" if ok else "BEYOND THE BOUND")
+    return lines, ok
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--verbose", action="store_true", help="print one digest per part"
     )
+    parser.add_argument(
+        "--write", metavar="FILE", help="also write every call's metrics"
+    )
+    parser.add_argument(
+        "--compare",
+        nargs=2,
+        metavar=("BASE", "HEAD"),
+        help="report HEAD's deviation from BASE (two --write files) and "
+        "exit 1 beyond the bound; runs no evaluation",
+    )
     args = parser.parse_args(argv)
+    if args.compare:
+        base, head = (json.loads(Path(p).read_text()) for p in args.compare)
+        lines, ok = compare(base, head)
+        print("\n".join(lines))
+        return 0 if ok else 1
     tech = generic_05um()
     total = hashlib.sha256()
     started = time.perf_counter()
     evaluations = 0
+    calls: dict[str, dict[str, str] | None] = {}
+
+    def record(label: str, metrics: list) -> None:
+        for index, value in enumerate(metrics):
+            calls[f"{label}#{index}"] = _hex_metrics(value)
+
     for name, spec, topology in _rows():
         for mode in ("ape", "standalone"):
             for seed in SEEDS:
                 part = hashlib.sha256()
-                _walk(tech, name, spec, topology, mode, seed, part)
+                walked: list = []
+                _walk(tech, name, spec, topology, mode, seed, part, walked)
+                record(f"{name} {mode} seed {seed}", walked)
                 evaluations += MOVES
                 total.update(part.digest())
                 if args.verbose:
                     print(f"{part.hexdigest()[:16]}  {name} {mode} seed {seed}")
     runs = _synthesis_runs()
+    syntheses = {}
     for label, (spec, topology), options in runs:
         kwargs = {"max_evaluations": 40, "name": label.split()[0], **options}
         result = synthesize_opamp(tech, spec, topology, **kwargs)
@@ -190,6 +335,10 @@ def main(argv: list[str] | None = None) -> int:
             f"{label}:{float(result.best_cost).hex()}:"
             f"{_metrics_text(result.metrics)}\n".encode()
         )
+        syntheses[label] = {
+            "best_cost": float(result.best_cost).hex(),
+            "metrics": _hex_metrics(result.metrics),
+        }
         total.update(part.digest())
         if args.verbose:
             print(f"{part.hexdigest()[:16]}  synthesize {label}")
@@ -197,12 +346,28 @@ def main(argv: list[str] | None = None) -> int:
     for name, spec, topology in _rows():
         for mode in ("ape", "standalone"):
             part = hashlib.sha256()
-            _gate_walk(tech_12, name, spec, topology, mode, part)
+            walked = []
+            _gate_walk(tech_12, name, spec, topology, mode, part, walked)
+            record(f"{name} {mode} generic_12um gate", walked)
             evaluations += GATE_MOVES + 1
             total.update(part.digest())
             if args.verbose:
                 print(f"{part.hexdigest()[:16]}  {name} {mode} generic_12um gate")
     elapsed = time.perf_counter() - started
+    if args.write:
+        from repro.spice.linalg import solver_mode
+
+        Path(args.write).write_text(
+            json.dumps(
+                {
+                    "evaluator": EVALUATOR_VERSION,
+                    "solver": solver_mode(),
+                    "calls": calls,
+                    "syntheses": syntheses,
+                },
+                indent=0,
+            )
+        )
     print(
         f"{total.hexdigest()}  ({evaluations} evaluations + "
         f"{len(runs)} syntheses, {elapsed:.1f} s)"

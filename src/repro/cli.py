@@ -426,11 +426,14 @@ def _cmd_synthesize(args, tech) -> int:
     robust = None
     if args.corners is not None or (args.mc_samples or 0) > 0:
         from .synthesis import RobustSpec
+        from .variation.corners import parse_corner_list
 
         # MC-only runs still need a corner list; plain "tt" aliases the
-        # nominal evaluation, so it costs nothing extra.
+        # nominal evaluation, so it costs nothing extra.  A modifier
+        # fragment ("4.5V" in "SS@-40C,4.5V") belongs to the corner
+        # before it, so the list is not split on every comma.
         corners = (
-            tuple(c for c in args.corners.split(",") if c.strip())
+            tuple(c.canonical for c in parse_corner_list(args.corners))
             if args.corners is not None else ("tt",)
         )
         robust = RobustSpec(

@@ -229,6 +229,16 @@ class EvalMemo:
         # dicts, and a shared cache must never observe that.
         return cost, (dict(metrics) if metrics is not None else None)
 
+    def holds(
+        self, params: Mapping[str, float], tag: str | None = None
+    ) -> bool:
+        """Whether the in-memory tier holds an entry; counts nothing.
+
+        A side-effect-free peek (no recency refresh, no store read), for
+        callers that plan work ahead of the lookups they then make.
+        """
+        return self.key(params, tag) in self._data
+
     def store(
         self,
         params: Mapping[str, float],

@@ -25,11 +25,17 @@ from ..errors import SimulationError
 from ..runtime import faults
 from . import linalg
 from .dc import OperatingPointResult, dc_operating_point
-from .engine import linearize_ac
+from .engine import StampStack, linearize_ac
 from .mna import system_for_op
 from .netlist import Circuit
 
-__all__ = ["AweApproximant", "awe_moments", "awe_poles", "awe_transfer"]
+__all__ = [
+    "AweApproximant",
+    "awe_moments",
+    "awe_poles",
+    "awe_poles_stack",
+    "awe_transfer",
+]
 
 
 @dataclass(frozen=True)
@@ -219,9 +225,14 @@ def awe_poles(
     if op is None:
         op = dc_operating_point(circuit)
     moments = awe_moments(circuit, output_node, 2 * order + 2, op=op)
+    return _fit(circuit.title, output_node, moments, order)
+
+
+def _scaled(title: str, output_node: str, moments: np.ndarray):
+    """``(tau, moments / tau**k)``: the frequency normalization."""
     if moments[0] == 0.0 and abs(moments[1]) == 0.0:
         raise SimulationError(
-            f"{circuit.title}: zero response at {output_node!r} "
+            f"{title}: zero response at {output_node!r} "
             "(is an AC source present?)"
         )
     # Normalize the frequency variable by the dominant time constant to
@@ -231,7 +242,14 @@ def awe_poles(
     else:
         tau = abs(moments[2] / moments[1]) if moments[1] else 1.0
     tau = tau if tau > 0 else 1.0
-    scaled = moments / tau ** np.arange(len(moments))
+    return tau, moments / tau ** np.arange(len(moments))
+
+
+def _fit(
+    title: str, output_node: str, moments: np.ndarray, order: int
+) -> AweApproximant:
+    """The Pade model of ``moments``, reducing the order as needed."""
+    tau, scaled = _scaled(title, output_node, moments)
     for q in range(order, 0, -1):
         try:
             poles_n, residues_n = _pade_from_moments(scaled, q)
@@ -244,8 +262,152 @@ def awe_poles(
                 moments=moments,
             )
     raise SimulationError(
-        f"{circuit.title}: AWE moment matching failed at every order <= {order}"
+        f"{title}: AWE moment matching failed at every order <= {order}"
     )
+
+
+def awe_poles_stack(
+    stack: StampStack,
+    x: np.ndarray,
+    members: list[int],
+    output_node: str,
+    order: int,
+) -> dict[int, AweApproximant | None]:
+    """:func:`awe_poles` of several members of ``stack``, fitted together.
+
+    Row ``b`` of ``x`` is member ``b``'s operating point; the other rows
+    must be finite.  One stacked linearization feeds every member's
+    moment recursion — a :class:`~repro.spice.linalg.DenseFactor` per
+    member and one stacked ``-C @ v`` per moment — and the Hankel
+    solves and companion eigenvalues of the full order each run as one
+    batched call.  numpy's rule that ``eigvals`` returns a real array
+    only when every eigenvalue of the call is real is applied member by
+    member, as a call of its own would apply it.  So each model is, bit
+    for bit, the one ``awe_poles`` fits at the member's operating point
+    on the dense backend.  ``None`` marks a member whose fit fails, for
+    :func:`awe_poles` to raise its error.  No fault site is consulted.
+    """
+    moments = _moments_stack(stack, x, members, output_node, 2 * order + 2)
+    scaled = {}
+    for member, raw in moments.items():
+        title = stack.systems[member].circuit.title
+        try:
+            scaled[member] = _scaled(title, output_node, raw)
+        except SimulationError:
+            continue  # awe_poles raises it
+    pade = _pade_stack(
+        {member: normalized for member, (_, normalized) in scaled.items()},
+        order,
+    )
+    fits: dict[int, AweApproximant | None] = dict.fromkeys(members)
+    for member, (tau, _) in scaled.items():
+        fit = pade[member]
+        if fit is not None and (
+            np.all(np.isfinite(fit[0])) and np.all(np.isfinite(fit[1]))
+        ):
+            fits[member] = AweApproximant(
+                poles=fit[0] / tau, residues=fit[1] / tau, moments=moments[member]
+            )
+            continue
+        # A lower order, or a branch the batched calls do not take.
+        title = stack.systems[member].circuit.title
+        try:
+            fits[member] = _fit(title, output_node, moments[member], order)
+        except SimulationError:
+            pass
+    return fits
+
+
+def _moments_stack(
+    stack: StampStack,
+    x: np.ndarray,
+    members: list[int],
+    output_node: str,
+    n_moments: int,
+) -> dict[int, np.ndarray]:
+    """:func:`awe_moments` of several members of ``stack`` at ``x``.
+
+    A member whose moments ``awe_moments`` would not return — an output
+    at ground, a non-finite matrix or moment — is left out.
+    """
+    g, cmat, b = stack.linearize_ac(x)
+    live = []
+    for member in members:
+        try:
+            out = stack.systems[member].index(output_node)
+            if out < 0:
+                continue
+            factor = linalg.DenseFactor(g[member])
+            vec = factor.solve(np.real(b[member]))
+        except (SimulationError, ValueError):
+            continue
+        live.append((member, factor, out, vec))
+    moments = {member: np.zeros(n_moments) for member, *_ in live}
+    if not live:
+        return moments
+    vecs = np.array([vec for *_, vec in live])
+    neg_c = -cmat[[member for member, *_ in live]]
+    for k in range(n_moments):
+        if k:
+            rhs = np.matmul(neg_c, vecs[:, :, None])[:, :, 0]
+        for j, (member, factor, out, _vec) in enumerate(live):
+            if member not in moments:
+                continue
+            if k:
+                try:
+                    vecs[j] = factor.solve(rhs[j])
+                except ValueError:
+                    del moments[member]
+                    vecs[j] = 0.0
+                    continue
+            moments[member][k] = vecs[j, out]
+    return moments
+
+
+def _pade_stack(
+    scaled: dict[int, np.ndarray], q: int
+) -> dict[int, tuple[np.ndarray, np.ndarray] | None]:
+    """:func:`_pade_from_moments` at order ``q`` of several members.
+
+    One batched Hankel solve and one batched ``eigvals``; ``None``
+    marks a member this cannot fit (a singular system anywhere in the
+    batch, a non-monic companion, a singular Vandermonde system), which
+    :func:`_pade_from_moments` itself then handles.
+    """
+    members = list(scaled)
+    out: dict[int, tuple[np.ndarray, np.ndarray] | None] = dict.fromkeys(members)
+    if not members:
+        return out
+    mu = np.array([scaled[member][: 2 * q] for member in members])
+    hankel = np.empty((len(members), q, q))
+    for row in range(q):
+        hankel[:, row] = mu[:, row : row + q]
+    try:
+        coeffs = np.linalg.solve(hankel, -mu[:, q : 2 * q, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        return out
+    monic = [j for j in range(len(members)) if coeffs[j, 0] != 0.0]
+    if not monic:
+        return out
+    companion = np.zeros((len(monic), q, q))
+    companion[:] = np.eye(q, k=-1)
+    companion[:, 0] = -coeffs[monic, ::-1]
+    try:
+        eigenvalues = np.linalg.eigvals(companion)
+    except np.linalg.LinAlgError:
+        return out
+    for j, roots in zip(monic, eigenvalues):
+        if (roots.imag == 0).all():
+            roots = roots.real
+        roots = roots[np.abs(roots) > 1e-300]
+        poles = 1.0 / roots
+        vander = np.vander(roots, N=len(roots), increasing=True).T
+        try:
+            c = np.linalg.solve(vander, mu[j, : len(roots)].astype(complex))
+        except np.linalg.LinAlgError:
+            continue
+        out[members[j]] = (poles, -c * poles)
+    return out
 
 
 def awe_transfer(

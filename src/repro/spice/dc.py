@@ -20,11 +20,17 @@ import numpy as np
 from ..errors import ConvergenceError
 from ..runtime import faults
 from ..runtime.retry import RetryPolicy
-from .engine import assemble_dc, solve_assembled
+from .engine import StampStack, assemble_dc, solve_assembled
 from .mna import System, evaluate_mosfet
 from .netlist import Circuit, Mosfet, VoltageSource
 
-__all__ = ["OperatingPointResult", "dc_operating_point", "dc_sweep"]
+__all__ = [
+    "OperatingPointResult",
+    "NewtonStack",
+    "dc_operating_point",
+    "settle_operating_point",
+    "dc_sweep",
+]
 
 #: Maximum Newton voltage update per iteration [V].
 MAX_STEP = 0.5
@@ -167,50 +173,149 @@ def _newton(
                 dx = border.step(system, jac, res, mna, gmin)
         except np.linalg.LinAlgError:
             return None
-        # Reductions go through ndarray methods: the same ufunc reduce
-        # as the np.max/np.all functions, without their wrapper cost.
-        if not np.isfinite(dx).all():
-            return None
-        max_dx = float(np.abs(dx[: system.n_nodes]).max(initial=0.0))
-        if border is not None:
-            max_dx = max(max_dx, abs(dx[-1]) * (MAX_STEP / border.max_step))
-        if max_dx > MAX_STEP:
-            dx *= MAX_STEP / max_dx
-        x += dx
-        if border is not None and abs(x[-1]) > border.span:
-            return None
-        # SPICE-style reltol·|v| + abstol step gate: an ill-conditioned
-        # Jacobian amplifies the floating-point residual floor into a
-        # fixed dx noise floor proportional to the solution scale, so a
-        # purely absolute tolerance can stall on circuits that are in
-        # fact converged.
-        v_scale = float(np.abs(x[: system.n_nodes]).max(initial=0.0))
-        tight = max_dx < VOLTAGE_TOL * (1.0 + v_scale)
-        if tight or max_dx < DX_STALL_TOL * (1.0 + v_scale):
-            res_norm = float(np.abs(res).max())
-            # Relative residual check against the circuit's own current
-            # scale: |J|·|x| bounds the largest stamped current, so a
-            # kiloamp circuit is not held to nanoamp residuals (and a
-            # nanoamp circuit keeps the absolute RESIDUAL_TOL floor).
-            i_scale = float((np.abs(jac) @ np.abs(mna)).max(initial=0.0))
-            if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
-                # The residual is the ground truth (KCL satisfied at
-                # x); a dx held just above VOLTAGE_TOL by a badly
-                # conditioned Jacobian (e.g. megaohm-by-ohm resistor
-                # spreads) must not veto a machine-precision residual,
-                # hence the looser DX_STALL_TOL admission above.
-                return x, iteration
-            if not tight:
-                continue
-            # A small full-vector step with a modest absolute residual
-            # also counts as converged (branch currents included); the
-            # node-voltage check above already implies the gate.
-            x_scale = float(np.abs(x).max(initial=0.0))
-            if res_norm < 1e-6 and float(
-                np.abs(dx).max()
-            ) < VOLTAGE_TOL * (1.0 + x_scale):
-                return x, iteration
+        verdict = _step(x, dx, res, jac, system.n_nodes, border)
+        if verdict is not None:
+            return (x, iteration) if verdict else None
     return None
+
+
+def _step(
+    x: np.ndarray,
+    dx: np.ndarray,
+    res: np.ndarray,
+    jac: np.ndarray,
+    n_nodes: int,
+    border: Border | None = None,
+) -> bool | None:
+    """Damp ``dx``, apply it to ``x`` in place and gate the result.
+
+    ``res`` and ``jac`` are the residual and Jacobian ``dx`` was solved
+    from.  Returns True when ``x`` has converged, False when it has
+    failed and None when the run goes on.  Every Newton run of this
+    module, single or stacked, takes its steps here.
+    """
+    # Reductions go through ndarray methods: the same ufunc reduce
+    # as the np.max/np.all functions, without their wrapper cost.
+    if not np.isfinite(dx).all():
+        return False
+    max_dx = float(np.abs(dx[:n_nodes]).max(initial=0.0))
+    if border is not None:
+        max_dx = max(max_dx, abs(dx[-1]) * (MAX_STEP / border.max_step))
+    if max_dx > MAX_STEP:
+        dx *= MAX_STEP / max_dx
+    x += dx
+    if border is not None and abs(x[-1]) > border.span:
+        return False
+    # SPICE-style reltol·|v| + abstol step gate: an ill-conditioned
+    # Jacobian amplifies the floating-point residual floor into a
+    # fixed dx noise floor proportional to the solution scale, so a
+    # purely absolute tolerance can stall on circuits that are in
+    # fact converged.
+    v_scale = float(np.abs(x[:n_nodes]).max(initial=0.0))
+    tight = max_dx < VOLTAGE_TOL * (1.0 + v_scale)
+    if tight or max_dx < DX_STALL_TOL * (1.0 + v_scale):
+        res_norm = float(np.abs(res).max())
+        # Relative residual check against the circuit's own current
+        # scale: |J|·|x| bounds the largest stamped current, so a
+        # kiloamp circuit is not held to nanoamp residuals (and a
+        # nanoamp circuit keeps the absolute RESIDUAL_TOL floor).
+        mna = x if border is None else x[:-1]
+        i_scale = float((np.abs(jac) @ np.abs(mna)).max(initial=0.0))
+        if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
+            # The residual is the ground truth (KCL satisfied at
+            # x); a dx held just above VOLTAGE_TOL by a badly
+            # conditioned Jacobian (e.g. megaohm-by-ohm resistor
+            # spreads) must not veto a machine-precision residual,
+            # hence the looser DX_STALL_TOL admission above.
+            return True
+        if not tight:
+            return None
+        # A small full-vector step with a modest absolute residual
+        # also counts as converged (branch currents included); the
+        # node-voltage check above already implies the gate.
+        x_scale = float(np.abs(x).max(initial=0.0))
+        if res_norm < 1e-6 and float(
+            np.abs(dx).max()
+        ) < VOLTAGE_TOL * (1.0 + x_scale):
+            return True
+    return None
+
+
+class NewtonStack:
+    """Plain Newton runs of a :class:`StampStack`'s members, in step.
+
+    Each iteration assembles every member in one stacked call and
+    solves the running members' systems with one batched
+    ``np.linalg.solve``; each member then takes its own step through
+    :func:`_step`.  A member's outcome — ``(x, iterations)`` or
+    ``None`` — is what :func:`_newton` returns for it at ``gmin``, full
+    sources and no border, bit for bit.
+    """
+
+    def __init__(
+        self,
+        stack: StampStack,
+        starts: dict[int, np.ndarray],
+        *,
+        max_iter: int = 150,
+    ) -> None:
+        self.stack = stack
+        system = stack.systems[0]
+        self._n_nodes = system.n_nodes
+        self.x = np.zeros((len(stack.systems), system.size))
+        for b, x0 in starts.items():
+            self.x[b] = x0
+        self.running = sorted(starts)
+        self.outcomes: dict[int, tuple[np.ndarray, int] | None] = {}
+        self.iteration = 0
+        self.max_iter = max_iter
+
+    def run(self) -> None:
+        """Iterate until every member has its outcome."""
+        while self.running:
+            self._iterate()
+
+    def _iterate(self) -> None:
+        self.iteration += 1
+        running = self.running
+        if self.iteration > self.max_iter:
+            self._finish(running, None)
+            return
+        res, jac = self.stack.assemble_dc(self.x)
+        if len(running) < len(self.x):
+            res, jac = res[running], jac[running]
+        try:
+            steps = list(np.linalg.solve(jac, -res[:, :, None])[:, :, 0])
+        except np.linalg.LinAlgError:
+            # Some member's Jacobian is singular: solve one by one, as
+            # each member's own run would, to find which.
+            steps = []
+            for j in range(len(running)):
+                try:
+                    steps.append(np.linalg.solve(jac[j], -res[j]))
+                except np.linalg.LinAlgError:
+                    steps.append(None)
+        going = []
+        for j, b in enumerate(running):
+            dx = steps[j]
+            verdict = (
+                False if dx is None
+                else _step(self.x[b], dx, res[j], jac[j], self._n_nodes)
+            )
+            if verdict is None:
+                going.append(b)
+            else:
+                self._finish([b], (self.x[b].copy(), self.iteration)
+                             if verdict else None)
+        self.running = going
+
+    def _finish(self, members: list[int], outcome) -> None:
+        for b in members:
+            self.outcomes[b] = outcome
+            # A finished member keeps being assembled with the rest;
+            # zero volts stamps every device off, quietly.
+            self.x[b] = 0.0
+        self.running = [b for b in self.running if b not in members]
 
 
 def _initial_guess(system: System) -> np.ndarray:
@@ -233,16 +338,19 @@ def _solve_ladder(
     gmin: float,
     *,
     gmin_start_exponent: int = 3,
+    newton_failed: bool = False,
 ) -> tuple[np.ndarray, int, float] | None:
     """Plain Newton, then gmin stepping, then source stepping.
 
     Returns ``(x, iterations, gmin_used)`` or ``None`` when the whole
     ladder fails.  ``gmin_start_exponent`` sets where the gmin ladder
     begins (smaller = leakier = easier); retries lower it to relax the
-    solve exponentially.
+    solve exponentially.  ``newton_failed`` says the plain Newton run
+    from ``start`` was already made, and failed.
     """
-    if faults.fires("spice.dc.newton"):
-        solved = None  # injected: skip plain Newton, exercise the ladder
+    if newton_failed or faults.fires("spice.dc.newton"):
+        # Failed already, or injected away: the ladder from here.
+        solved = None
     else:
         solved = _newton(system, start, gmin=gmin)
     gmin_used = gmin
@@ -320,6 +428,47 @@ def dc_operating_point(
     elif system.circuit is not circuit:
         system = system.rebind(circuit)
     base = x0.copy() if x0 is not None else _initial_guess(system)
+    return _converge(circuit, system, base, gmin, retry)
+
+
+def settle_operating_point(
+    circuit: Circuit,
+    system: System,
+    x0: np.ndarray,
+    outcome: tuple[np.ndarray, int] | None,
+    *,
+    gmin: float = 1e-12,
+    retry: RetryPolicy | None = None,
+) -> OperatingPointResult:
+    """:func:`dc_operating_point` of ``circuit`` from ``x0``, its first
+    plain Newton run already made.
+
+    ``outcome`` is that run's result, as a :class:`NewtonStack` member's
+    outcome gives it; ``system`` is bound to ``circuit``.  A converged
+    run is the operating point; a failed one goes on down the ladder
+    and through the retries exactly as the full solve would.  Stacked
+    runs are made only while no fault injector is armed, so skipping
+    the fault sites the full solve checks before its first run changes
+    nothing.
+    """
+    if outcome is not None:
+        return _operating_point(system, *outcome, gmin)
+    return _converge(circuit, system, x0.copy(), gmin, retry, newton_failed=True)
+
+
+def _converge(
+    circuit: Circuit,
+    system: System,
+    base: np.ndarray,
+    gmin: float,
+    retry: RetryPolicy | None,
+    *,
+    newton_failed: bool = False,
+) -> OperatingPointResult:
+    """The ladder from ``base``, then from jittered guesses on retries.
+
+    ``newton_failed`` is passed to the first attempt's ladder.
+    """
     attempts = 1 if retry is None else max(retry.max_attempts, 1)
     solution: tuple[np.ndarray, int, float] | None = None
     for attempt in range(attempts):
@@ -335,7 +484,11 @@ def dc_operating_point(
         if faults.fires("spice.dc.attempt"):
             continue  # injected: void this whole attempt
         solution = _solve_ladder(
-            system, start, gmin, gmin_start_exponent=exponent
+            system,
+            start,
+            gmin,
+            gmin_start_exponent=exponent,
+            newton_failed=newton_failed and attempt == 0,
         )
         if solution is not None:
             break

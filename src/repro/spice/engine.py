@@ -29,7 +29,6 @@ re-solves pay nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from .netlist import (
 
 __all__ = [
     "CompiledStamps",
+    "StampStack",
     "stamps_for",
     "assemble_dc",
     "assemble_tran",
@@ -136,7 +136,9 @@ class _MosVectors:
     parameter blocks, written by :meth:`write`; a geometry swap
     rewrites that column in place (:meth:`CompiledStamps.refresh`).
     The scatter patterns depend only on the wiring, which never changes
-    under a refresh.
+    under a refresh.  :meth:`stacked` joins the columns of several
+    systems of one wiring into one set, which stamps them all at once
+    (:class:`StampStack`).
     """
 
     def __init__(self, mosfets, n: int) -> None:
@@ -147,20 +149,79 @@ class _MosVectors:
         self._par = np.empty((10, m))
         self._cpar = np.empty((9, m))
         self.vel = np.empty(m, dtype=bool)
-        # Row views: a column write updates every per-device vector.
+        self._bind_rows()
+        for k, (mos, device, i_d, i_g, i_s, i_b) in enumerate(mosfets):
+            raw[:, k] = (i_d, i_g, i_s, i_b)
+            self.write(k, mos, device)
+        self.derive()
+        self._index(raw, None)
+
+    @classmethod
+    def stacked(cls, members: list[_MosVectors]) -> _MosVectors:
+        """One set of columns over ``members``, which share their wiring.
+
+        Member ``b``'s devices are the ``b``-th block of columns, and
+        its terminals address the ``b``-th ``n``-vector of a stacked
+        ``(B, n)`` unknown array and the ``b``-th matrix of a stacked
+        ``(B, n, n)`` target.  Each member's parameter blocks become
+        views of the stacked ones, so a member's :meth:`write` updates
+        the stack too; call :meth:`derive` on the stack before use.
+        """
+        first = members[0]
+        m = first.count
+        self = cls.__new__(cls)
+        self.count = m * len(members)
+        self.n = first.n
+        self._par = np.concatenate([mv._par for mv in members], axis=1)
+        self._cpar = np.concatenate([mv._cpar for mv in members], axis=1)
+        self.vel = np.concatenate([mv.vel for mv in members])
+        self._bind_rows()
+        for b, member in enumerate(members):
+            block = slice(b * m, (b + 1) * m)
+            member._par = self._par[:, block]
+            member._cpar = self._cpar[:, block]
+            member.vel = self.vel[block]
+            member._bind_rows()
+        self.derive()
+        raw = np.tile(
+            np.stack((first.raw_d, first.raw_g, first.raw_s, first.raw_b)),
+            len(members),
+        )
+        self._index(raw, np.repeat(np.arange(len(members)), m))
+        return self
+
+    def adopted_by(self, stack: _MosVectors) -> bool:
+        """Whether this member's parameter blocks are views of ``stack``."""
+        return self._par.base is stack._par
+
+    def _bind_rows(self) -> None:
+        """Row views: a column write updates every per-device vector."""
         (self.sign, self.aspect, self.kp_eff, self.theta, self.lam,
          self.gamma, self.phi, self.sqrt_phi, self.vth0,
          self.vc) = self._par
         (self.cox_area, self.cgs_ov, self.cgd_ov, self.cgb_ov,
          self.cj_area, self.cjsw_perim, self.pb, self.mj,
          self.mjsw) = self._cpar
-        for k, (mos, device, i_d, i_g, i_s, i_b) in enumerate(mosfets):
-            raw[:, k] = (i_d, i_g, i_s, i_b)
-            self.write(k, mos, device)
-        self.derive()
+
+    def _index(self, raw: np.ndarray, member: np.ndarray | None) -> None:
+        """Scatter patterns of the terminal indices ``raw`` (-1: ground).
+
+        ``member`` gives each device's position in a stack (``None``
+        for a single system): its residual and matrix entries then land
+        ``member * n`` and ``member * n * n`` further along the flat
+        targets.
+        """
+        n = self.n
+        m = self.count
         self.raw_d, self.raw_g, self.raw_s, self.raw_b = raw
-        # Ground (-1) reads map to a zero slot appended to the vector.
-        self.aug = np.where(raw >= 0, raw, -1)
+        if member is None:
+            self._roff = self._joff = None
+            # Ground (-1) reads map to a zero slot appended to the vector.
+            self.aug = np.where(raw >= 0, raw, -1)
+        else:
+            self._roff = member * n
+            self._joff = member * (n * n)
+            self.aug = np.where(raw >= 0, raw + self._roff, -1)
         # Reusable scatter buffers: rows/cols/vals laid out as 8 blocks
         # of m entries — (dp, sp) rows times (dp, g, sp, b) columns.
         self._rows = np.empty(8 * m, dtype=np.intp)
@@ -182,6 +243,10 @@ class _MosVectors:
         chalf[1] = chalf[0]
         live0 = (rows0 >= 0) & (cols0 >= 0)
         self._j0_flat = rows0[live0] * n + cols0[live0]
+        self._joff8 = None
+        if self._joff is not None:
+            self._joff8 = np.tile(self._joff, 8)
+            self._j0_flat += self._joff8[live0]
         self._j0_live = None if live0.all() else live0
         d_live = self.raw_d >= 0
         self._res_d_idx = self.raw_d[d_live]
@@ -189,6 +254,9 @@ class _MosVectors:
         s_live = self.raw_s >= 0
         self._res_s_idx = self.raw_s[s_live]
         self._res_s_live = None if s_live.all() else s_live
+        if self._roff is not None:
+            self._res_d_idx = self._res_d_idx + self._roff[d_live]
+            self._res_s_idx = self._res_s_idx + self._roff[s_live]
         # Fixed scatter pattern for the forward-operation case: the
         # five (a, b) pairs of _mos_cap_pairs laid out as blocks of m.
         a0 = np.concatenate(
@@ -197,6 +265,7 @@ class _MosVectors:
         b0 = np.concatenate(
             [self.raw_s, self.raw_d, self.raw_b, self.raw_b, self.raw_b]
         )
+        self._joff5 = None if self._joff is None else np.tile(self._joff, 5)
         self._cap_scatter0 = self._cap_scatter(a0, b0)
 
     def _cap_scatter(self, a: np.ndarray, b: np.ndarray):
@@ -212,12 +281,17 @@ class _MosVectors:
         live_ab = live_a & live_b
         a_ab = a[live_ab]
         b_ab = b[live_ab]
-        return (live_a, live_b, live_ab), (
-            a[live_a] * (n + 1),
-            b[live_b] * (n + 1),
-            a_ab * n + b_ab,
-            b_ab * n + a_ab,
-        )
+        aa = a[live_a] * (n + 1)
+        bb = b[live_b] * (n + 1)
+        ab = a_ab * n + b_ab
+        ba = b_ab * n + a_ab
+        off = self._joff5
+        if off is not None:
+            aa += off[live_a]
+            bb += off[live_b]
+            ab += off[live_ab]
+            ba += off[live_ab]
+        return (live_a, live_b, live_ab), (aa, bb, ab, ba)
 
     def write(self, k: int, mos, device) -> None:
         """Write device ``k``'s parameter columns; :meth:`derive` after."""
@@ -398,10 +472,13 @@ class _MosVectors:
                 -i_dp if s_live is None else -i_dp[s_live],
             )
         else:
+            roff = self._roff
             live = dp >= 0
-            np.add.at(res, dp[live], i_dp[live])
+            at = dp[live] if roff is None else dp[live] + roff[live]
+            np.add.at(res, at, i_dp[live])
             live = sp >= 0
-            np.add.at(res, sp[live], -i_dp[live])
+            at = sp[live] if roff is None else sp[live] + roff[live]
+            np.add.at(res, at, -i_dp[live])
         self._stamp_jacobian(dp, sp, g_dd, g_dg, g_ds, g_db, no_swap, jac)
 
     def _stamp_jacobian(
@@ -433,9 +510,10 @@ class _MosVectors:
         half[0, 3] = self.raw_b
         half[1] = half[0]
         live = (rows >= 0) & (cols >= 0)
-        np.add.at(
-            _flat(jac), rows[live] * self.n + cols[live], vals[live]
-        )
+        at = rows[live] * self.n + cols[live]
+        if self._joff8 is not None:
+            at += self._joff8[live]
+        np.add.at(_flat(jac), at, vals[live])
 
     def stamp_ac(
         self, x: np.ndarray, jac: np.ndarray, cmat: np.ndarray
@@ -765,8 +843,10 @@ class CompiledStamps:
             elif isinstance(new, (VoltageSource, CurrentSource)):
                 # Bias retargeting: only the ``dc`` field may move; an
                 # AC magnitude or waveform edit changes which compiled
-                # vectors an element lands in, so it rebuilds.
-                if replace(new, dc=old.dc) != old:
+                # vectors an element lands in, so it rebuilds.  Type and
+                # nodes matched above, so this is the dataclass equality
+                # of every other field, without building a copy.
+                if (new.name, new.ac, new.wave) != (old.name, old.ac, old.wave):
                     return False
                 if new.dc != old.dc:
                     src_changes = True
@@ -1058,6 +1138,90 @@ def stamps_for(system: System) -> CompiledStamps:
         st = CompiledStamps(system)
         system._compiled = st
     return st
+
+
+class StampStack:
+    """Several systems of one topology, assembled as one stacked system.
+
+    Member ``b``'s unknowns are row ``b`` of a ``(B, n)`` array and its
+    matrices the ``b``-th of a ``(B, n, n)`` one.  Every member keeps
+    its own :class:`CompiledStamps`; the stack shares their MOSFET
+    columns (:meth:`_MosVectors.stacked`) and copies their linear parts
+    at each :meth:`refresh`, so a stacked assembly makes, member for
+    member and in the same order, exactly the additions the member's
+    own :func:`assemble_dc` or :func:`linearize_ac` makes at their
+    default ``gmin`` and full sources: a plain Newton run's and an
+    operating point's AC linearization.
+    """
+
+    #: The default ``gmin`` of :func:`assemble_dc`, :func:`linearize_ac`
+    #: and the DC solver's plain Newton run.
+    gmin = 1e-12
+
+    def __init__(self, systems: list[System]) -> None:
+        self.systems = list(systems)
+        #: The member columns the stacked ones were built from.
+        self._members: list[_MosVectors] = []
+
+    def refresh(self) -> bool:
+        """Bring the stack up to date with its members' circuits.
+
+        False when the members cannot be stacked: they differ in size
+        or MOSFET wiring, hold no MOSFET, or differ in which
+        device-level branches (``has_theta``/``has_vel``) their
+        equations take, which would change a member's arithmetic.
+        """
+        stamps = [stamps_for(system) for system in self.systems]
+        vectors = [st.mos_vec for st in stamps]
+        first = vectors[0]
+        if first is None or any(
+            v is None
+            or v.count != first.count
+            or v.n != first.n
+            or (v.has_theta, v.has_vel) != (first.has_theta, first.has_vel)
+            for v in vectors
+        ):
+            return False
+        if (
+            len(self._members) != len(vectors)
+            or any(a is not b for a, b in zip(vectors, self._members))
+            or not all(v.adopted_by(self._mos) for v in vectors)
+        ):
+            if not all(
+                np.array_equal(v.aug, first.aug) for v in vectors[1:]
+            ):
+                return False
+            self._mos = _MosVectors.stacked(vectors)
+            self._members = vectors
+        else:
+            self._mos.derive()
+        self.stamps = stamps
+        self.base = np.stack([st.dc_base(self.gmin) for st in stamps])
+        self._src = np.stack([st.src_dc for st in stamps])
+        self._has_src = [st.has_src for st in stamps]
+        return True
+
+    def assemble_dc(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked residuals and Jacobians of the DC equations at ``x``."""
+        jac = self.base.copy()
+        res = np.matmul(self.base, x[:, :, None]).reshape(x.shape)
+        if all(self._has_src):
+            res += self._src
+        else:
+            for b, has_src in enumerate(self._has_src):
+                if has_src:
+                    res[b] += self._src[b]
+        self._mos.stamp(x.reshape(-1), _flat(res), jac)
+        return res, jac
+
+    def linearize_ac(
+        self, x: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Stacked ``(G, C, b)`` of :func:`linearize_ac` at ``x``."""
+        g = self.base.copy()
+        c = np.stack([st.c_lin for st in self.stamps])
+        self._mos.stamp_ac(x.reshape(-1), g, c)
+        return g, c, np.stack([st.ac_b for st in self.stamps])
 
 
 # -- dispatching entry points ------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Any, Callable
 
 from ..devices import MosDevice
 from ..errors import ApeError, SimulationError, SizingError, SpecificationError
@@ -32,6 +32,7 @@ from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..spice import analysis, awe_poles, dc_operating_point
+from ..spice.dc import settle_operating_point
 from ..spice.analysis import _drive_column, balance_differential
 from ..spice.mna import System
 from ..spice.netlist import VoltageSource
@@ -139,6 +140,23 @@ def parameterized_opamp(template: OpAmp, params: dict[str, float]) -> OpAmp:
         r_ref=params.get("r.ref", template.r_ref),
         r_bias=params.get("r.bias", template.r_bias),
     )
+
+
+@dataclass
+class _Candidate:
+    """A candidate between the phases of :meth:`OpAmpSizingProblem.evaluate`.
+
+    ``x0`` and ``balanced`` are the run-constant starting vectors of
+    :meth:`OpAmpSizingProblem._warm_start`; ``op`` is set by the solve
+    phase, which may also swap ``bench`` for the balanced one.
+    """
+
+    params: dict[str, float]
+    amp: OpAmp | None
+    bench: Any
+    x0: Any
+    balanced: Any
+    op: Any = None
 
 
 def _driven_copies(bench):
@@ -264,6 +282,14 @@ class OpAmpSizingProblem(SizingProblem):
     Carlo variants, custom factories the probe rejects, non-canonical
     dicts — builds an ``OpAmp`` and a bench per candidate and is the
     tests' reference.
+
+    :meth:`evaluate` runs three phases in sequence: apply (the
+    candidate onto a bench, through the sizing checks and the lint
+    gate), solve (the zero-drive operating point, balanced when the
+    output rails) and measure (DC metrics and the AWE model).  A robust
+    family evaluation interleaves the phases of several problems, to
+    make their first Newton runs and their AWE fits as one stack
+    (:class:`~repro.synthesis.robust.RobustEvaluator`).
     """
 
     def __init__(
@@ -352,6 +378,25 @@ class OpAmpSizingProblem(SizingProblem):
         return self._variables
 
     def evaluate(self, params: dict[str, float]) -> dict[str, float] | None:
+        state = self._applied(params)
+        if isinstance(state, _Candidate):
+            state = self._solved(state)
+        if isinstance(state, _Candidate):
+            state = self._measured(state)
+        return state
+
+    # The three phases of :meth:`evaluate`.  Each returns the candidate
+    # for the next phase, or the evaluation's result when the candidate
+    # goes no further; a robust family evaluation interleaves them
+    # across its problems (:class:`~repro.synthesis.robust.RobustEvaluator`).
+
+    def _applied(self, params: dict[str, float]):
+        """Apply phase: ``params`` written onto a bench and gated.
+
+        The sizing checks and the lint gate run here, and the system is
+        bound to the bench.  A candidate the in-place bench takes and
+        :meth:`_stackable` admits records no Diagnostic here.
+        """
         changes = self._changes(params)
         amp = None
         if changes is None or not self._sizable(changes, params):
@@ -368,8 +413,7 @@ class OpAmpSizingProblem(SizingProblem):
                 bench = self._candidate_bench(amp, params)
             else:
                 bench = self._apply(changes)
-            tech = self.template.tech
-            if self._lint_rejects(bench, tech):
+            if self._lint_rejects(bench, self.template.tech):
                 return None
             if not self.reuse_state:
                 self._system = None
@@ -378,18 +422,50 @@ class OpAmpSizingProblem(SizingProblem):
             else:
                 self._system = self._system.rebind(bench)
             warm, balanced = self._warm_start()
-            if balanced is None:
-                op = dc_operating_point(
-                    bench, x0=warm, retry=self.retry, system=self._system
-                )
+        except SimulationError as exc:
+            self._note_failure(exc)
+            return None
+        return _Candidate(params, amp, bench, warm, balanced)
+
+    def _solved(self, candidate: _Candidate, newton=None, member: int = 0):
+        """Solve phase: the operating point the candidate is measured at.
+
+        ``newton`` is the :class:`~repro.spice.dc.NewtonStack` that made
+        the zero-drive solve's first plain Newton run, from
+        ``candidate.x0`` on this problem's system, as its ``member``;
+        the solve goes on from that run's outcome
+        (:func:`~repro.spice.dc.settle_operating_point`).
+        """
+        bench = candidate.bench
+        tech = self.template.tech
+        try:
+            if candidate.balanced is None:
+                if newton is None:
+                    op = dc_operating_point(
+                        bench,
+                        x0=candidate.x0,
+                        retry=self.retry,
+                        system=self._system,
+                    )
+                else:
+                    op = settle_operating_point(
+                        bench,
+                        newton.stack.systems[member],
+                        candidate.x0,
+                        newton.outcomes[member],
+                        retry=self.retry,
+                    )
                 x0 = op.x
             else:
-                op, x0 = None, balanced
+                op, x0 = None, candidate.balanced
             if op is None or abs(op.v("out")) > RAIL:
                 # The template rails, or this candidate does: balance,
                 # starting from the template's balanced point or from
                 # this candidate's zero-drive solution.
-                build, column = self._drive(amp, params, bench)
+                system = self._system if op is None else op.system
+                build, column = self._drive(
+                    candidate.amp, candidate.params, bench, system
+                )
                 _, bench, op = balance_differential(
                     build,
                     "out",
@@ -398,7 +474,7 @@ class OpAmpSizingProblem(SizingProblem):
                     tol=self.balance_tolerance,
                     max_bisections=16,
                     retry=self.retry,
-                    system=self._system,
+                    system=system,
                     warm_start=self.reuse_state,
                     x0=x0,
                     column=column,
@@ -406,12 +482,54 @@ class OpAmpSizingProblem(SizingProblem):
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.
                     return self._dead_metrics(bench, op, tech)
+        except SimulationError as exc:
+            self._note_failure(exc)
+            return None
+        candidate.bench = bench
+        candidate.op = op
+        return candidate
+
+    def _measured(self, candidate: _Candidate, model=None):
+        """Measure phase: the metrics at the solved operating point.
+
+        ``model`` is the AWE fit when a stacked fit made it
+        (:func:`~repro.spice.awe.awe_poles_stack`).
+        """
+        try:
             return self._measure(
-                bench, op, tech, params.get("r.ref", self.template.r_ref)
+                candidate.bench,
+                candidate.op,
+                self.template.tech,
+                candidate.params.get("r.ref", self.template.r_ref),
+                model,
             )
         except SimulationError as exc:
             self._note_failure(exc)
             return None
+
+    def _stackable(self, params: dict[str, float]) -> bool:
+        """Whether ``params`` can join a stacked family evaluation.
+
+        True when the candidate goes onto the in-place bench through
+        the device checks, and its zero-drive solve starts from the
+        template's zero-drive point, already computed.  Such a
+        candidate's apply phase records nothing, so it may run before
+        the candidate's turn; and its zero-drive solve begins with the
+        plain Newton run a :class:`~repro.spice.dc.NewtonStack` makes.
+        """
+        if not (
+            self.reuse_state
+            and self._warm_ready
+            and self._warm_x0 is not None
+            and self._balanced_x0 is None
+        ):
+            return False
+        changes = self._changes(params)
+        return changes is not None and self._sizable(changes, params)
+
+    def _railed(self, x) -> bool:
+        """Whether the zero-drive solution ``x`` rails the output."""
+        return abs(self._system.voltage(x, "out")) > RAIL
 
     def _warm_start(self):
         """Run-constant starting vectors ``(zero-drive, balanced)``.
@@ -641,11 +759,14 @@ class OpAmpSizingProblem(SizingProblem):
         }
         self._bench_map = (base, applied, mapping)
 
-    def _drive(self, amp: OpAmp | None, params: dict[str, float], bench):
+    def _drive(
+        self, amp: OpAmp | None, params: dict[str, float], bench, system
+    ):
         """``(build, column)`` for balancing a railed candidate.
 
-        On the in-place bench, once :meth:`_prove_drive` has shown the
-        factory drives it only through the sources
+        ``system`` is bound to ``bench``, the candidate's zero-drive
+        bench.  On the in-place bench, once :meth:`_prove_drive` has
+        shown the factory drives it only through the sources
         :func:`~repro.opamp.benches.differential_drive` names, every
         driven circuit is a new copy of ``bench`` with those sources
         retargeted, and the drive column is the problem's own.  The
@@ -653,8 +774,11 @@ class OpAmpSizingProblem(SizingProblem):
         system rebinds to them as a source-only edit, and ``bench``
         itself stays at zero drive.  Anything else builds every drive
         with the factory (from ``amp``, built from ``params`` when the
-        candidate was placed without one) and leaves the column to the
-        balance.
+        candidate was placed without one), and the column comes from
+        ``bench`` and one build at :data:`BALANCE_SPAN`, as the
+        balance would compute it from a zero-drive build of its own;
+        ``None`` when the drive is not affine, which leaves the balance
+        its bisection.
         """
         if self._bench_map is not None and bench is self._bench_map[0]:
             column = self._proven_column()
@@ -662,7 +786,13 @@ class OpAmpSizingProblem(SizingProblem):
                 return _driven_copies(bench), column
         if amp is None:
             amp = parameterized_opamp(self.template, params)
-        return (lambda v: self.bench_factory(amp, v_diff=v)), None
+
+        def build(v: float):
+            return self.bench_factory(amp, v_diff=v)
+
+        return build, _drive_column(
+            system, bench, build(BALANCE_SPAN), BALANCE_SPAN
+        )
 
     def _proven_column(self):
         """The problem's drive column, proving the drive on first use."""
@@ -795,7 +925,7 @@ class OpAmpSizingProblem(SizingProblem):
         }
 
     def _measure(
-        self, bench, op, tech: Technology, r_ref: float
+        self, bench, op, tech: Technology, r_ref: float, model=None
     ) -> dict[str, float]:
         metrics = {
             "gate_area": bench.total_gate_area(),
@@ -809,7 +939,8 @@ class OpAmpSizingProblem(SizingProblem):
             v_bias = op.v("X1_nbias_a")
             metrics["i_ref"] = (tech.vdd - v_bias) / r_ref
         try:
-            model = awe_poles(bench, "out", order=self.awe_order, op=op)
+            if model is None:
+                model = awe_poles(bench, "out", order=self.awe_order, op=op)
             metrics["gain"] = abs(model.dc_gain)
             try:
                 metrics["ugf"] = model.unity_gain_frequency()

@@ -20,6 +20,11 @@ Each variant is memoized under its own tag (``"corner:ss@-40C"``,
 ``"mc:3"``), so a shared :class:`~repro.parallel.EvalMemo` can never
 hand a nominal result to a corner evaluation or vice versa.
 
+The variants of one candidate are evaluated together where the
+numerics allow (see :class:`RobustEvaluator`): one stacked Newton run
+and stacked AWE fits serve the nominal problem and its corners, with
+every result bit, Diagnostic and counter of evaluating them one by one.
+
 A corner whose simulation fails is a *degraded variant*, not a crash:
 the sizing problem's retry ladder re-attempts the DC solve, a
 :class:`~repro.runtime.diagnostics.Diagnostic` records the failure,
@@ -32,11 +37,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ApeError, SpecificationError
 from ..opamp import OpAmp
 from ..opamp.benches import open_loop_bench
+from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
+from ..spice import linalg
+from ..spice.awe import awe_poles_stack
+from ..spice.dc import NewtonStack
+from ..spice.engine import StampStack
+from ..spice.mna import System
 from ..technology import Technology
 from ..variation.corners import derive_corner, parse_corner
 from ..variation.montecarlo import (
@@ -45,7 +58,7 @@ from ..variation.montecarlo import (
     perturbed_circuit,
 )
 from .cost import FAILURE_COST, RobustCost, worst_case_metrics
-from .problems import OpAmpSizingProblem, Variable
+from .problems import OpAmpSizingProblem, Variable, _Candidate
 from .specs import SynthesisSpec
 
 __all__ = [
@@ -203,6 +216,165 @@ class _VariantProblem(OpAmpSizingProblem):
         return False
 
 
+class _Family:
+    """One candidate's family, evaluated as one stack.
+
+    The members are the nominal problem and every corner problem on an
+    in-place bench (Monte Carlo problems build a bench per candidate,
+    so they never are).  :meth:`evaluate` returns, for a member, the
+    metrics its own ``evaluate(params)`` returns — the
+    :class:`RobustEvaluator` still calls it member by member, in the
+    per-variant order, around each member's memo lookup and store.
+
+    Work runs ahead of that order only where it records nothing: a
+    member's candidate is applied and its first plain Newton run made,
+    stacked with the others', and a member whose run converged
+    unrailed is solved and fitted, stacked too.  Everything that can
+    record a Diagnostic or count a retry — the sizing and lint gates of
+    the nominal, the DC ladder of a failed run, balancing a railed
+    output — runs at the member's own turn, through the problem's own
+    phases.  A member the stack cannot take (see
+    :meth:`OpAmpSizingProblem._stackable`) is evaluated per variant.
+
+    With ``speculate`` — no screen, or a screen that kept the previous
+    candidate — the corners whose memo entries are missing join the
+    nominal's Newton run and AWE fit before the screen has spoken, and
+    a screened candidate's corner work is dropped unseen.  Without it
+    the nominal is evaluated alone and the corners together once the
+    screen has kept the candidate.  Consecutive candidates of an
+    annealing chain are neighbours, so the last verdict predicts the
+    next: APE-box chains are kept nearly always, while standalone-box
+    chains can be screened most of the time.
+    """
+
+    def __init__(
+        self,
+        params: dict[str, float],
+        stack: StampStack,
+        members: dict[str, OpAmpSizingProblem],
+        speculate: bool,
+        memo,
+    ) -> None:
+        self.params = params
+        self.stack = stack
+        #: Variant label -> problem, in stack order (nominal first).
+        self.members = members
+        #: Variant label -> stack member.
+        self.index = {label: b for b, label in enumerate(members)}
+        #: Whether corner work may run before the screen has spoken.
+        self.speculate = speculate
+        self.candidates: dict[str, _Candidate] = {}
+        #: Label -> the Newton stack running its first solve.
+        self.runs: dict[str, NewtonStack] = {}
+        self.solved: dict[str, _Candidate] = {}
+        self.models: dict[str, object] = {}
+        self.memo = memo
+        self._corners_started = False
+
+    def evaluate(
+        self, label: str, problem: OpAmpSizingProblem
+    ) -> dict[str, float] | None:
+        """``problem.evaluate(params)`` for the variant ``label``."""
+        if label == "nominal":
+            if (
+                self.speculate
+                and label in self.index
+                and problem._stackable(self.params)
+            ):
+                candidate = problem._applied(self.params)
+                if not isinstance(candidate, _Candidate):
+                    return candidate
+                self._start({"nominal": candidate, **self._riders()})
+        elif not self._corners_started:
+            self._start(self._riders())
+        candidate = self.candidates.get(label)
+        if candidate is None:
+            return problem.evaluate(self.params)
+        b = self.index[label]
+        newton = self.runs.get(label)
+        if newton is not None:
+            newton.run()
+        if newton is None or not self._clean(label):
+            # The ladder after a failed run, balancing, or a solve of
+            # its own: the member's own path from its apply phase on.
+            state = problem._solved(candidate, newton, b)
+            if isinstance(state, _Candidate):
+                state = problem._measured(state)
+            return state
+        if label not in self.models:
+            self._fit(label)
+        return problem._measured(self.solved[label], self.models[label])
+
+    def _riders(self) -> dict[str, _Candidate]:
+        """The corners that join a Newton stack now, applied.
+
+        A corner rides when the stack holds it, its memo entry is
+        missing and :meth:`OpAmpSizingProblem._stackable` admits the
+        candidate, so applying it records nothing.
+        """
+        self._corners_started = True
+        memo = self.memo
+        riders = {}
+        for label, problem in self.members.items():
+            if (
+                label != "nominal"
+                and (memo is None or not memo.holds(self.params, label))
+                and problem._stackable(self.params)
+            ):
+                candidate = problem._applied(self.params)
+                if isinstance(candidate, _Candidate):
+                    riders[label] = candidate
+        return riders
+
+    def _start(self, candidates: dict[str, _Candidate]) -> None:
+        """Start the Newton runs of freshly applied ``candidates``.
+
+        A lone candidate, or candidates the stack cannot take (see
+        :meth:`StampStack.refresh`), are each solved on their own at
+        their turn.
+        """
+        self.candidates.update(candidates)
+        if len(candidates) > 1 and self.stack.refresh():
+            newton = NewtonStack(
+                self.stack,
+                {self.index[label]: c.x0 for label, c in candidates.items()},
+            )
+            self.runs.update(dict.fromkeys(candidates, newton))
+
+    def _clean(self, label: str) -> bool:
+        """Whether ``label``'s finished run converged, output unrailed."""
+        outcome = self.runs[label].outcomes.get(self.index[label])
+        return outcome is not None and not self.members[label]._railed(
+            outcome[0]
+        )
+
+    def _fit(self, label: str) -> None:
+        """Fit ``label`` with every clean, unfitted member of its order."""
+        order = self.members[label].awe_order
+        group = [
+            other
+            for other in self.runs
+            if other not in self.models
+            and self._clean(other)
+            and self.members[other].awe_order == order
+        ]
+        for other in group:
+            self.solved[other] = self.members[other]._solved(
+                self.candidates[other], self.runs[other], self.index[other]
+            )
+        if len(group) == 1:
+            self.models[label] = None  # fitted by the member's own awe_poles
+            return
+        x = np.zeros((len(self.index), self.stack.systems[0].size))
+        for other in group:
+            x[self.index[other]] = self.solved[other].op.x
+        fits = awe_poles_stack(
+            self.stack, x, [self.index[other] for other in group], "out", order
+        )
+        for other in group:
+            self.models[other] = fits[self.index[other]]
+
+
 class RobustEvaluator:
     """Evaluate candidates across corners and mismatch samples.
 
@@ -225,6 +397,18 @@ class RobustEvaluator:
     * Each variant problem warm-starts from its own template.  Monte
       Carlo problems keep factory-built benches: their mismatch depends
       on device geometry (Pelgrom), so the in-place probe refuses them.
+    * A candidate's family is evaluated as one stack (:class:`_Family`):
+      the nominal problem and every corner problem on an in-place bench
+      make their first Newton run together and fit their AWE models
+      together, bit for bit what each problem's own ``evaluate``
+      returns.  Every member the stack cannot take runs its own
+      ``evaluate``: Monte Carlo samples, candidates off the in-place
+      bench or outside the device checks, a failed plain Newton run (it
+      goes on down its DC ladder) and a railed output (it is balanced);
+      and every member while a fault injector is armed or on the sparse
+      backend.  Metrics, Diagnostics (nominal first, then the
+      :attr:`problems` order), memo traffic, retries and the counters
+      below are the per-variant path's.
     """
 
     def __init__(
@@ -291,6 +475,11 @@ class RobustEvaluator:
         self.corner_evaluations = 0
         #: Candidates whose nominal cost failed the screen.
         self.screened_candidates = 0
+        #: The stacked systems of the last family evaluation.
+        self._stack: StampStack | None = None
+        #: Whether the screen kept the last candidate: the next family
+        #: then runs its corners' work ahead of the screen (see _Family).
+        self._kept_last = True
 
     def bind(
         self,
@@ -324,9 +513,17 @@ class RobustEvaluator:
     # ------------------------------------------------------------ evaluation
 
     def evaluate_variant(
-        self, label: str, params: dict[str, float]
+        self,
+        label: str,
+        params: dict[str, float],
+        family: _Family | None = None,
     ) -> dict[str, float] | None:
-        """One variant's metrics (memoized under the variant's tag)."""
+        """One variant's metrics (memoized under the variant's tag).
+
+        ``family`` is the candidate's stacked evaluation, when one runs
+        (:meth:`_family`); it returns the metrics the variant's problem
+        would.
+        """
         if label == "nominal":
             problem, tag = self.nominal, None
         else:
@@ -338,7 +535,12 @@ class RobustEvaluator:
             if found is not None:
                 return found[1]
         try:
-            metrics = problem.evaluate(params)
+            if family is None:
+                metrics = problem.evaluate(params)
+            else:
+                metrics = family.evaluate(
+                    "nominal" if tag is None else label, problem
+                )
         except ApeError as exc:
             # Same last line of defence the tolerant chain evaluator
             # provides, applied per variant so one bad corner degrades
@@ -381,33 +583,38 @@ class RobustEvaluator:
         self, params: dict[str, float]
     ) -> dict[str, dict[str, float] | None]:
         """Screen-then-verify family evaluation of one candidate."""
-        out: dict[str, dict[str, float] | None] = {
-            "nominal": self.evaluate_variant("nominal", params)
-        }
         threshold = self.robust.screen_threshold
-        if (
-            threshold is not None
-            and self.base_cost(out["nominal"]) >= threshold
-        ):
+        family = self._family(
+            params, speculate=threshold is None or self._kept_last
+        )
+        out: dict[str, dict[str, float] | None] = {
+            "nominal": self.evaluate_variant("nominal", params, family)
+        }
+        self._kept_last = (
+            threshold is None or self.base_cost(out["nominal"]) < threshold
+        )
+        if not self._kept_last:
             self.screened_candidates += 1
             return out
-        self._fan_out(out, params)
+        self._fan_out(out, params, family)
         return out
 
     def detail(
         self, params: dict[str, float]
     ) -> dict[str, dict[str, float] | None]:
         """Full fan-out (screening ignored) — the final-design report."""
+        family = self._family(params, speculate=True)
         out: dict[str, dict[str, float] | None] = {
-            "nominal": self.evaluate_variant("nominal", params)
+            "nominal": self.evaluate_variant("nominal", params, family)
         }
-        self._fan_out(out, params)
+        self._fan_out(out, params, family)
         return out
 
     def _fan_out(
         self,
         out: dict[str, dict[str, float] | None],
         params: dict[str, float],
+        family: _Family | None,
     ) -> None:
         """Add every variant to ``out``, which holds the nominal result.
 
@@ -420,8 +627,42 @@ class RobustEvaluator:
             if problem is None:
                 out[label] = None if nominal is None else dict(nominal)
             else:
-                out[label] = self.evaluate_variant(label, params)
+                out[label] = self.evaluate_variant(label, params, family)
             self.corner_evaluations += 1
+
+    def _family(
+        self, params: dict[str, float], *, speculate: bool
+    ) -> _Family | None:
+        """The stacked evaluation of ``params``' family, or ``None``.
+
+        ``None`` runs every variant through its own ``evaluate``: while
+        a fault injector is armed (it draws its decisions call by call,
+        in that order), on the sparse backend, and until the nominal or
+        a corner problem and one more have in-place benches.
+        """
+        if faults.active() is not None:
+            return None
+        members: dict[str, OpAmpSizingProblem] = {}
+        systems: list[System] = []
+        for label, problem in (("nominal", self.nominal), *self.problems.items()):
+            if (
+                problem is None
+                or problem._bench_map is None
+                or problem._system is None
+            ):
+                continue
+            members[label] = problem
+            systems.append(problem._system)
+        if len(members) < 2:
+            return None
+        if linalg.use_sparse(systems[0].size):
+            return None
+        stack = self._stack
+        if stack is None or len(stack.systems) != len(systems) or any(
+            a is not b for a, b in zip(stack.systems, systems)
+        ):
+            stack = self._stack = StampStack(systems)
+        return _Family(params, stack, members, speculate, self.memo)
 
     def evaluate(
         self, params: dict[str, float]

@@ -284,6 +284,28 @@ class TestInPlaceDrive:
             assert problem.evaluate(params) is not None
             assert len(calls) == built
 
+    def test_factory_path_builds_each_drive_once(self, railed_candidates):
+        """A dict with a key no variable names takes the factory path:
+        each railed candidate builds its zero-drive bench, one bench at
+        the balance span for the drive column, and the balanced bench —
+        the column comes from the zero-drive bench already built."""
+        amp = railed_candidates[0][0]
+        rows = [params for a, params, _ in railed_candidates if a is amp]
+        calls: list[float] = []
+        problem = OpAmpSizingProblem(
+            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
+        )
+        reference = OpAmpSizingProblem(amp, ape_ranges(amp))
+        assert problem.evaluate({**rows[0], "extra": 1.0}) is not None
+        for params in rows[1:]:
+            built = len(calls)
+            metrics = problem.evaluate({**params, "extra": 1.0})
+            drives = calls[built:]
+            assert len(drives) == 3
+            assert drives[:2] == [0.0, BALANCE_SPAN]
+            assert abs(drives[2]) < BALANCE_SPAN
+            assert _exact(metrics) == _exact(reference.evaluate(params))
+
     def test_buffered_problem_never_proves(self):
         spec = OpAmpSpec(gain=70, ugf=3.0e6, area=3000e-12, ibias=2e-6, cl=10e-12)
         topology = OpAmpTopology(

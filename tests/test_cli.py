@@ -99,6 +99,30 @@ class TestCommands:
         assert code in (0, 1)
         assert "robust:" in out  # corners came back from cli.json
 
+    def test_extended_corner_list_resumes_from_sidecar(self, capsys, tmp_path):
+        """A modifier fragment belongs to the corner before it: the list
+        names three corners, and --resume restores the same three from
+        cli.json (a different corner set would be refused, exit 2)."""
+        run_dir = str(tmp_path / "run")
+        argv = ["synthesize", "--gain", "120", "--ugf", "2Meg",
+                "--budget", "6", "--seed", "3",
+                "--corners", "TT,SS@-40C,4.5V,FF", "--robust-cost", "worst"]
+        code = main([*argv, "--run-dir", run_dir])
+        first = capsys.readouterr().out
+        assert code in (0, 1)
+        # nominal, tt, ss@-40C,4.5V and ff
+        assert "worst-case over 4 variant(s)" in first
+        code = main(["synthesize", "--resume", run_dir])
+        resumed = capsys.readouterr().out
+        assert code in (0, 1)
+        assert "resumed [0]" in resumed
+        assert "worst-case over 4 variant(s)" in resumed
+
+        def robust_line(out):
+            return next(line for line in out.splitlines() if "robust:" in line)
+
+        assert robust_line(resumed) == robust_line(first)
+
     def test_simulate_deck(self, capsys, tmp_path):
         deck = tmp_path / "div.cir"
         deck.write_text("divider\nVIN in 0 10\nR1 in out 1k\nR2 out 0 3k\n")

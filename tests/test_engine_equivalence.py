@@ -656,6 +656,33 @@ class TestCompiledStampsRefresh:
         assert stamps_for(system) is not st
         self._assert_matches_fresh(system, ckt)
 
+    @pytest.mark.parametrize(
+        "edit, refreshed",
+        [
+            ({"dc": 0.9}, True),
+            ({"ac": 0.5}, False),
+            ({"dc": 0.9, "ac": 0.0}, False),
+            ({"wave": PulseWave(0.0, 1.0)}, False),
+            ({"dc": 0.9, "wave": PulseWave(0.0, 1.0)}, False),
+        ],
+        ids=["dc", "ac", "dc_and_ac", "wave", "dc_and_wave"],
+    )
+    @pytest.mark.parametrize("kind", ["v", "i"])
+    def test_only_a_source_dc_edit_refreshes(self, edit, refreshed, kind):
+        # The refresh compares a source's other fields directly (type
+        # and nodes are checked before); an edit of anything but ``dc``
+        # changes which compiled vectors the source lands in.
+        ckt = _mos_amp()
+        if kind == "i":
+            ckt.i("0", "d", dc=1e-6, ac=1.0, name="IB")
+        system, st = self._compiled(ckt)
+        elem = ckt.element("V2" if kind == "v" else "IB")
+        ckt.replace(dataclasses.replace(elem, **edit))
+        from repro.spice.engine import stamps_for
+
+        assert (stamps_for(system) is st) is refreshed
+        self._assert_matches_fresh(system, ckt)
+
     def test_structural_edit_forces_rebuild(self):
         ckt = _mos_amp()
         system, st = self._compiled(ckt)

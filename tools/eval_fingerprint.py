@@ -18,7 +18,13 @@ returns the same floats, bit for bit, on this set (about 5 s on a
   the 10th and 30th shrink a W by 1e-3 (an E301 lint rejection) and
   the 20th an L (a ``SizingError``).  Each call hashes its metrics,
   the Diagnostics it recorded and its ``lint_rejections`` step, so the
-  lint gate and the failure path are covered too.
+  lint gate and the failure path are covered too;
+* robust family walks of OpAmp1 and oa3, both boxes, under the corners
+  ``tt,ss,ff,ss@-40C,4.5V`` plus one Monte Carlo sample (244 families
+  through ``RobustEvaluator.variants``): the template point, then 60
+  moves.  Each family hashes every variant's metrics and its screen
+  verdict, so the stacked family evaluation and the members it leaves
+  to their own ``evaluate`` are covered too.
 
 Every float enters the digest through ``float.hex``.  ``--verbose``
 also prints one digest per part, to show which part moved.
@@ -66,7 +72,8 @@ from repro.synthesis.problems import (  # noqa: E402
     ape_ranges,
     standalone_ranges,
 )
-from repro.synthesis.robust import RobustSpec  # noqa: E402
+from repro.synthesis.robust import RobustEvaluator, RobustSpec  # noqa: E402
+from repro.synthesis.specs import opamp_synthesis_spec  # noqa: E402
 from repro.technology import generic_05um, generic_12um  # noqa: E402
 
 SEEDS = (1, 2)
@@ -76,6 +83,10 @@ MOVES = 60
 STEP = 0.3
 #: Moves of one lint-gate walk; every tenth leaves the box.
 GATE_MOVES = 30
+#: Rows, corners and Monte Carlo samples of the robust family walks.
+ROBUST_ROWS = ("OpAmp1", "oa3")
+ROBUST_CORNERS = ("tt", "ss", "ff", "ss@-40C,4.5V")
+ROBUST_MC = 1
 #: Metrics a cost reads, bounded by the comparison.
 BOUNDED = ("gain", "ugf", "phase_margin", "gate_area", "dc_power", "i_ref")
 #: Largest relative deviation of a bounded metric on any walk.
@@ -186,6 +197,49 @@ def _gate_walk(
             moved[var.name] = min(max(value, var.lo), var.hi)
         if evaluate(var.name, moved) is not None:
             point = moved
+
+
+def _robust_walk(tech, name, spec, topology, mode, digest, calls: dict) -> int:
+    """The template point, then 60 moves, each a robust family.
+
+    Each family's variants go to ``calls`` under their labels; returns
+    the number of families.
+    """
+    template, _notes = coarse_design_opamp(tech, spec, topology, name=name)
+    if mode == "ape":
+        variables = ape_ranges(template)
+    else:
+        variables = standalone_ranges(template)
+    evaluator = RobustEvaluator(
+        template,
+        variables,
+        RobustSpec(corners=ROBUST_CORNERS, mc_samples=ROBUST_MC),
+        opamp_synthesis_spec(spec),
+    )
+    start = template.initial_point()
+    point = {
+        v.name: min(max(start.get(v.name, v.lo), v.lo), v.hi)
+        for v in variables
+    }
+    rng = random.Random(f"{name}/{mode}/robust")
+    moved, label = point, "start"
+    for move in range(MOVES + 1):
+        if move:
+            var = rng.choice(variables)
+            moved = dict(point)
+            value = point[var.name] * math.exp(rng.gauss(0.0, STEP))
+            moved[var.name] = min(max(value, var.lo), var.hi)
+            label = var.name
+        screened = evaluator.screened_candidates
+        family = evaluator.variants(moved)
+        verdict = "screened" if evaluator.screened_candidates > screened else "kept"
+        digest.update(f"{label}:{verdict}\n".encode())
+        for variant, metrics in family.items():
+            calls[f"{name} {mode} robust#{move} {variant}"] = metrics
+            digest.update(f"  {variant}:{_metrics_text(metrics)}\n".encode())
+        if family["nominal"] is not None:
+            point = moved
+    return MOVES + 1
 
 
 def _synthesis_runs():
@@ -353,6 +407,19 @@ def main(argv: list[str] | None = None) -> int:
             total.update(part.digest())
             if args.verbose:
                 print(f"{part.hexdigest()[:16]}  {name} {mode} generic_12um gate")
+    families = 0
+    for name, spec, topology in _rows():
+        if name not in ROBUST_ROWS:
+            continue
+        for mode in ("ape", "standalone"):
+            part = hashlib.sha256()
+            walked: dict = {}
+            families += _robust_walk(tech, name, spec, topology, mode, part, walked)
+            for key, value in walked.items():
+                calls[key] = _hex_metrics(value)
+            total.update(part.digest())
+            if args.verbose:
+                print(f"{part.hexdigest()[:16]}  {name} {mode} robust family")
     elapsed = time.perf_counter() - started
     if args.write:
         from repro.spice.linalg import solver_mode
@@ -370,7 +437,8 @@ def main(argv: list[str] | None = None) -> int:
         )
     print(
         f"{total.hexdigest()}  ({evaluations} evaluations + "
-        f"{len(runs)} syntheses, {elapsed:.1f} s)"
+        f"{len(runs)} syntheses + {families} robust families, "
+        f"{elapsed:.1f} s)"
     )
     return 0
 

@@ -15,7 +15,6 @@ import pytest
 
 from paper_tables import fmt
 from repro.opamp import OpAmpSpec, OpAmpTopology, design_opamp, verify_opamp
-from repro.parallel import parallel_map
 
 # OpAmp1-4 specs in the spirit of the paper's Table 3 rows.
 OPAMPS = [
@@ -30,10 +29,8 @@ OPAMPS = [
 ]
 
 
-def _table3_row(item):
-    """Size and fully simulate one op-amp row (module-level so the
-    process pool can pickle it by reference)."""
-    tech, name, spec, topo = item
+def _table3_row(tech, name, spec, topo):
+    """Size and fully simulate one op-amp row."""
     amp = design_opamp(tech, spec, topo, name=name)
     sim = verify_opamp(
         amp, measure_slew=True, measure_zout=True, measure_cmrr=True
@@ -41,9 +38,8 @@ def _table3_row(item):
     return name, amp, sim
 
 
-def build_table3(tech, workers=None):
-    items = [(tech, name, spec, topo) for name, spec, topo in OPAMPS]
-    return parallel_map(_table3_row, items, workers=workers)
+def build_table3(tech):
+    return [_table3_row(tech, name, spec, topo) for name, spec, topo in OPAMPS]
 
 
 @pytest.mark.benchmark(group="table3")

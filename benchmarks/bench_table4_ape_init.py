@@ -20,19 +20,17 @@ from __future__ import annotations
 import pytest
 
 from paper_tables import SYNTH_BUDGET, TABLE1, fmt
-from repro.parallel import parallel_map
 from repro.synthesis import synthesize_opamp
 
 
-def _table4_row(item):
-    """Both legs of one Table-1 row (module-level for pool pickling).
+def _table4_row(tech, row, budget, seed):
+    """Both legs of one Table-1 row.
 
     Each leg caches the candidates its chain revisits in a memo of its
     own: the legs anneal different boxes, so they are different
     problems.  Memo hits return the stored exact result, so the legs'
     metrics are those of an uncached run.
     """
-    tech, row, budget, seed = item
     standalone = synthesize_opamp(
         tech, row.spec(), row.topology(),
         mode="standalone", max_evaluations=budget,
@@ -46,10 +44,8 @@ def _table4_row(item):
     return row, standalone, ape
 
 
-def run_table4(tech, budget: int = SYNTH_BUDGET, seed: int = 11,
-               workers=None):
-    items = [(tech, row, budget, seed) for row in TABLE1]
-    return parallel_map(_table4_row, items, workers=workers)
+def run_table4(tech, budget: int = SYNTH_BUDGET, seed: int = 11):
+    return [_table4_row(tech, row, budget, seed) for row in TABLE1]
 
 
 @pytest.mark.benchmark(group="table4")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 
 from .errors import ApeError
 from .runtime import faults as _faults
@@ -126,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "run directory")
     # Problem-defining flags default to None so --resume can tell
     # "omitted" (restore from the run directory's sidecar) apart from
-    # "explicitly set"; _cmd_synthesize applies the documented defaults.
+    # "explicitly set"; flags still unset take RunConfig's defaults.
     p.add_argument("--ibias", default=None, help="(default: 1u)")
     p.add_argument("--cl", default=None, help="(default: 10p)")
     p.add_argument("--area", default=None, help="(default: inf)")
-    p.add_argument("--mode", default=None, choices=["ape", "standalone"],
-                   help="(default: ape)")
+    p.add_argument("--mode", default=None,
+                   help="ape or standalone (default: ape)")
     p.add_argument("--budget", type=int, default=None,
                    help="(default: 150)")
     p.add_argument("--seed", type=int, default=None, help="(default: 1)")
@@ -188,21 +189,20 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target yield fraction for --robust-cost yield "
                         "(default: 1.0)")
     p.add_argument("--feasibility", default=None,
-                   choices=["off", "reject", "contract"],
-                   help="pre-solve interval feasibility gate: reject "
-                        "provably infeasible specs before any evaluation, "
-                        "or additionally contract the search box "
-                        "(default: off)")
+                   help="pre-solve interval feasibility gate: off, reject "
+                        "(provably infeasible specs before any "
+                        "evaluation) or contract (reject, and also "
+                        "contract the search box) (default: off)")
     p.add_argument("--store-dir", default=None, metavar="DIR",
                    help="persistent evaluation store: cache every "
                         "candidate's cost/metrics in DIR (SQLite) and "
                         "reuse them across runs that share the same "
                         "problem fingerprint")
-    p.add_argument("--surrogate", default=None, choices=["off", "rank"],
-                   help="screened annealing: draw four proposals per "
-                        "move, rank them by the cost of their APE "
-                        "closed-form estimates and evaluate only the "
-                        "best-ranked one (default: off)")
+    p.add_argument("--surrogate", default=None,
+                   help="off or rank; rank screens annealing: draw four "
+                        "proposals per move, rank them by the cost of "
+                        "their APE closed-form estimates and evaluate "
+                        "only the best-ranked one (default: off)")
 
     p = sub.add_parser(
         "analyze",
@@ -228,10 +228,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--diff-pair", default=None, choices=["cmos", "nmos"])
     p.add_argument("--buffer", action="store_true", default=None)
     p.add_argument("--z-load", default=None)
-    p.add_argument("--mode", default=None, choices=["ape", "standalone"],
-                   help="parameter box to analyze: +/-20%% around the APE "
-                        "template, or the paper's wide standalone ranges "
-                        "(default: ape)")
+    p.add_argument("--mode", default=None,
+                   help="parameter box to analyze: ape (+/-20%% around the "
+                        "APE template) or standalone (the paper's wide "
+                        "ranges) (default: ape)")
     p.add_argument("--no-contract", action="store_true",
                    help="skip the sound box contraction pass")
     p.add_argument("--screen", action="store_true",
@@ -388,10 +388,14 @@ _SYNTH_SIDECAR_ARGS = (
 )
 
 
+def _given(**values) -> dict:
+    """The entries that are not ``None``: the flags the user set."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _cmd_synthesize(args, tech) -> int:
-    from .opamp import OpAmpSpec
     from .runtime import EvalBudget, RetryPolicy, RunJournal, SupervisorConfig
-    from .synthesis import synthesize_opamp
+    from .synthesis import RunConfig, synthesize_opamp
 
     resume = args.resume is not None
     run_dir = args.resume if resume else args.run_dir
@@ -408,21 +412,6 @@ def _cmd_synthesize(args, tech) -> int:
             "synthesize requires --gain and --ugf "
             "(or --resume RUN_DIR with a cli.json sidecar)"
         )
-    for key, fallback in (
-        ("ibias", "1u"), ("cl", "10p"), ("area", "inf"), ("mode", "ape"),
-        ("budget", 150), ("seed", 1), ("retries", 0), ("restarts", 1),
-        ("feasibility", "off"), ("surrogate", "off"),
-    ):
-        if getattr(args, key, None) is None:
-            setattr(args, key, fallback)
-
-    spec = OpAmpSpec(
-        gain=parse_quantity(args.gain),
-        ugf=parse_quantity(args.ugf),
-        ibias=parse_quantity(args.ibias),
-        cl=parse_quantity(args.cl),
-        area=(math.inf if args.area == "inf" else parse_quantity(args.area)),
-    )
     robust = None
     if args.corners is not None or (args.mc_samples or 0) > 0:
         from .synthesis import RobustSpec
@@ -445,6 +434,19 @@ def _cmd_synthesize(args, tech) -> int:
                 if args.yield_target is not None else 1.0
             ),
         )
+    # The spec and run flags parse as a JSON run request would; an
+    # omitted one takes RunConfig's default.
+    request = RunConfig.from_payload(_given(
+        spec=_given(gain=args.gain, ugf=args.ugf, ibias=args.ibias,
+                    cl=args.cl, area=args.area),
+        mode=args.mode, max_evaluations=args.budget, seed=args.seed,
+        restarts=args.restarts,
+    ))
+    config = replace(
+        request, tolerant=args.tolerant,
+        **_given(robust=robust, feasibility=args.feasibility,
+                 surrogate=args.surrogate),
+    )
     budget = None
     if args.deadline is not None or args.max_failures is not None:
         budget = EvalBudget(
@@ -455,8 +457,8 @@ def _cmd_synthesize(args, tech) -> int:
             max_failures=args.max_failures,
         )
     retry = (
-        RetryPolicy(max_attempts=args.retries + 1, seed=args.seed)
-        if args.retries > 0 else None
+        RetryPolicy(max_attempts=args.retries + 1, seed=config.seed)
+        if (args.retries or 0) > 0 else None
     )
     supervisor = None
     if (
@@ -491,15 +493,11 @@ def _cmd_synthesize(args, tech) -> int:
         )
     log = DiagnosticLog()
     result = synthesize_opamp(
-        tech, spec, mode=args.mode,
-        max_evaluations=args.budget, seed=args.seed,
-        tolerant=args.tolerant, budget=budget, retry=retry,
-        diagnostics=log,
-        restarts=args.restarts, workers=args.workers,
-        oversubscribe=args.oversubscribe,
+        tech, **config.as_kwargs(),
+        budget=budget, retry=retry, diagnostics=log,
+        workers=args.workers, oversubscribe=args.oversubscribe,
         run_dir=run_dir, resume=resume, supervisor=supervisor,
-        robust=robust, feasibility=args.feasibility,
-        store_dir=args.store_dir, surrogate=args.surrogate,
+        store_dir=args.store_dir,
     )
     print(f"mode:       {result.mode}")
     print(f"meets spec: {result.meets_spec} ({result.comment})")
@@ -563,19 +561,11 @@ def _cmd_synthesize(args, tech) -> int:
     return 0 if result.meets_spec else 1
 
 
-def _qty(value) -> float:
-    """Coerce a CLI flag or JSON fixture value to a float quantity."""
-    if isinstance(value, str):
-        return math.inf if value == "inf" else parse_quantity(value)
-    return float(value)
-
-
 def _cmd_analyze(args, tech) -> int:
     import json
 
-    from .analysis import analyze_problem, screen_topologies
-    from .opamp import OpAmpSpec
-    from .synthesis import opamp_synthesis_spec
+    from .analysis import screen_topologies
+    from .synthesis.config import JSON_KEYS, RunConfig
 
     fixture: dict = {}
     if args.spec_file is not None:
@@ -584,64 +574,42 @@ def _cmd_analyze(args, tech) -> int:
         if not isinstance(fixture, dict):
             raise ApeError(f"{args.spec_file}: expected a JSON object")
 
-    spec_in = dict(fixture.get("spec", {}))
-    # Command-line flags override fixture entries.
-    for key, flag in (
-        ("gain", args.gain), ("ugf", args.ugf), ("ibias", args.ibias),
-        ("cl", args.cl), ("area", args.area), ("slew_rate", args.slew_rate),
-    ):
-        if flag is not None:
-            spec_in[key] = flag
-    if spec_in.get("gain") is None or spec_in.get("ugf") is None:
+    # Command-line flags override fixture entries; the result parses as
+    # a JSON run request (fixture keys such as "description" are not
+    # part of it).
+    payload = {key: fixture[key] for key in JSON_KEYS if key in fixture}
+    payload["spec"] = {
+        **payload.get("spec", {}),
+        **_given(gain=args.gain, ugf=args.ugf, ibias=args.ibias, cl=args.cl,
+                 area=args.area, slew_rate=args.slew_rate),
+    }
+    if payload["spec"].get("gain") is None or payload["spec"].get("ugf") is None:
         raise ApeError(
             "analyze requires --gain and --ugf (or a --spec-file "
             "providing them)"
         )
-    spec = OpAmpSpec(
-        gain=_qty(spec_in["gain"]),
-        ugf=_qty(spec_in["ugf"]),
-        ibias=_qty(spec_in.get("ibias", "1u")),
-        cl=_qty(spec_in.get("cl", "10p")),
-        area=_qty(spec_in.get("area", "inf")),
-        slew_rate=_qty(spec_in.get("slew_rate", 0.0)),
-    )
-
-    topo_in = dict(fixture.get("topology", {}))
-    if args.current_source is not None:
-        topo_in["current_source"] = args.current_source
-    if args.diff_pair is not None:
-        topo_in["diff_pair"] = args.diff_pair
-    if args.buffer:
-        topo_in["output_buffer"] = True
-    if args.z_load is not None:
-        topo_in["z_load"] = args.z_load
-    topology = None
-    if topo_in:
-        from .opamp.topology import OpAmpTopology
-
-        topology = OpAmpTopology(
-            current_source=topo_in.get("current_source", "mirror"),
-            diff_pair=topo_in.get("diff_pair", "cmos"),
-            gain_stage=topo_in.get("gain_stage"),
-            output_buffer=bool(topo_in.get("output_buffer", False)),
-            z_load=_qty(topo_in.get("z_load", "inf")),
-        )
-
-    synth = opamp_synthesis_spec(spec)
-    for entry in fixture.get("constraints", ()):
-        synth.require(
-            str(entry["metric"]), str(entry["kind"]), _qty(entry["bound"]),
-            weight=float(entry.get("weight", 1.0)),
-        )
+    topology = {
+        **payload.get("topology", {}),
+        **_given(current_source=args.current_source, diff_pair=args.diff_pair,
+                 output_buffer=args.buffer, z_load=args.z_load),
+    }
+    if topology:
+        payload["topology"] = topology
     if args.max_power is not None:
-        synth.require("dc_power", "le", _qty(args.max_power))
-
-    mode = args.mode or fixture.get("mode") or "ape"
-    name = fixture.get("name") or "opamp"
+        payload["constraints"] = [
+            *payload.get("constraints", ()),
+            {"metric": "dc_power", "kind": "le", "bound": args.max_power},
+        ]
+    if args.mode is not None:
+        payload["mode"] = args.mode
+    config = RunConfig.from_payload(payload)
 
     if args.screen:
         verdicts = screen_topologies(
-            tech, spec, synthesis_spec=synth, mode=mode, name=name
+            tech, config.spec,
+            synthesis_spec=config.resolved_synthesis_spec(),
+            mode=config.mode, range_factor=config.range_factor,
+            name=config.name,
         )
         if args.format == "json":
             print(json.dumps([v.to_dict() for v in verdicts], indent=2))
@@ -653,10 +621,7 @@ def _cmd_analyze(args, tech) -> int:
                       f"errors: {codes}")
         return 0 if any(v.feasible for v in verdicts) else 1
 
-    report = analyze_problem(
-        tech, spec, topology, synth,
-        mode=mode, contract=not args.no_contract, name=name,
-    )
+    report = config.analyze(tech, contract=not args.no_contract)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
     else:

@@ -3,10 +3,10 @@
 Every :func:`~repro.synthesis.synthesize_opamp` run, one chain or
 many, runs its chains here.  The unit of work is a :class:`ChainTask` —
 a frozen, pickle-clean description of one annealing restart
-(technology, spec, topology, schedule, derived seed, budget share,
-fault configuration).  A task is executed by :func:`run_chain`, either
-in-process or inside a worker of a ``fork``-based
-:class:`~concurrent.futures.ProcessPoolExecutor`.
+(technology, the run's :class:`~repro.synthesis.config.RunConfig`,
+chain index, budget share, fault configuration).  A task is executed
+by :func:`run_chain`, either in-process or inside a worker of a
+``fork``-based :class:`~concurrent.futures.ProcessPoolExecutor`.
 
 Determinism contract (locked in by ``tests/test_parallel.py`` and
 ``tests/test_supervisor.py``):
@@ -72,7 +72,8 @@ from ..runtime.supervisor import (
     SupervisorConfig,
     interrupt_guard,
 )
-from ..synthesis.annealing import Annealer, AnnealingSchedule, AnnealResult
+from ..synthesis.annealing import Annealer, AnnealResult
+from ..synthesis.config import RunConfig
 from ..synthesis.cost import CostFunction, FAILURE_COST
 from .memo import EvalMemo
 
@@ -83,10 +84,8 @@ __all__ = [
     "effective_workers",
     "usable_cpu_count",
     "run_chain",
-    "run_annealing_chains",
     "run_supervised_chains",
-    "parallel_map",
-    "robust_variant_eval",
+    "robust_detail",
 ]
 
 #: Weyl increment (golden-ratio based) for per-chain seed derivation:
@@ -132,23 +131,16 @@ def effective_workers(
 class ChainTask:
     """Everything one annealing restart needs, pickle-clean.
 
-    No evaluation options: every chain evaluates with the one profile
-    of :class:`~repro.synthesis.problems.OpAmpSizingProblem`.
+    The run's :class:`~repro.synthesis.config.RunConfig` plus what
+    differs per chain or per attempt.  No evaluation options: every
+    chain evaluates with the one profile of
+    :class:`~repro.synthesis.problems.OpAmpSizingProblem` and anneals
+    on the default :class:`~repro.synthesis.annealing.AnnealingSchedule`.
     """
 
     tech: object
-    spec: object
-    topology: object | None
-    mode: str
-    synthesis_spec: object
-    name: str
-    range_factor: float
-    max_evaluations: int
-    schedule: AnnealingSchedule | None
-    #: Master seed; the chain anneals with the derived per-chain seed.
-    seed: int
+    config: RunConfig
     chain_index: int
-    tolerant: bool = True
     retry: RetryPolicy | None = None
     #: This chain's share of the caller's budget (see
     #: :meth:`EvalBudget.share`): the caller's limits and deadline
@@ -159,19 +151,11 @@ class ChainTask:
     #: worker's fault state alone).
     fault_specs: tuple[faults.FaultSpec, ...] | None = None
     fault_seed: int = 0
-    #: Optional :class:`~repro.synthesis.robust.RobustSpec` — when set,
-    #: every candidate is evaluated across its corners/Monte Carlo
-    #: samples and the chain anneals on the aggregated robust cost.
-    robust: object | None = None
     #: Contracted search box from the feasibility gate, as a sorted
     #: ``((name, (lo, hi)), ...)`` tuple (``None`` = the mode's default
     #: ranges).  Part of the problem identity: chains with different
     #: boxes anneal different problems.
     box_override: tuple | None = None
-    #: Move screening mode: ``"off"`` (one proposal per move) or
-    #: ``"rank"`` (each move evaluates the best of a proposal batch by
-    #: the APE equations' estimated cost).
-    surrogate: str = "off"
 
     def problem_key(self) -> str:
         """Signature of the sizing problem this task needs.
@@ -179,23 +163,26 @@ class ChainTask:
         Chains of one synthesis run (and repeated runs of the same
         table row) share the signature, so a process builds the
         template, variables and compiled MNA system once and reuses
-        them via ``System.rebind`` for every such chain.  Built from
-        ``repr`` (exact for these dataclasses, as in the journal and
-        store fingerprints), not pickle: pickling reads the
-        technology's model ``__dict__``s, which slows every later
+        them via ``System.rebind`` for every such chain.  Only the
+        fields the problem depends on count: a key with the seed or
+        the budget in it would rebuild the problem for every run.
+        Built from ``repr`` (exact for these dataclasses, as in the
+        journal and store fingerprints), not pickle: pickling reads
+        the technology's model ``__dict__``s, which slows every later
         attribute read on them.
         """
+        config = self.config
         return repr(
             (
                 self.tech,
-                self.spec,
-                self.topology,
-                self.mode,
-                self.synthesis_spec,
-                self.name,
-                self.range_factor,
-                self.tolerant,
-                self.robust,
+                config.spec,
+                config.topology,
+                config.mode,
+                config.resolved_synthesis_spec(),
+                config.name,
+                config.range_factor,
+                config.tolerant,
+                config.robust,
                 self.box_override,
             )
         )
@@ -324,21 +311,21 @@ def _build_bundle(task: ChainTask):
         standalone_ranges,
     )
     from ..synthesis.robust import RobustEvaluator
-    from ..synthesis.specs import opamp_synthesis_spec
 
+    config = task.config
     t0 = time.perf_counter()
     design_notes: list = []
-    if task.tolerant:
+    if config.tolerant:
         template, design_notes = coarse_design_opamp(
-            task.tech, task.spec, task.topology, name=task.name
+            task.tech, config.spec, config.topology, name=config.name
         )
     else:
         template = design_opamp(
-            task.tech, task.spec, task.topology, name=task.name
+            task.tech, config.spec, config.topology, name=config.name
         )
     ape_seconds = time.perf_counter() - t0
-    if task.mode == "ape":
-        variables = ape_ranges(template, factor=task.range_factor)
+    if config.mode == "ape":
+        variables = ape_ranges(template, factor=config.range_factor)
     else:
         variables = standalone_ranges(template)
     if task.box_override is not None:
@@ -347,7 +334,7 @@ def _build_bundle(task: ChainTask):
             Variable(v.name, *override.get(v.name, (v.lo, v.hi)))
             for v in variables
         ]
-    if task.mode == "ape":
+    if config.mode == "ape":
         x0 = {
             v.name: min(
                 max(template.initial_point().get(v.name, v.lo), v.lo),
@@ -357,19 +344,17 @@ def _build_bundle(task: ChainTask):
         }
     else:
         x0 = None
-    synthesis_spec = task.synthesis_spec
-    if synthesis_spec is None:
-        synthesis_spec = opamp_synthesis_spec(task.spec)
+    synthesis_spec = config.resolved_synthesis_spec()
     cost_fn = CostFunction(synthesis_spec)
     problem = OpAmpSizingProblem(template, variables)
     evaluator = None
-    if task.robust is not None:
+    if config.robust is not None:
         # Shares the nominal problem (and its compiled MNA system); the
         # corner/Monte Carlo problems travel with it in the bundle.
         evaluator = RobustEvaluator(
             template,
             variables,
-            task.robust,
+            config.robust,
             synthesis_spec,
             nominal_problem=problem,
         )
@@ -399,17 +384,16 @@ def _checked_out(task: ChainTask):
             _BUNDLES.setdefault(key, bundle)
 
 
-def robust_variant_eval(item):
-    """Evaluate one ``(task, label, params)`` robust variant.
+def robust_detail(task: ChainTask, params: dict[str, float]) -> dict:
+    """Every variant's metrics for ``params``, by
+    :meth:`~repro.synthesis.robust.RobustEvaluator.detail` on the task's
+    cached problem in this process (the family stacked as in the
+    chains): the final verification of a winning robust design.
 
-    Module-level so :func:`parallel_map` can fan the final corner
-    verification of a winning design across the pool — corners become
-    a second axis of parallelism next to chains.  Fault injection is
-    suspended for the duration: verification is a reporting stage, and
-    an inherited injector's stream position would differ between
-    in-process and pooled execution.
+    Fault injection is suspended for the duration: verification is a
+    reporting stage, and an armed injector's stream would make the
+    report depend on where the chains ran.
     """
-    task, label, params = item
     previous = faults.active()
     faults.disarm()
     try:
@@ -418,7 +402,7 @@ def robust_variant_eval(item):
             evaluator.bind(
                 diagnostics=None, retry=_fresh_retry(task), memo=None
             )
-            return label, evaluator.evaluate_variant(label, params)
+            return evaluator.detail(params)
     finally:
         if previous is not None:
             faults.arm(previous)
@@ -490,10 +474,11 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
         # in-process and pooled scheduling.  Evaluate everything so
         # each chain's fault sequence is a pure function of its task.
         memo = None
+    config = task.config
     chain_log = DiagnosticLog(mirror=False)
     for note in design_notes:
         chain_log.record(note)
-    problem.diagnostics = chain_log if task.tolerant else None
+    problem.diagnostics = chain_log if config.tolerant else None
     retry = _fresh_retry(task)
     problem.retry = retry
     if evaluator is not None:
@@ -502,7 +487,7 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
         # tagging happens inside the evaluator, so the outer
         # memo.wrap below stays nominal-only.
         evaluator.bind(
-            diagnostics=chain_log if task.tolerant else None,
+            diagnostics=chain_log if config.tolerant else None,
             retry=retry,
             memo=memo,
         )
@@ -519,7 +504,7 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
 
     screen = (
         _ape_screen(task, problem.template, cost_fn, chain_log)
-        if task.surrogate == "rank" else None
+        if config.surrogate == "rank" else None
     )
 
     def evaluate(params):
@@ -544,7 +529,7 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
             )
             return FAILURE_COST, None
 
-    chain_eval = evaluate_tolerant if task.tolerant else evaluate
+    chain_eval = evaluate_tolerant if config.tolerant else evaluate
     if memo is not None and evaluator is None:
         chain_eval = memo.wrap(chain_eval)
 
@@ -558,21 +543,18 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
         _heartbeat(_idx)
         return _inner(params)
 
+    seed = derive_chain_seed(config.seed, task.chain_index)
     annealer = Annealer(
-        supervised_eval,
-        problem.bounds(),
-        schedule=task.schedule,
-        seed=derive_chain_seed(task.seed, task.chain_index),
-        screen=screen,
+        supervised_eval, problem.bounds(), seed=seed, screen=screen
     )
     result = annealer.run(
         x0=x0,
-        max_evaluations=task.max_evaluations,
+        max_evaluations=config.max_evaluations,
         budget=task.budget.share() if task.budget is not None else None,
     )
     return ChainOutcome(
         chain_index=task.chain_index,
-        seed=derive_chain_seed(task.seed, task.chain_index),
+        seed=seed,
         anneal=result,
         degraded_design=bool(design_notes),
         ape_seconds=ape_seconds,
@@ -610,6 +592,7 @@ def _ape_screen(task, template, cost_fn, chain_log):
     """
     from ..analysis import MetricModel, UnsupportedTopologyError
 
+    name = task.config.name
     try:
         model = MetricModel(template)
     except UnsupportedTopologyError as exc:
@@ -618,10 +601,10 @@ def _ape_screen(task, template, cost_fn, chain_log):
                 subsystem="synthesis.surrogate",
                 severity="info",
                 message=(
-                    f"{task.name}: chain {task.chain_index} runs "
+                    f"{name}: chain {task.chain_index} runs "
                     f"unscreened: {exc}"
                 ),
-                context={"name": task.name, "chain_index": task.chain_index},
+                context={"name": name, "chain_index": task.chain_index},
             )
         )
         return None
@@ -630,32 +613,6 @@ def _ape_screen(task, template, cost_fn, chain_log):
         return cost_fn(model.evaluate(params))
 
     return screen
-
-
-def run_annealing_chains(
-    tasks: list[ChainTask],
-    *,
-    workers: int | None = None,
-    memo: EvalMemo | None = None,
-    oversubscribe: bool = False,
-    config: SupervisorConfig | None = None,
-    journal=None,
-) -> list[ChainOutcome]:
-    """Run every task and return outcomes ordered by chain index.
-
-    Thin wrapper over :func:`run_supervised_chains` for callers that
-    only want the outcomes; note that with supervision an interrupted
-    or quarantined run returns the chains that *did* complete.
-    """
-    outcomes, _report = run_supervised_chains(
-        tasks,
-        workers=workers,
-        memo=memo,
-        oversubscribe=oversubscribe,
-        config=config,
-        journal=journal,
-    )
-    return [outcomes[index] for index in sorted(outcomes)]
 
 
 def run_supervised_chains(
@@ -964,44 +921,3 @@ def _run_pooled(
                 journal_event(kind, chain_index=task.chain_index)
                 kill_pending = True
                 pm.kill_workers()
-
-
-def parallel_map(
-    fn,
-    items,
-    *,
-    workers: int | None = None,
-    oversubscribe: bool = False,
-) -> list:
-    """Order-preserving map over a process pool (in-process when 1).
-
-    ``fn`` must be a module-level picklable callable and ``items``
-    picklable values — the batched table runners fan benchmark rows
-    through this with one row per task.  Pool teardown is guaranteed
-    on every exit path (PoolManager kills workers instead of waiting
-    on them when an exception unwinds past a running task).
-    """
-    items = list(items)
-    if not items:
-        return []
-    n_workers = effective_workers(
-        workers, len(items), oversubscribe=oversubscribe
-    )
-    if n_workers <= 1:
-        return [fn(item) for item in items]
-
-    import concurrent.futures
-    import multiprocessing
-
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        context = multiprocessing.get_context()
-
-    def factory():
-        return concurrent.futures.ProcessPoolExecutor(
-            max_workers=n_workers, mp_context=context
-        )
-
-    with PoolManager(factory) as pm:
-        return list(pm.pool.map(fn, items))

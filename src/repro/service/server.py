@@ -154,8 +154,8 @@ class SynthesisService:
         same <50 ms admission-latency contract as the rest.
         """
         try:
-            request = JobRequest(gain=100.0, ugf=2e6)
-            admit(self.tech, request)
+            warm = {"spec": {"gain": 100.0, "ugf": 2e6}}
+            admit(self.tech, JobRequest.from_payload(warm))
         except ApeError:
             pass  # warm-up analysis outcome is irrelevant, only its cost
 

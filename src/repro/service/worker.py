@@ -251,14 +251,7 @@ class JobWorker:
         journal = RunJournal(run_dir)
         return synthesize_opamp(
             self.tech,
-            request.spec(),
-            request.opamp_topology(),
-            mode=request.mode,
-            synthesis_spec=request.synthesis_spec(),
-            max_evaluations=request.max_evaluations,
-            seed=request.seed,
-            name=request.name,
-            restarts=request.restarts,
+            **request.config.as_kwargs(),
             workers=self.synth_workers,
             oversubscribe=self.oversubscribe,
             run_dir=run_dir,

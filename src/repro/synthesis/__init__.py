@@ -17,7 +17,9 @@ published algorithmic skeleton (Ochotta et al., summarized in §3):
 
 The two operating modes of the paper's experiments:
 :func:`standalone_ranges` (wide, uninformed intervals — Table 1) and
-:func:`ape_ranges` (APE estimate +/- 20 % — Table 4).
+:func:`ape_ranges` (APE estimate +/- 20 % — Table 4).  A run's
+parameters (spec, topology, mode, budget, seed, ...) are declared once,
+in :class:`RunConfig`.
 """
 
 from .specs import Constraint, Objective, SynthesisSpec, opamp_synthesis_spec
@@ -32,6 +34,7 @@ from .problems import (
     parameterized_opamp,
     standalone_ranges,
 )
+from .config import RunConfig
 from .engine import SynthesisResult, synthesize_opamp
 from .sensitivity import SensitivityTable, sensitivity_analysis
 
@@ -55,6 +58,7 @@ __all__ = [
     "parameterized_opamp",
     "standalone_ranges",
     "ape_ranges",
+    "RunConfig",
     "SynthesisResult",
     "synthesize_opamp",
     "SensitivityTable",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Any
 
 from ..errors import ApeError, SpecificationError
 from ..opamp import OpAmpSpec, OpAmpTopology
@@ -37,29 +38,16 @@ from ..runtime.budget import EvalBudget
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
 from ..technology import Technology
-from .annealing import AnnealingSchedule, AnnealResult
+from .annealing import AnnealResult
+from .config import RunConfig
 from .cost import CostFunction, FAILURE_COST, RobustCost
-from .problems import EVALUATOR_VERSION
-from .robust import NOMINAL_ALIAS, RobustSpec
-from .specs import SynthesisSpec, opamp_synthesis_spec
-
-from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis import AnalysisReport
+    from ..parallel import EvalMemo
+    from ..runtime.supervisor import SupervisorConfig
 
-__all__ = [
-    "SynthesisResult",
-    "synthesize_opamp",
-    "FEASIBILITY_MODES",
-    "SURROGATE_MODES",
-]
-
-#: Accepted values of ``synthesize_opamp(feasibility=...)``.
-FEASIBILITY_MODES = ("off", "reject", "contract")
-
-#: Accepted values of ``synthesize_opamp(surrogate=...)``.
-SURROGATE_MODES = ("off", "rank")
+__all__ = ["SynthesisResult", "synthesize_opamp"]
 
 
 @dataclass
@@ -155,41 +143,35 @@ def synthesize_opamp(
     spec: OpAmpSpec,
     topology: OpAmpTopology | None = None,
     *,
-    mode: str = "ape",
-    synthesis_spec: SynthesisSpec | None = None,
-    range_factor: float = 0.2,
-    max_evaluations: int = 250,
-    schedule: AnnealingSchedule | None = None,
-    seed: int = 1,
-    name: str = "opamp",
-    tolerant: bool = True,
     budget: EvalBudget | None = None,
     retry: RetryPolicy | None = None,
     diagnostics: DiagnosticLog | None = None,
-    restarts: int = 1,
     workers: int | None = None,
     memo: "bool | EvalMemo | None" = None,
     oversubscribe: bool = False,
     run_dir: str | None = None,
     resume: bool = False,
     supervisor: "SupervisorConfig | None" = None,
-    robust: RobustSpec | None = None,
-    feasibility: str = "off",
     store_dir: str | None = None,
-    surrogate: str = "off",
+    **run: Any,
 ) -> SynthesisResult:
     """Run one APE(+/-)ASTRX/OBLX synthesis leg for an op-amp spec.
 
+    ``spec``, ``topology`` and the ``run`` keywords (``mode``,
+    ``max_evaluations``, ``seed``, ``restarts``, ``name``, ``robust``,
+    ``feasibility``, ``surrogate``, ...) are the fields of
+    :class:`~repro.synthesis.config.RunConfig`, which declares their
+    defaults and validation; everything the result depends on is
+    there.  The other keywords are runtime hooks — absent (and with no
+    faults occurring), results are bit-for-bit identical to a plain
+    run.
+
     ``tolerant`` (the default) treats every evaluation failure as a
-    penalized, counted outcome; ``tolerant=False`` restores the strict
-    behaviour where an unexpected :class:`ApeError` in the APE
-    pre-design or the evaluation loop propagates.  ``budget``, ``retry``
-    and ``diagnostics`` are optional runtime hooks — absent (and with no
-    faults occurring), results are bit-for-bit identical to a plain run.
-    Every candidate is pre-screened by the electrical rule checker, so
-    structurally singular or out-of-technology circuits are rejected
-    before a Newton solve; rejections are counted on
-    ``SynthesisResult.lint_rejections``.
+    penalized, counted outcome; ``tolerant=False`` lets an unexpected
+    :class:`ApeError` in the APE pre-design or the evaluation loop
+    propagate.  Every candidate is pre-screened by the electrical rule
+    checker, so structurally singular or out-of-technology circuits are
+    rejected before a Newton solve (``SynthesisResult.lint_rejections``).
 
     Every run executes its annealing chains through one body,
     :func:`repro.parallel.run_supervised_chains` →
@@ -198,9 +180,7 @@ def synthesize_opamp(
     derived from ``(seed, i)``; chain 0 keeps ``seed``) across
     ``workers`` processes — one chain, or one worker, runs in this
     process — and returns the best chain; the per-chain
-    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  Chains
-    evaluate with the one profile of
-    :class:`~repro.synthesis.problems.OpAmpSizingProblem`, and a
+    :class:`AnnealResult`s land on ``SynthesisResult.chains``.  A
     process reuses a problem it has built for every later run of the
     same problem.
     ``memo`` controls the evaluation cache: ``None`` enables a private
@@ -232,100 +212,61 @@ def synthesize_opamp(
     ``robust`` (a :class:`~repro.synthesis.robust.RobustSpec`) turns
     variation into a first-class objective: every candidate is
     evaluated across the spec's process corners and deterministic
-    mismatch samples (screen-then-verify: only candidates whose
-    nominal cost clears a fixed threshold fan out), and the annealer
-    minimizes the worst-case or yield-weighted cost.  The result then
-    reports worst-corner spec margins in ``metrics`` plus the robust
-    fields (``corner_evals``, ``worst_corner``, ``estimated_yield``,
-    ``corner_metrics``).  All determinism/resume guarantees above hold
-    unchanged — variant evaluations are canonical and memo-tagged per
-    corner/sample.
+    mismatch samples (screen-then-verify), the annealer minimizes the
+    worst-case or yield-weighted cost, and the winner's full variant
+    family is verified once more at the end.  The result then reports
+    worst-corner spec margins in ``metrics`` plus the robust fields
+    (``corner_evals``, ``worst_corner``, ``estimated_yield``,
+    ``corner_metrics``).
 
     ``store_dir`` attaches the persistent cross-run evaluation store
     (:mod:`repro.store`): every exact evaluation is read through and
     written behind a shared SQLite database keyed by the problem's
     content fingerprint, so a repeated (or resumed, or multi-tenant)
-    run starts warm.  ``store_dir=None`` (the default) is
-    bit-identical to the store-less code path; a store-backed run's
-    *results* are worker-count independent, and a corrupt or locked
-    store degrades to memory-only with a Diagnostic instead of failing
-    the run.
+    run starts warm.  A store-backed run's *results* are worker-count
+    independent, and a corrupt or locked store degrades to memory-only
+    with a Diagnostic instead of failing the run.
 
     ``surrogate="rank"`` screens each annealer move with the APE
     equations: four proposals are drawn and only the one whose
     closed-form metrics (:class:`~repro.analysis.MetricModel` of the
-    nominal template) cost least pays a full evaluation.  The screen
-    needs no data and is a pure function of the problem, so results
-    stay worker-count independent and resume bit-for-bit.  A topology
+    nominal template) cost least pays a full evaluation.  A topology
     the model does not cover (the folded cascode) runs unscreened, with
-    an info Diagnostic.  ``"off"`` (the default) draws one proposal per
-    move.
+    an info Diagnostic.
 
     ``feasibility`` arms the static pre-solve gate (:mod:`repro.analysis`):
-    ``"reject"`` runs the interval feasibility analysis first and, when
-    an F/C rule *proves* the spec unsatisfiable over the search box,
-    returns immediately (``meets_spec=False``, ``evaluations == 0``,
-    the report on ``SynthesisResult.feasibility``) without spending a
-    single solve; ``"contract"`` additionally shrinks each variable's
-    range to the spec-consistent sub-interval before annealing.  The
-    default ``"off"`` skips the gate entirely and is bit-for-bit the
-    pre-gate behaviour (including ``--resume`` journals).
+    ``"reject"`` returns at once (``meets_spec=False``,
+    ``evaluations == 0``, the report on ``SynthesisResult.feasibility``)
+    when an F/C rule *proves* the spec unsatisfiable over the search
+    box; ``"contract"`` also shrinks each variable's range to the
+    spec-consistent sub-interval before annealing.
     """
-    if mode not in ("standalone", "ape"):
-        raise SpecificationError(
-            f"unknown synthesis mode {mode!r}",
-            context={"mode": mode, "known": ("standalone", "ape")},
-        )
-    if restarts < 1:
-        raise SpecificationError(
-            f"restarts must be >= 1, got {restarts}",
-            context={"parameter": "restarts", "value": restarts},
-        )
-    if feasibility not in FEASIBILITY_MODES:
-        raise SpecificationError(
-            f"unknown feasibility mode {feasibility!r}",
-            context={"feasibility": feasibility, "known": FEASIBILITY_MODES},
-        )
-    if surrogate not in SURROGATE_MODES:
-        raise SpecificationError(
-            f"unknown surrogate mode {surrogate!r}",
-            context={"surrogate": surrogate, "known": SURROGATE_MODES},
-        )
-    if synthesis_spec is None:
-        synthesis_spec = opamp_synthesis_spec(spec)
+    config = RunConfig(spec, topology, **run)
+    synthesis_spec = config.resolved_synthesis_spec()
     cost_fn = CostFunction(synthesis_spec)
+    robust = config.robust
     log = diagnostics if diagnostics is not None else DiagnosticLog()
     # Shared logs may carry records from earlier runs; report only this
     # run's contribution.
     records_before = len(log.records)
     memo = _resolve_memo(
         memo,
-        restarts,
+        config.restarts,
         journaled=run_dir is not None,
         stored=store_dir is not None,
     )
 
     feasibility_report = None
-    box_override: dict[str, tuple[float, float]] | None = None
-    if feasibility != "off":
+    box: tuple | None = None
+    if config.feasibility != "off":
         gate_start = time.perf_counter()
-        feasibility_report = _feasibility_gate(
-            tech,
-            spec,
-            topology,
-            synthesis_spec,
-            mode=mode,
-            range_factor=range_factor,
-            contract=feasibility == "contract",
-            name=name,
-            log=log,
-        )
+        feasibility_report = _feasibility_gate(tech, config, log)
         gate_seconds = time.perf_counter() - gate_start
         if feasibility_report is not None and not feasibility_report.feasible:
             codes = ", ".join(feasibility_report.error_codes)
             return SynthesisResult(
-                name=name,
-                mode=mode,
+                name=config.name,
+                mode=config.mode,
                 meets_spec=False,
                 comment=f"spec provably infeasible before solve ({codes})",
                 metrics=None,
@@ -334,19 +275,20 @@ def synthesize_opamp(
                 cpu_seconds=0.0,
                 ape_seconds=gate_seconds,
                 diagnostics=list(log.records[records_before:]),
-                restarts=restarts,
+                restarts=config.restarts,
                 workers=0,
                 robust_mode=robust.mode if robust is not None else None,
                 feasibility=feasibility_report,
             )
         if (
-            feasibility == "contract"
+            config.feasibility == "contract"
             and feasibility_report is not None
             and feasibility_report.contracted is not None
         ):
             contracted = dict(feasibility_report.contracted)
             if contracted != dict(feasibility_report.box):
-                box_override = contracted
+                # Hashable, pickle-stable form of the contracted box.
+                box = tuple(sorted(contracted.items()))
 
     from ..parallel import (
         ChainTask,
@@ -367,7 +309,7 @@ def synthesize_opamp(
         tuple(injector.specs.values()) if injector is not None else None
     )
     fault_seed = injector.seed if injector is not None else 0
-    config = supervisor if supervisor is not None else SupervisorConfig()
+    supervision = supervisor if supervisor is not None else SupervisorConfig()
 
     store = None
     if memo is not None:
@@ -381,25 +323,9 @@ def synthesize_opamp(
             store.generation()
             if store.disabled:
                 store = None
-        # One key space for both tiers: everything the evaluation
-        # function depends on is part of the fingerprint — conservative
-        # on purpose: a fingerprint that is too fine costs warm hits,
-        # one that is too coarse would serve a wrong result.
+        # One key space for both tiers (see RunConfig.store_parts).
         memo.bind(
-            _run_fingerprint(
-                kind=f"eval-store/{EVALUATOR_VERSION}",
-                tech=repr(tech),
-                spec=repr(spec),
-                topology=repr(topology),
-                mode=mode,
-                synthesis_spec=repr(synthesis_spec),
-                name=name,
-                range_factor=range_factor,
-                tolerant=tolerant,
-                robust=repr(robust) if robust is not None else None,
-                box=repr(_box_key(box_override)),
-                quantum=memo.quantum,
-            ),
+            _run_fingerprint(**config.store_parts(tech, box, memo.quantum)),
             store,
         )
 
@@ -408,40 +334,7 @@ def synthesize_opamp(
     resumed_indices: list[int] = []
     if run_dir is not None:
         journal = RunJournal(run_dir)
-        fingerprint_parts = dict(
-            schema=RunJournal.SCHEMA,
-            tech=repr(tech),
-            spec=repr(spec),
-            topology=repr(topology),
-            mode=mode,
-            synthesis_spec=repr(synthesis_spec),
-            name=name,
-            range_factor=range_factor,
-            max_evaluations=max_evaluations,
-            schedule=repr(schedule),
-            seed=seed,
-            restarts=restarts,
-            tolerant=tolerant,
-            evaluator=EVALUATOR_VERSION,
-        )
-        if robust is not None:
-            # Only robust runs carry the extra part, so journals written
-            # before (or without) corner-aware synthesis keep resuming.
-            fingerprint_parts["robust"] = repr(robust)
-        if feasibility != "off":
-            # Same back-compat rule: ungated runs (and every journal
-            # written before the gate existed) keep their fingerprint.
-            fingerprint_parts["feasibility"] = repr(
-                (feasibility, _box_key(box_override))
-            )
-        if surrogate != "off":
-            # Screening changes the trajectory, so it is part of the
-            # problem identity; a bare store only changes speed and
-            # stays out.  "/ape" names the screen: rank runs journaled
-            # under the earlier learned screen ("rank") are refused
-            # instead of replayed with a different one.
-            fingerprint_parts["surrogate"] = f"{surrogate}/ape"
-        fingerprint = _run_fingerprint(**fingerprint_parts)
+        fingerprint = _run_fingerprint(**config.journal_parts(tech, box))
         if resume:
             manifest = journal.load_manifest()
             if manifest.get("fingerprint") != fingerprint:
@@ -457,7 +350,7 @@ def synthesize_opamp(
             journaled_outcomes = {
                 index: outcome
                 for index, outcome in journal.load_outcomes().items()
-                if index < restarts
+                if index < config.restarts
             }
             resumed_indices = sorted(journaled_outcomes)
             if memo is not None:
@@ -467,13 +360,13 @@ def synthesize_opamp(
         else:
             manifest_payload = {
                 "fingerprint": fingerprint,
-                "name": name,
-                "mode": mode,
-                "seed": seed,
-                "restarts": restarts,
+                "name": config.name,
+                "mode": config.mode,
+                "seed": config.seed,
+                "restarts": config.restarts,
                 "chain_seeds": [
-                    derive_chain_seed(seed, index)
-                    for index in range(restarts)
+                    derive_chain_seed(config.seed, index)
+                    for index in range(config.restarts)
                 ],
             }
             if store is not None:
@@ -483,28 +376,17 @@ def synthesize_opamp(
     # The chains' tasks differ only in their index.
     first_task = ChainTask(
         tech=tech,
-        spec=spec,
-        topology=topology,
-        mode=mode,
-        synthesis_spec=synthesis_spec,
-        name=name,
-        range_factor=range_factor,
-        max_evaluations=max_evaluations,
-        schedule=schedule,
-        seed=seed,
+        config=config,
         chain_index=0,
-        tolerant=tolerant,
         retry=retry,
         budget=budget.share() if budget is not None else None,
         fault_specs=fault_specs,
         fault_seed=fault_seed,
-        robust=robust,
-        box_override=_box_key(box_override),
-        surrogate=surrogate,
+        box_override=box,
     )
     tasks = [
         replace(first_task, chain_index=index)
-        for index in range(restarts)
+        for index in range(config.restarts)
         if index not in journaled_outcomes
     ]
     n_workers = effective_workers(
@@ -518,7 +400,7 @@ def synthesize_opamp(
         workers=workers,
         memo=memo,
         oversubscribe=oversubscribe,
-        config=config,
+        config=supervision,
         journal=journal,
     )
     cpu = time.perf_counter() - start
@@ -551,9 +433,9 @@ def synthesize_opamp(
                 severity=(
                     "info" if event.kind == "chain-resumed" else "warning"
                 ),
-                message=f"{name}: {event.kind}{where}{detail}",
+                message=f"{config.name}: {event.kind}{where}{detail}",
                 context={
-                    "name": name,
+                    "name": config.name,
                     "event": event.kind,
                     "chain_index": event.chain_index,
                 },
@@ -578,8 +460,8 @@ def synthesize_opamp(
             store_writes=store_writes,
         )
         return SynthesisResult(
-            name=name,
-            mode=mode,
+            name=config.name,
+            mode=config.mode,
             meets_spec=False,
             comment="no chains completed (interrupted or quarantined)",
             metrics=None,
@@ -589,7 +471,7 @@ def synthesize_opamp(
             ape_seconds=0.0,
             degraded=True,
             diagnostics=list(log.records[records_before:]),
-            restarts=restarts,
+            restarts=config.restarts,
             workers=n_workers,
             worker_restarts=report.worker_restarts,
             quarantined_chains=list(report.quarantined),
@@ -600,7 +482,7 @@ def synthesize_opamp(
             feasibility=feasibility_report,
             store_dir=str(store_dir) if store_dir is not None else None,
             store_writes=store_writes,
-            surrogate=surrogate,
+            surrogate=config.surrogate,
         )
 
     for outcome in outcomes:
@@ -637,12 +519,7 @@ def synthesize_opamp(
         screened = sum(o.screened_candidates for o in outcomes)
         if result.best_params:
             robust_detail = _robust_verify(
-                first_task,
-                robust,
-                result.best_params,
-                journal=journal,
-                workers=n_workers,
-                oversubscribe=oversubscribe,
+                first_task, result.best_params, journal=journal
             )
             # The verify fan-out counts whether it ran live or was
             # replayed from the journal, so resumed and uninterrupted
@@ -664,8 +541,8 @@ def synthesize_opamp(
                 subsystem="synthesis.engine",
                 severity="warning",
                 message=(
-                    f"{name}: {len(degraded_chains)} of {restarts} chains "
-                    f"stopped early "
+                    f"{config.name}: {len(degraded_chains)} of "
+                    f"{config.restarts} chains stopped early "
                     f"({degraded_chains[0].anneal.stop_reason}); returning "
                     "the best point so far"
                 ),
@@ -674,8 +551,8 @@ def synthesize_opamp(
                     "max_evaluations to finish within budget"
                 ),
                 context={
-                    "name": name,
-                    "mode": mode,
+                    "name": config.name,
+                    "mode": config.mode,
                     "stop_reason": degraded_chains[0].anneal.stop_reason,
                     "degraded_chains": [
                         o.chain_index for o in degraded_chains
@@ -687,13 +564,14 @@ def synthesize_opamp(
     cache_evictions = (
         memo.evictions - evictions_before if memo is not None else 0
     )
-    if restarts > 1:
+    if config.restarts > 1:
         log.record(
             Diagnostic(
                 subsystem="synthesis.parallel",
                 severity="info",
                 message=(
-                    f"{name}: {restarts} chains on {n_workers} worker(s): "
+                    f"{config.name}: {config.restarts} chains on "
+                    f"{n_workers} worker(s): "
                     f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
                     f"cache {cache_hits} hits / {cache_misses} misses"
                     + (
@@ -702,12 +580,12 @@ def synthesize_opamp(
                     )
                     + (
                         f", surrogate {surrogate_skips} skips"
-                        if surrogate != "off" else ""
+                        if config.surrogate != "off" else ""
                     )
                 ),
                 context={
-                    "name": name,
-                    "restarts": restarts,
+                    "name": config.name,
+                    "restarts": config.restarts,
                     "workers": n_workers,
                     "cache_hits": cache_hits,
                     "cache_misses": cache_misses,
@@ -747,8 +625,8 @@ def synthesize_opamp(
         else cost_fn.meets_spec(result.best_metrics)
     )
     return SynthesisResult(
-        name=name,
-        mode=mode,
+        name=config.name,
+        mode=config.mode,
         meets_spec=meets,
         comment=cost_fn.describe_failure(result.best_metrics),
         metrics=result.best_metrics,
@@ -772,7 +650,7 @@ def synthesize_opamp(
             )
         ),
         diagnostics=list(log.records[records_before:]),
-        restarts=restarts,
+        restarts=config.restarts,
         workers=n_workers,
         cache_hits=cache_hits,
         cache_misses=cache_misses,
@@ -794,42 +672,20 @@ def synthesize_opamp(
         store_dir=str(store_dir) if store_dir is not None else None,
         store_hits=store_hits,
         store_writes=store_writes,
-        surrogate=surrogate,
+        surrogate=config.surrogate,
         surrogate_skips=surrogate_skips,
     )
 
 
-def _feasibility_gate(
-    tech,
-    spec,
-    topology,
-    synthesis_spec,
-    *,
-    mode,
-    range_factor,
-    contract,
-    name,
-    log,
-):
+def _feasibility_gate(tech, config, log):
     """Run the static analysis pre-gate; never raises, never blocks.
 
     Analysis failures (unsupported topology, even a crash in the
     analyzer) degrade to "no verdict": synthesis proceeds exactly as if
     the gate had passed, with a diagnostic recording why.
     """
-    from ..analysis import analyze_problem
-
     try:
-        report = analyze_problem(
-            tech,
-            spec,
-            topology,
-            synthesis_spec,
-            mode=mode,
-            range_factor=range_factor,
-            contract=contract,
-            name=name,
-        )
+        report = config.analyze(tech, contract=config.feasibility == "contract")
     except ApeError as exc:
         log.record_exception(
             "synthesis.feasibility",
@@ -846,10 +702,10 @@ def _feasibility_gate(
                 Diagnostic(
                     subsystem="synthesis.feasibility",
                     severity="error",
-                    message=f"{name}: {finding.render()}",
+                    message=f"{config.name}: {finding.render()}",
                     suggested_fix=finding.fix_hint,
                     context={
-                        "name": name,
+                        "name": config.name,
                         "code": finding.code,
                         "metric": finding.metric,
                     },
@@ -880,35 +736,25 @@ def _resolve_memo(
     return None
 
 
-def _box_key(box_override):
-    """Hashable, pickle-stable form of a contracted box (or ``None``)."""
-    if box_override is None:
-        return None
-    return tuple(sorted(box_override.items()))
-
-
 def _run_fingerprint(**parts):
-    """Problem identity for the run journal (see ``run_fingerprint``)."""
+    """The journal's or the store's fingerprint of ``parts``."""
     from ..runtime.journal import run_fingerprint
 
     return run_fingerprint(tuple(sorted(parts.items())))
 
 
-def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
-    """Final per-variant verification of a winning robust design.
+def _robust_verify(task, params, *, journal):
+    """Final verification of a winning robust design: every variant's
+    metrics, the family stacked as in the chains
+    (:func:`~repro.parallel.executor.robust_detail`, in this process on
+    the task's cached problem).
 
-    Fans the variants that need a simulation of their own over the
-    run's workers (:func:`~repro.parallel.parallel_map`, in-process for
-    one) — corners are a second axis of parallelism next to chains.
-    The nominal alias copies the nominal result, as
-    :class:`~repro.synthesis.robust.RobustEvaluator` does.  The detail
-    is journaled (``robust-verified``) keyed by the exact winning
-    parameters, so a resumed run replays the recorded fan-out instead
-    of recomputing it (JSON floats round-trip exactly, keeping resume
-    bit-for-bit).
+    The detail is journaled (``robust-verified``) keyed by the exact
+    winning parameters, so a resumed run replays the recorded detail
+    instead of recomputing it (JSON floats round-trip exactly, keeping
+    resume bit-for-bit).
     """
-    from ..parallel import parallel_map
-    from ..parallel.executor import robust_variant_eval
+    from ..parallel.executor import robust_detail
 
     if journal is not None:
         for record in journal.events():
@@ -920,26 +766,7 @@ def _robust_verify(task, robust, params, *, journal, workers, oversubscribe):
                     label: dict(metrics) if metrics is not None else None
                     for label, metrics in record["detail"].items()
                 }
-    simulated = dict(
-        parallel_map(
-            robust_variant_eval,
-            [
-                (task, label, params)
-                for label in robust.variant_labels
-                if label != NOMINAL_ALIAS
-            ],
-            workers=workers,
-            oversubscribe=oversubscribe,
-        )
-    )
-    nominal = simulated["nominal"]
-    detail = {
-        label: (
-            simulated[label] if label != NOMINAL_ALIAS
-            else None if nominal is None else dict(nominal)
-        )
-        for label in robust.variant_labels
-    }
+    detail = robust_detail(task, params)
     if journal is not None:
         journal.append("robust-verified", params=params, detail=detail)
     return detail

@@ -35,8 +35,8 @@ from repro.parallel import (
     derive_chain_seed,
     effective_workers,
     memo_key,
-    parallel_map,
-    run_annealing_chains,
+    run_chain,
+    run_supervised_chains,
     usable_cpu_count,
 )
 from repro.runtime import EvalBudget, RetryPolicy, faults
@@ -45,6 +45,7 @@ from repro.runtime.faults import FaultSpec, injected_faults
 from repro.synthesis import (
     AnnealingSchedule,
     OpAmpSizingProblem,
+    RunConfig,
     ape_ranges,
     opamp_synthesis_spec,
     parameterized_opamp,
@@ -128,19 +129,6 @@ class TestSeedsAndWorkers:
 
     def test_effective_workers_default_is_cpu_count(self):
         assert effective_workers(None, 128) == usable_cpu_count()
-
-    def test_parallel_map_preserves_order(self):
-        items = list(range(11))
-        assert parallel_map(_square, items) == [i * i for i in items]
-
-    def test_parallel_map_pool_matches_in_process(self):
-        items = list(range(7))
-        pooled = parallel_map(_square, items, workers=2, oversubscribe=True)
-        assert pooled == [i * i for i in items]
-
-
-def _square(x):
-    return x * x
 
 
 # -------------------------------------------------------------------- memo
@@ -705,6 +693,26 @@ class TestProblemCache:
         assert again.corner_evals == first.corner_evals > 0
         assert again.screened_candidates == first.screened_candidates
 
+    def test_other_seeds_and_budgets_reuse_the_problem(self, monkeypatch):
+        """The cache key holds only what the problem depends on: a table
+        round that draws fresh seeds must not rebuild its problems."""
+        import repro.parallel.executor as executor
+
+        built = []
+        build = executor._build_bundle
+
+        def counting(task):
+            built.append(task.config.seed)
+            return build(task)
+
+        monkeypatch.setattr(executor, "_build_bundle", counting)
+        for seed, budget in ((1, 10), (2, 12), (3, 10)):
+            synthesize_opamp(
+                TECH, SPEC, TOPO, mode="ape", max_evaluations=budget,
+                seed=seed, name="fresh-seeds",
+            )
+        assert built == [1]
+
 
 # ---------------------------------------------------------------- pickling
 
@@ -758,7 +766,7 @@ class TestPoolBoundaryPickling:
         assert c0.problem_key() == c3.problem_key()
 
     def test_run_chain_outcome_roundtrips(self):
-        outcome = run_annealing_chains([_small_task(chain_index=0)])[0]
+        outcome = run_chain(_small_task(chain_index=0))
         clone = pickle.loads(pickle.dumps(outcome))
         assert clone.anneal.best_cost == outcome.anneal.best_cost
         assert clone.anneal.best_params == outcome.anneal.best_params
@@ -767,15 +775,13 @@ class TestPoolBoundaryPickling:
 def _small_task(chain_index: int) -> ChainTask:
     return ChainTask(
         tech=TECH,
-        spec=SPEC,
-        topology=TOPO,
-        mode="ape",
-        synthesis_spec=opamp_synthesis_spec(SPEC),
-        name="oa",
-        range_factor=0.2,
-        max_evaluations=10,
-        schedule=None,
-        seed=1,
+        config=RunConfig(
+            SPEC,
+            TOPO,
+            synthesis_spec=opamp_synthesis_spec(SPEC),
+            name="oa",
+            max_evaluations=10,
+        ),
         chain_index=chain_index,
     )
 
@@ -784,16 +790,17 @@ def _small_task(chain_index: int) -> ChainTask:
 
 
 class TestBatchedRunners:
-    def test_run_annealing_chains_orders_outcomes(self):
+    def test_supervised_chains_key_outcomes_by_index(self):
         tasks = [_small_task(chain_index=i) for i in range(3)]
-        outcomes = run_annealing_chains(
+        outcomes, _report = run_supervised_chains(
             list(reversed(tasks)), workers=2, oversubscribe=True
         )
-        assert [o.chain_index for o in outcomes] == [0, 1, 2]
+        assert sorted(outcomes) == [0, 1, 2]
+        assert all(o.chain_index == i for i, o in outcomes.items())
 
     def test_pool_merges_worker_memos(self):
         memo = EvalMemo()
-        run_annealing_chains(
+        run_supervised_chains(
             [_small_task(chain_index=i) for i in range(2)],
             workers=2, memo=memo, oversubscribe=True,
         )
@@ -801,5 +808,6 @@ class TestBatchedRunners:
         assert memo.stores > 0
 
     def test_empty_task_list(self):
-        assert run_annealing_chains([]) == []
-        assert parallel_map(_square, []) == []
+        outcomes, report = run_supervised_chains([])
+        assert outcomes == {}
+        assert not report.events

@@ -456,16 +456,28 @@ class TestRobustSynthesis:
         """The ``tt`` corner aliases the nominal: the winning design's
         verification copies it instead of simulating the nominal
         twice."""
-        import repro.parallel.executor as executor
+        from repro.synthesis.robust import RobustEvaluator
 
-        verified = []
-        variant_eval = executor.robust_variant_eval
+        verified, verifying = [], []
+        detail = RobustEvaluator.detail
+        evaluate_variant = RobustEvaluator.evaluate_variant
 
-        def counting(item):
-            verified.append(item[1])
-            return variant_eval(item)
+        def counting_detail(self, params):
+            verifying.append(True)
+            try:
+                return detail(self, params)
+            finally:
+                verifying.pop()
 
-        monkeypatch.setattr(executor, "robust_variant_eval", counting)
+        def counting_variant(self, label, params, family=None):
+            if verifying:
+                verified.append(label)
+            return evaluate_variant(self, label, params, family)
+
+        monkeypatch.setattr(RobustEvaluator, "detail", counting_detail)
+        monkeypatch.setattr(
+            RobustEvaluator, "evaluate_variant", counting_variant
+        )
         result = synthesize_opamp(
             TECH, SPEC, TOPO, seed=3, workers=1,
             robust=RobustSpec(corners=("tt", "ss", "ff")),

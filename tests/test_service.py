@@ -110,11 +110,13 @@ class TestJobRequest:
             "restarts": 2,
             "tenant": "acme",
         })
-        assert request.gain == 206.0
-        assert request.ugf == pytest.approx(1.3e6)
-        assert request.ibias == pytest.approx(25e-6)
-        assert dict(request.topology)["current_source"] == "wilson"
-        assert request.constraints == (("dc_power", "le", 1e-3, 1.0),)
+        assert request.spec().gain == 206.0
+        assert request.spec().ugf == pytest.approx(1.3e6)
+        assert request.spec().ibias == pytest.approx(25e-6)
+        assert request.opamp_topology().current_source == "wilson"
+        assert request.to_payload()["constraints"] == [
+            {"metric": "dc_power", "kind": "le", "bound": 1e-3, "weight": 1.0}
+        ]
         assert request.tenant == "acme"
 
     def test_rejects_malformed_payloads(self):
@@ -161,13 +163,49 @@ class TestJobRequest:
         assert previous != current
         assert job_id_for(previous) != job_id_for(current)
 
+    def test_fingerprints_and_stored_row_are_pinned(self):
+        """Job ids and the queue's stored payload, byte for byte: a moved
+        byte would stop old queue rows from deduping new submissions."""
+        drill = JobRequest.from_payload({
+            "spec": {"gain": 100, "ugf": "2Meg"},
+            "max_evaluations": 60, "restarts": 3, "seed": 11,
+        })
+        assert drill.fingerprint(TECH) == (
+            "1d73171760f3386fac77f31ea92f98bbc50781c856b0a3579c429a16034efc3d"
+        )
+        full = JobRequest.from_payload({
+            "spec": {"gain": 206, "ugf": "1.3Meg", "ibias": "1u",
+                     "cl": "10p", "area": "200p", "slew_rate": "1Meg"},
+            "topology": {"current_source": "wilson", "diff_pair": "cmos",
+                         "output_buffer": True, "z_load": "10k"},
+            "constraints": [
+                {"metric": "dc_power", "kind": "le", "bound": "1m",
+                 "weight": 2},
+            ],
+            "name": "oa-pin", "mode": "standalone", "seed": 7,
+            "restarts": 2, "max_evaluations": 90,
+        })
+        assert full.fingerprint(TECH) == (
+            "d06c1161fa31d5b5d76b1ec65fac4312bbc4807bd2c26d278c8a63df1b557614"
+        )
+        assert full.to_json() == (
+            '{"constraints": [{"bound": 0.001, "kind": "le", '
+            '"metric": "dc_power", "weight": 2.0}], "max_evaluations": 90, '
+            '"mode": "standalone", "name": "oa-pin", "restarts": 2, '
+            '"seed": 7, "spec": {"area": 2e-10, "cl": 1e-11, '
+            '"gain": 206.0, "ibias": 1e-06, "slew_rate": 1000000.0, '
+            '"ugf": 1300000.0}, "tenant": "default", "topology": '
+            '{"current_source": "wilson", "diff_pair": "cmos", '
+            '"gain_stage": null, "output_buffer": true, "z_load": 10000.0}}'
+        )
+
     def test_infinite_area_round_trips(self):
         request = JobRequest.from_payload(
             {"spec": {"gain": 100, "ugf": 2e6, "area": "inf"}}
         )
-        assert math.isinf(request.area)
+        assert math.isinf(request.spec().area)
         back = JobRequest.from_payload(request.to_payload())
-        assert math.isinf(back.area)
+        assert math.isinf(back.spec().area)
 
 
 class TestAdmission:

@@ -429,6 +429,35 @@ class TestResume:
             "2a34174c77af2e84a51bc8ae7e3f7cda0983a281fa1ec6ff040cc91d211882da"
         )
 
+    def test_optional_fingerprint_parts_are_pinned(self, tmp_path):
+        """The same two fingerprints with every optional journal part
+        (robust, feasibility, surrogate) and a contracted store box."""
+        from repro.synthesis.robust import RobustSpec
+
+        memo = EvalMemo()
+        run_dir = str(tmp_path / "run")
+        result = synthesize_opamp(
+            TECH,
+            OpAmpSpec(gain=206.0, ugf=1.3e6, ibias=1e-6, cl=10e-12, area=3e-11),
+            mode="standalone",
+            max_evaluations=8,
+            seed=1,
+            name="OpAmp1",
+            memo=memo,
+            run_dir=run_dir,
+            robust=RobustSpec(corners=("tt", "ss", "ff")),
+            feasibility="contract",
+            surrogate="rank",
+        )
+        report = result.feasibility
+        assert dict(report.contracted) != dict(report.box)  # a real cut
+        assert RunJournal(run_dir).load_manifest()["fingerprint"] == (
+            "c8cbd402b05d1a2134acfdb3d3fee064e91193055fbbf5299a216e6abf36dbec"
+        )
+        assert memo.bound_fingerprint == (
+            "6972912ddedef0c9224fee537a4c2ecbf73f43be28010b8ca8d176cf3d2c573c"
+        )
+
 
 # ------------------------------------------------------------- interrupts
 
@@ -560,17 +589,19 @@ class TestPoolManager:
             pm.teardown()
         assert pm.pool is None
 
-    def test_parallel_map_cleans_up_on_worker_exception(self):
-        from repro.parallel import parallel_map
+    def test_pool_cleans_up_on_worker_exception(self):
+        import concurrent.futures
+
+        def factory():
+            return concurrent.futures.ProcessPoolExecutor(max_workers=2)
 
         with pytest.raises(ValueError):
-            parallel_map(
-                _explode, list(range(6)), workers=2, oversubscribe=True
-            )
-        # A second pooled map works: no leaked broken pool state.
-        assert parallel_map(
-            _identity, [1, 2, 3], workers=2, oversubscribe=True
-        ) == [1, 2, 3]
+            with PoolManager(factory) as pm:
+                list(pm.pool.map(_explode, range(6)))
+        assert pm.pool is None  # torn down on the exception path
+        # A second pool works: no leaked broken pool state.
+        with PoolManager(factory) as pm:
+            assert list(pm.pool.map(_identity, [1, 2, 3])) == [1, 2, 3]
 
 
 def _explode(x):

@@ -565,7 +565,7 @@ def _cmd_analyze(args, tech) -> int:
     import json
 
     from .analysis import screen_topologies
-    from .synthesis.config import JSON_KEYS, RunConfig
+    from .synthesis.config import RunConfig
 
     fixture: dict = {}
     if args.spec_file is not None:
@@ -575,9 +575,9 @@ def _cmd_analyze(args, tech) -> int:
             raise ApeError(f"{args.spec_file}: expected a JSON object")
 
     # Command-line flags override fixture entries; the result parses as
-    # a JSON run request (fixture keys such as "description" are not
-    # part of it).
-    payload = {key: fixture[key] for key in JSON_KEYS if key in fixture}
+    # a JSON run request, which refuses a key it does not know.  A
+    # fixture's "description" is prose, not part of the request.
+    payload = {key: value for key, value in fixture.items() if key != "description"}
     payload["spec"] = {
         **payload.get("spec", {}),
         **_given(gain=args.gain, ugf=args.ugf, ibias=args.ibias, cl=args.cl,

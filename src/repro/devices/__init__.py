@@ -9,6 +9,7 @@ elements (poly resistors and capacitors) round out the level.
 """
 
 from .mosfet import (
+    DrainLaw,
     MosDevice,
     OperatingPoint,
     Region,
@@ -24,6 +25,7 @@ from .passives import Capacitor, Resistor
 
 __all__ = [
     "MosDevice",
+    "DrainLaw",
     "OperatingPoint",
     "Region",
     "SmallSignal",

@@ -7,6 +7,12 @@ NMOS device and the magnitude-equivalent (sign-flipped) voltages for a
 PMOS device, so ``vgs``, ``vds`` and currents are positive in normal
 operation for both polarities.  The simulator layer performs the flip.
 
+A :class:`DrainLaw` holds one device's law at a fixed ``vds`` and
+``vsb``, with every Vgs-independent term resolved once: the sizing
+bisection evaluates one law at each step, and
+:meth:`MosDevice.linearize` derives a sized device's bias point and
+small-signal parameters from one evaluation.
+
 One notational note: the paper prints ``gm = sqrt(4 KP (W/L) |Ids|)``
 (its Eq. 2).  With the SPICE convention ``Ids = (KP/2)(W/L)(Vgs-Vth)^2``
 used in its Eq. 1 the correct coefficient is 2, not 4; we use the
@@ -22,7 +28,7 @@ from dataclasses import dataclass
 from ..errors import SizingError
 from ..technology import MosModelParams
 
-__all__ = ["Region", "OperatingPoint", "SmallSignal", "MosDevice"]
+__all__ = ["Region", "OperatingPoint", "SmallSignal", "MosDevice", "DrainLaw"]
 
 
 class Region(enum.Enum):
@@ -128,43 +134,13 @@ class MosDevice:
         """Overdrive Vgs - Vth(vsb); negative in cutoff."""
         return vgs - self.threshold(vsb)
 
-    def _beta(self, vov: float) -> float:
-        """Transconductance factor KP_eff * W/Leff with level corrections."""
-        kp = self.model.kp_effective
-        if self.model.level >= 2 and self.model.theta > 0 and vov > 0:
-            # Level 2/3 vertical-field mobility degradation.
-            kp = kp / (1.0 + self.model.theta * vov)
-        return kp * self.aspect
-
-    def _vdsat(self, vov: float) -> float:
-        """Saturation voltage; velocity-saturation limited for Level 3."""
-        if vov <= 0:
-            return 0.0
-        vmax = self.model.vmax
-        if self.model.level == 3 and vmax > 0:
-            # Classic Level-3 blend of pinch-off and velocity saturation.
-            vc = vmax * self.l_eff / max(self.model.u0, 1e-12)
-            return vov * vc / (vov + vc)
-        return vov
-
-    def _dvdsat(self, vov: float) -> float:
-        """d(vdsat)/d(vov) — needed for the Level-3 gm."""
-        if vov <= 0:
-            return 0.0
-        vmax = self.model.vmax
-        if self.model.level == 3 and vmax > 0:
-            vc = vmax * self.l_eff / max(self.model.u0, 1e-12)
-            return (vc / (vov + vc)) ** 2
-        return 1.0
+    def law(self, vds: float, vsb: float = 0.0) -> "DrainLaw":
+        """The drain-current law at fixed ``vds`` and ``vsb``, in Vgs."""
+        return DrainLaw(self, vds, vsb)
 
     def region(self, vgs: float, vds: float, vsb: float = 0.0) -> Region:
         """Operating region for polarity-normalized bias voltages."""
-        vov = self.overdrive(vgs, vsb)
-        if vov <= 0:
-            return Region.CUTOFF
-        if vds < self._vdsat(vov):
-            return Region.TRIODE
-        return Region.SATURATION
+        return self.law(vds, vsb).evaluate(vgs)[0]
 
     def ids(self, vgs: float, vds: float, vsb: float = 0.0) -> float:
         """Drain current [A] (paper Eq. 1 in saturation).
@@ -172,31 +148,7 @@ class MosDevice:
         ``vds`` must be >= 0 (the simulator swaps terminals for reverse
         operation before calling this).
         """
-        vov = self.overdrive(vgs, vsb)
-        if vov <= 0:
-            return 0.0
-        beta = self._beta(vov)
-        lam = self.model.lambda_
-        vdsat = self._vdsat(vov)
-        if vds < vdsat:
-            return beta * (vov - vds / 2.0) * vds * (1.0 + lam * vds)
-        # Saturation current = the triode expression at vds = vdsat,
-        # which keeps I(vds) continuous for the velocity-saturated
-        # Level-3 case (vdsat < vov); for Level 1/2 (vdsat = vov) this
-        # is the familiar 0.5*beta*vov^2.
-        return beta * (vov - vdsat / 2.0) * vdsat * (1.0 + lam * vds)
-
-    def operating_point(
-        self, vgs: float, vds: float, vsb: float = 0.0
-    ) -> OperatingPoint:
-        """Evaluate the bias point for the given voltages."""
-        return OperatingPoint(
-            vgs=vgs,
-            vds=vds,
-            vsb=vsb,
-            ids=self.ids(vgs, vds, vsb),
-            region=self.region(vgs, vds, vsb),
-        )
+        return self.law(vds, vsb).ids(vgs)
 
     # ------------------------------------------------------------------
     # Small signal
@@ -204,47 +156,16 @@ class MosDevice:
 
     def gm(self, vgs: float, vds: float, vsb: float = 0.0) -> float:
         """Gate transconductance dIds/dVgs [S] (paper Eq. 2)."""
-        vov = self.overdrive(vgs, vsb)
-        if vov <= 0:
-            return 0.0
-        beta = self._beta(vov)
-        lam = self.model.lambda_
-        vdsat = self._vdsat(vov)
-        if vds < vdsat:
-            return beta * vds * (1.0 + lam * vds)
-        # Differentiate I = beta(vov) * (vov - vdsat/2) * vdsat with the
-        # chain rule through beta (theta) and vdsat (velocity
-        # saturation); reduces to beta*vov (= sqrt(2 beta I)) on Level 1.
-        core = (vov - vdsat / 2.0) * vdsat
-        theta = self.model.theta if self.model.level >= 2 else 0.0
-        dbeta = -theta * beta / (1.0 + theta * vov) if theta > 0 else 0.0
-        dvdsat = self._dvdsat(vov)
-        dcore = (1.0 - dvdsat / 2.0) * vdsat + (vov - vdsat / 2.0) * dvdsat
-        return (dbeta * core + beta * dcore) * (1.0 + lam * vds)
+        return self.law(vds, vsb).evaluate(vgs)[2]
 
     def gmb(self, vgs: float, vds: float, vsb: float = 0.0) -> float:
         """Body transconductance [S] (paper Eq. 3)."""
-        chi = self.model.gamma / (
-            2.0 * math.sqrt(self.model.phi + max(vsb, 0.0))
-        )
-        return chi * self.gm(vgs, vds, vsb)
+        law = self.law(vds, vsb)
+        return law.body_factor() * law.evaluate(vgs)[2]
 
     def gds(self, vgs: float, vds: float, vsb: float = 0.0) -> float:
         """Output conductance dIds/dVds [S] (paper Eq. 4)."""
-        vov = self.overdrive(vgs, vsb)
-        if vov <= 0:
-            return 0.0
-        beta = self._beta(vov)
-        lam = self.model.lambda_
-        vdsat = self._vdsat(vov)
-        if vds < vdsat:
-            # d/dVds of beta*(vov - vds/2)*vds*(1+lam*vds)
-            return beta * (
-                (vov - vds) * (1.0 + lam * vds)
-                + (vov - vds / 2.0) * vds * lam
-            )
-        current = self.ids(vgs, vds, vsb)
-        return lam * current / (1.0 + lam * vds)
+        return self.law(vds, vsb).evaluate(vgs)[3]
 
     def capacitances(
         self, vgs: float, vds: float, vsb: float = 0.0, vdb: float | None = None
@@ -255,9 +176,14 @@ class MosDevice:
         Junction areas use the technology's default diffusion extension
         via ``AD = AS = W * ext`` and ``PD = PS = W + 2*ext``.
         """
+        return self._capacitances(self.region(vgs, vds, vsb), vds, vsb, vdb)
+
+    def _capacitances(
+        self, region: Region, vds: float, vsb: float, vdb: float | None = None
+    ) -> dict[str, float]:
+        """:meth:`capacitances` of a device whose region is known."""
         m = self.model
         cox_area = m.cox * self.w * self.l_eff
-        region = self.region(vgs, vds, vsb)
         if region is Region.CUTOFF:
             cgs_i = 0.0
             cgd_i = 0.0
@@ -294,10 +220,133 @@ class MosDevice:
         self, vgs: float, vds: float, vsb: float = 0.0
     ) -> SmallSignal:
         """All small-signal parameters at the given bias point."""
-        caps = self.capacitances(vgs, vds, vsb)
-        return SmallSignal(
-            gm=self.gm(vgs, vds, vsb),
-            gmb=self.gmb(vgs, vds, vsb),
-            gds=self.gds(vgs, vds, vsb),
-            **caps,
+        return self.linearize(vgs, vds, vsb)[1]
+
+    def linearize(
+        self, vgs: float, vds: float, vsb: float = 0.0
+    ) -> tuple[OperatingPoint, SmallSignal]:
+        """The bias point and its small-signal parameters, in one pass.
+
+        One :class:`DrainLaw` evaluation gives ids, the region, gm and
+        gds; gmb and the capacitances follow from them, so the
+        threshold and the other bias-independent terms are derived once.
+        """
+        law = self.law(vds, vsb)
+        region, ids, gm, gds = law.evaluate(vgs)
+        op = OperatingPoint(vgs=vgs, vds=vds, vsb=vsb, ids=ids, region=region)
+        ss = SmallSignal(
+            gm=gm,
+            gmb=law.body_factor() * gm,
+            gds=gds,
+            **self._capacitances(region, vds, vsb),
         )
+        return op, ss
+
+
+class DrainLaw:
+    """One device's drain-current law at a fixed ``vds`` and ``vsb``.
+
+    The terms that do not depend on Vgs are resolved once on
+    construction: the threshold at ``vsb``, KP_eff and W/Leff, the
+    Level-2/3 mobility-degradation THETA, the Level-3 velocity-
+    saturation voltage ``vc`` and ``1 + lambda*vds``.  :meth:`ids` and
+    :meth:`evaluate` then do only the Vgs-dependent arithmetic.  The
+    resolved terms are the same floats a per-call derivation computes,
+    and the Vgs-dependent operations keep their order, so each result
+    is bit for bit the one deriving every term afresh gives.  A Vgs
+    bisection builds one law and evaluates it at every step.
+    """
+
+    __slots__ = ("model", "vds", "vsb", "vth", "kp", "aspect", "theta", "vc",
+                 "lam", "lam_vds")
+
+    def __init__(self, device: MosDevice, vds: float, vsb: float) -> None:
+        model = device.model
+        self.model = model
+        self.vds = vds
+        self.vsb = vsb
+        self.vth = model.threshold(vsb)
+        self.kp = model.kp_effective
+        self.aspect = device.aspect
+        # THETA degrades mobility on Level 2/3 cards only.
+        self.theta = (
+            model.theta if model.level >= 2 and model.theta > 0 else 0.0
+        )
+        # Level-3 velocity saturation: vc = VMAX * Leff / U0.
+        self.vc = (
+            model.vmax * device.l_eff / max(model.u0, 1e-12)
+            if model.level == 3 and model.vmax > 0
+            else None
+        )
+        self.lam = model.lambda_
+        self.lam_vds = 1.0 + self.lam * vds
+
+    def vdsat(self, vov: float) -> float:
+        """Saturation voltage at overdrive ``vov`` > 0."""
+        return self._current(vov)[1]
+
+    def _current(self, vov: float) -> tuple[float, float, float]:
+        """``(beta, vdsat, ids)`` at overdrive ``vov`` > 0: the law itself.
+
+        ``beta`` is KP_eff * W/Leff with the THETA degradation.  Below
+        ``vdsat`` the triode expression holds; above it, the saturation
+        current is the triode expression at ``vds = vdsat``, which keeps
+        I(vds) continuous for the velocity-saturated Level-3 case
+        (vdsat < vov); for Level 1/2 (vdsat = vov) this is the familiar
+        0.5*beta*vov^2.
+        """
+        kp = self.kp
+        if self.theta > 0:
+            kp = kp / (1.0 + self.theta * vov)
+        beta = kp * self.aspect
+        # Classic Level-3 blend of pinch-off and velocity saturation.
+        vc = self.vc
+        vdsat = vov if vc is None else vov * vc / (vov + vc)
+        vds = self.vds
+        ve = vds if vds < vdsat else vdsat
+        return beta, vdsat, beta * (vov - ve / 2.0) * ve * self.lam_vds
+
+    def ids(self, vgs: float) -> float:
+        """Drain current [A] at ``vgs``."""
+        vov = vgs - self.vth
+        if vov <= 0:
+            return 0.0
+        return self._current(vov)[2]
+
+    def evaluate(self, vgs: float) -> tuple[Region, float, float, float]:
+        """``(region, ids, gm, gds)`` at ``vgs``, from one set of terms."""
+        vov = vgs - self.vth
+        if vov <= 0:
+            return Region.CUTOFF, 0.0, 0.0, 0.0
+        beta, vdsat, ids = self._current(vov)
+        vds = self.vds
+        lam = self.lam
+        lam_vds = self.lam_vds
+        if vds < vdsat:
+            # gds = d/dVds of beta*(vov - vds/2)*vds*(1+lam*vds)
+            return (
+                Region.TRIODE,
+                ids,
+                beta * vds * lam_vds,
+                beta * ((vov - vds) * lam_vds + (vov - vds / 2.0) * vds * lam),
+            )
+        # Differentiate I = beta(vov) * (vov - vdsat/2) * vdsat with the
+        # chain rule through beta (theta) and vdsat (velocity
+        # saturation); reduces to beta*vov (= sqrt(2 beta I)) on Level 1.
+        core = (vov - vdsat / 2.0) * vdsat
+        theta = self.theta
+        dbeta = -theta * beta / (1.0 + theta * vov) if theta > 0 else 0.0
+        vc = self.vc
+        dvdsat = 1.0 if vc is None else (vc / (vov + vc)) ** 2
+        dcore = (1.0 - dvdsat / 2.0) * vdsat + (vov - vdsat / 2.0) * dvdsat
+        return (
+            Region.SATURATION,
+            ids,
+            (dbeta * core + beta * dcore) * lam_vds,
+            lam * ids / lam_vds,
+        )
+
+    def body_factor(self) -> float:
+        """gmb / gm = gamma / (2 sqrt(phi + vsb)) (paper Eq. 3)."""
+        model = self.model
+        return model.gamma / (2.0 * math.sqrt(model.phi + max(self.vsb, 0.0)))

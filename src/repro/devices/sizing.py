@@ -117,8 +117,8 @@ def _snap(value: float, minimum: float, maximum: float) -> float:
 def _finish(
     device: MosDevice, vgs: float, vds: float, vsb: float
 ) -> SizedMos:
-    op = device.operating_point(vgs, vds, vsb)
-    return SizedMos(device=device, op=op, ss=device.small_signal(vgs, vds, vsb))
+    op, ss = device.linearize(vgs, vds, vsb)
+    return SizedMos(device=device, op=op, ss=ss)
 
 
 def _solve_vgs_for_id(device: MosDevice, ids: float, vds: float, vsb: float) -> float:
@@ -126,20 +126,28 @@ def _solve_vgs_for_id(device: MosDevice, ids: float, vds: float, vsb: float) -> 
 
     Bisection on the exact model (monotone in Vgs), so Level-2/3
     mobility degradation and velocity saturation are handled without
-    approximation.
+    approximation.  The law is resolved once at the fixed ``vds`` and
+    ``vsb``.  At most 80 halvings; the loop stops after the first step
+    whose midpoint lands on an end of the bracket, because that step
+    leaves a bracket every later step would leave unchanged, so the
+    result is the one 80 full steps return.
     """
-    vth = device.threshold(vsb)
-    lo = vth + 1e-6
-    hi = vth + 20.0  # far beyond any realistic overdrive
-    if device.ids(hi, vds, vsb) < ids:
+    law = device.law(vds, vsb)
+    current = law.ids
+    lo = law.vth + 1e-6
+    hi = law.vth + 20.0  # far beyond any realistic overdrive
+    if current(hi) < ids:
         # Spec unreachable at this geometry; return the ceiling.
         return hi
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if device.ids(mid, vds, vsb) < ids:
+        stalled = mid == lo or mid == hi
+        if current(mid) < ids:
             lo = mid
         else:
             hi = mid
+        if stalled:
+            break
     return 0.5 * (lo + hi)
 
 

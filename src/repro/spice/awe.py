@@ -224,8 +224,17 @@ def awe_poles(
         raise SimulationError("AWE order must be >= 1")
     if op is None:
         op = dc_operating_point(circuit)
-    moments = awe_moments(circuit, output_node, 2 * order + 2, op=op)
+    moments = awe_moments(circuit, output_node, _moment_count(order), op=op)
     return _fit(circuit.title, output_node, moments, order)
+
+
+def _moment_count(order: int) -> int:
+    """The moments a fit of ``order`` poles reads.
+
+    The Hankel system of order q reads the first ``2*q``; the frequency
+    normalization (:func:`_scaled`) reads up to ``m2``.
+    """
+    return max(2 * order, 3)
 
 
 def _scaled(title: str, output_node: str, moments: np.ndarray):
@@ -287,7 +296,9 @@ def awe_poles_stack(
     on the dense backend.  ``None`` marks a member whose fit fails, for
     :func:`awe_poles` to raise its error.  No fault site is consulted.
     """
-    moments = _moments_stack(stack, x, members, output_node, 2 * order + 2)
+    moments = _moments_stack(
+        stack, x, members, output_node, _moment_count(order)
+    )
     scaled = {}
     for member, raw in moments.items():
         title = stack.systems[member].circuit.title

@@ -239,10 +239,9 @@ def evaluate_mosfet(
     vgs = sign * (vg - vsp)
     vds = sign * (vdp - vsp)
     vsb = sign * (vsp - vb)
-    ids = device.ids(vgs, vds, vsb)
-    gm = device.gm(vgs, vds, vsb)
-    gds = device.gds(vgs, vds, vsb)
-    gmb = device.gmb(vgs, vds, vsb)
+    law = device.law(vds, vsb)
+    _, ids, gm, gds = law.evaluate(vgs)
+    gmb = law.body_factor() * gm
     # I(D') = sign * ids(vgs, vds, vsb); chain rule collapses the signs:
     #   dI/dVd' = gds, dI/dVg = gm, dI/dVb = gmb,
     #   dI/dVs' = -(gm + gds + gmb).

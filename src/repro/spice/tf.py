@@ -19,11 +19,15 @@ Sample points are taken on a circle of radius ``1/tau`` (the dominant
 time constant from the first two moments) for conditioning, and
 trailing near-zero coefficients are trimmed against the leading ones.
 
-The extraction runs two passes: first on a circle at the dominant time
-constant, then re-centred on the geometric mean of the detected pole
-magnitudes (which balances coefficient magnitudes when time constants
-spread over many decades); the candidate that better matches direct
-complex solves at off-sample points wins.
+The extraction interpolates on up to three circles: at the dominant
+time constant; re-centred on the geometric mean of the pole magnitudes
+the first one detects (which balances coefficient magnitudes when time
+constants spread over many decades); and centred on the geometric mean
+of the network's natural frequencies (the finite generalized
+eigenvalues of ``G x = -s C x``), for spreads so wide that the first
+circle detects noise.  The candidate that best matches direct complex
+solves at off-sample points, around every circle and at every natural
+frequency, wins.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from ..errors import SimulationError
 from .dc import OperatingPointResult, dc_operating_point
@@ -170,11 +175,10 @@ def extract_transfer_function(
             raise SimulationError("singular network: zero denominator")
         return RationalTransfer(numerator=num / scale, denominator=den / scale)
 
-    def fit_error(tf: RationalTransfer, radius: float) -> float:
+    def fit_error(tf: RationalTransfer, probes: list[complex]) -> float:
         # Consistency against direct complex solves at off-sample points.
         err = 0.0
-        for factor in (0.11, 1.7, 9.3):
-            s = 1j * radius * factor
+        for s in probes:
             ref = np.linalg.solve(g_matrix + s * c_matrix, b)[out]
             approx = np.polyval(
                 tf.numerator[::-1], s
@@ -183,18 +187,44 @@ def extract_transfer_function(
             err += abs(approx - ref) / denom
         return err
 
-    first = interpolate(1.0 / tau)
-    best = (fit_error(first, 1.0 / tau), first)
-    # Second pass: re-centre the sampling circle on the geometric mean
-    # of the detected pole magnitudes; this balances the coefficient
-    # magnitudes when the time constants spread over many decades.
-    poles = first.poles()
-    finite = np.abs(poles[np.isfinite(poles) & (np.abs(poles) > 0)])
-    if len(finite) > 0:
-        radius2 = float(np.exp(np.mean(np.log(finite))))
-        if radius2 > 0 and math.isfinite(radius2):
-            second = interpolate(radius2)
-            err2 = fit_error(second, radius2)
-            if err2 < best[0]:
-                best = (err2, second)
-    return best[1]
+    # Candidate circles: the dominant time constant; the geometric mean
+    # of the pole magnitudes the first pass detects, which balances the
+    # coefficient magnitudes when the time constants spread over many
+    # decades; and the geometric mean of the network's natural
+    # frequencies, for spreads so wide that the first pass detects
+    # noise instead of poles.
+    radii = [1.0 / tau]
+    first = interpolate(radii[0])
+    candidates = [first]
+    natural = _natural_frequencies(g_matrix, c_matrix)
+    for magnitudes in (_magnitudes(first.poles()), natural):
+        if len(magnitudes) > 0:
+            radius = float(np.exp(np.mean(np.log(magnitudes))))
+            if radius > 0 and math.isfinite(radius):
+                radii.append(radius)
+                candidates.append(interpolate(radius))
+    # Every candidate is checked at the same points: around each circle
+    # and at each natural frequency, where a dropped pole shows.
+    probes = [1j * r * f for r in radii for f in (0.11, 1.7, 9.3)]
+    probes += [1j * m for m in natural]
+    errors = [fit_error(candidate, probes) for candidate in candidates]
+    return candidates[errors.index(min(errors))]
+
+
+def _magnitudes(roots: np.ndarray) -> np.ndarray:
+    """Magnitudes of the finite, non-zero ``roots``."""
+    return np.abs(roots[np.isfinite(roots) & (np.abs(roots) > 0)])
+
+
+def _natural_frequencies(g_matrix: np.ndarray, c_matrix: np.ndarray) -> np.ndarray:
+    """Magnitudes of the finite, non-zero roots of det(G + sC).
+
+    The generalized eigenvalues of ``G x = -s C x`` (QZ); a singular C
+    contributes infinite ones, which are dropped.
+    """
+    try:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roots = scipy.linalg.eigvals(g_matrix, -c_matrix)
+    except (np.linalg.LinAlgError, ValueError):
+        return np.empty(0)
+    return _magnitudes(roots)

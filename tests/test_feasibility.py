@@ -14,6 +14,7 @@ Four layers, mirroring :mod:`repro.analysis`:
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -518,6 +519,21 @@ class TestAnalyzeCli:
         assert code == 1
         codes = {f["code"] for f in data["findings"]}
         assert "C201" in codes
+
+    def test_misspelled_fixture_key_is_refused(self, capsys, tmp_path):
+        # "constraints" misspelled: dropping the key would lose C201 and
+        # still report INFEASIBLE; the request refuses it, as POST /jobs
+        # does.
+        text = Path(f"{FIXTURES}/conflicting_power_slew.json").read_text()
+        misspelled = tmp_path / "misspelled.json"
+        misspelled.write_text(text.replace('"constraints"', '"constraint"'))
+        from repro.cli import main
+
+        code = main(["analyze", "--spec-file", str(misspelled)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "unknown request field(s): constraint" in captured.err
+        assert captured.out == ""
 
     def test_feasible_fixture_exit_zero(self, capsys):
         code, data = self._json(capsys, [

@@ -2,10 +2,13 @@
 
 These walk complete flows: estimate -> netlist -> simulate across a
 topology matrix, module benches round-tripped through SPICE decks, and
-the estimator facade driving the synthesis engine.
+the estimator facade driving the synthesis engine, and the README's
+synthesis snippet as printed.
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,18 @@ class TestFacadeToSynthesis:
         tf = extract_transfer_function(bench, "out", op=op)
         assert tf.is_stable()
         assert abs(tf.dc_gain) == pytest.approx(amp.estimate.gain, rel=0.25)
+
+
+class TestReadmeQuickstart:
+    def test_synthesis_snippet_prints_the_contrast(self, capsys):
+        """The README's headline snippet, run as written: at seed 3 the
+        standalone leg (Table 1) misses the spec and the APE leg
+        (Table 4) meets it."""
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"```python\n(.*?)```", readme.read_text(), re.S)
+        snippet = next(block for block in blocks if "synthesize_opamp" in block)
+        namespace: dict = {}
+        exec(snippet, namespace)
+        lost, found = namespace["lost"], namespace["found"]
+        assert (lost.meets_spec, found.meets_spec) == (False, True)
+        assert capsys.readouterr().out == "False True\n"

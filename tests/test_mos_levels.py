@@ -49,32 +49,32 @@ class TestVelocitySaturation:
     def test_vdsat_reduced(self):
         d1, d3 = dev(LEVEL1), dev(LEVEL3_VSAT)
         vov = 1.3
-        assert d3._vdsat(vov) < d1._vdsat(vov)
+        assert d3.law(0.0).vdsat(vov) < d1.law(0.0).vdsat(vov)
 
     def test_vdsat_blend_formula(self):
         d3 = dev(LEVEL3_VSAT)
         vov = 1.0
         vc = LEVEL3_VSAT.vmax * d3.l_eff / LEVEL3_VSAT.u0
-        assert d3._vdsat(vov) == pytest.approx(vov * vc / (vov + vc))
+        assert d3.law(0.0).vdsat(vov) == pytest.approx(vov * vc / (vov + vc))
 
     def test_short_channel_saturates_earlier(self):
         long_ch = MosDevice(LEVEL3_VSAT, 10e-6, 5e-6)
         short_ch = MosDevice(LEVEL3_VSAT, 10e-6, 0.8e-6)
-        assert short_ch._vdsat(1.0) < long_ch._vdsat(1.0)
+        assert short_ch.law(0.0).vdsat(1.0) < long_ch.law(0.0).vdsat(1.0)
 
     def test_region_uses_reduced_vdsat(self):
         d3 = dev(LEVEL3_VSAT)
         vov = 1.3
         # Pick vds between the reduced vdsat and vov: Level 1 would call
         # this triode; Level 3 is already saturated.
-        vds = 0.5 * (d3._vdsat(vov) + vov)
-        assert d3._vdsat(vov) < vds < vov
+        vds = 0.5 * (d3.law(0.0).vdsat(vov) + vov)
+        assert d3.law(0.0).vdsat(vov) < vds < vov
         assert d3.region(0.7 + vov, vds).value == "saturation"
 
     def test_current_continuous_at_reduced_vdsat(self):
         d3 = dev(LEVEL3_VSAT)
         vgs = 2.0
-        vdsat = d3._vdsat(d3.overdrive(vgs))
+        vdsat = d3.law(0.0).vdsat(d3.overdrive(vgs))
         below = d3.ids(vgs, vdsat - 1e-9)
         above = d3.ids(vgs, vdsat + 1e-9)
         assert below == pytest.approx(above, rel=1e-5)

@@ -15,7 +15,7 @@ from repro.spice import (
     dc_operating_point,
 )
 from repro.spice.ac import log_frequencies
-from repro.spice.awe import _pade_from_moments, awe_moments
+from repro.spice.awe import _fit, _pade_from_moments, awe_moments
 from repro.technology import generic_05um
 
 TECH = generic_05um()
@@ -128,6 +128,36 @@ class TestAwePoles:
             awe_poles(rc_lowpass(), "out", order=0)
 
 
+class TestMomentCount:
+    """A fit computes ``max(2q, 3)`` moments, the ones it reads."""
+
+    @staticmethod
+    def _cases():
+        from repro.benchmark.netlists import ladder_circuit, module_chain_circuit
+
+        yield rc_lowpass(), "out", None
+        for n in (1, 2, 3, 5):
+            yield (*rc_ladder(n), None)
+        yield ladder_circuit(12), "m10", None
+        yield module_chain_circuit(12), "x5", None
+        for bench, op in _opamp_benches():
+            yield bench, "out", op
+
+    def test_fit_equals_the_fit_to_2q_plus_2_moments(self):
+        for circuit, out, op in self._cases():
+            for order in (1, 2, 3):
+                model = awe_poles(circuit, out, order=order, op=op)
+                longer = awe_moments(circuit, out, 2 * order + 2, op=op)
+                reference = _fit(circuit.title, out, longer, order)
+                assert len(model.moments) == max(2 * order, 3)
+                assert np.array_equal(model.moments, longer[: len(model.moments)])
+                for field in ("poles", "residues"):
+                    got = getattr(model, field)
+                    want = getattr(reference, field)
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want), (circuit.title, order)
+
+
 class TestAweOnMosCircuit:
     def test_cs_amp_dominant_pole(self):
         ckt = Circuit("cs")
@@ -224,7 +254,7 @@ def _random_model(rng):
     )
 
 
-def _opamp_models():
+def _opamp_benches():
     from repro.opamp import OpAmpSpec, design_opamp, open_loop_bench
 
     for gain, ugf in ((200.0, 2e6), (70.0, 3e6), (250.0, 8e6)):
@@ -232,7 +262,11 @@ def _opamp_models():
             TECH, OpAmpSpec(gain=gain, ugf=ugf, ibias=2e-6, cl=10e-12)
         )
         bench = open_loop_bench(amp, v_diff=0.0)
-        op = dc_operating_point(bench)
+        yield bench, dc_operating_point(bench)
+
+
+def _opamp_models():
+    for bench, op in _opamp_benches():
         for order in (1, 2, 3):
             yield awe_poles(bench, "out", order=order, op=op)
 
@@ -286,7 +320,9 @@ class TestRewrittenKernels:
         moment_sets = [rng.normal(size=8) for _ in range(200)]
         for n in (1, 2, 3, 5):
             moment_sets.append(awe_moments(*rc_ladder(n), 8))
-        moment_sets += [model.moments for model in _opamp_models()]
+        moment_sets += [
+            awe_moments(bench, "out", 8, op=op) for bench, op in _opamp_benches()
+        ]
         for moments in moment_sets:
             scale = abs(moments[1] / moments[0]) or 1.0
             scaled = moments / scale ** np.arange(len(moments))

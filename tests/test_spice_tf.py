@@ -83,6 +83,25 @@ class TestPassiveNetworks:
         tf = extract_transfer_function(rc(), "out")
         assert tf.is_stable()
 
+    def test_keeps_every_pole_of_a_ladder_spread_over_eight_decades(self):
+        # Poles at 0.074, 1.6e6 and 4.7e6 rad/s: neither the dominant
+        # time constant's circle (which detects noise) nor one centred
+        # on the poles it detects (which trims the cubic term) holds
+        # all three; the circle at the natural frequencies does.
+        ckt = Circuit("spread")
+        ckt.v("n0", "0", dc=1.0, ac=1.0)
+        ckt.r("n0", "n1", 6934754.75)
+        ckt.c("n1", "0", 5.017911235254047e-07)
+        ckt.r("n1", "n2", 1.0)
+        ckt.c("n2", "0", 6.613575963152528e-07)
+        ckt.r("n2", "n3", 1.0)
+        ckt.c("n3", "0", 7.963878263611359e-07)
+        tf = extract_transfer_function(ckt, "n3")
+        assert tf.order == 3
+        freqs = np.logspace(1, 8, 5)
+        ref = ac_analysis(ckt, frequencies=freqs).phasor("n3")
+        np.testing.assert_allclose(tf.evaluate(freqs), ref, rtol=1e-6)
+
 
 class TestActiveNetworks:
     def test_opamp_tf(self):

@@ -36,7 +36,7 @@ from repro.runtime.diagnostics import DiagnosticLog
 from repro.runtime.faults import FaultSpec, injected_faults
 from repro.runtime.retry import RetryPolicy
 from repro.spice import awe_poles, dc, dc_operating_point, linalg
-from repro.spice.awe import awe_poles_stack
+from repro.spice.awe import _fit, _moments_stack, awe_poles_stack
 from repro.spice.engine import StampStack, assemble_dc, linearize_ac
 from repro.spice.mna import System
 from repro.synthesis import RobustEvaluator, RobustSpec, opamp_synthesis_spec
@@ -425,6 +425,23 @@ class TestStackedAssembly:
                 assert np.array_equal(g[m], g_m)
                 assert np.array_equal(c[m], c_m)
                 assert np.array_equal(b[m], b_m)
+
+    def test_awe_stack_fits_equal_the_fit_to_2q_plus_2_moments(self, systems):
+        stack = StampStack(systems)
+        assert stack.refresh()
+        x = np.array([
+            dc_operating_point(system.circuit, system=system).x
+            for system in systems
+        ])
+        fits = awe_poles_stack(stack, x, [0, 1, 2], "out", 3)
+        longer = _moments_stack(stack, x, [0, 1, 2], "out", 8)
+        for m, system in enumerate(systems):
+            reference = _fit(system.circuit.title, "out", longer[m], 3)
+            assert np.array_equal(fits[m].moments, longer[m][:6])
+            for field in ("poles", "residues"):
+                got, want = getattr(fits[m], field), getattr(reference, field)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
 
     def test_newton_and_awe_match_each_member(self, systems):
         stack = StampStack(systems)

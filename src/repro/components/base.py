@@ -110,12 +110,16 @@ class Component:
                 f"available: {', '.join(sorted(self.devices))}"
             ) from None
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         """Stamp this component's devices into ``circuit``.
 
         ``ports`` maps the component's port names to circuit node names;
         each subclass documents its ports.  Element names are prefixed
-        with ``prefix`` so multiple instances coexist.
+        with ``prefix`` so multiple instances coexist.  Returns, per
+        device role, the MOSFETs that role lands in: they carry its
+        drawn W and L verbatim (a matched pair lands in two).
         """
         raise NotImplementedError
 

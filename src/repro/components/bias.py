@@ -80,7 +80,9 @@ class DcVoltageBias(Component):
             v_out=v_out,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         """Stamp into ``circuit``; ports: ``out``, ``vdd``, ``vss``."""
         out, vdd, vss = ports["out"], ports["vdd"], ports["vss"]
         diode = self.devices["diode"]
@@ -90,6 +92,7 @@ class DcVoltageBias(Component):
             diode.device.model, diode.w, diode.l,
             name=f"{prefix}M1",
         )
+        return {"diode": (f"{prefix}M1",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         ckt = Circuit(f"{self.name}-bench")

@@ -93,7 +93,9 @@ class CurrentMirror(Component):
             ratio=ratio,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         ref, out, rail = ports["ref"], ports["out"], ports["rail"]
         din, dout = self.devices["input"], self.devices["output"]
         circuit.m(
@@ -104,6 +106,7 @@ class CurrentMirror(Component):
             out, ref, rail, rail, dout.device.model, dout.w, dout.l,
             name=f"{prefix}MOUT",
         )
+        return {"input": (f"{prefix}MIN",), "output": (f"{prefix}MOUT",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         return _mirror_bench(self)
@@ -157,7 +160,9 @@ class CascodeCurrentSource(Component):
             ratio=ratio,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         ref, out, rail = ports["ref"], ports["out"], ports["rail"]
         nb_in = f"{prefix}_b_in"
         nb_out = f"{prefix}_b_out"
@@ -181,6 +186,12 @@ class CascodeCurrentSource(Component):
             nb_out, nb_in, rail, rail, model,
             d["output_bottom"].w, d["output_bottom"].l, name=f"{prefix}MOB",
         )
+        return {
+            "input_top": (f"{prefix}MIT",),
+            "input_bottom": (f"{prefix}MIB",),
+            "output_top": (f"{prefix}MOT",),
+            "output_bottom": (f"{prefix}MOB",),
+        }
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         return _mirror_bench(self)
@@ -232,7 +243,9 @@ class WilsonCurrentSource(Component):
             ratio=ratio,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         ref, out, rail = ports["ref"], ports["out"], ports["rail"]
         mid = f"{prefix}_fb"
         d = self.devices
@@ -252,6 +265,11 @@ class WilsonCurrentSource(Component):
             out, ref, mid, rail, model,
             d["output"].w, d["output"].l, name=f"{prefix}MO",
         )
+        return {
+            "bottom": (f"{prefix}MB",),
+            "diode": (f"{prefix}MD",),
+            "output": (f"{prefix}MO",),
+        }
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         return _mirror_bench(self)

@@ -132,7 +132,9 @@ class DiffCmos(Component):
             tail_current=tail_current,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, inn, out = ports["inp"], ports["inn"], ports["out"]
         tail, vdd, vss = ports["tail"], ports["vdd"], ports["vss"]
         pair, load = self.devices["pair"], self.devices["load"]
@@ -155,6 +157,10 @@ class DiffCmos(Component):
             out, mirror_node, vdd, vdd,
             load.device.model, load.w, load.l, name=f"{prefix}ML2",
         )
+        return {
+            "pair": (f"{prefix}M1", f"{prefix}M2"),
+            "load": (f"{prefix}ML1", f"{prefix}ML2"),
+        }
 
     def bench(
         self, mode: str = "differential", v_diff: float = 0.0
@@ -269,7 +275,9 @@ class DiffNmos(Component):
             tail_current=tail_current,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, inn = ports["inp"], ports["inn"]
         outp, outn = ports["outp"], ports["outn"]
         tail, vdd, vss = ports["tail"], ports["vdd"], ports["vss"]
@@ -293,6 +301,10 @@ class DiffNmos(Component):
             vdd, vdd, outp, vss, load.device.model, load.w, load.l,
             name=f"{prefix}ML2",
         )
+        return {
+            "pair": (f"{prefix}M1", f"{prefix}M2"),
+            "load": (f"{prefix}ML1", f"{prefix}ML2"),
+        }
 
     def bench(
         self, mode: str = "differential"

@@ -160,7 +160,9 @@ class FoldedCascodeDiff(Component):
             v_bias_nc=v_bias_nc,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, inn, out = ports["inp"], ports["inn"], ports["out"]
         tail, vdd, vss = ports["tail"], ports["vdd"], ports["vss"]
         bias_p = ports["bias_p"]
@@ -197,6 +199,13 @@ class FoldedCascodeDiff(Component):
                   name=f"{prefix}M10")
         circuit.m(m2, c1, vss, vss, mb.device.model, mb.w, mb.l,
                   name=f"{prefix}M11")
+        return {
+            "pair": (f"{prefix}M1", f"{prefix}M2"),
+            "fold_source": (f"{prefix}M4", f"{prefix}M5"),
+            "cascode_p": (f"{prefix}M6", f"{prefix}M7"),
+            "mirror_top": (f"{prefix}M8", f"{prefix}M9"),
+            "mirror_bottom": (f"{prefix}M10", f"{prefix}M11"),
+        }
 
     def bench(
         self, mode: str = "differential", v_diff: float = 0.0

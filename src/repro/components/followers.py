@@ -89,7 +89,9 @@ class SourceFollower(Component):
             v_bias_sink=tech.vss + sink.op.vgs,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, out, bias = ports["in"], ports["out"], ports["bias"]
         vdd, vss = ports["vdd"], ports["vss"]
         drv, sink = self.devices["driver"], self.devices["sink"]
@@ -101,6 +103,7 @@ class SourceFollower(Component):
             out, bias, vss, vss, sink.device.model, sink.w, sink.l,
             name=f"{prefix}MS",
         )
+        return {"driver": (f"{prefix}MF",), "sink": (f"{prefix}MS",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         ckt = Circuit(f"{self.name}-bench")

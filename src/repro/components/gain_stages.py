@@ -119,7 +119,9 @@ class GainNmos(Component):
             v_in_bias=tech.vss + driver.op.vgs,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, out = ports["in"], ports["out"]
         vdd, vss = ports["vdd"], ports["vss"]
         drv, load = self.devices["driver"], self.devices["load"]
@@ -132,6 +134,7 @@ class GainNmos(Component):
             vdd, vdd, out, vss, load.device.model, load.w, load.l,
             name=f"{prefix}ML",
         )
+        return {"driver": (f"{prefix}MD",), "load": (f"{prefix}ML",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         ckt = Circuit(f"{self.name}-bench")
@@ -247,7 +250,9 @@ class GainCmos(Component):
             driver_polarity=driver_polarity,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         from ..technology import MosPolarity
 
         inp, out, bias = ports["in"], ports["out"], ports["bias_load"]
@@ -265,6 +270,7 @@ class GainCmos(Component):
             out, bias, load_rail, load_rail, load.device.model, load.w, load.l,
             name=f"{prefix}ML",
         )
+        return {"driver": (f"{prefix}MD",), "load": (f"{prefix}ML",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         ckt = Circuit(f"{self.name}-bench")
@@ -344,7 +350,9 @@ class GainCmosH(Component):
             v_in_bias=v_in,
         )
 
-    def place(self, circuit: Circuit, prefix: str, **ports: str) -> None:
+    def place(
+        self, circuit: Circuit, prefix: str, **ports: str
+    ) -> dict[str, tuple[str, ...]]:
         inp, out = ports["in"], ports["out"]
         vdd, vss = ports["vdd"], ports["vss"]
         n, p = self.devices["nmos"], self.devices["pmos"]
@@ -354,6 +362,7 @@ class GainCmosH(Component):
         circuit.m(
             out, inp, vdd, vdd, p.device.model, p.w, p.l, name=f"{prefix}MP"
         )
+        return {"nmos": (f"{prefix}MN",), "pmos": (f"{prefix}MP",)}
 
     def verification_circuit(self) -> tuple[Circuit, dict[str, str]]:
         ckt = Circuit(f"{self.name}-bench")

@@ -34,7 +34,9 @@ from ..spice.ac import log_frequencies
 from .estimator import OpAmp, SINK_BIAS_CURRENT
 
 __all__ = [
+    "PlacementMap",
     "place_opamp",
+    "opamp_placement",
     "differential_drive",
     "open_loop_bench",
     "balanced_open_loop",
@@ -42,6 +44,10 @@ __all__ = [
     "step_bench",
     "verify_opamp",
 ]
+
+
+#: Search variable -> the ``(element, field)`` pairs that carry its value.
+PlacementMap = dict[str, tuple[tuple[str, str], ...]]
 
 
 def _tail_ref_voltage(opamp: OpAmp) -> float:
@@ -75,9 +81,25 @@ def place_opamp(
     out: str,
     vdd: str,
     vss: str,
-) -> None:
-    """Stamp the complete amplifier between the given nodes."""
+) -> PlacementMap:
+    """Stamp the complete amplifier between the given nodes.
+
+    Returns its placement map: each key of :meth:`OpAmp.initial_point`
+    that the netlist carries verbatim — every device's
+    ``<stage>.<role>.w`` and ``.l``, and ``cc``, ``r.ref`` and
+    ``r.bias`` when the amplifier has them — names the ``(element,
+    field)`` pairs holding its value.  Derived elements (the nulling
+    resistor, the sink-bias diode) are not in it.
+    """
     tech = opamp.tech
+    placed: PlacementMap = {}
+
+    def report(stage_name: str, roles: dict[str, tuple[str, ...]]) -> None:
+        for role, elements in roles.items():
+            for axis in ("w", "l"):
+                placed[f"{stage_name}.{role}.{axis}"] = tuple(
+                    (element, axis) for element in elements
+                )
     nbias_a = f"{prefix}_nbias_a"
     tail = f"{prefix}_tail"
 
@@ -88,9 +110,11 @@ def place_opamp(
         v_ref = _tail_ref_voltage(opamp)
         r_ref = (tech.vdd - v_ref) / opamp.currents["tail_ref"]
     circuit.r(vdd, nbias_a, r_ref, name=f"{prefix}RREF")
-    opamp.stages["tail_source"].place(
+    if opamp.r_ref > 0:
+        placed["r.ref"] = ((f"{prefix}RREF", "value"),)
+    report("tail_source", opamp.stages["tail_source"].place(
         circuit, f"{prefix}TS", ref=nbias_a, out=tail, rail=vss
-    )
+    ))
 
     # Differential stage.
     diff = opamp.stages["diff"]
@@ -115,7 +139,7 @@ def place_opamp(
         circuit.v(bp, "0", dc=diff.v_bias_p, name=f"{prefix}VBP")
         circuit.v(bpc, "0", dc=diff.v_bias_pc, name=f"{prefix}VBPC")
         circuit.v(bnc, "0", dc=diff.v_bias_nc, name=f"{prefix}VBNC")
-        diff.place(
+        roles = diff.place(
             circuit, f"{prefix}DF",
             inp=eff_inp, inn=eff_inn, out=d1, tail=tail,
             vdd=vdd, vss=vss, bias_p=bp, bias_pc=bpc, bias_nc=bnc,
@@ -125,16 +149,17 @@ def place_opamp(
         # ``outp`` (driven by the inn-side device) plus the stage-2
         # inversion makes ``inp`` non-inverting with the swap above.
         outn = f"{prefix}_d1n"
-        diff.place(
+        roles = diff.place(
             circuit, f"{prefix}DF",
             inp=eff_inp, inn=eff_inn, outp=d1, outn=outn,
             tail=tail, vdd=vdd, vss=vss,
         )
     else:
-        diff.place(
+        roles = diff.place(
             circuit, f"{prefix}DF",
             inp=eff_inp, inn=eff_inn, out=d1, tail=tail, vdd=vdd, vss=vss,
         )
+    report("diff", roles)
 
     # Bias branch B: diode reference for the stage-2/buffer sinks.
     needs_sink_bias = "sink_bias" in opamp.currents
@@ -149,6 +174,8 @@ def place_opamp(
             v_ref_b = tech.vss + bias_diode.op.vgs
             r_b = (tech.vdd - v_ref_b) / SINK_BIAS_CURRENT
         circuit.r(vdd, nbias_b, r_b, name=f"{prefix}RBIASB")
+        if opamp.r_bias > 0:
+            placed["r.bias"] = ((f"{prefix}RBIASB", "value"),)
         circuit.m(
             nbias_b, nbias_b, vss, vss,
             bias_diode.device.model, bias_diode.w, bias_diode.l,
@@ -159,26 +186,40 @@ def place_opamp(
     # high-impedance diff output.
     if not two_stage and opamp.cc > 0:
         circuit.c(d1, vss, opamp.cc, name=f"{prefix}CCOMP")
+        placed["cc"] = ((f"{prefix}CCOMP", "value"),)
 
     # Second stage with Miller compensation.
     if two_stage:
-        stage2 = opamp.stages["stage2"]
-        stage2.place(
+        report("stage2", opamp.stages["stage2"].place(
             circuit, f"{prefix}S2",
             **{"in": d1, "out": n2, "bias_load": nbias_b,
                "vdd": vdd, "vss": vss},
-        )
+        ))
         if opamp.cc > 0:
             ncomp = f"{prefix}_comp"
             circuit.r(n2, ncomp, max(opamp.rz, 1e-3), name=f"{prefix}RZ")
             circuit.c(ncomp, d1, opamp.cc, name=f"{prefix}CC")
+            placed["cc"] = ((f"{prefix}CC", "value"),)
 
     # Output buffer.
     if opamp.has_buffer:
-        opamp.stages["buffer"].place(
+        report("buffer", opamp.stages["buffer"].place(
             circuit, f"{prefix}BF",
             **{"in": n2, "out": out, "bias": nbias_b, "vdd": vdd, "vss": vss},
-        )
+        ))
+    return placed
+
+
+def opamp_placement(opamp: OpAmp) -> PlacementMap:
+    """The placement map of ``opamp`` as every bench here places it.
+
+    The benches place the amplifier as ``X1``; element names depend on
+    that prefix alone, so a scratch circuit gives the same map.
+    """
+    return place_opamp(
+        opamp, Circuit(), "X1",
+        inp="inp", inn="inn", out="out", vdd="vdd", vss="vss",
+    )
 
 
 def _bench_shell(opamp: OpAmp, title: str) -> Circuit:

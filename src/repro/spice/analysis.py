@@ -258,7 +258,6 @@ def balance_differential(
     max_bisections: int = 60,
     retry=None,
     system: System | None = None,
-    warm_start: bool = True,
     x0: np.ndarray | None = None,
     column: np.ndarray | None = None,
 ) -> tuple[float, Circuit, OperatingPointResult]:
@@ -288,10 +287,9 @@ def balance_differential(
     instead.  An optional :class:`~repro.runtime.retry.RetryPolicy` is
     forwarded to every DC solve.  Every ``build`` result shares one
     :class:`System` (they are the same topology at different drives);
-    pass ``system`` to share an already-built one.  With
-    ``warm_start`` (the default) every bisection's Newton solve starts
-    from the previous bisection's solution, which keeps the search on
-    one solution branch in multistable circuits.
+    pass ``system`` to share an already-built one.  Every bisection's
+    Newton solve starts from the previous bisection's solution, which
+    keeps the search on one solution branch in multistable circuits.
 
     A caller that knows the drive column already passes it as
     ``column``: it depends only on which sources the drive moves and
@@ -320,8 +318,7 @@ def balance_differential(
         op = dc_operating_point(
             ckt, retry=retry, system=sys, x0=x_last[0]
         )
-        if warm_start:
-            x_last[0] = op.x
+        x_last[0] = op.x
         return op.v(output_node) - target, ckt, op
 
     lo, hi = -v_span, v_span

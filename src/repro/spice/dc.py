@@ -75,9 +75,9 @@ class OperatingPointResult:
     def mosfet_ops(self) -> dict[str, MosfetOp]:
         """Per-transistor bias summaries, linearized on first access.
 
-        Building the table costs four device-model evaluations per
-        MOSFET, so the synthesis inner loop (which only reads node
-        voltages and hands the solved ``x`` to AWE) never pays for it.
+        Building the table costs one drain-law evaluation per MOSFET,
+        which the synthesis inner loop (it only reads node voltages and
+        hands the solved ``x`` to AWE) never pays for.
         """
         if self._mosfet_ops is None:
             self._mosfet_ops = _mosfet_op_table(self.system, self.x)
@@ -521,7 +521,11 @@ def _operating_point(
 
 
 def _mosfet_op_table(system: System, x: np.ndarray) -> dict[str, MosfetOp]:
-    """Linearize every MOSFET at the solved bias (see ``mosfet_ops``)."""
+    """Linearize every MOSFET at the solved bias (see ``mosfet_ops``).
+
+    ``gm`` and ``gds`` are the linearization's gate and drain
+    conductances, from the same drain-law evaluation as its region.
+    """
     table: dict[str, MosfetOp] = {}
     for mos in system.circuit.mosfets():
         ev = evaluate_mosfet(
@@ -532,16 +536,15 @@ def _mosfet_op_table(system: System, x: np.ndarray) -> dict[str, MosfetOp]:
             system.voltage(x, mos.ns),
             system.voltage(x, mos.nb),
         )
-        device = system.device(mos.name)
         table[mos.name] = MosfetOp(
             name=mos.name,
             ids=ev.ids_normalized,
             vgs=ev.vgs,
             vds=ev.vds,
             vsb=ev.vsb,
-            region=device.region(ev.vgs, ev.vds, ev.vsb).value,
-            gm=device.gm(ev.vgs, ev.vds, ev.vsb),
-            gds=device.gds(ev.vgs, ev.vds, ev.vsb),
+            region=ev.region.value,
+            gm=ev.g_dg,
+            gds=ev.g_dd,
             swapped=ev.swapped,
         )
     return table

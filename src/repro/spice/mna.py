@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..devices import MosDevice
+from ..devices import MosDevice, Region
 from ..errors import SimulationError
 from .netlist import GROUND_NAMES, Circuit, Mosfet
 
@@ -199,6 +199,8 @@ class MosEval:
     ``dprime`` (after polarity normalization and source/drain swap);
     the g-values are its partial derivatives with respect to the
     effective drain, gate, effective source and bulk node voltages.
+    ``region`` is the operating region the drain law took at the
+    polarity-normalized ``vgs``, ``vds`` and ``vsb``.
     """
 
     dprime: str
@@ -215,6 +217,7 @@ class MosEval:
     vds: float
     vsb: float
     swapped: bool
+    region: Region
 
 
 def evaluate_mosfet(
@@ -240,7 +243,7 @@ def evaluate_mosfet(
     vds = sign * (vdp - vsp)
     vsb = sign * (vsp - vb)
     law = device.law(vds, vsb)
-    _, ids, gm, gds = law.evaluate(vgs)
+    region, ids, gm, gds = law.evaluate(vgs)
     gmb = law.body_factor() * gm
     # I(D') = sign * ids(vgs, vds, vsb); chain rule collapses the signs:
     #   dI/dVd' = gds, dI/dVg = gm, dI/dVb = gmb,
@@ -260,4 +263,5 @@ def evaluate_mosfet(
         vds=vds,
         vsb=vsb,
         swapped=swapped,
+        region=region,
     )

@@ -11,23 +11,28 @@ one bordered Newton solve (bisection as the fallback, see
 :func:`~repro.spice.analysis.balance_differential`).  When the
 template itself rails, every candidate is balanced directly, starting
 from the template's balanced point; otherwise a candidate is solved at
-zero drive first and balanced from there only when it rails.  A
-candidate on the in-place bench is balanced on copies of that bench
-with only the two input sources retargeted, and the balance's drive
-column is computed once per problem, not once per candidate.
+zero drive first and balanced from there only when it rails.  Every
+candidate is applied to one bench, built at the template point with
+the variable-to-element map its placement declares; it is balanced on
+copies of that bench with only the two input sources retargeted, and
+the balance's drive column is computed once per problem, not once per
+candidate.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, replace
-from typing import Any, Callable
+from typing import Any
 
 from ..devices import MosDevice
 from ..errors import ApeError, SimulationError, SizingError, SpecificationError
 from ..opamp import OpAmp
-from ..opamp.benches import differential_drive, open_loop_bench
+from ..opamp.benches import (
+    differential_drive,
+    opamp_placement,
+    open_loop_bench,
+)
 from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
@@ -35,7 +40,6 @@ from ..spice import analysis, awe_poles, dc_operating_point
 from ..spice.dc import settle_operating_point
 from ..spice.analysis import _drive_column, balance_differential
 from ..spice.mna import System
-from ..spice.netlist import VoltageSource
 from ..technology import Technology
 
 __all__ = [
@@ -75,10 +79,6 @@ RBIAS_HARD = (5e3, 50e6)
 RAIL = 0.25
 #: Differential drive bracket of the output balancing [V].
 BALANCE_SPAN = 0.5
-#: The drive proof's third drive [V]: negative and not a dyadic
-#: fraction, so a factory that rounds or mirrors the drive otherwise
-#: than :func:`~repro.opamp.benches.differential_drive` shows it.
-PROOF_DRIVE = -0.3
 
 
 @dataclass(frozen=True)
@@ -152,7 +152,6 @@ class _Candidate:
     """
 
     params: dict[str, float]
-    amp: OpAmp | None
     bench: Any
     x0: Any
     balanced: Any
@@ -254,23 +253,14 @@ def ape_ranges(template: OpAmp, factor: float = 0.2) -> list[Variable]:
 class OpAmpSizingProblem(SizingProblem):
     """Evaluate op-amp candidates with DC + AWE (the OBLX inner loop).
 
-    One evaluation profile serves every caller — every annealing
-    chain, in-process or pooled, and robust corner and Monte Carlo
-    variants.  Each candidate's DC solve starts from the template's
-    zero-drive operating point — or, when the template's output rails,
-    the candidate is balanced directly from the template's balanced
-    operating point — the cached bench is updated in place whenever a
-    one-time probe proves that exact, and railed candidates are
-    balanced on copies of it whenever a second one-time proof, of how
-    the factory applies the drive, does too.  All of these are run
-    constants, never a previous candidate's state, so evaluation stays
-    *canonical*: the result for a parameter dict is independent of
-    evaluation order — the invariant the memo cache and the executor's
-    scheduling independence rest on.
-
-    On the in-place bench a candidate is applied as a delta against
-    the last applied one: no :class:`~repro.opamp.OpAmp` is built
-    (``tech`` comes from the template, ``r_ref`` from the params), the
+    One evaluation path serves every caller — every annealing chain,
+    in-process or pooled, and robust corner and Monte Carlo variants.
+    The problem builds one bench, at the template point, and takes the
+    map from search variables to element fields that
+    :func:`~repro.opamp.benches.place_opamp` declares.  Each candidate
+    is applied to that *in-place* bench as a delta against the last
+    applied one: no :class:`~repro.opamp.OpAmp` is built (``tech``
+    comes from the template, ``r_ref`` from the params), the
     :class:`~repro.devices.MosDevice` checks run on the changed devices
     before anything is written, only the changed elements are written
     into the bench (which stays the one source of truth), the lint gate
@@ -278,13 +268,23 @@ class OpAmpSizingProblem(SizingProblem):
     and the shared :class:`~repro.spice.mna.System` rebuilds only the
     changed transistors' devices.  A candidate that fails the device
     checks calls :func:`parameterized_opamp` for its exact
-    ``SizingError``.  The factory path — ``reuse_state=False``, Monte
-    Carlo variants, custom factories the probe rejects, non-canonical
-    dicts — builds an ``OpAmp`` and a bench per candidate and is the
-    tests' reference.
+    ``SizingError``.  A dict with extra or missing keys is applied as
+    the placed variables it names, a missing one at the template's
+    value: what :func:`parameterized_opamp` reads from it.
+
+    Each candidate's DC solve starts from the template's zero-drive
+    operating point — or, when the template's output rails, the
+    candidate is balanced directly from the template's balanced
+    operating point — and railed candidates are balanced on copies of
+    the bench with only the drive sources retargeted, with one drive
+    column per problem.  All of these are run constants, never a
+    previous candidate's state, so evaluation stays *canonical*: the
+    result for a parameter dict is independent of evaluation order —
+    the invariant the memo cache and the executor's scheduling
+    independence rest on.
 
     :meth:`evaluate` runs three phases in sequence: apply (the
-    candidate onto a bench, through the sizing checks and the lint
+    candidate onto the bench, through the sizing checks and the lint
     gate), solve (the zero-drive operating point, balanced when the
     output rails) and measure (DC metrics and the AWE model).  A robust
     family evaluation interleaves the phases of several problems, to
@@ -301,8 +301,6 @@ class OpAmpSizingProblem(SizingProblem):
         balance_tolerance: float = 2e-3,
         retry: RetryPolicy | None = None,
         diagnostics: DiagnosticLog | None = None,
-        reuse_state: bool = True,
-        bench_factory: Callable[..., object] | None = None,
     ) -> None:
         self.template = template
         self._variables = variables
@@ -311,17 +309,7 @@ class OpAmpSizingProblem(SizingProblem):
         #: Candidates rejected by the lint gate without a Newton solve
         #: (see :meth:`_lint_rejects`).
         self.lint_rejections = 0
-        #: Bench constructor ``(amp, v_diff=...) -> Circuit``; defaults
-        #: to :func:`~repro.opamp.benches.open_loop_bench`.  Monte Carlo
-        #: variants inject their mismatch benches through this hook.
-        self.bench_factory = (
-            open_loop_bench if bench_factory is None else bench_factory
-        )
         self._structural_report = None
-        #: ``False`` evaluates every candidate from scratch (no shared
-        #: system, template warm start, in-place bench or drive, or
-        #: warm-started bisections) — the tests' reference.
-        self.reuse_state = reuse_state
         #: Optional retry policy forwarded to the DC solver so transient
         #: non-convergence is re-attempted before the candidate is
         #: declared unusable.
@@ -337,15 +325,15 @@ class OpAmpSizingProblem(SizingProblem):
         self._warm_x0 = None
         self._balanced_x0 = None
         self._warm_ready = False
-        #: In-place bench: ``(circuit, applied params, mapping)`` once
-        #: :meth:`_probe_bench_map` proves every search variable maps
-        #: *identically* onto element fields (MOSFET W/L, CC, RREF,
-        #: RBIASB); any derived dependence (a Monte Carlo bench's
-        #: geometry-dependent mismatch), structure change or unknown
-        #: key keeps the factory build, so the fast path is bit-for-bit
-        #: equivalent or not taken at all.
-        self._bench_map: tuple | None = None
-        self._bench_broken = False
+        #: The in-place bench and an untouched copy of it at the
+        #: template point, built on first use (:meth:`_placed`).
+        self._bench = None
+        self._template_bench = None
+        #: Placed variable -> its ``(element, field)`` pairs, and each
+        #: placed variable's template and last applied value.
+        self._map: dict[str, tuple[tuple[str, str], ...]] = {}
+        self._point: dict[str, float] = {}
+        self._values: dict[str, float] = {}
         #: In-place bench elements that draw a candidate-rule error.
         self._flagged: set[str] = set()
         #: Geometry key -> ``(model card, W key, L key, template W,
@@ -362,16 +350,9 @@ class OpAmpSizingProblem(SizingProblem):
             for role, sized in stage.devices.items()
             for axis in ("w", "l")
         }
-        #: In-place drive: the balancing solve's drive column once
-        #: :meth:`_prove_drive` shows, from the template's bench, that
-        #: the factory applies the drive exactly as
-        #: :func:`~repro.opamp.benches.differential_drive` does and in
-        #: nothing else.  The proof runs at most once: when the template
-        #: rails, or else at the first railed candidate on the in-place
-        #: bench; a custom factory that fails it (``None``) keeps
-        #: factory-built drives.
+        #: The balance's drive column, computed on first use from the
+        #: template bench (see :meth:`_balance_column`).
         self._column = None
-        self._column_ready = False
 
     @property
     def variables(self) -> list[Variable]:
@@ -391,33 +372,27 @@ class OpAmpSizingProblem(SizingProblem):
     # across its problems (:class:`~repro.synthesis.robust.RobustEvaluator`).
 
     def _applied(self, params: dict[str, float]):
-        """Apply phase: ``params`` written onto a bench and gated.
+        """Apply phase: ``params`` written onto the bench and gated.
 
         The sizing checks and the lint gate run here, and the system is
-        bound to the bench.  A candidate the in-place bench takes and
-        :meth:`_stackable` admits records no Diagnostic here.
+        bound to the bench.  A candidate :meth:`_stackable` admits
+        records no Diagnostic here.
         """
+        bench = self._placed()
         changes = self._changes(params)
-        amp = None
-        if changes is None or not self._sizable(changes, params):
-            # The factory path; on the in-place bench, the exact
-            # SizingError of a candidate that fails the device checks.
+        if not self._sizable(changes, params):
+            # The exact SizingError of the device that fails the checks.
             try:
-                amp = parameterized_opamp(self.template, params)
+                parameterized_opamp(self.template, params)
             except ApeError as exc:
                 self._note_failure(exc)
                 return None
         try:
             faults.check("synthesis.evaluate")
-            if changes is None:
-                bench = self._candidate_bench(amp, params)
-            else:
-                bench = self._apply(changes)
+            self._apply(changes)
             if self._lint_rejects(bench, self.template.tech):
                 return None
-            if not self.reuse_state:
-                self._system = None
-            elif self._system is None:
+            if self._system is None:
                 self._system = System(bench)
             else:
                 self._system = self._system.rebind(bench)
@@ -425,7 +400,7 @@ class OpAmpSizingProblem(SizingProblem):
         except SimulationError as exc:
             self._note_failure(exc)
             return None
-        return _Candidate(params, amp, bench, warm, balanced)
+        return _Candidate(params, bench, warm, balanced)
 
     def _solved(self, candidate: _Candidate, newton=None, member: int = 0):
         """Solve phase: the operating point the candidate is measured at.
@@ -461,23 +436,21 @@ class OpAmpSizingProblem(SizingProblem):
             if op is None or abs(op.v("out")) > RAIL:
                 # The template rails, or this candidate does: balance,
                 # starting from the template's balanced point or from
-                # this candidate's zero-drive solution.
-                system = self._system if op is None else op.system
-                build, column = self._drive(
-                    candidate.amp, candidate.params, bench, system
-                )
+                # this candidate's zero-drive solution, on copies of the
+                # bench that share every element object but the drive
+                # sources, so the system rebinds to them as a
+                # source-only edit and the bench stays at zero drive.
                 _, bench, op = balance_differential(
-                    build,
+                    _driven_copies(bench),
                     "out",
                     target=0.0,
                     v_span=BALANCE_SPAN,
                     tol=self.balance_tolerance,
                     max_bisections=16,
                     retry=self.retry,
-                    system=system,
-                    warm_start=self.reuse_state,
+                    system=self._system if op is None else op.system,
                     x0=x0,
-                    column=column,
+                    column=self._balance_column(),
                 )
                 if abs(op.v("out")) > 1.0:
                     # Unbalanceable: dead amplifier.
@@ -510,22 +483,20 @@ class OpAmpSizingProblem(SizingProblem):
     def _stackable(self, params: dict[str, float]) -> bool:
         """Whether ``params`` can join a stacked family evaluation.
 
-        True when the candidate goes onto the in-place bench through
-        the device checks, and its zero-drive solve starts from the
-        template's zero-drive point, already computed.  Such a
-        candidate's apply phase records nothing, so it may run before
-        the candidate's turn; and its zero-drive solve begins with the
-        plain Newton run a :class:`~repro.spice.dc.NewtonStack` makes.
+        True when the candidate passes the device checks and its
+        zero-drive solve starts from the template's zero-drive point,
+        already computed.  Such a candidate's apply phase records
+        nothing, so it may run before the candidate's turn; and its
+        zero-drive solve begins with the plain Newton run a
+        :class:`~repro.spice.dc.NewtonStack` makes.
         """
         if not (
-            self.reuse_state
-            and self._warm_ready
+            self._warm_ready
             and self._warm_x0 is not None
             and self._balanced_x0 is None
         ):
             return False
-        changes = self._changes(params)
-        return changes is not None and self._sizable(changes, params)
+        return self._sizable(self._changes(params), params)
 
     def _railed(self, x) -> bool:
         """Whether the zero-drive solution ``x`` rails the output."""
@@ -537,22 +508,20 @@ class OpAmpSizingProblem(SizingProblem):
         The template's operating point at zero drive and, only when its
         output rails there, its balanced operating point (see
         :meth:`_balance_template`).  Both are computed at most once,
-        from the template alone, with fault injection suspended so the
-        template solves never shift an armed injector's decision
-        stream.  Either is ``None`` without ``reuse_state``, when the
-        template will not converge or balance, or when the current
-        system's unknown vector has another size.  ``None`` at zero
-        drive is the solver's cold start; ``None`` balanced solves the
-        candidate at zero drive first.
+        from the template bench alone, with fault injection suspended
+        so the template solves never shift an armed injector's decision
+        stream.  Either is ``None`` when the template will not converge
+        or balance, or when the current system's unknown vector has
+        another size.  ``None`` at zero drive is the solver's cold
+        start; ``None`` balanced solves the candidate at zero drive
+        first.
         """
-        if not self.reuse_state:
-            return None, None
         if not self._warm_ready:
             self._warm_ready = True
             previous = faults.active()
             faults.disarm()
             try:
-                bench = self.bench_factory(self.template, v_diff=0.0)
+                bench = self._template_bench
                 system = System(bench)
                 op = dc_operating_point(bench, system=system)
                 self._warm_x0 = op.x.copy()
@@ -582,25 +551,16 @@ class OpAmpSizingProblem(SizingProblem):
         """The template's balanced MNA vector, or ``None``.
 
         The template is balanced as a candidate is, from its zero-drive
-        solution ``x0`` on ``system``, which is bound to its zero-drive
-        bench: on copies of that bench with the problem's drive column
-        once the drive proof holds, else on factory builds.  ``None``
-        when the output does not land within the balance tolerance.
-        The balance is called through its module, so that this module's
+        solution ``x0`` on ``system``, which is bound to the template
+        bench, on driven copies of that bench.  ``None`` when the
+        output does not land within the balance tolerance.  The balance
+        is called through its module, so that this module's
         ``balance_differential`` name, which the benchmark's tracer
         counts, balances candidates only.
         """
-        column = self._proven_column()
-        if column is not None:
-            build = _driven_copies(system.circuit)
-        else:
-
-            def build(v: float):
-                return self.bench_factory(self.template, v_diff=v)
-
         try:
             _, _, op = analysis.balance_differential(
-                build,
+                _driven_copies(system.circuit),
                 "out",
                 target=0.0,
                 v_span=BALANCE_SPAN,
@@ -608,7 +568,7 @@ class OpAmpSizingProblem(SizingProblem):
                 max_bisections=16,
                 system=system,
                 x0=x0,
-                column=column,
+                column=self._balance_column(),
             )
         except ApeError:
             return None
@@ -616,23 +576,63 @@ class OpAmpSizingProblem(SizingProblem):
             return None
         return op.x.copy()
 
-    def _changes(self, params: dict[str, float]) -> dict[str, float] | None:
-        """The variables ``params`` moves on the in-place bench, or ``None``.
+    def _balance_column(self):
+        """The balance's drive column ``dF/dv``, one per problem.
 
-        ``None`` (the factory path) until the bench-map probe has proven
-        the in-place bench, and for a dict whose keys are not exactly
-        the mapped variables: unknown or missing keys could affect the
-        bench in ways the probe never saw.
+        The drive enters only through the source ``dc`` values
+        :func:`~repro.opamp.benches.differential_drive` sets, which no
+        search variable moves, so the column of the template bench and
+        its driven copy at :data:`BALANCE_SPAN` serves every candidate.
         """
-        if self._bench_map is None:
-            return None
-        applied = self._bench_map[1]
-        if params.keys() != applied.keys():
-            return None
+        if self._column is None:
+            at_zero = self._template_bench
+            self._column = _drive_column(
+                System(at_zero),
+                at_zero,
+                _driven_copies(at_zero)(BALANCE_SPAN),
+                BALANCE_SPAN,
+            )
+        return self._column
+
+    # The in-place bench.  A Monte Carlo sample's problem
+    # (``repro.synthesis.robust._SampleProblem``) overrides the two
+    # hooks below.
+
+    def _build_bench(self):
+        """The bench at the template point."""
+        return open_loop_bench(self.template)
+
+    def _written(self, element):
+        """``element``, whose fields a candidate set, as the bench holds it."""
+        return element
+
+    def _placed(self):
+        """The in-place bench, built at the template point on first use."""
+        if self._bench is None:
+            from ..lint.rules import candidate_error
+
+            bench = self._build_bench()
+            self._map = opamp_placement(self.template)
+            point = self.template.initial_point()
+            self._point = {name: point[name] for name in self._map}
+            self._values = dict(self._point)
+            tech = self.template.tech
+            self._flagged = {e.name for e in bench if candidate_error(e, tech)}
+            self._template_bench = bench.copy()
+            self._bench = bench
+        return self._bench
+
+    def _changes(self, params: dict[str, float]) -> dict[str, float]:
+        """The placed variables ``params`` moves on the in-place bench.
+
+        A placed variable ``params`` does not name takes the template's
+        value, and a key no placed variable has is ignored.
+        """
+        values = self._values
         return {
             name: value
-            for name, value in params.items()
-            if value != applied[name]
+            for name, default in self._point.items()
+            if (value := params.get(name, default)) != values[name]
         }
 
     def _sizable(
@@ -654,198 +654,32 @@ class OpAmpSizingProblem(SizingProblem):
                 return False
         return True
 
-    def _apply(self, changes: dict[str, float]):
-        """Write ``changes`` into the in-place bench and return it.
+    def _apply(self, changes: dict[str, float]) -> None:
+        """Write ``changes`` into the in-place bench.
 
-        Each written element's :func:`~repro.lint.rules.candidate_error`
-        flag is updated with it, so the lint gate knows whether the
-        bench can draw a candidate-rule error without running the rules.
+        Each element is written once, with every field the candidate
+        sets in it.  Each written element's
+        :func:`~repro.lint.rules.candidate_error` flag is updated with
+        it, so the lint gate knows whether the bench can draw a
+        candidate-rule error without running the rules.
         """
         from ..lint.rules import candidate_error
 
-        circuit, applied, mapping = self._bench_map
+        circuit = self._bench
+        fields: dict[str, dict[str, float]] = {}
+        for name, value in changes.items():
+            for element, field in self._map[name]:
+                fields.setdefault(element, {})[field] = value
+            self._values[name] = value
         tech = self.template.tech
         flagged = self._flagged
-        for name, value in changes.items():
-            for elem_name, field_name in mapping[name]:
-                elem = replace(circuit.element(elem_name), **{field_name: value})
-                circuit.replace(elem)
-                if candidate_error(elem, tech):
-                    flagged.add(elem_name)
-                else:
-                    flagged.discard(elem_name)
-            applied[name] = value
-        return circuit
-
-    def _candidate_bench(self, amp: OpAmp, params: dict[str, float]):
-        """The bench of a candidate :meth:`_changes` cannot place.
-
-        A factory build, except at the first canonical candidate of a
-        problem whose bench map is unproven: the probe runs, and the
-        bench it built at exactly ``params`` becomes the in-place bench.
-        """
-        if self.reuse_state and self._bench_map is None and not self._bench_broken:
-            self._probe_bench_map(params)
-            if self._bench_map is not None:
-                return self._bench_map[0]
-        return self.bench_factory(amp, v_diff=0.0)
-
-    def _probe_bench_map(self, params: dict[str, float]) -> None:
-        """One-time discovery of the variable -> element-field mapping.
-
-        Builds the bench once at ``params`` and once per variable with
-        that variable nudged, and accepts only *identity* mappings: the
-        changed field's old/new values must equal the parameter's
-        old/new values exactly.  Anything else (derived values, changed
-        structure, non-positive parameters) marks the fast path broken
-        and every candidate keeps using the factory build.
-        """
-        from ..lint.rules import candidate_error
-
-        if set(params) != {v.name for v in self._variables}:
-            # A non-canonical dict (extra or missing keys) could bake
-            # effects into the cached bench the mapping would not track;
-            # skip probing and try again on a canonical candidate.
-            return
-        try:
-            base_amp = parameterized_opamp(self.template, params)
-            base = self.bench_factory(base_amp, v_diff=0.0)
-        except ApeError:
-            self._bench_broken = True
-            return
-        base_elements = base.elements
-        base_sig = [(type(e), e.name, e.nodes) for e in base_elements]
-        mapping: dict[str, tuple[tuple[str, str], ...]] = {}
-        for variable in self._variables:
-            name = variable.name
-            value = params.get(name)
-            if value is None or value <= 0.0:
-                self._bench_broken = True
-                return
-            probe_value = value * 1.0625
-            probe_params = dict(params)
-            probe_params[name] = probe_value
-            try:
-                probe = self.bench_factory(
-                    parameterized_opamp(self.template, probe_params),
-                    v_diff=0.0,
-                )
-            except ApeError:
-                self._bench_broken = True
-                return
-            probe_elements = probe.elements
-            if [(type(e), e.name, e.nodes) for e in probe_elements] != base_sig:
-                self._bench_broken = True
-                return
-            entries: list[tuple[str, str]] = []
-            for e0, e1 in zip(base_elements, probe_elements):
-                if e0 == e1:
-                    continue
-                for f in dataclasses.fields(e0):
-                    v0 = getattr(e0, f.name)
-                    v1 = getattr(e1, f.name)
-                    if v0 == v1:
-                        continue
-                    if v0 == value and v1 == probe_value:
-                        entries.append((e0.name, f.name))
-                    else:
-                        self._bench_broken = True
-                        return
-            mapping[name] = tuple(entries)
-        applied = {name: params[name] for name in mapping}
-        tech = self.template.tech
-        self._flagged = {
-            e.name for e in base_elements if candidate_error(e, tech)
-        }
-        self._bench_map = (base, applied, mapping)
-
-    def _drive(
-        self, amp: OpAmp | None, params: dict[str, float], bench, system
-    ):
-        """``(build, column)`` for balancing a railed candidate.
-
-        ``system`` is bound to ``bench``, the candidate's zero-drive
-        bench.  On the in-place bench, once :meth:`_prove_drive` has
-        shown the factory drives it only through the sources
-        :func:`~repro.opamp.benches.differential_drive` names, every
-        driven circuit is a new copy of ``bench`` with those sources
-        retargeted, and the drive column is the problem's own.  The
-        copies share every other element object with ``bench``, so the
-        system rebinds to them as a source-only edit, and ``bench``
-        itself stays at zero drive.  Anything else builds every drive
-        with the factory (from ``amp``, built from ``params`` when the
-        candidate was placed without one), and the column comes from
-        ``bench`` and one build at :data:`BALANCE_SPAN`, as the
-        balance would compute it from a zero-drive build of its own;
-        ``None`` when the drive is not affine, which leaves the balance
-        its bisection.
-        """
-        if self._bench_map is not None and bench is self._bench_map[0]:
-            column = self._proven_column()
-            if column is not None:
-                return _driven_copies(bench), column
-        if amp is None:
-            amp = parameterized_opamp(self.template, params)
-
-        def build(v: float):
-            return self.bench_factory(amp, v_diff=v)
-
-        return build, _drive_column(
-            system, bench, build(BALANCE_SPAN), BALANCE_SPAN
-        )
-
-    def _proven_column(self):
-        """The problem's drive column, proving the drive on first use."""
-        if not self._column_ready:
-            self._column_ready = True
-            self._column = self._prove_drive()
-        return self._column
-
-    def _prove_drive(self):
-        """One-time proof of the in-place drive; its column, or ``None``.
-
-        Builds the template's bench at zero drive, at
-        :data:`BALANCE_SPAN` and at :data:`PROOF_DRIVE`, and accepts
-        only when every build differs from the zero-drive one in
-        exactly the ``dc`` of the sources
-        :func:`~repro.opamp.benches.differential_drive` names, with
-        exactly its values.  Like :meth:`_warm_start` it reads only the
-        template, so the verdict never depends on which candidate
-        rails first.  The column then comes from the zero and span
-        builds, as the balance would compute it for any candidate: no
-        other source moves with the drive, and none moves with the
-        search variables (the bench-map probe proved that).
-        """
-        try:
-            builds = {
-                v: self.bench_factory(self.template, v_diff=v)
-                for v in (0.0, BALANCE_SPAN, PROOF_DRIVE)
-            }
-        except ApeError:
-            return None
-        at_zero = builds[0.0]
-        if not (
-            self._system.structure_matches(at_zero)
-            and all(name in at_zero for name in differential_drive(0.0))
-        ):
-            return None
-        for v, ckt in builds.items():
-            drive = differential_drive(v)
-            if len(ckt) != len(at_zero):
-                return None
-            for a, b in zip(at_zero, ckt):
-                if b.name not in drive:
-                    if a != b:
-                        return None
-                elif not (
-                    isinstance(b, VoltageSource)
-                    and replace(b, dc=a.dc) == a
-                    and b.dc == drive[b.name]
-                ):
-                    return None
-        return _drive_column(
-            System(at_zero), at_zero, builds[BALANCE_SPAN], BALANCE_SPAN
-        )
+        for name, values in fields.items():
+            element = self._written(replace(circuit.element(name), **values))
+            circuit.replace(element)
+            if candidate_error(element, tech):
+                flagged.add(name)
+            else:
+                flagged.discard(name)
 
     def _lint_rejects(self, bench, tech: Technology) -> bool:
         """True when the ERC finds an error — reject before Newton.
@@ -855,10 +689,9 @@ class OpAmpSizingProblem(SizingProblem):
         exactly once: every candidate shares the template's topology,
         so that verdict is a property of the problem, not of whichever
         candidate came first.  The candidate rules, whose verdict moves
-        with the sizing, run per candidate — on the in-place bench only
-        when some element is flagged by
-        :func:`~repro.lint.rules.candidate_error`, since a bench with
-        no flagged element draws no error from them.  Rejections, noqa
+        with the sizing, run per candidate — only when some element is
+        flagged by :func:`~repro.lint.rules.candidate_error`, since a
+        bench with no flagged element draws no error from them.  Rejections, noqa
         tags and Diagnostics are therefore those of a full run.
         """
         from ..lint import lint_circuit
@@ -870,11 +703,7 @@ class OpAmpSizingProblem(SizingProblem):
             )
         report = self._structural_report
         if report.ok:
-            if (
-                not self._flagged
-                and self._bench_map is not None
-                and bench is self._bench_map[0]
-            ):
+            if not self._flagged:
                 return False
             report = lint_circuit(bench, tech=tech, rules=CANDIDATE_RULES)
             if report.ok:

@@ -22,8 +22,9 @@ hand a nominal result to a corner evaluation or vice versa.
 
 The variants of one candidate are evaluated together where the
 numerics allow (see :class:`RobustEvaluator`): one stacked Newton run
-and stacked AWE fits serve the nominal problem and its corners, with
-every result bit, Diagnostic and counter of evaluating them one by one.
+and stacked AWE fits serve the nominal problem, its corners and its
+Monte Carlo samples, with every result bit, Diagnostic and counter of
+evaluating them one by one.
 
 A corner whose simulation fails is a *degraded variant*, not a crash:
 the sizing problem's retry ladder re-attempts the DC solve, a
@@ -35,13 +36,12 @@ and the variant enters the aggregation as a failed evaluation
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import ApeError, SpecificationError
 from ..opamp import OpAmp
-from ..opamp.benches import open_loop_bench
 from ..runtime import faults
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
 from ..runtime.retry import RetryPolicy
@@ -50,11 +50,14 @@ from ..spice.awe import awe_poles_stack
 from ..spice.dc import NewtonStack
 from ..spice.engine import StampStack
 from ..spice.mna import System
+from ..spice.netlist import Mosfet
 from ..technology import Technology
 from ..variation.corners import derive_corner, parse_corner
 from ..variation.montecarlo import (
     MismatchModel,
     derive_sample_seed,
+    mismatch_normals,
+    mismatched_model,
     perturbed_circuit,
 )
 from .cost import FAILURE_COST, RobustCost, worst_case_metrics
@@ -160,8 +163,6 @@ def retarget_opamp(template: OpAmp, tech: Technology) -> OpAmp:
     models move.  The stale per-device operating-point estimates are
     left alone; robust evaluation re-simulates rather than re-estimate.
     """
-    from dataclasses import replace
-
     from ..devices import MosDevice
 
     new_stages = {}
@@ -182,27 +183,6 @@ def retarget_opamp(template: OpAmp, tech: Technology) -> OpAmp:
     return replace(template, tech=tech, stages=new_stages, devices=devices)
 
 
-class _MismatchBench:
-    """Bench factory applying one fixed mismatch realization.
-
-    A fresh :class:`random.Random` seeded with the sample's derived
-    seed is drawn on *every* call, so the perturbation is a pure
-    function of ``(seed, candidate geometry)`` — never of how many
-    benches were built before.  That keeps Monte Carlo variants
-    canonical and therefore memoizable and order-independent.
-    """
-
-    def __init__(self, seed: int, mismatch: MismatchModel) -> None:
-        self.seed = seed
-        self.mismatch = mismatch
-
-    def __call__(self, amp: OpAmp, v_diff: float = 0.0):
-        bench = open_loop_bench(amp, v_diff=v_diff)
-        return perturbed_circuit(
-            bench, random.Random(self.seed), self.mismatch
-        )
-
-
 class _VariantProblem(OpAmpSizingProblem):
     """A corner or Monte Carlo variant of the nominal sizing problem.
 
@@ -216,15 +196,59 @@ class _VariantProblem(OpAmpSizingProblem):
         return False
 
 
+class _SampleProblem(_VariantProblem):
+    """One Monte Carlo mismatch sample of the nominal sizing problem.
+
+    Its bench is :func:`~repro.variation.montecarlo.perturbed_circuit`
+    of the template bench, drawn from a :class:`random.Random` seeded
+    with the sample's derived seed; the problem keeps each MOSFET's
+    unperturbed card and the two normals drawn for it.  A candidate
+    that resizes a device re-derives that device's card alone
+    (:func:`~repro.variation.montecarlo.mismatched_model`), so the
+    bench is always the sample drawn on the candidate's fresh bench: a
+    pure function of ``(seed, candidate)`` — canonical, and therefore
+    memoizable and order-independent.
+    """
+
+    def __init__(
+        self, template: OpAmp, variables: list[Variable], seed: int,
+        mismatch: MismatchModel, **kwargs,
+    ) -> None:
+        super().__init__(template, variables, **kwargs)
+        self.seed = seed
+        self.mismatch = mismatch
+        #: MOSFET name -> its unperturbed card and its two normals.
+        self._cards: dict[str, tuple] = {}
+
+    def _build_bench(self):
+        bench = super()._build_bench()
+        self._cards = {
+            name: (bench.element(name).model, normals)
+            for name, normals in mismatch_normals(
+                bench, random.Random(self.seed)
+            ).items()
+        }
+        return perturbed_circuit(
+            bench, random.Random(self.seed), self.mismatch
+        )
+
+    def _written(self, element):
+        if not isinstance(element, Mosfet):
+            return element
+        model, normals = self._cards[element.name]
+        return replace(element, model=mismatched_model(
+            model, element.w, element.l, normals, self.mismatch
+        ))
+
+
 class _Family:
     """One candidate's family, evaluated as one stack.
 
-    The members are the nominal problem and every corner problem on an
-    in-place bench (Monte Carlo problems build a bench per candidate,
-    so they never are).  :meth:`evaluate` returns, for a member, the
-    metrics its own ``evaluate(params)`` returns — the
-    :class:`RobustEvaluator` still calls it member by member, in the
-    per-variant order, around each member's memo lookup and store.
+    The members are the nominal problem and every corner and Monte
+    Carlo problem that has bound its system.  :meth:`evaluate` returns,
+    for a member, the metrics its own ``evaluate(params)`` returns —
+    the :class:`RobustEvaluator` still calls it member by member, in
+    the per-variant order, around each member's memo lookup and store.
 
     Work runs ahead of that order only where it records nothing: a
     member's candidate is applied and its first plain Newton run made,
@@ -237,10 +261,10 @@ class _Family:
     :meth:`OpAmpSizingProblem._stackable`) is evaluated per variant.
 
     With ``speculate`` — no screen, or a screen that kept the previous
-    candidate — the corners whose memo entries are missing join the
+    candidate — the variants whose memo entries are missing join the
     nominal's Newton run and AWE fit before the screen has spoken, and
-    a screened candidate's corner work is dropped unseen.  Without it
-    the nominal is evaluated alone and the corners together once the
+    a screened candidate's variant work is dropped unseen.  Without it
+    the nominal is evaluated alone and the variants together once the
     screen has kept the candidate.  Consecutive candidates of an
     annealing chain are neighbours, so the last verdict predicts the
     next: APE-box chains are kept nearly always, while standalone-box
@@ -306,9 +330,9 @@ class _Family:
         return problem._measured(self.solved[label], self.models[label])
 
     def _riders(self) -> dict[str, _Candidate]:
-        """The corners that join a Newton stack now, applied.
+        """The variants that join a Newton stack now, applied.
 
-        A corner rides when the stack holds it, its memo entry is
+        A variant rides when the stack holds it, its memo entry is
         missing and :meth:`OpAmpSizingProblem._stackable` admits the
         candidate, so applying it records nothing.
         """
@@ -380,11 +404,11 @@ class RobustEvaluator:
 
     Owns one :class:`OpAmpSizingProblem` per variant: the nominal
     problem (shared with the plain synthesis path when provided), one
-    retargeted problem per corner, and one mismatch-bench problem per
-    Monte Carlo sample.  ``evaluate(params)`` returns the aggregated
-    ``(cost, worst_case_metrics)`` pair the annealer consumes;
-    ``detail(params)`` fans a candidate out to *every* variant
-    (screening ignored) for final reporting.
+    retargeted problem per corner, and one perturbed-bench problem per
+    Monte Carlo sample (:class:`_SampleProblem`).  ``evaluate(params)``
+    returns the aggregated ``(cost, worst_case_metrics)`` pair the
+    annealer consumes; ``detail(params)`` fans a candidate out to
+    *every* variant (screening ignored) for final reporting.
 
     Structural choices worth noting:
 
@@ -394,21 +418,19 @@ class RobustEvaluator:
     * Corner/MC problems skip the lint gate (:class:`_VariantProblem`)
       — the electrical rule check is structural + geometric and the
       nominal problem already gates the candidate once.
-    * Each variant problem warm-starts from its own template.  Monte
-      Carlo problems keep factory-built benches: their mismatch depends
-      on device geometry (Pelgrom), so the in-place probe refuses them.
+    * Each variant problem warm-starts from its own template bench:
+      a corner's retargeted one, a sample's perturbed one.
     * A candidate's family is evaluated as one stack (:class:`_Family`):
-      the nominal problem and every corner problem on an in-place bench
-      make their first Newton run together and fit their AWE models
+      the nominal problem, its corners and its Monte Carlo samples make
+      their first Newton run together and fit their AWE models
       together, bit for bit what each problem's own ``evaluate``
       returns.  Every member the stack cannot take runs its own
-      ``evaluate``: Monte Carlo samples, candidates off the in-place
-      bench or outside the device checks, a failed plain Newton run (it
-      goes on down its DC ladder) and a railed output (it is balanced);
-      and every member while a fault injector is armed or on the sparse
-      backend.  Metrics, Diagnostics (nominal first, then the
-      :attr:`problems` order), memo traffic, retries and the counters
-      below are the per-variant path's.
+      ``evaluate``: candidates outside the device checks, a failed
+      plain Newton run (it goes on down its DC ladder) and a railed
+      output (it is balanced); and every member while a fault injector
+      is armed or on the sparse backend.  Metrics, Diagnostics
+      (nominal first, then the :attr:`problems` order), memo traffic,
+      retries and the counters below are the per-variant path's.
     """
 
     def __init__(
@@ -457,14 +479,13 @@ class RobustEvaluator:
                 diagnostics=diagnostics,
             )
         for index in range(robust.mc_samples):
-            self.problems[f"mc:{index}"] = _VariantProblem(
+            self.problems[f"mc:{index}"] = _SampleProblem(
                 template,
                 variables,
+                derive_sample_seed(robust.mc_seed, index),
+                mismatch,
                 retry=retry,
                 diagnostics=diagnostics,
-                bench_factory=_MismatchBench(
-                    derive_sample_seed(robust.mc_seed, index), mismatch
-                ),
             )
         #: Optional tagged evaluation cache (assigned by the caller;
         #: the executor clears it while a fault injector is armed).
@@ -637,19 +658,15 @@ class RobustEvaluator:
 
         ``None`` runs every variant through its own ``evaluate``: while
         a fault injector is armed (it draws its decisions call by call,
-        in that order), on the sparse backend, and until the nominal or
-        a corner problem and one more have in-place benches.
+        in that order), on the sparse backend, and until two problems
+        have evaluated a candidate (each binds its system at its first).
         """
         if faults.active() is not None:
             return None
         members: dict[str, OpAmpSizingProblem] = {}
         systems: list[System] = []
         for label, problem in (("nominal", self.nominal), *self.problems.items()):
-            if (
-                problem is None
-                or problem._bench_map is None
-                or problem._system is None
-            ):
+            if problem is None or problem._system is None:
                 continue
             members[label] = problem
             systems.append(problem._system)

@@ -6,6 +6,11 @@ standard deviation of a matched-pair parameter scales as
 model perturbed in threshold voltage and current factor, then runs a
 caller-supplied measurement; the result collects per-sample metrics
 with mean/sigma/yield summaries.
+
+A sample is two standard normals per MOSFET, drawn in circuit order
+(:func:`mismatch_normals`); a device's card is a function of its
+unperturbed card, its W and L and its normals
+(:func:`mismatched_model`), so a resize re-derives only its own card.
 """
 
 from __future__ import annotations
@@ -18,11 +23,14 @@ from typing import Callable
 
 from ..errors import ApeError, SimulationError
 from ..spice import Circuit, Mosfet
+from ..technology import MosModelParams
 
 __all__ = [
     "MismatchModel",
     "MonteCarloResult",
     "derive_sample_seed",
+    "mismatch_normals",
+    "mismatched_model",
     "perturbed_circuit",
     "monte_carlo",
     "opamp_offset_spread",
@@ -92,6 +100,50 @@ class MonteCarloResult:
         return passing / total
 
 
+def mismatch_normals(
+    circuit: Circuit, rng: random.Random
+) -> dict[str, tuple[float, float]]:
+    """MOSFET name -> its ``(threshold, current factor)`` standard normals.
+
+    Two draws per MOSFET, in circuit order: a circuit's sample depends
+    on its element order and ``rng``, never on its geometry.
+    """
+    return {
+        element.name: (rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0))
+        for element in circuit
+        if isinstance(element, Mosfet)
+    }
+
+
+def mismatched_model(
+    model: MosModelParams,
+    w: float,
+    l: float,
+    normals: tuple[float, float],
+    mismatch: MismatchModel,
+) -> MosModelParams:
+    """``model`` perturbed for a ``w`` x ``l`` device by its two normals.
+
+    Threshold shifts are additive Gaussians with Pelgrom sigma; the
+    current factor is scaled by ``1 + N(0, sigma_beta)``.  The shift is
+    applied toward weaker conduction when it would flip the sign of
+    VTO (pathological only for near-zero-VT models).
+    """
+    z_vt, z_beta = normals
+    # ``0.0 + z * sigma`` is what ``rng.gauss(0.0, sigma)`` returns for
+    # the draw ``z``, so a card derived here is the one a direct draw
+    # at this geometry gives, bit for bit.
+    d_vt = 0.0 + z_vt * mismatch.sigma_vt(w, l)
+    d_beta = 0.0 + z_beta * mismatch.sigma_beta(w, l)
+    # The shift applies to the threshold *magnitude* so the model's
+    # polarity constraint (NMOS VTO > 0 > PMOS VTO) is preserved.
+    sign = 1.0 if model.vto >= 0 else -1.0
+    return model.with_(
+        vto=sign * max(abs(model.vto) + d_vt, 1e-3),
+        kp=model.kp_effective * max(1.0 + d_beta, 0.01),
+    )
+
+
 def perturbed_circuit(
     circuit: Circuit,
     rng: random.Random,
@@ -99,29 +151,17 @@ def perturbed_circuit(
 ) -> Circuit:
     """A copy of ``circuit`` with every MOSFET's model perturbed.
 
-    Threshold shifts are additive Gaussians with Pelgrom sigma; the
-    current factor is scaled by ``1 + N(0, sigma_beta)``.  The shift is
-    applied toward weaker conduction when it would flip the sign of
-    VTO (pathological only for near-zero-VT models).
+    Each MOSFET's card is :func:`mismatched_model` of its own card at
+    its own geometry, by its normals of :func:`mismatch_normals`.
     """
     if mismatch is None:
         mismatch = MismatchModel()
     dup = circuit.copy(title=f"{circuit.title}-mc")
-    for element in circuit:
-        if not isinstance(element, Mosfet):
-            continue
-        model = element.model
-        d_vt = rng.gauss(0.0, mismatch.sigma_vt(element.w, element.l))
-        d_beta = rng.gauss(0.0, mismatch.sigma_beta(element.w, element.l))
-        # The shift applies to the threshold *magnitude* so the model's
-        # polarity constraint (NMOS VTO > 0 > PMOS VTO) is preserved.
-        sign = 1.0 if model.vto >= 0 else -1.0
-        new_vto = sign * max(abs(model.vto) + d_vt, 1e-3)
-        new_model = model.with_(
-            vto=new_vto,
-            kp=model.kp_effective * max(1.0 + d_beta, 0.01),
-        )
-        dup.replace(replace(element, model=new_model))
+    for name, normals in mismatch_normals(circuit, rng).items():
+        element = circuit.element(name)
+        dup.replace(replace(element, model=mismatched_model(
+            element.model, element.w, element.l, normals, mismatch
+        )))
     return dup
 
 

@@ -11,9 +11,11 @@ solve of ``build(v)`` from it converges in one iteration.  They pin
 the bisection fallback for builds the bordered solve must not take,
 and the sizing problem's railed recipe: a problem whose template rails
 balances every candidate directly from the template's balanced point,
-with no zero-drive solve, on copies of the cached bench with a
-per-problem drive column, returning the same floats as factory-built
-drives and as a fresh problem per candidate.
+with no zero-drive solve, on copies of its in-place bench with a
+per-problem drive column.  Those copies equal benches built from
+scratch at every drive, the column equals the one two such builds
+give, and the floats equal those of benches built from scratch and of
+a fresh problem per candidate.
 """
 
 import dataclasses
@@ -29,10 +31,10 @@ from repro.errors import ApeError
 from repro.opamp import OpAmpSpec, OpAmpTopology, design_opamp, open_loop_bench
 from repro.opamp.benches import differential_drive
 from repro.spice import dc_operating_point
-from repro.spice.analysis import balance_differential
+from repro.spice.analysis import _drive_column, balance_differential
+from repro.spice.mna import System
 from repro.synthesis.problems import (
     BALANCE_SPAN,
-    PROOF_DRIVE,
     RAIL,
     OpAmpSizingProblem,
     ape_ranges,
@@ -40,6 +42,7 @@ from repro.synthesis.problems import (
     standalone_ranges,
 )
 from repro.technology import generic_05um
+from tests.oracles import factory_evaluate
 
 TECH = generic_05um()
 MIRROR = OpAmpTopology(
@@ -99,19 +102,14 @@ def _bisection_only(patch) -> None:
     patch.setattr(analysis, "_balance_bordered", lambda *a: None)
 
 
-def _counting_factory(calls: list):
-    """The default bench factory, recording the drive of every build."""
+def _counting_bench(calls: list):
+    """``open_loop_bench``, recording the drive of every build."""
 
-    def factory(amp, v_diff=0.0):
+    def bench(amp, v_diff=0.0):
         calls.append(v_diff)
         return open_loop_bench(amp, v_diff=v_diff)
 
-    return factory
-
-
-def _shifted_drive(v_diff, v_cm=0.0):
-    """A drive the factory does not apply: the drive proof rejects it."""
-    return differential_drive(v_diff, v_cm + 1.0)
+    return bench
 
 
 def _exact(metrics) -> dict[str, str]:
@@ -171,18 +169,27 @@ class TestBorderedBalance:
 
 class TestBisectionFallback:
     @staticmethod
-    def _offset_factory(shift: float):
-        """A bench whose null lies ``shift`` volts outside the bracket."""
+    def _offset_bench(shift: float):
+        """A bench whose null lies ``shift`` volts of drive outside the
+        bracket, whatever drive its copies are given: a source in series
+        with each input source adds half the shift."""
 
-        def factory(amp, v_diff=0.0):
-            return open_loop_bench(amp, v_diff=v_diff + shift)
+        def bench(amp, v_diff=0.0):
+            ckt = open_loop_bench(amp, v_diff=v_diff)
+            for name, node, dc in (
+                ("VINP", "inp_ofs", shift / 2.0),
+                ("VINN", "inn_ofs", -shift / 2.0),
+            ):
+                ckt.replace(dataclasses.replace(ckt.element(name), nn=node))
+                ckt.v(node, "0", dc=dc, name=f"{name}OFS")
+            return ckt
 
-        return factory
+        return bench
 
     def test_unbalanceable_amp_returns_nearer_end(self, railed_candidates):
         amp, params, _ = railed_candidates[0]
         sized = parameterized_opamp(amp, params)
-        factory = self._offset_factory(2.0)
+        factory = self._offset_bench(2.0)
         ends = [
             dc_operating_point(factory(sized, v)).v("out")
             for v in (-0.5, 0.5)
@@ -198,17 +205,13 @@ class TestBisectionFallback:
         self, railed_candidates, monkeypatch
     ):
         amp, params, _ = railed_candidates[0]
-        factory = self._offset_factory(2.0)
-        problem = OpAmpSizingProblem(
-            amp, ape_ranges(amp), bench_factory=factory
-        )
+        monkeypatch.setattr(problems, "open_loop_bench", self._offset_bench(2.0))
+        problem = OpAmpSizingProblem(amp, ape_ranges(amp))
         metrics = problem.evaluate(params)
         assert metrics["gain"] == 0.0
         assert math.isnan(metrics["ugf"])
         _bisection_only(monkeypatch)
-        reference = OpAmpSizingProblem(
-            amp, ape_ranges(amp), bench_factory=factory
-        ).evaluate(params)
+        reference = OpAmpSizingProblem(amp, ape_ranges(amp)).evaluate(params)
         assert metrics.keys() == reference.keys()
         for key, value in reference.items():
             if isinstance(value, float) and math.isnan(value):
@@ -256,71 +259,84 @@ class TestInPlaceDrive:
     def test_same_floats_as_the_factory_path(
         self, railed_candidates, monkeypatch, bisection
     ):
+        """The in-place drive returns the floats of benches built from
+        scratch at every drive, started from the same template points."""
         if bisection:
             _bisection_only(monkeypatch)
-        in_place = []
         for problem, params in _by_row(railed_candidates):
-            in_place.append(_exact(problem.evaluate(params)))
+            in_place = _exact(problem.evaluate(params))
             assert problem._column is not None
-        monkeypatch.setattr(problems, "differential_drive", _shifted_drive)
-        factory = []
+            assert in_place == _exact(
+                factory_evaluate(problem, params, warm=True)
+            )
+
+    def test_driven_copies_equal_factory_builds(
+        self, railed_candidates, monkeypatch
+    ):
+        """A driven copy of the in-place bench equals the bench built
+        from scratch at that drive: at zero, at the balance span, at a
+        negative non-dyadic drive and at every drive a bisection asks
+        for."""
+        _bisection_only(monkeypatch)
+        drives = []
+        copies = problems._driven_copies
+
+        def spy(bench):
+            build = copies(bench)
+
+            def recorded(v):
+                drives.append(v)
+                return build(v)
+
+            return recorded
+
+        monkeypatch.setattr(problems, "_driven_copies", spy)
         for problem, params in _by_row(railed_candidates):
-            factory.append(_exact(problem.evaluate(params)))
-            assert problem._column_ready and problem._column is None
-        assert in_place == factory
+            del drives[:]
+            problem.evaluate(params)
+            bisected = [v for v in drives if v not in (0.0, BALANCE_SPAN)]
+            assert len(bisected) > 2
+            amp = parameterized_opamp(problem.template, params)
+            for v in (0.0, BALANCE_SPAN, -0.3, *bisected):
+                built = open_loop_bench(amp, v_diff=v)
+                assert copies(problem._bench)(v).elements == built.elements
 
-    def test_factory_builds_only_for_the_proof(self, railed_candidates):
+    def test_column_equals_two_factory_builds(self, railed_candidates):
+        for problem, params in _by_row(railed_candidates):
+            problem.evaluate(params)
+            amp = parameterized_opamp(problem.template, params)
+            at_zero = open_loop_bench(amp, v_diff=0.0)
+            at_span = open_loop_bench(amp, v_diff=BALANCE_SPAN)
+            column = _drive_column(
+                System(at_zero), at_zero, at_span, BALANCE_SPAN
+            )
+            assert np.array_equal(problem._column, column)
+
+    def test_one_bench_build_per_problem(
+        self, railed_candidates, monkeypatch
+    ):
+        """A railed problem builds its bench once, at zero drive; its
+        candidates and their drives build none."""
         amp = railed_candidates[0][0]
         rows = [params for a, params, _ in railed_candidates if a is amp]
         calls: list[float] = []
-        problem = OpAmpSizingProblem(
-            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
-        )
-        assert problem.evaluate(rows[0]) is not None
-        assert calls[-3:] == [0.0, BALANCE_SPAN, PROOF_DRIVE]
-        assert [v for v in calls if v != 0.0] == [BALANCE_SPAN, PROOF_DRIVE]
-        built = len(calls)
-        for params in rows[1:]:
+        monkeypatch.setattr(problems, "open_loop_bench", _counting_bench(calls))
+        problem = OpAmpSizingProblem(amp, ape_ranges(amp))
+        for params in rows:
             assert problem.evaluate(params) is not None
-            assert len(calls) == built
+        assert calls == [0.0]
+        assert problem._balanced_x0 is not None
 
-    def test_factory_path_builds_each_drive_once(self, railed_candidates):
-        """A dict with a key no variable names takes the factory path:
-        each railed candidate builds its zero-drive bench, one bench at
-        the balance span for the drive column, and the balanced bench —
-        the column comes from the zero-drive bench already built."""
-        amp = railed_candidates[0][0]
-        rows = [params for a, params, _ in railed_candidates if a is amp]
-        calls: list[float] = []
-        problem = OpAmpSizingProblem(
-            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
-        )
-        reference = OpAmpSizingProblem(amp, ape_ranges(amp))
-        assert problem.evaluate({**rows[0], "extra": 1.0}) is not None
-        for params in rows[1:]:
-            built = len(calls)
-            metrics = problem.evaluate({**params, "extra": 1.0})
-            drives = calls[built:]
-            assert len(drives) == 3
-            assert drives[:2] == [0.0, BALANCE_SPAN]
-            assert abs(drives[2]) < BALANCE_SPAN
-            assert _exact(metrics) == _exact(reference.evaluate(params))
-
-    def test_buffered_problem_never_proves(self):
+    def test_buffered_problem_never_computes_a_column(self):
         spec = OpAmpSpec(gain=70, ugf=3.0e6, area=3000e-12, ibias=2e-6, cl=10e-12)
         topology = OpAmpTopology(
             current_source="wilson", output_buffer=True, z_load=1e3
         )
         amp = design_opamp(TECH, spec, topology, name="oa1")
-        calls: list[float] = []
-        problem = OpAmpSizingProblem(
-            amp, ape_ranges(amp), bench_factory=_counting_factory(calls)
-        )
+        problem = OpAmpSizingProblem(amp, ape_ranges(amp))
         for params in _candidates(amp, seed=7):
             assert problem.evaluate(params) is not None
-        assert problem._bench_map is not None
-        assert not problem._column_ready
-        assert set(calls) == {0.0}
+        assert problem._column is None
 
     def test_bisection_returns_its_own_circuit(
         self, railed_candidates, monkeypatch
@@ -337,7 +353,7 @@ class TestInPlaceDrive:
         for problem, params in _by_row(railed_candidates):
             problem.evaluate(params)
             v, ckt, op = returned[-1]
-            bench = problem._bench_map[0]
+            bench = problem._bench
             assert problem._column is not None
             assert ckt is not bench
             assert op.system.circuit is ckt

@@ -1,9 +1,9 @@
 """Candidates applied to the in-place bench as deltas, against fresh problems.
 
-Once the bench-map probe has proven the in-place bench, an
-:class:`OpAmpSizingProblem` writes only the variables a candidate
-changes, checks only those devices' geometry and lints the candidate
-only when a written element is flagged.  Evaluation is canonical, so a
+An :class:`OpAmpSizingProblem` builds its bench once, at the template
+point, writes only the variables a candidate changes (through the map
+its placement declares), checks only those devices' geometry and lints
+the candidate only when a written element is flagged.  Evaluation is canonical, so a
 long-lived problem must answer every candidate exactly as a problem
 built for that one point does: the same metrics bit for bit, the same
 Diagnostics and the same ``lint_rejections`` step.  Walks that leave
@@ -23,8 +23,9 @@ from pathlib import Path
 
 import pytest
 
+import repro.synthesis.problems as problems
 from repro.opamp import coarse_design_opamp
-from repro.opamp.benches import open_loop_bench
+from repro.opamp.benches import opamp_placement, open_loop_bench
 from repro.parallel import executor
 from repro.runtime.diagnostics import DiagnosticLog
 from repro.spice.mna import System
@@ -108,7 +109,6 @@ def test_long_lived_problem_matches_a_fresh_one(name, tech_name, mode):
         if got[0] is not None:
             point = moved
     assert "ok" in kinds
-    assert problem._bench_map is not None, "the in-place bench was not used"
 
 
 def test_walks_reach_rejections_and_sizing_errors():
@@ -130,31 +130,27 @@ def test_walks_reach_rejections_and_sizing_errors():
     assert "effective length" in unsized[1][0][2]
 
 
-def test_noqa_tag_keeps_a_flagged_candidate():
+def test_noqa_tag_keeps_a_flagged_candidate(monkeypatch):
     """A flagged element still runs the rules, so its noqa tag holds."""
     tech = generic_05um()
     template, variables = _setup(tech, "oa0", "ape")
     point = _start(template, variables)
     w_key = next(v.name for v in variables if v.name.endswith(".w"))
-    probe = OpAmpSizingProblem(template, variables)
-    probe.evaluate(point)
-    (element, _field), = probe._bench_map[2][w_key]
+    (element, _field), = opamp_placement(template)[w_key]
 
     def tagged_bench(amp, v_diff=0.0):
         ckt = open_loop_bench(amp, v_diff=v_diff)
         ckt.noqa(element, "E301")
         return ckt
 
-    problem = OpAmpSizingProblem(template, variables, bench_factory=tagged_bench)
+    monkeypatch.setattr(problems, "open_loop_bench", tagged_bench)
+    problem = OpAmpSizingProblem(template, variables)
     problem.evaluate(point)
     thin = {**point, w_key: point[w_key] * 0.05}
     got = _outcome(problem, thin)
     assert got[2] == 0
-    assert got == _outcome(
-        OpAmpSizingProblem(template, variables, bench_factory=tagged_bench),
-        thin,
-    )
-    assert problem._bench_map is not None
+    assert got == _outcome(OpAmpSizingProblem(template, variables), thin)
+    assert problem._bench.noqa_tags(element) == {"E301"}
 
 
 class TestLintGate:

@@ -343,7 +343,8 @@ class TestValidateIntegration:
 class TestSynthesisGate:
     """The gate rejects structurally broken candidates without a solve."""
 
-    def _problem(self):
+    def _problem(self, monkeypatch):
+        import repro.synthesis.problems as problems
         from repro.opamp import OpAmpSpec, coarse_design_opamp
         from repro.opamp.benches import open_loop_bench
         from repro.spice.netlist import Mosfet
@@ -367,9 +368,9 @@ class TestSynthesisGate:
             rebuilt.c(target.ng, floated.ng, 1e-12, name="CACGATE")
             return rebuilt
 
-        problem = OpAmpSizingProblem(
-            template, ape_ranges(template), bench_factory=floating_gate_bench
-        )
+        # A problem builds its bench on its first candidate.
+        monkeypatch.setattr(problems, "open_loop_bench", floating_gate_bench)
+        problem = OpAmpSizingProblem(template, ape_ranges(template))
         base = template.initial_point()
         candidates = [
             {key: value * scale for key, value in base.items()}
@@ -390,13 +391,13 @@ class TestSynthesisGate:
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(problems, "dc_operating_point", counted)
-        gated, candidates = self._problem()
+        gated, candidates = self._problem(monkeypatch)
         assert [gated.evaluate(p) for p in candidates] == [None] * 4
         assert gated.lint_rejections == 4
         assert solves == []
         # The same problem without its gate solves the template and
         # every candidate: five DC solves the gate saves.
-        ungated, candidates = self._problem()
+        ungated, candidates = self._problem(monkeypatch)
         monkeypatch.setattr(ungated, "_lint_rejects", lambda bench, tech: False)
         for params in candidates:
             ungated.evaluate(params)

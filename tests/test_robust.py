@@ -343,11 +343,12 @@ class TestRobustEvaluator:
             "nominal", params
         )
 
-    def test_mc_problems_keep_factory_benches(self, template):
-        """Mismatch depends on W/L, so the in-place probe refuses Monte
-        Carlo benches; the warm-started sample still matches a
-        from-scratch evaluation to solver tolerance."""
-        from repro.synthesis.problems import OpAmpSizingProblem, ape_ranges
+    def test_mc_sample_matches_a_from_scratch_evaluation(self, template):
+        """A sample evaluates on its in-place perturbed bench, warm
+        started from its own template, and still matches an evaluation
+        on perturbed benches built from scratch to solver tolerance."""
+        from repro.synthesis.problems import ape_ranges
+        from tests.oracles import factory_evaluate, mismatch_factory
 
         variables = ape_ranges(template)
         point = template.initial_point()
@@ -358,16 +359,56 @@ class TestRobustEvaluator:
         evaluator = self._evaluator(template, corners=("tt",), mc_samples=1)
         problem = evaluator.problems["mc:0"]
         metrics = problem.evaluate(params)
-        assert problem._bench_broken and problem._bench_map is None
         assert problem._warm_x0 is not None
-        reference = OpAmpSizingProblem(
-            template, variables, reuse_state=False,
-            bench_factory=problem.bench_factory,
-        ).evaluate(params)
+        reference = factory_evaluate(
+            problem, params, mismatch_factory(problem.seed, problem.mismatch)
+        )
         assert metrics is not None and reference is not None
         assert set(metrics) == set(reference)
         for key, value in reference.items():
             assert metrics[key] == pytest.approx(value, rel=1e-3, abs=1e-12), key
+
+    def test_sample_bench_is_the_sample_of_a_fresh_bench(self, template):
+        """After every candidate, a sample's in-place bench equals the
+        sample drawn on that candidate's freshly built bench, element
+        for element, also when one move resizes a device's W and L
+        together (its card is re-derived once, at the final W*L)."""
+        import random
+
+        from repro.opamp.benches import open_loop_bench
+        from repro.synthesis.problems import ape_ranges, parameterized_opamp
+        from repro.variation.montecarlo import perturbed_circuit
+
+        variables = ape_ranges(template)
+        bounds = {v.name: (v.lo, v.hi) for v in variables}
+        devices = sorted({v.name[:-2] for v in variables if v.name[-2:] == ".w"})
+        evaluator = self._evaluator(template, corners=("tt",), mc_samples=2)
+        rng = random.Random(29)
+        for label in ("mc:0", "mc:1"):
+            problem = evaluator.problems[label]
+            point = template.initial_point()
+            params = {
+                name: min(max(point[name], lo), hi)
+                for name, (lo, hi) in bounds.items()
+            }
+            for move in range(12):
+                if move % 3 == 2:
+                    device = rng.choice(devices)
+                    keys = (f"{device}.w", f"{device}.l")
+                else:
+                    keys = (rng.choice(variables).name,)
+                params = dict(params)
+                for key in keys:
+                    lo, hi = bounds[key]
+                    value = params[key] * rng.uniform(0.85, 1.15)
+                    params[key] = min(max(value, lo), hi)
+                problem.evaluate(params)
+                fresh = perturbed_circuit(
+                    open_loop_bench(parameterized_opamp(template, params)),
+                    random.Random(problem.seed),
+                    problem.mismatch,
+                )
+                assert problem._bench.elements == fresh.elements, (label, move)
 
 
 # ----------------------------------------------------- engine integration

@@ -1,11 +1,20 @@
 """DC operating-point solver tests against hand-solvable circuits."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from repro.errors import ConvergenceError, NetlistError
+from repro.opamp import balanced_open_loop, coarse_design_opamp, open_loop_bench
 from repro.spice import Circuit, dc_operating_point, dc_sweep
 from repro.technology import generic_05um
+from tests.oracles import mosfet_op_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from paper_tables import TABLE1  # noqa: E402
 
 TECH = generic_05um()
 NMOS = TECH.nmos
@@ -192,6 +201,24 @@ class TestMosfetDC:
         ckt.m("d", "d", "0", "0", NMOS, w=20e-6, l=1.2e-6)
         op = dc_operating_point(ckt)
         assert op.saturation_fraction() == 1.0
+
+
+@pytest.mark.parametrize("row", TABLE1, ids=lambda row: row.name)
+def test_op_table_equals_four_evaluations(row):
+    """One drain-law evaluation per MOSFET gives the table of four
+    device-model evaluations, bit for bit, at each Table-1 bench's
+    zero-drive and balanced operating points."""
+    template, _ = coarse_design_opamp(
+        TECH, row.spec(), row.topology(), name=row.name
+    )
+    ops = [
+        dc_operating_point(open_loop_bench(template)),
+        balanced_open_loop(template)[2],
+    ]
+    for op in ops:
+        table = op.mosfet_ops
+        assert len(table) == len(op.system.circuit.mosfets())
+        assert repr(table) == repr(mosfet_op_table(op.system, op.x))
 
 
 class TestRobustness:

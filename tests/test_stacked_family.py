@@ -1,10 +1,10 @@
 """A robust candidate's family evaluated as one stack, bit for bit.
 
 :class:`~repro.synthesis.robust.RobustEvaluator` evaluates a candidate's
-nominal problem and corner problems together: one stacked Newton run
-(:class:`~repro.spice.dc.NewtonStack`) and stacked AWE fits
-(:func:`~repro.spice.awe.awe_poles_stack`).  The members the stack
-cannot take — Monte Carlo samples, a failed plain Newton run (its DC
+nominal problem, corner problems and Monte Carlo sample problems
+together: one stacked Newton run (:class:`~repro.spice.dc.NewtonStack`)
+and stacked AWE fits (:func:`~repro.spice.awe.awe_poles_stack`).  The
+members the stack cannot take — a failed plain Newton run (its DC
 ladder), a railed output (its balancing), every member while a fault
 injector is armed or on the sparse backend — go through their own
 ``evaluate``.
@@ -300,12 +300,30 @@ class TestStackedEqualsPerVariant:
         _compare("OpAmp1", "standalone", robust, candidates, memo=EvalMemo)
         assert bool(stacked_runs) == _stack_expected("OpAmp1")
 
-    def test_monte_carlo_sample_rides_per_variant(self, stacked_runs):
-        robust = RobustSpec(corners=TT_SS_FF, mc_samples=1)
-        candidates = _candidates("OpAmp1", "ape", moves=8, seed=6)
-        records = _compare("OpAmp1", "ape", robust, candidates)
-        assert all("mc:0" in dict(family) for family, _, _ in records)
-        assert bool(stacked_runs) == _stack_expected("OpAmp1")
+    def test_monte_carlo_samples_join_the_stack(self, stacked_runs):
+        """Samples evaluate on their in-place perturbed benches.  On
+        oa9 (buffered) ``mc:0``'s template does not rail, so it rides
+        the nominal's Newton run and AWE fit; ``mc:1``'s offset rails
+        its template, so it is balanced per variant.  Out-of-box moves
+        put lint rejections and SizingErrors among them (unscreened, so
+        every member meets them)."""
+        robust = RobustSpec(corners=TT_SS_FF, mc_samples=2,
+                            screen_threshold=None)
+        candidates = _candidates("oa9", "ape", moves=12, seed=6, leave_box=4)
+        records = _compare("oa9", "ape", robust, candidates, memo=EvalMemo)
+        subsystems = {d[0] for _, diagnostics, _ in records for d in diagnostics}
+        assert {"synthesis.lint", "synthesis.evaluate"} <= subsystems
+        assert all(
+            {"mc:0", "mc:1"} <= dict(family).keys()
+            for family, _, _ in records
+        )
+        if not _stack_expected("oa9"):
+            assert not stacked_runs
+            return
+        # Stack members: nominal, ss, ff, mc:0, mc:1 (tt is an alias).
+        assert {len(run.stack.systems) for run in stacked_runs} == {5}
+        riders = set().union(*(run.outcomes for run in stacked_runs))
+        assert 3 in riders and 4 not in riders
 
     def test_railed_outputs_balance_per_variant(self, stacked_runs):
         """oa3's template rails: every candidate is balanced, so no

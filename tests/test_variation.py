@@ -1,11 +1,14 @@
 """Process-corner and Monte Carlo mismatch tests."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ApeError, TechnologyError
-from repro.opamp import OpAmpSpec, design_opamp
+from repro.opamp import OpAmpSpec, coarse_design_opamp, design_opamp
+from repro.opamp.benches import open_loop_bench
 from repro.spice import Circuit, dc_operating_point
 from repro.technology import generic_05um
 from repro.variation import (
@@ -17,6 +20,12 @@ from repro.variation import (
     opamp_offset_spread,
     perturbed_circuit,
 )
+from repro.variation.montecarlo import derive_sample_seed
+from tests import oracles
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from paper_tables import TABLE1  # noqa: E402
 
 TECH = generic_05um()
 
@@ -125,6 +134,28 @@ class TestPerturbedCircuit:
         a = perturbed_circuit(ckt, random.Random(7)).element("M1").model.vto
         b = perturbed_circuit(ckt, random.Random(7)).element("M1").model.vto
         assert a == b
+
+    @pytest.mark.parametrize("row", TABLE1, ids=lambda row: row.name)
+    def test_cards_from_normals_equal_direct_draws(self, row):
+        """Drawing every MOSFET's normals first and deriving its card
+        from them gives the cards of drawing each shift directly at the
+        device's own sigma, bit for bit, on every Table-1 bench (the
+        sink-bias diode included)."""
+        template, _ = coarse_design_opamp(
+            TECH, row.spec(), row.topology(), name=row.name
+        )
+        bench = open_loop_bench(template)
+        mismatch = MismatchModel()
+        for seed in (derive_sample_seed(1, i) for i in range(3)):
+            got = perturbed_circuit(bench, random.Random(seed), mismatch)
+            want = oracles.perturbed_circuit(
+                bench, random.Random(seed), mismatch
+            )
+            assert got.title == want.title
+            assert [repr(e) for e in got] == [repr(e) for e in want]
+            if "X1MBIASB" in bench:
+                diode = got.element("X1MBIASB").model
+                assert diode != bench.element("X1MBIASB").model
 
 
 class TestMonteCarlo:

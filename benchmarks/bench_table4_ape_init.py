@@ -26,20 +26,20 @@ from repro.synthesis import synthesize_opamp
 def _table4_row(tech, row, budget, seed):
     """Both legs of one Table-1 row.
 
-    Each leg caches the candidates its chain revisits in a memo of its
-    own: the legs anneal different boxes, so they are different
-    problems.  Memo hits return the stored exact result, so the legs'
-    metrics are those of an uncached run.
+    Like every run, each leg caches the candidates its chain revisits
+    in a memo of its own (the legs anneal different boxes, so they are
+    different problems).  Memo hits return the stored exact result, so
+    the legs' metrics are those of an uncached run.
     """
     standalone = synthesize_opamp(
         tech, row.spec(), row.topology(),
         mode="standalone", max_evaluations=budget,
-        seed=seed, name=row.name, memo=True,
+        seed=seed, name=row.name,
     )
     ape = synthesize_opamp(
         tech, row.spec(), row.topology(),
         mode="ape", max_evaluations=budget,
-        seed=seed, name=row.name, memo=True,
+        seed=seed, name=row.name,
     )
     return row, standalone, ape
 

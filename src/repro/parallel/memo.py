@@ -8,7 +8,11 @@ restarts share one template and therefore one bound box.  An
 :class:`EvalMemo` caches ``(cost, metrics)`` per candidate under a
 content-addressed key — the parameter dict quantized in log space —
 so a repeated candidate costs a dictionary lookup instead of a DC
-solve plus an AWE fit.
+solve plus an AWE fit.  Every synthesis run evaluates through one,
+a one-chain run included (``memo=False`` opts out), and computes each
+candidate's key once: :meth:`EvalMemo.get`/:meth:`EvalMemo.put` take
+the key, and a corner or Monte Carlo variant's key is the candidate's
+with the variant's tag appended (:meth:`EvalMemo.tagged`).
 
 Correctness contract: memoization is only sound because
 :meth:`~repro.synthesis.problems.OpAmpSizingProblem.evaluate` is
@@ -199,16 +203,29 @@ class EvalMemo:
     ) -> MemoKey:
         return memo_key(params, self.quantum, tag)
 
+    @staticmethod
+    def tagged(key: MemoKey, tag: str) -> MemoKey:
+        """The key of ``key``'s parameters in the context ``tag``.
+
+        For ``key = memo_key(params)`` this is ``memo_key(params,
+        tag=tag)``, the tag element last, so a candidate's variants
+        derive their keys from one base key.
+        """
+        return key + ((_TAG_FIELD, tag),)
+
     def lookup(
         self, params: Mapping[str, float], tag: str | None = None
     ) -> MemoValue | None:
+        """:meth:`get` of ``params``' key in the context ``tag``."""
+        return self.get(self.key(params, tag))
+
+    def get(self, key: MemoKey) -> MemoValue | None:
         """Cached ``(cost, metrics)`` or ``None``; counts the outcome.
 
         Reads through both tiers: an LRU miss falls back to the bound
         store (if any), and a store hit is promoted into the LRU so
         the hot set stays memory-resident under eviction pressure.
         """
-        key = self.key(params, tag)
         found = self._data.get(key)
         if found is None:
             if self._store is not None and self._fingerprint is not None:
@@ -229,15 +246,13 @@ class EvalMemo:
         # dicts, and a shared cache must never observe that.
         return cost, (dict(metrics) if metrics is not None else None)
 
-    def holds(
-        self, params: Mapping[str, float], tag: str | None = None
-    ) -> bool:
-        """Whether the in-memory tier holds an entry; counts nothing.
+    def holds(self, key: MemoKey) -> bool:
+        """Whether the in-memory tier holds ``key``; counts nothing.
 
         A side-effect-free peek (no recency refresh, no store read), for
         callers that plan work ahead of the lookups they then make.
         """
-        return self.key(params, tag) in self._data
+        return key in self._data
 
     def store(
         self,
@@ -246,7 +261,12 @@ class EvalMemo:
         metrics: dict[str, float] | None,
         tag: str | None = None,
     ) -> None:
-        key = self.key(params, tag)
+        """:meth:`put` under ``params``' key in the context ``tag``."""
+        self.put(self.key(params, tag), cost, metrics)
+
+    def put(
+        self, key: MemoKey, cost: float, metrics: dict[str, float] | None
+    ) -> None:
         value = (cost, dict(metrics) if metrics is not None else None)
         self._store_key(key, value)
         self._queue_write(key, value)
@@ -279,12 +299,13 @@ class EvalMemo:
         from ..runtime import faults
 
         def cached(params: dict[str, float]) -> MemoValue:
-            found = self.lookup(params)
+            key = self.key(params)
+            found = self.get(key)
             if found is not None:
                 return found
             cost, metrics = evaluate(params)
             if metrics is not None or faults.active() is None:
-                self.store(params, cost, metrics)
+                self.put(key, cost, metrics)
             return cost, metrics
 
         return cached

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Literal
 
 from ..errors import ApeError, SpecificationError
 from ..opamp import OpAmpSpec, OpAmpTopology
@@ -147,7 +147,7 @@ def synthesize_opamp(
     retry: RetryPolicy | None = None,
     diagnostics: DiagnosticLog | None = None,
     workers: int | None = None,
-    memo: "bool | EvalMemo | None" = None,
+    memo: "EvalMemo | Literal[False] | None" = None,
     oversubscribe: bool = False,
     run_dir: str | None = None,
     resume: bool = False,
@@ -183,12 +183,20 @@ def synthesize_opamp(
     :class:`AnnealResult`s land on ``SynthesisResult.chains``.  A
     process reuses a problem it has built for every later run of the
     same problem.
-    ``memo`` controls the evaluation cache: ``None`` enables a private
-    cache for multi-restart, journaled and store-backed runs only,
-    ``True``/``False`` force it, and an
-    :class:`~repro.parallel.EvalMemo` instance is used directly, bound
-    to this problem: it can be shared across runs of one problem (pool
-    workers inherit it), and a run of another problem empties it.
+    ``memo`` is the run's evaluation cache.  By default (``None``) the
+    run gets a private :class:`~repro.parallel.EvalMemo`, so a
+    candidate the run has already evaluated — a move clamped onto a box
+    bound it already reached, say — is a dictionary lookup instead of a
+    DC solve and an AWE fit.  Evaluation is canonical, so a hit returns
+    the very floats the evaluation would: results keep every bit, and
+    only the work behind them (``cache_hits``, and the Diagnostics,
+    lint rejections and retries of the repeats) changes.  ``False``
+    evaluates every candidate, the reference the equality checks
+    compare against; it cannot be combined with ``store_dir``, whose
+    store is the memo's back tier.  An ``EvalMemo`` instance is used
+    directly, bound to this problem: it can be shared across runs of
+    one problem (pool workers inherit it), and a run of another
+    problem empties it.
     ``budget`` limits apply to each chain, which gets a share with the
     caller's limits and deadline instant (every chain stops at the same
     moment, wherever it runs); the chains' consumption is added back
@@ -249,12 +257,7 @@ def synthesize_opamp(
     # Shared logs may carry records from earlier runs; report only this
     # run's contribution.
     records_before = len(log.records)
-    memo = _resolve_memo(
-        memo,
-        config.restarts,
-        journaled=run_dir is not None,
-        stored=store_dir is not None,
-    )
+    memo = _resolve_memo(memo, store_dir)
 
     feasibility_report = None
     box: tuple | None = None
@@ -714,26 +717,33 @@ def _feasibility_gate(tech, config, log):
     return report
 
 
-def _resolve_memo(
-    memo, restarts: int, *, journaled: bool = False, stored: bool = False
-):
-    """Normalize the ``memo`` argument to an EvalMemo or ``None``.
+def _resolve_memo(memo, store_dir):
+    """The run's :class:`~repro.parallel.EvalMemo`, or ``None`` to
+    evaluate every candidate.
 
-    ``None`` means "default policy": cache only when the run fans out
-    multiple chains, is journaled (a resumed run wants its warm cache
-    back) or is store-backed (the memo is the store's front tier) — a
-    plain one-chain run evaluates every candidate, the paper's classic
-    annealing leg.
+    ``None`` gives every run, one chain or many, a private memo: an
+    annealing chain repeats candidates (a high-temperature move in the
+    APE box often clamps onto a bound it has already reached), and a
+    hit returns the exact stored result.  ``False`` is the uncached
+    reference; it is refused with ``store_dir``, since the store is
+    the memo's back tier and would never be opened.  A memo instance
+    is the caller's to share.
     """
     from ..parallel import EvalMemo
 
+    if memo is None:
+        return EvalMemo()
+    if memo is False:
+        if store_dir is not None:
+            raise SpecificationError(
+                "store_dir needs the evaluation memo: the store is its "
+                "back tier; drop memo=False or store_dir",
+                context={"store_dir": str(store_dir)},
+            )
+        return None
     if isinstance(memo, EvalMemo):
         return memo
-    if memo is True or (
-        memo is None and (restarts > 1 or journaled or stored)
-    ):
-        return EvalMemo()
-    return None
+    raise TypeError(f"memo must be None, False or an EvalMemo, got {memo!r}")
 
 
 def _run_fingerprint(**parts):

@@ -36,6 +36,7 @@ and the variant enters the aggregation as a failed evaluation
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -278,6 +279,7 @@ class _Family:
         members: dict[str, OpAmpSizingProblem],
         speculate: bool,
         memo,
+        key,
     ) -> None:
         self.params = params
         self.stack = stack
@@ -293,6 +295,8 @@ class _Family:
         self.solved: dict[str, _Candidate] = {}
         self.models: dict[str, object] = {}
         self.memo = memo
+        #: ``params``' untagged memo key (``None`` without a memo).
+        self.key = key
         self._corners_started = False
 
     def evaluate(
@@ -340,11 +344,11 @@ class _Family:
         memo = self.memo
         riders = {}
         for label, problem in self.members.items():
-            if (
-                label != "nominal"
-                and (memo is None or not memo.holds(self.params, label))
-                and problem._stackable(self.params)
+            if label == "nominal" or (
+                memo is not None and memo.holds(memo.tagged(self.key, label))
             ):
+                continue
+            if problem._stackable(self.params):
                 candidate = problem._applied(self.params)
                 if isinstance(candidate, _Candidate):
                     riders[label] = candidate
@@ -501,6 +505,9 @@ class RobustEvaluator:
         #: Whether the screen kept the last candidate: the next family
         #: then runs its corners' work ahead of the screen (see _Family).
         self._kept_last = True
+        #: ``(params, untagged memo key)`` of the candidate being
+        #: evaluated (see :meth:`_candidate`).
+        self._held: tuple | None = None
 
     def bind(
         self,
@@ -551,8 +558,10 @@ class RobustEvaluator:
             problem, tag = self.problems[label], label
             if problem is None:  # plain tt: identical to nominal
                 problem, tag = self.nominal, None
-        if self.memo is not None:
-            found = self.memo.lookup(params, tag)
+        memo = self.memo
+        key = self._key(params, tag)
+        if memo is not None:
+            found = memo.get(key)
             if found is not None:
                 return found[1]
         try:
@@ -596,8 +605,8 @@ class RobustEvaluator:
                         context={"variant": label},
                     )
                 )
-        if self.memo is not None:
-            self.memo.store(params, self.base_cost(metrics), metrics, tag)
+        if memo is not None:
+            memo.put(key, self.base_cost(metrics), metrics)
         return metrics
 
     def variants(
@@ -605,31 +614,60 @@ class RobustEvaluator:
     ) -> dict[str, dict[str, float] | None]:
         """Screen-then-verify family evaluation of one candidate."""
         threshold = self.robust.screen_threshold
-        family = self._family(
-            params, speculate=threshold is None or self._kept_last
-        )
-        out: dict[str, dict[str, float] | None] = {
-            "nominal": self.evaluate_variant("nominal", params, family)
-        }
-        self._kept_last = (
-            threshold is None or self.base_cost(out["nominal"]) < threshold
-        )
-        if not self._kept_last:
-            self.screened_candidates += 1
-            return out
-        self._fan_out(out, params, family)
+        with self._candidate(params):
+            family = self._family(
+                params, speculate=threshold is None or self._kept_last
+            )
+            out: dict[str, dict[str, float] | None] = {
+                "nominal": self.evaluate_variant("nominal", params, family)
+            }
+            self._kept_last = (
+                threshold is None
+                or self.base_cost(out["nominal"]) < threshold
+            )
+            if not self._kept_last:
+                self.screened_candidates += 1
+                return out
+            self._fan_out(out, params, family)
         return out
 
     def detail(
         self, params: dict[str, float]
     ) -> dict[str, dict[str, float] | None]:
         """Full fan-out (screening ignored) — the final-design report."""
-        family = self._family(params, speculate=True)
-        out: dict[str, dict[str, float] | None] = {
-            "nominal": self.evaluate_variant("nominal", params, family)
-        }
-        self._fan_out(out, params, family)
+        with self._candidate(params):
+            family = self._family(params, speculate=True)
+            out: dict[str, dict[str, float] | None] = {
+                "nominal": self.evaluate_variant("nominal", params, family)
+            }
+            self._fan_out(out, params, family)
         return out
+
+    @contextmanager
+    def _candidate(self, params: dict[str, float]):
+        """Hold ``params``' untagged memo key while the block evaluates
+        it, so the candidate computes one key however many variants it
+        looks up (:meth:`_key`)."""
+        memo = self.memo
+        self._held = (params, memo.key(params)) if memo is not None else None
+        try:
+            yield
+        finally:
+            self._held = None
+
+    def _key(self, params: dict[str, float], tag: str | None = None):
+        """``params``' memo key in the context ``tag`` (``None`` without
+        a memo), derived from the held key when ``params`` is the
+        candidate being evaluated."""
+        memo = self.memo
+        if memo is None:
+            return None
+        held = self._held
+        if held is not None and held[0] is params:
+            key = held[1]
+        else:
+            key = memo.key(params)
+        return key if tag is None else memo.tagged(key, tag)
 
     def _fan_out(
         self,
@@ -679,7 +717,9 @@ class RobustEvaluator:
             a is not b for a, b in zip(stack.systems, systems)
         ):
             stack = self._stack = StampStack(systems)
-        return _Family(params, stack, members, speculate, self.memo)
+        return _Family(
+            params, stack, members, speculate, self.memo, self._key(params)
+        )
 
     def evaluate(
         self, params: dict[str, float]

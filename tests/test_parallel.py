@@ -3,8 +3,11 @@
 Locks in the determinism contract of :mod:`repro.parallel`:
 
 * every run, ``restarts=1`` included, runs its chains through the
-  executor; a one-chain run stays bit for bit the same with an explicit
-  memo (hits return the stored exact result) and with a run directory;
+  executor and memoizes its evaluations; a one-chain run stays bit for
+  bit the same with ``memo=False`` (hits return the stored exact
+  result) and with a run directory;
+* a candidate computes one memo key, and its corner and Monte Carlo
+  variants derive theirs from it;
 * multi-restart results depend only on ``(seed, restarts)``, never on
   the worker count or scheduling;
 * the process-wide problem cache is safe: threads never share a
@@ -18,6 +21,7 @@ Locks in the determinism contract of :mod:`repro.parallel`:
 """
 
 import contextlib
+import dataclasses
 import math
 import pickle
 import sys
@@ -51,7 +55,7 @@ from repro.synthesis import (
     parameterized_opamp,
     synthesize_opamp,
 )
-from repro.synthesis.robust import RobustSpec
+from repro.synthesis.robust import RobustEvaluator, RobustSpec
 from repro.technology import PRESET_NAMES, generic_05um, technology_by_name
 
 TECH = generic_05um()
@@ -83,6 +87,21 @@ SERIAL_CASES = {
 }
 
 
+#: Default-memo cases: ``(SERIAL_CASES row, mode, robust)``.  Each row
+#: in both boxes, and OpAmp1's worst case over its three corners plus
+#: one Monte Carlo sample.
+MEMO_CASES = {
+    f"{row}-{mode}": (row, mode, None)
+    for row in ("oa1", "oa3", "opamp1_worst")
+    for mode in ("ape", "standalone")
+}
+MEMO_CASES["opamp1_worst-robust"] = (
+    "opamp1_worst",
+    "ape",
+    dataclasses.replace(SERIAL_CASES["opamp1_worst"][2], mc_samples=1),
+)
+
+
 #: A buffered problem and one whose railed outputs are balanced.
 BALANCE_CASES = {
     "buffered": (SPEC, TOPO),
@@ -94,6 +113,15 @@ BALANCE_CASES = {
 #: do not depend on the spec, so at one seed both rows propose the same
 #: first candidates.
 OA4_SPEC = OpAmpSpec(gain=150, ugf=3.0e6, area=1000e-12, ibias=100e-6, cl=10e-12)
+
+
+def _hexed(value):
+    """``value`` with every float spelled by ``float.hex``."""
+    if isinstance(value, dict):
+        return {key: _hexed(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return value.hex()
+    return value
 
 
 def _chain_summary(result):
@@ -308,6 +336,77 @@ class TestEvalMemo:
         assert snapshot["evictions"] == 1
 
 
+class TestMemoKeys:
+    """A candidate computes one memo key; its variants derive theirs."""
+
+    @pytest.mark.parametrize(
+        "robust",
+        [None, RobustSpec(corners=("tt", "ss", "ff"), mc_samples=1)],
+        ids=["plain", "robust"],
+    )
+    def test_one_base_key_per_candidate(self, robust, monkeypatch):
+        import repro.parallel.memo as memo_module
+
+        calls = []
+        memo_key_ = memo_module.memo_key
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return memo_key_(*args, **kwargs)
+
+        monkeypatch.setattr(memo_module, "memo_key", counted)
+        spec, topology, _ = SERIAL_CASES["opamp1_worst"]
+        result = synthesize_opamp(
+            TECH, spec, topology, mode="ape", max_evaluations=40, seed=7,
+            name="OpAmp1", robust=robust,
+        )
+        assert result.cache_hits > 0
+        assert len(calls) == result.evaluations
+
+    @pytest.mark.parametrize(
+        "label", ["corner:ss", "corner:ss@-40C,4.5V", "mc:0", "mc:12"]
+    )
+    def test_tagged_key_is_the_tagged_memo_key(self, label):
+        params = {"m2.w": 3e-6, "m1.l": 1e-6, "cc": 2e-12, "zero": 0.0}
+        assert EvalMemo.tagged(memo_key(params), label) == memo_key(
+            params, tag=label
+        )
+
+    def test_variants_store_under_the_tagged_memo_keys(self):
+        """A robust candidate's entries are ``memo_key(params,
+        tag=label)`` per variant and the untagged key for the nominal
+        (which the ``tt`` alias shares), so store rows and ``memo.json``
+        snapshots written by the per-variant keys still hit.  The second
+        candidate's family is stacked."""
+        spec, topology, _ = SERIAL_CASES["opamp1_worst"]
+        template, _ = coarse_design_opamp(TECH, spec, topology)
+        variables = ape_ranges(template)
+        evaluator = RobustEvaluator(
+            template,
+            variables,
+            RobustSpec(corners=("tt", "ss", "ff"), mc_samples=1),
+            opamp_synthesis_spec(spec),
+        )
+        memo = EvalMemo()
+        evaluator.bind(diagnostics=None, retry=None, memo=memo)
+        point = {
+            v.name: min(max(template.initial_point()[v.name], v.lo), v.hi)
+            for v in variables
+        }
+        moved = dict(point, **{variables[0].name: variables[0].lo})
+        expected = set()
+        for params in (point, moved):
+            family = evaluator.variants(params)
+            assert list(family) == [
+                "nominal", "corner:tt", "corner:ss", "corner:ff", "mc:0",
+            ]
+            expected |= {memo_key(params)} | {
+                memo_key(params, tag=label)
+                for label in ("corner:ss", "corner:ff", "mc:0")
+            }
+            assert set(memo.export()["data"]) == expected
+
+
 # ------------------------------------------------------- canonical evaluation
 
 
@@ -405,17 +504,41 @@ class TestDeterminism:
         assert serial.params == journaled.params
         assert serial.metrics == journaled.metrics
 
-    def test_serial_memo_opt_in_is_exact(self):
-        """An explicit memo on a one-chain run changes nothing but speed."""
-        kwargs = dict(mode="ape", max_evaluations=60, seed=5, name="oa")
-        plain = synthesize_opamp(TECH, SPEC, TOPO, memo=False, **kwargs)
-        memod = synthesize_opamp(TECH, SPEC, TOPO, memo=True, **kwargs)
-        assert memod.best_cost == plain.best_cost
-        assert memod.params == plain.params
-        assert memod.metrics == plain.metrics
-        assert memod.evaluations == plain.evaluations
-        assert memod.cache_hits + memod.cache_misses == memod.evaluations
+    @pytest.mark.parametrize("case", sorted(MEMO_CASES))
+    def test_default_memo_matches_memo_false(self, case):
+        """A one-chain run memoizes by default and changes nothing but
+        speed: ``memo=False``, which evaluates every candidate, agrees
+        with it bit for bit."""
+        row, mode, robust = MEMO_CASES[case]
+        spec, topology, _ = SERIAL_CASES[row]
+        kwargs = dict(
+            mode=mode, max_evaluations=60, seed=7, name=row, robust=robust
+        )
+        plain = synthesize_opamp(TECH, spec, topology, memo=False, **kwargs)
+        memod = synthesize_opamp(TECH, spec, topology, **kwargs)
+
+        def summary(result):
+            return _hexed({
+                "best_cost": result.best_cost,
+                "params": result.params,
+                "metrics": result.metrics,
+                "evaluations": result.evaluations,
+                "failed_evaluations": result.failed_evaluations,
+                "corner_evals": result.corner_evals,
+                "screened_candidates": result.screened_candidates,
+                "corner_metrics": result.corner_metrics,
+            })
+
+        assert summary(memod) == summary(plain)
         assert plain.cache_hits == plain.cache_misses == 0
+        assert memod.cache_hits > 0
+        if robust is None:
+            assert memod.cache_hits + memod.cache_misses == memod.evaluations
+
+    def test_memo_true_is_refused(self):
+        """``memo=True`` is gone: the default already memoizes."""
+        with pytest.raises(TypeError, match="memo must be"):
+            synthesize_opamp(TECH, SPEC, TOPO, max_evaluations=5, memo=True)
 
     @pytest.mark.parametrize("case", sorted(BALANCE_CASES))
     def test_results_depend_on_seed_and_restarts_not_workers(self, case):

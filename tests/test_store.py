@@ -409,6 +409,23 @@ class TestStoreBackedSynthesis:
         assert stored.params == plain.params
         assert _chain_summary(stored) == _chain_summary(plain)
 
+    def test_store_without_the_memo_is_refused(self, tmp_path, monkeypatch):
+        """The store is the memo's back tier, which ``memo=False`` would
+        never open: the pair is refused before any evaluation."""
+        from repro.synthesis.problems import OpAmpSizingProblem
+
+        def evaluate(problem, params):
+            raise AssertionError("no candidate may be evaluated")
+
+        monkeypatch.setattr(OpAmpSizingProblem, "evaluate", evaluate)
+        store_dir = tmp_path / "store"
+        with pytest.raises(SpecificationError, match="store_dir"):
+            synthesize_opamp(
+                TECH, SPEC, TOPO, seed=1, memo=False,
+                store_dir=str(store_dir), **RUN_KW
+            )
+        assert not store_dir.exists()
+
     def test_store_off_matches_plain_run(self, tmp_path):
         kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)
         plain = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)

@@ -12,7 +12,11 @@ returns the same floats, bit for bit, on this set (about 5 s on a
   at two seeds (2640 ``OpAmpSizingProblem.evaluate`` calls; a move to
   a failing candidate is hashed and then undone);
 * the best cost and metrics of a few ``synthesize_opamp`` runs, one of
-  them a robust tt/ss/ff worst-case run;
+  them a robust tt/ss/ff worst-case run.  Each run is made twice: with
+  the default memo, which is hashed, and with ``memo=False``, which is
+  not; the tool exits 1, naming the run, when the two differ in a bit
+  of the best cost, params or metrics, so it also holds the contract
+  that the memo never changes a result;
 * the same eleven rows at ``generic_12um``, both boxes, one walk each
   (682 calls): the box-clamped template point, then 30 moves, of which
   the 10th and 30th shrink a W by 1e-3 (an E301 lint rejection) and
@@ -27,7 +31,8 @@ returns the same floats, bit for bit, on this set (about 5 s on a
   to their own ``evaluate`` are covered too.
 
 Every float enters the digest through ``float.hex``.  ``--verbose``
-also prints one digest per part, to show which part moved.
+also prints one digest per part, to show which part moved.  The digest
+line is printed last, also when the memo cross-check fails.
 
 A change that moves result bits bumps ``EVALUATOR_VERSION``, and a
 hash cannot vouch for it.  So the tool also writes every call's
@@ -258,6 +263,15 @@ def _synthesis_runs():
     ]
 
 
+def _hex_result(result) -> tuple:
+    """A synthesis result's best cost, params and metrics by ``float.hex``."""
+    return (
+        float(result.best_cost).hex(),
+        _hex_metrics(result.params),
+        _hex_metrics(result.metrics),
+    )
+
+
 def _relative(head: float, base: float) -> float:
     if head == base:
         return 0.0
@@ -382,9 +396,13 @@ def main(argv: list[str] | None = None) -> int:
                     print(f"{part.hexdigest()[:16]}  {name} {mode} seed {seed}")
     runs = _synthesis_runs()
     syntheses = {}
+    memo_mismatches = []
     for label, (spec, topology), options in runs:
         kwargs = {"max_evaluations": 40, "name": label.split()[0], **options}
         result = synthesize_opamp(tech, spec, topology, **kwargs)
+        uncached = synthesize_opamp(tech, spec, topology, memo=False, **kwargs)
+        if _hex_result(result) != _hex_result(uncached):
+            memo_mismatches.append(label)
         part = hashlib.sha256(
             f"{label}:{float(result.best_cost).hex()}:"
             f"{_metrics_text(result.metrics)}\n".encode()
@@ -435,12 +453,18 @@ def main(argv: list[str] | None = None) -> int:
                 indent=0,
             )
         )
+    for label in memo_mismatches:
+        print(
+            f"memo cross-check: synthesis {label!r} differs from its "
+            "memo=False run in best cost, params or metrics",
+            file=sys.stderr,
+        )
     print(
         f"{total.hexdigest()}  ({evaluations} evaluations + "
         f"{len(runs)} syntheses + {families} robust families, "
         f"{elapsed:.1f} s)"
     )
-    return 0
+    return 1 if memo_mismatches else 0
 
 
 if __name__ == "__main__":

@@ -38,14 +38,18 @@ chains included.  Every completed chain can be journaled write-ahead
 (:class:`~repro.runtime.journal.RunJournal`) so an interrupted run
 resumes without repeating finished chains.
 
-Each process builds the sizing problem from the task description and
-keeps it cached per task signature — ``System.rebind`` then reuses the
-compiled MNA engine across every candidate of every chain of that
-problem, instead of re-pickling solver state across the pool boundary.
-A chain checks its problem out of the cache for as long as it runs, so
-threads never share one.  Pool workers' caches die with their
-processes; the parent's pool teardown is guaranteed on every exit path
-by :class:`~repro.runtime.supervisor.PoolManager`.
+A process keeps each sizing problem it built from a task description
+cached per task signature — ``System.rebind`` then reuses the compiled
+MNA engine across every candidate of every chain of that problem,
+instead of re-pickling solver state across the pool boundary.  A chain
+checks its problem out of the cache for as long as it runs, so threads
+never share one.  Before a pool forks, the parent builds the problem
+(or takes it from its cache) and runs its one-time set-up
+(:meth:`~repro.synthesis.problems.OpAmpSizingProblem.prepare`), so
+every worker inherits it ready; chains that arm a fault injector build
+their own.  Pool workers' caches die with their processes; the
+parent's pool teardown is guaranteed on every exit path by
+:class:`~repro.runtime.supervisor.PoolManager`.
 
 The run's :class:`~repro.parallel.memo.EvalMemo` is the only memo:
 in-process chains use it directly, and pool workers get it through the
@@ -62,6 +66,7 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
 
+from ..errors import ApeError
 from ..runtime import faults
 from ..runtime.budget import EvalBudget
 from ..runtime.diagnostics import Diagnostic, DiagnosticLog
@@ -384,15 +389,46 @@ def _checked_out(task: ChainTask):
             _BUNDLES.setdefault(key, bundle)
 
 
-def robust_detail(task: ChainTask, params: dict[str, float]) -> dict:
+def _prepare_bundles(tasks: list[ChainTask]) -> None:
+    """Build and set up the tasks' problems in this process's cache.
+
+    Called by a pool's parent before the fork, so every worker inherits
+    ready problems instead of building and setting them up in its first
+    chain.  Skipped while a fault injector is armed or the tasks arm
+    their own: such chains build their problems under the injector.
+    The set-up records nothing and evaluates no candidate, so it adds
+    no memo entry, store row, Diagnostic or counter; a problem it
+    cannot build is left to the chains, which raise as before.
+    """
+    if faults.active() is not None or any(
+        task.fault_specs is not None for task in tasks
+    ):
+        return
+    for task in {task.problem_key(): task for task in tasks}.values():
+        try:
+            with _checked_out(task) as bundle:
+                problem, evaluator = bundle[2], bundle[-1]
+                (evaluator or problem).prepare()
+        except ApeError:
+            continue
+
+
+def robust_detail(
+    task: ChainTask, params: dict[str, float], memo: EvalMemo | None = None
+) -> dict:
     """Every variant's metrics for ``params``, by
     :meth:`~repro.synthesis.robust.RobustEvaluator.detail` on the task's
     cached problem in this process (the family stacked as in the
     chains): the final verification of a winning robust design.
 
-    Fault injection is suspended for the duration: verification is a
-    reporting stage, and an armed injector's stream would make the
-    report depend on where the chains ran.
+    Variants ``memo`` (the run's memo) holds are read from it, counting
+    nothing; only the others are evaluated, and their results are
+    written nowhere, so the memo, its store and every counter of the
+    run stay as the chains left them.  Evaluation is canonical, so the
+    report is the same either way.  Fault injection is suspended for
+    the duration: verification is a reporting stage, and an armed
+    injector's stream would make the report depend on where the chains
+    ran.
     """
     previous = faults.active()
     faults.disarm()
@@ -400,7 +436,9 @@ def robust_detail(task: ChainTask, params: dict[str, float]) -> dict:
         with _checked_out(task) as bundle:
             evaluator = bundle[-1]
             evaluator.bind(
-                diagnostics=None, retry=_fresh_retry(task), memo=None
+                diagnostics=None,
+                retry=_fresh_retry(task),
+                memo=memo.reader() if memo is not None else None,
             )
             return evaluator.detail(params)
     finally:
@@ -514,8 +552,6 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
         return cost_fn(metrics), metrics
 
     def evaluate_tolerant(params):
-        from ..errors import ApeError
-
         try:
             return evaluate(params)
         except ApeError as exc:
@@ -641,6 +677,10 @@ def run_supervised_chains(
     are quarantined.  Completed chains are journaled write-ahead when
     ``journal`` is given, and what each pooled chain added to its
     worker's copy of ``memo`` is merged into ``memo`` as it finishes.
+    A journal also snapshots ``memo`` (``memo.json``) after each chain
+    and at an interrupt, unless ``memo`` is bound to a store: the store
+    keeps every entry the run flushes, and a resume that binds it reads
+    through it.
 
     The returned mapping holds one outcome per *completed* chain —
     interrupts and quarantines leave gaps instead of raising, so the
@@ -654,6 +694,9 @@ def run_supervised_chains(
     tasks = sorted(tasks, key=lambda task: task.chain_index)
     n_workers = effective_workers(
         workers, len(tasks), oversubscribe=oversubscribe
+    )
+    snapshots = (
+        journal is not None and memo is not None and memo.bound_store is None
     )
 
     def finish(outcome: ChainOutcome) -> None:
@@ -669,8 +712,8 @@ def run_supervised_chains(
             memo.flush_store()
         if journal is not None:
             journal.record_outcome(outcome)
-            if memo is not None:
-                journal.snapshot_memo(memo)
+        if snapshots:
+            journal.snapshot_memo(memo)
 
     def synthetic_stop() -> bool:
         return (
@@ -697,8 +740,8 @@ def run_supervised_chains(
             memo.flush_store()
         if journal is not None:
             journal.append("interrupted", pending=pending_indices)
-            if memo is not None:
-                journal.snapshot_memo(memo)
+        if snapshots:
+            journal.snapshot_memo(memo)
 
     if n_workers <= 1:
         _run_in_process(
@@ -853,6 +896,9 @@ def _run_pooled(
 
     with PoolManager(factory) as pm, \
             interrupt_guard(config.install_signal_handlers) as stop:
+        # A fork-context pool starts its workers at the first submit, so
+        # they inherit the problems readied here.
+        _prepare_bundles(tasks)
         while pending or in_flight:
             stopping = stop() or synthetic_stop()
             if stopping:

@@ -53,7 +53,13 @@ from typing import TYPE_CHECKING, Callable, Mapping
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..store import EvalStore
 
-__all__ = ["EvalMemo", "memo_key", "DEFAULT_QUANTUM", "DEFAULT_CAPACITY"]
+__all__ = [
+    "EvalMemo",
+    "MemoReader",
+    "memo_key",
+    "DEFAULT_QUANTUM",
+    "DEFAULT_CAPACITY",
+]
 
 #: Quantization step in natural-log space.  1e-9 means two values map
 #: to the same key only when they agree to ~1 part in 1e9 — far below
@@ -254,6 +260,10 @@ class EvalMemo:
         """
         return key in self._data
 
+    def reader(self) -> "MemoReader":
+        """A read-only view of this memo (see :class:`MemoReader`)."""
+        return MemoReader(self)
+
     def store(
         self,
         params: Mapping[str, float],
@@ -378,3 +388,38 @@ class EvalMemo:
                 self._queue_write(key, value)
         for name in self._COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + int(snapshot.get(name, 0)))
+
+
+class MemoReader:
+    """A read-only view of an :class:`EvalMemo`, for a reporting stage.
+
+    It answers the lookups an evaluator makes from the memo's
+    in-memory tier alone and changes nothing: :meth:`get` counts no hit
+    or miss and refreshes no recency, and :meth:`put` drops the entry.
+    """
+
+    def __init__(self, memo: EvalMemo) -> None:
+        self._memo = memo
+
+    def key(
+        self, params: Mapping[str, float], tag: str | None = None
+    ) -> MemoKey:
+        return self._memo.key(params, tag)
+
+    tagged = staticmethod(EvalMemo.tagged)
+
+    def holds(self, key: MemoKey) -> bool:
+        return self._memo.holds(key)
+
+    def get(self, key: MemoKey) -> MemoValue | None:
+        """A copy of the held ``(cost, metrics)``, or ``None``."""
+        found = self._memo._data.get(key)
+        if found is None:
+            return None
+        cost, metrics = found
+        return cost, (dict(metrics) if metrics is not None else None)
+
+    def put(
+        self, key: MemoKey, cost: float, metrics: dict[str, float] | None
+    ) -> None:
+        """Write nothing."""

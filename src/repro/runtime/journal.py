@@ -19,7 +19,8 @@ A journaled run owns a *run directory*:
 ``memo.json``
     Snapshot of the run's :class:`~repro.parallel.EvalMemo`, atomically
     replaced after every finished chain, so a resumed run starts with a
-    warm cache.
+    warm cache.  Only a run without a store writes it: a store-backed
+    run's store holds every entry, and its resume reads through it.
 
 Because chain seeds are Weyl-derived from ``(master_seed, index)`` and
 chain results are pure functions of their tasks, a resumed run —

@@ -522,7 +522,7 @@ def synthesize_opamp(
         screened = sum(o.screened_candidates for o in outcomes)
         if result.best_params:
             robust_detail = _robust_verify(
-                first_task, result.best_params, journal=journal
+                first_task, result.best_params, journal=journal, memo=memo
             )
             # The verify fan-out counts whether it ran live or was
             # replayed from the journal, so resumed and uninterrupted
@@ -753,11 +753,12 @@ def _run_fingerprint(**parts):
     return run_fingerprint(tuple(sorted(parts.items())))
 
 
-def _robust_verify(task, params, *, journal):
+def _robust_verify(task, params, *, journal, memo):
     """Final verification of a winning robust design: every variant's
     metrics, the family stacked as in the chains
     (:func:`~repro.parallel.executor.robust_detail`, in this process on
-    the task's cached problem).
+    the task's cached problem).  The variants the run's ``memo`` holds
+    are read from it, and only the others are evaluated.
 
     The detail is journaled (``robust-verified``) keyed by the exact
     winning parameters, so a resumed run replays the recorded detail
@@ -776,7 +777,7 @@ def _robust_verify(task, params, *, journal):
                     label: dict(metrics) if metrics is not None else None
                     for label, metrics in record["detail"].items()
                 }
-    detail = robust_detail(task, params)
+    detail = robust_detail(task, params, memo)
     if journal is not None:
         journal.append("robust-verified", params=params, detail=detail)
     return detail

@@ -321,10 +321,12 @@ class OpAmpSizingProblem(SizingProblem):
         #: run instead of once per evaluation (and per balancing solve).
         self._system: System | None = None
         #: Template operating points at zero drive and, when that one
-        #: rails, balanced (see :meth:`_warm_start`).
+        #: rails, balanced (see :meth:`_solve_template`), and the error
+        #: of a template solve that failed, until a candidate records it.
         self._warm_x0 = None
         self._balanced_x0 = None
         self._warm_ready = False
+        self._template_error: ApeError | None = None
         #: The in-place bench and an untouched copy of it at the
         #: template point, built on first use (:meth:`_placed`).
         self._bench = None
@@ -378,7 +380,7 @@ class OpAmpSizingProblem(SizingProblem):
         bound to the bench.  A candidate :meth:`_stackable` admits
         records no Diagnostic here.
         """
-        bench = self._placed()
+        bench = self.prepare()
         changes = self._changes(params)
         if not self._sizable(changes, params):
             # The exact SizingError of the device that fails the checks.
@@ -502,50 +504,86 @@ class OpAmpSizingProblem(SizingProblem):
         """Whether the zero-drive solution ``x`` rails the output."""
         return abs(self._system.voltage(x, "out")) > RAIL
 
+    def prepare(self):
+        """The problem's one-time set-up; returns the in-place bench.
+
+        Builds the bench at the template point (:meth:`_placed`), runs
+        the structural lint pass, compiles the system and solves the
+        template (:meth:`_solve_template`), each at most once.  Every
+        candidate calls it first, and a pool's parent calls it before
+        forking, so the workers inherit a ready problem.  It records
+        nothing: a bench the structural pass rejects, or a system that
+        will not compile, is left to the candidate whose gate records
+        it, and a failed template solve is recorded by the first
+        candidate to reach :meth:`_warm_start`, as if it had failed
+        there.
+        """
+        bench = self._placed()
+        if self._warm_ready or not self._structure_ok(bench):
+            return bench
+        if self._system is None:
+            try:
+                self._system = System(bench)
+            except ApeError:
+                return bench
+        self._solve_template()
+        return bench
+
     def _warm_start(self):
         """Run-constant starting vectors ``(zero-drive, balanced)``.
 
-        The template's operating point at zero drive and, only when its
-        output rails there, its balanced operating point (see
-        :meth:`_balance_template`).  Both are computed at most once,
-        from the template bench alone, with fault injection suspended
-        so the template solves never shift an armed injector's decision
-        stream.  Either is ``None`` when the template will not converge
-        or balance, or when the current system's unknown vector has
+        The template's operating points of :meth:`_solve_template`;
+        either is ``None`` when the template will not converge or
+        balance, or when the current system's unknown vector has
         another size.  ``None`` at zero drive is the solver's cold
         start; ``None`` balanced solves the candidate at zero drive
-        first.
+        first.  The first call after a failed template solve records
+        the failure.
         """
         if not self._warm_ready:
-            self._warm_ready = True
-            previous = faults.active()
-            faults.disarm()
-            try:
-                bench = self._template_bench
-                system = System(bench)
-                op = dc_operating_point(bench, system=system)
-                self._warm_x0 = op.x.copy()
-                if abs(op.v("out")) > RAIL:
-                    self._balanced_x0 = self._balance_template(system, op.x)
-            except ApeError as exc:
-                if self.diagnostics is not None:
-                    self.diagnostics.record_exception(
-                        "synthesis.evaluate",
-                        exc,
-                        severity="info",
-                        suggested_fix=(
-                            "template operating point unavailable; "
-                            "candidates fall back to cold-started solves"
-                        ),
-                    )
-            finally:
-                if previous is not None:
-                    faults.arm(previous)
+            self._solve_template()
+        error, self._template_error = self._template_error, None
+        if error is not None and self.diagnostics is not None:
+            self.diagnostics.record_exception(
+                "synthesis.evaluate",
+                error,
+                severity="info",
+                suggested_fix=(
+                    "template operating point unavailable; "
+                    "candidates fall back to cold-started solves"
+                ),
+            )
         size = self._system.size
         return tuple(
             x if x is not None and len(x) == size else None
             for x in (self._warm_x0, self._balanced_x0)
         )
+
+    def _solve_template(self) -> None:
+        """Solve the template once, from the template bench alone.
+
+        Its operating point at zero drive and, only when its output
+        rails there, its balanced operating point (see
+        :meth:`_balance_template`), with fault injection suspended so
+        the template solves never shift an armed injector's decision
+        stream.  A failed solve is kept for :meth:`_warm_start` to
+        record.
+        """
+        self._warm_ready = True
+        previous = faults.active()
+        faults.disarm()
+        try:
+            bench = self._template_bench
+            system = System(bench)
+            op = dc_operating_point(bench, system=system)
+            self._warm_x0 = op.x.copy()
+            if abs(op.v("out")) > RAIL:
+                self._balanced_x0 = self._balance_template(system, op.x)
+        except ApeError as exc:
+            self._template_error = exc
+        finally:
+            if previous is not None:
+                faults.arm(previous)
 
     def _balance_template(self, system: System, x0):
         """The template's balanced MNA vector, or ``None``.
@@ -697,17 +735,14 @@ class OpAmpSizingProblem(SizingProblem):
         from ..lint import lint_circuit
         from ..lint.rules import CANDIDATE_RULES
 
-        if self._structural_report is None:
-            self._structural_report = lint_circuit(
-                bench, tech=tech, suppress=CANDIDATE_RULES
-            )
-        report = self._structural_report
-        if report.ok:
+        if self._structure_ok(bench):
             if not self._flagged:
                 return False
             report = lint_circuit(bench, tech=tech, rules=CANDIDATE_RULES)
             if report.ok:
                 return False
+        else:
+            report = self._structural_report
         self.lint_rejections += 1
         first = report.errors[0]
         if self.diagnostics is not None:
@@ -727,6 +762,23 @@ class OpAmpSizingProblem(SizingProblem):
                 )
             )
         return True
+
+    def _structure_ok(self, bench) -> bool:
+        """Whether the structural lint pass finds no error on ``bench``.
+
+        The pass (every rule outside
+        :data:`~repro.lint.rules.CANDIDATE_RULES`) runs once per
+        problem; its errors are topological, so any bench of the
+        problem draws the same ones.
+        """
+        if self._structural_report is None:
+            from ..lint import lint_circuit
+            from ..lint.rules import CANDIDATE_RULES
+
+            self._structural_report = lint_circuit(
+                bench, tech=self.template.tech, suppress=CANDIDATE_RULES
+            )
+        return self._structural_report.ok
 
     def _note_failure(self, exc: ApeError) -> None:
         if self.diagnostics is not None:

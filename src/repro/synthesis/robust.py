@@ -196,6 +196,9 @@ class _VariantProblem(OpAmpSizingProblem):
     def _lint_rejects(self, bench, tech: Technology) -> bool:
         return False
 
+    def _structure_ok(self, bench) -> bool:
+        return True
+
 
 class _SampleProblem(_VariantProblem):
     """One Monte Carlo mismatch sample of the nominal sizing problem.
@@ -528,6 +531,12 @@ class RobustEvaluator:
             problem.diagnostics = diagnostics
             problem.retry = retry
 
+    def prepare(self) -> None:
+        """Every variant problem's one-time set-up
+        (:meth:`OpAmpSizingProblem.prepare`), nominal first."""
+        for problem in self._all_problems():
+            problem.prepare()
+
     def _all_problems(self):
         yield self.nominal
         for problem in self.problems.values():
@@ -697,7 +706,8 @@ class RobustEvaluator:
         ``None`` runs every variant through its own ``evaluate``: while
         a fault injector is armed (it draws its decisions call by call,
         in that order), on the sparse backend, and until two problems
-        have evaluated a candidate (each binds its system at its first).
+        have bound their systems (each binds it when it is prepared: at
+        its first candidate, or in a pool's parent before the fork).
         """
         if faults.active() is not None:
             return None

@@ -13,6 +13,9 @@ Locks in the determinism contract of :mod:`repro.parallel`:
 * the process-wide problem cache is safe: threads never share a
   problem, a strict run never reuses a tolerant template, a repeated
   run matches the first, and in-process runs pickle nothing;
+* a pool's parent builds and sets up the problem once, before the
+  fork, except under a fault plan, and a pooled run on that problem
+  equals one worker's run, Diagnostics and counters included;
 * a memo shared across runs of one problem serves the repeat at any
   worker count, pooled chains send back only what they added, and a
   memo reused for another problem changes nothing;
@@ -23,6 +26,7 @@ Locks in the determinism contract of :mod:`repro.parallel`:
 import contextlib
 import dataclasses
 import math
+import os
 import pickle
 import sys
 import threading
@@ -361,7 +365,9 @@ class TestMemoKeys:
             name="OpAmp1", robust=robust,
         )
         assert result.cache_hits > 0
-        assert len(calls) == result.evaluations
+        # A robust run looks its winner's family up once more, to verify
+        # it from the memo.
+        assert len(calls) == result.evaluations + (robust is not None)
 
     @pytest.mark.parametrize(
         "label", ["corner:ss", "corner:ss@-40C,4.5V", "mc:0", "mc:12"]
@@ -833,6 +839,245 @@ class TestProblemCache:
                 seed=seed, name="fresh-seeds",
             )
         assert built == [1]
+
+
+def _refuse_template_solves(monkeypatch):
+    """Fail every template's zero-drive solve, the one ``dc_operating_point``
+    call made without a starting vector; candidates solve as before."""
+    import repro.synthesis.problems as problems
+    from repro.errors import SimulationError
+
+    solve = problems.dc_operating_point
+
+    def refusing(bench, **kwargs):
+        if "x0" not in kwargs:
+            raise SimulationError("template solve refused")
+        return solve(bench, **kwargs)
+
+    monkeypatch.setattr(problems, "dc_operating_point", refusing)
+
+
+def _is_template_failure(diagnostic) -> bool:
+    return "template operating point unavailable" in diagnostic.suggested_fix
+
+
+class TestReadyPool:
+    """A pool's parent builds and sets up the problem before the fork."""
+
+    RUN = dict(mode="ape", max_evaluations=16, seed=3, name="ready",
+               tolerant=True)
+
+    @staticmethod
+    def _log_builds(monkeypatch, path):
+        """Append ``<kind> <pid>`` to ``path`` for every bundle and bench
+        build, from whichever process makes it (one append per record,
+        so forked workers add theirs), starting from an empty cache."""
+        import repro.parallel.executor as executor
+        import repro.synthesis.problems as problems
+
+        def logged(kind, build):
+            def wrapper(*args, **kwargs):
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(f"{kind} {os.getpid()}\n")
+                return build(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(executor, "_BUNDLES", {})
+        monkeypatch.setattr(
+            executor, "_build_bundle", logged("bundle", executor._build_bundle)
+        )
+        monkeypatch.setattr(
+            problems, "open_loop_bench",
+            logged("bench", problems.open_loop_bench),
+        )
+
+    @staticmethod
+    def _builds(path):
+        if not path.exists():
+            return []
+        return [tuple(line.split()) for line in path.read_text().splitlines()]
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize(
+        "robust, benches",
+        [(None, 1), (RobustSpec(corners=("tt", "ss", "ff")), 3)],
+        ids=["plain", "robust"],
+    )
+    def test_pooled_run_builds_its_problem_once_in_the_parent(
+        self, robust, benches, monkeypatch, tmp_path
+    ):
+        """Two workers, four chains: one bundle and one bench per
+        problem (a robust run's ``ss`` and ``ff`` corners add theirs),
+        all built in the parent, which also verifies a robust winner on
+        that bundle."""
+        log = tmp_path / "builds.log"
+        self._log_builds(monkeypatch, log)
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, restarts=4, workers=2, oversubscribe=True,
+            robust=robust, **self.RUN,
+        )
+        assert result.workers == 2
+        parent = str(os.getpid())
+        assert self._builds(log) == (
+            [("bundle", parent)] + [("bench", parent)] * benches
+        )
+
+    @pytest.mark.timeout(300)
+    def test_a_fault_plan_still_builds_in_the_workers(
+        self, monkeypatch, tmp_path
+    ):
+        """Chains that arm an injector build their problems under it,
+        one per chain, in their workers, and their results are those of
+        one worker."""
+        log = tmp_path / "builds.log"
+        self._log_builds(monkeypatch, log)
+        plan = {"synthesis.evaluate": 0.2}
+        with injected_faults(plan, seed=11):
+            pooled = synthesize_opamp(
+                TECH, SPEC, TOPO, restarts=4, workers=2, oversubscribe=True,
+                **self.RUN,
+            )
+        builds = self._builds(log)
+        with injected_faults(plan, seed=11):
+            one = synthesize_opamp(
+                TECH, SPEC, TOPO, restarts=4, workers=1, **self.RUN
+            )
+        assert pooled.workers == 2
+        assert [kind for kind, _ in builds].count("bundle") == 4
+        assert str(os.getpid()) not in {pid for _, pid in builds}
+        assert pooled.failed_evaluations == one.failed_evaluations > 0
+        assert repr(_chain_summary(pooled)) == repr(_chain_summary(one))
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize(
+        "template_solves", [True, False], ids=["template", "no-template"]
+    )
+    @pytest.mark.parametrize("case", ["buffered", "oa3", "opamp1_worst"])
+    def test_pooled_run_equals_one_worker(
+        self, case, template_solves, monkeypatch
+    ):
+        """Every chain's result, Diagnostic and counter of a pooled run
+        on a problem set up before the fork equals one worker's, where
+        each chain sets its problem up itself.  ``memo=False`` makes
+        every candidate evaluate in every chain, so per-candidate
+        Diagnostics and counters do not depend on scheduling.  A
+        template whose zero-drive solve fails is recorded, as before,
+        once per process, by the first chain to evaluate a candidate of
+        that problem there."""
+        import repro.parallel.executor as executor
+
+        spec, topology, robust = (
+            (SPEC, TOPO, None) if case == "buffered" else SERIAL_CASES[case]
+        )
+        if not template_solves:
+            _refuse_template_solves(monkeypatch)
+        kwargs = dict(restarts=4, memo=False, robust=robust, **self.RUN)
+        results = {}
+        for workers in (2, 1):
+            monkeypatch.setattr(executor, "_BUNDLES", {})
+            results[workers] = synthesize_opamp(
+                TECH, spec, topology, workers=workers, oversubscribe=True,
+                **kwargs,
+            )
+        pooled, one = results[2], results[1]
+
+        def summary(result):
+            return repr((
+                _chain_summary(result), result.best_cost, result.params,
+                result.metrics, result.evaluations,
+                result.failed_evaluations, result.lint_rejections,
+                result.retries, result.corner_evals,
+                result.screened_candidates, result.corner_metrics,
+                [
+                    (d.subsystem, d.severity, d.message, d.context)
+                    for d in result.diagnostics
+                    if d.subsystem != "synthesis.parallel"
+                    and not _is_template_failure(d)
+                ],
+            ))
+
+        assert pooled.workers == 2
+        assert summary(pooled) == summary(one)
+        template_failures = [
+            sum(map(_is_template_failure, result.diagnostics))
+            for result in (one, pooled)
+        ]
+        # One record per problem of a bundle: OpAmp1's ss and ff corners
+        # have their own templates.
+        problems = 3 if robust is not None else 1
+        if template_solves:
+            assert template_failures == [0, 0]
+        else:
+            assert template_failures[0] == problems
+            assert problems <= template_failures[1] <= 2 * problems
+
+    def test_prepare_records_nothing_and_defers_a_failed_template(
+        self, monkeypatch
+    ):
+        """A problem set up ahead of its first candidate evaluates it as
+        an unprepared one does, recording the failed template solve
+        there."""
+        _refuse_template_solves(monkeypatch)
+        template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
+        variables = ape_ranges(template)
+        point = {
+            v.name: min(max(template.initial_point()[v.name], v.lo), v.hi)
+            for v in variables
+        }
+        runs = []
+        for prepared in (True, False):
+            problem = OpAmpSizingProblem(
+                template, variables, diagnostics=DiagnosticLog(mirror=False)
+            )
+            if prepared:
+                problem.prepare()
+                assert problem._system is not None
+                assert not problem.diagnostics.records
+            metrics = problem.evaluate(point)
+            runs.append(repr((
+                metrics,
+                [(d.subsystem, d.severity, d.message)
+                 for d in problem.diagnostics.records],
+            )))
+        assert runs[0] == runs[1]
+        assert "template solve refused" in runs[0]
+
+    def test_a_gated_template_adds_no_rejection_in_the_parent(
+        self, monkeypatch
+    ):
+        """Every candidate of a floating-gate bench is rejected by the
+        structural lint pass; setting the problem up before the fork
+        counts no rejection and records nothing of its own."""
+        import repro.parallel.executor as executor
+        import repro.synthesis.problems as problems
+        from repro.spice.netlist import Circuit, Mosfet
+
+        def floating_gate_bench(amp, v_diff=0.0):
+            bench = open_loop_bench(amp, v_diff=v_diff)
+            target = [e for e in bench if isinstance(e, Mosfet)][-1]
+            floated = dataclasses.replace(target, ng=target.ng + "_float")
+            rebuilt = Circuit(bench.title)
+            for element in bench:
+                rebuilt.add(floated if element is target else element)
+            rebuilt.c(target.ng, floated.ng, 1e-12, name="CACGATE")
+            return rebuilt
+
+        monkeypatch.setattr(problems, "open_loop_bench", floating_gate_bench)
+        kwargs = dict(restarts=4, memo=False, **self.RUN)
+        results = {}
+        for workers in (2, 1):
+            monkeypatch.setattr(executor, "_BUNDLES", {})
+            results[workers] = synthesize_opamp(
+                TECH, SPEC, TOPO, workers=workers, oversubscribe=True,
+                **kwargs,
+            )
+        pooled, one = results[2], results[1]
+        assert pooled.workers == 2
+        assert pooled.lint_rejections == one.lint_rejections == 4 * 16
+        assert [d.message for d in pooled.diagnostics[:-1]] == [
+            d.message for d in one.diagnostics[:-1]
+        ]
 
 
 # ---------------------------------------------------------------- pickling

@@ -13,6 +13,8 @@ the robust path through the engine/executor stack:
   ``--resume`` after an interrupt;
 * a persistently failing variant degrades the run with a Diagnostic
   instead of crashing it;
+* the winning design is verified from the run's memo, evaluating only
+  the variants it lacks and writing nothing back;
 * the robustness payoff itself: on the Table-3 OpAmp1 problem the
   corner-aware design beats the nominal-only design at its worst
   corner.
@@ -531,6 +533,96 @@ class TestRobustSynthesis:
         assert result.corner_metrics["corner:tt"] == (
             result.corner_metrics["nominal"]
         )
+
+    @staticmethod
+    def _count_verify_applies(monkeypatch):
+        """Candidates applied to a problem while a family is verified
+        (every evaluation path applies one)."""
+        from repro.synthesis.problems import OpAmpSizingProblem
+        from repro.synthesis.robust import RobustEvaluator
+
+        applied, verifying = [], []
+        detail = RobustEvaluator.detail
+        apply = OpAmpSizingProblem._applied
+
+        def counting_detail(self, params):
+            verifying.append(True)
+            try:
+                return detail(self, params)
+            finally:
+                verifying.pop()
+
+        def counting_apply(self, params):
+            if verifying:
+                applied.append(self)
+            return apply(self, params)
+
+        monkeypatch.setattr(RobustEvaluator, "detail", counting_detail)
+        monkeypatch.setattr(OpAmpSizingProblem, "_applied", counting_apply)
+        return applied
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_verification_reads_the_winner_from_the_run_memo(
+        self, seed, monkeypatch
+    ):
+        """The run's memo holds every variant of the winning design, so
+        the verification evaluates nothing, and reports what evaluating
+        the family (``memo=False``) reports, float for float."""
+        applied = self._count_verify_applies(monkeypatch)
+        kwargs = dict(
+            seed=seed, workers=1, robust=RobustSpec(corners=("tt", "ss", "ff")),
+            **RUN_KW,
+        )
+        memoized = synthesize_opamp(TECH, SPEC, TOPO, **kwargs)
+        assert memoized.corner_metrics
+        assert applied == []
+        evaluated = synthesize_opamp(TECH, SPEC, TOPO, memo=False, **kwargs)
+        assert len(applied) == 3
+
+        def report(result):
+            return {
+                label: None if metrics is None else {
+                    name: value.hex() for name, value in metrics.items()
+                }
+                for label, metrics in result.corner_metrics.items()
+            }, result.worst_corner, result.estimated_yield.hex()
+
+        assert report(memoized) == report(evaluated)
+
+    def test_verification_evaluates_only_what_the_memo_lacks(
+        self, monkeypatch
+    ):
+        """Variants the memo lacks are evaluated and written nowhere: the
+        memo's entries and counters stay as they were."""
+        from repro.opamp import coarse_design_opamp
+        from repro.parallel import ChainTask
+        from repro.parallel.executor import robust_detail
+        from repro.synthesis import RunConfig
+        from repro.synthesis.problems import ape_ranges
+
+        robust = RobustSpec(corners=("tt", "ss", "ff"), mc_samples=1)
+        task = ChainTask(
+            tech=TECH,
+            config=RunConfig(SPEC, TOPO, name="rob-verify", robust=robust),
+            chain_index=0,
+        )
+        template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
+        params = {
+            v.name: min(max(template.initial_point()[v.name], v.lo), v.hi)
+            for v in ape_ranges(template)
+        }
+        family = robust_detail(task, params)
+        memo = EvalMemo()
+        key = memo.key(params)
+        memo.put(key, 0.0, family["nominal"])
+        memo.put(memo.tagged(key, "corner:ss"), 0.0, family["corner:ss"])
+        before = memo.export()
+        applied = self._count_verify_applies(monkeypatch)
+        verified = robust_detail(task, params, memo)
+        assert len(applied) == 2  # corner:ff and mc:0
+        assert repr(verified) == repr(family)
+        assert memo.export() == before
 
     @pytest.mark.timeout(300)
     def test_persistently_failing_variants_degrade_not_crash(self):

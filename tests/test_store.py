@@ -7,7 +7,11 @@ Locks in the contracts of :mod:`repro.store`:
 * the store survives concurrent multi-process writers (WAL) and every
   failure path degrades to the in-memory memo with a Diagnostic;
 * only the run's parent process writes the store, and a memo reused
-  for another problem never writes into the earlier problem's store.
+  for another problem never writes into the earlier problem's store;
+* a store-backed run directory keeps no ``memo.json`` and resumes bit
+  for bit through the store, while a store-less one keeps its snapshot
+  and an older store-backed one that carries a snapshot still resumes
+  warm.
 
 And of ``surrogate="rank"``, the move screen that ranks proposals by
 the APE equations: it is a pure function of the problem, so it is
@@ -425,6 +429,106 @@ class TestStoreBackedSynthesis:
                 store_dir=str(store_dir), **RUN_KW
             )
         assert not store_dir.exists()
+
+    @pytest.mark.timeout(300)
+    def test_store_backed_run_dir_keeps_no_memo_snapshot(self, tmp_path):
+        """The store holds every entry of a store-backed run, so its run
+        directory carries no ``memo.json``, pooled or interrupted; a
+        resume that binds the store reads through it and matches the
+        uninterrupted run bit for bit."""
+        from repro.runtime import RunJournal, SupervisorConfig
+
+        kwargs = dict(seed=7, restarts=4, **RUN_KW)
+        reference_dir = tmp_path / "reference"
+        reference = synthesize_opamp(
+            TECH, SPEC, TOPO, workers=2, oversubscribe=True,
+            store_dir=str(tmp_path / "reference-store"),
+            run_dir=str(reference_dir), **kwargs,
+        )
+        assert reference.workers == 2
+        assert not (reference_dir / RunJournal.MEMO).exists()
+
+        store_dir = str(tmp_path / "store")
+        run_dir = tmp_path / "run"
+        partial = synthesize_opamp(
+            TECH, SPEC, TOPO, workers=1, store_dir=store_dir,
+            run_dir=str(run_dir),
+            supervisor=SupervisorConfig(
+                interrupt_after=2, install_signal_handlers=False
+            ),
+            **kwargs,
+        )
+        assert partial.interrupted
+        assert len(partial.chains) == 2
+        assert not (run_dir / RunJournal.MEMO).exists()
+        resumed = synthesize_opamp(
+            TECH, SPEC, TOPO, workers=1, store_dir=store_dir,
+            run_dir=str(run_dir), resume=True, **kwargs,
+        )
+        assert resumed.resumed_chains == [0, 1]
+        assert not (run_dir / RunJournal.MEMO).exists()
+        assert resumed.store_hits > 0
+        assert _chain_summary(resumed) == _chain_summary(reference)
+        assert resumed.best_cost == reference.best_cost
+        assert resumed.params == reference.params
+        assert resumed.metrics == reference.metrics
+
+    def test_store_less_run_dir_keeps_its_memo_snapshot(self, tmp_path):
+        from repro.runtime import RunJournal
+
+        run_dir = tmp_path / "run"
+        result = synthesize_opamp(
+            TECH, SPEC, TOPO, seed=3, restarts=2, workers=2,
+            oversubscribe=True, run_dir=str(run_dir), **RUN_KW,
+        )
+        assert result.workers == 2
+        snapshot = RunJournal(run_dir).load_memo()
+        assert snapshot is not None
+        assert len(snapshot) > 0
+
+    @pytest.mark.timeout(300)
+    def test_memo_snapshot_of_a_store_backed_run_dir_still_warms_resume(
+        self, tmp_path
+    ):
+        """Run directories journaled while store-backed runs still wrote
+        ``memo.json`` resume warm: the snapshot's entries hit in memory,
+        where a resume without it reads them from the store."""
+        import shutil
+
+        from repro.runtime import RunJournal, SupervisorConfig
+
+        kwargs = dict(seed=7, restarts=4, workers=1, **RUN_KW)
+        store_dir, run_dir = tmp_path / "store", tmp_path / "run"
+        memo = EvalMemo()
+        synthesize_opamp(
+            TECH, SPEC, TOPO, memo=memo, store_dir=str(store_dir),
+            run_dir=str(run_dir),
+            supervisor=SupervisorConfig(
+                interrupt_after=2, install_signal_handlers=False
+            ),
+            **kwargs,
+        )
+        RunJournal(run_dir).snapshot_memo(memo)
+        shutil.copytree(store_dir, tmp_path / "bare-store")
+        shutil.copytree(run_dir, tmp_path / "bare-run")
+        (tmp_path / "bare-run" / RunJournal.MEMO).unlink()
+
+        legacy = synthesize_opamp(
+            TECH, SPEC, TOPO, store_dir=str(store_dir), run_dir=str(run_dir),
+            resume=True, **kwargs,
+        )
+        bare = synthesize_opamp(
+            TECH, SPEC, TOPO, store_dir=str(tmp_path / "bare-store"),
+            run_dir=str(tmp_path / "bare-run"), resume=True, **kwargs,
+        )
+        assert legacy.resumed_chains == bare.resumed_chains == [0, 1]
+        assert _chain_summary(legacy) == _chain_summary(bare)
+        assert legacy.cache_misses == bare.cache_misses
+        assert legacy.cache_hits > bare.cache_hits
+        assert (
+            legacy.cache_hits + legacy.store_hits
+            == bare.cache_hits + bare.store_hits
+        )
 
     def test_store_off_matches_plain_run(self, tmp_path):
         kwargs = dict(seed=3, restarts=2, workers=1, **RUN_KW)

@@ -25,6 +25,7 @@ checkpointing & resume") for the recovery loop.
 """
 
 from .executor import (
+    CHAIN_COUNTERS,
     ChainOutcome,
     ChainTask,
     derive_chain_seed,
@@ -36,6 +37,7 @@ from .executor import (
 from .memo import DEFAULT_CAPACITY, DEFAULT_QUANTUM, EvalMemo, memo_key
 
 __all__ = [
+    "CHAIN_COUNTERS",
     "ChainOutcome",
     "ChainTask",
     "DEFAULT_CAPACITY",

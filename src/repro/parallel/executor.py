@@ -83,6 +83,7 @@ from ..synthesis.cost import CostFunction, FAILURE_COST
 from .memo import EvalMemo
 
 __all__ = [
+    "CHAIN_COUNTERS",
     "ChainTask",
     "ChainOutcome",
     "derive_chain_seed",
@@ -193,6 +194,24 @@ class ChainTask:
         )
 
 
+#: The counters a chain reports, in the order its journal record lists
+#: them: candidates the lint gate rejected, DC retries, memo hits and
+#: misses, corner and Monte Carlo evaluations beyond the nominal ones,
+#: candidates the robust screen kept from the corners, store lookups
+#: served from disk and proposals the APE screen left unevaluated.
+#: Each is one source's growth over the chain (:func:`_counter_sources`).
+CHAIN_COUNTERS = (
+    "lint_rejections",
+    "retries",
+    "cache_hits",
+    "cache_misses",
+    "corner_evals",
+    "screened_candidates",
+    "store_hits",
+    "surrogate_skips",
+)
+
+
 @dataclass
 class ChainOutcome:
     """One chain's result plus the counters the parent merges back."""
@@ -202,20 +221,8 @@ class ChainOutcome:
     anneal: AnnealResult
     degraded_design: bool = False
     ape_seconds: float = 0.0
-    lint_rejections: int = 0
-    retries: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    #: Robust-synthesis counters: logical per-corner/per-sample
-    #: evaluations beyond the nominal ones, and candidates the nominal
-    #: screen kept away from the corner fan-out.
-    corner_evals: int = 0
-    screened_candidates: int = 0
-    #: Persistent-store lookups served from disk during this chain.
-    store_hits: int = 0
-    #: Proposals the APE screen left unevaluated (0 with
-    #: ``surrogate="off"``).
-    surrogate_skips: int = 0
+    #: The chain's :data:`CHAIN_COUNTERS`, by name and in that order.
+    counts: dict[str, int] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
     #: What a pooled chain added to its worker's copy of the run's memo
     #: (:meth:`EvalMemo.take_new`), for the parent to merge; ``None``
@@ -529,16 +536,15 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
             retry=retry,
             memo=memo,
         )
-    corner_before = (
-        evaluator.corner_evaluations if evaluator is not None else 0
-    )
-    screened_before = (
-        evaluator.screened_candidates if evaluator is not None else 0
-    )
-    lint_before = problem.lint_rejections
-    hits_before = memo.hits if memo is not None else 0
-    misses_before = memo.misses if memo is not None else 0
-    store_hits_before = memo.store_hits if memo is not None else 0
+    # A failed template solve stays on its problem, wherever that was
+    # set up, and every chain records it, as it records design notes.
+    setup = evaluator if evaluator is not None else problem
+    try:
+        setup.prepare()
+    except ApeError:
+        pass  # left to the candidates' gates, which record it
+    setup.record_template_failure()
+    before = _counter_sources(problem, evaluator, memo, retry)
 
     screen = (
         _ape_screen(task, problem.template, cost_fn, chain_log)
@@ -588,33 +594,40 @@ def _anneal_chain(task, bundle, memo, stop) -> ChainOutcome:
         max_evaluations=config.max_evaluations,
         budget=task.budget.share() if task.budget is not None else None,
     )
+    after = _counter_sources(problem, evaluator, memo, retry, result)
     return ChainOutcome(
         chain_index=task.chain_index,
         seed=seed,
         anneal=result,
         degraded_design=bool(design_notes),
         ape_seconds=ape_seconds,
-        lint_rejections=problem.lint_rejections - lint_before,
-        retries=retry.total_retries if retry is not None else 0,
-        cache_hits=(memo.hits - hits_before) if memo is not None else 0,
-        cache_misses=(
-            (memo.misses - misses_before) if memo is not None else 0
-        ),
-        corner_evals=(
-            evaluator.corner_evaluations - corner_before
-            if evaluator is not None else 0
-        ),
-        screened_candidates=(
-            evaluator.screened_candidates - screened_before
-            if evaluator is not None else 0
-        ),
-        store_hits=(
-            (memo.store_hits - store_hits_before)
-            if memo is not None else 0
-        ),
-        surrogate_skips=result.surrogate_skips,
+        counts={name: after[name] - before[name] for name in CHAIN_COUNTERS},
         diagnostics=list(chain_log.records),
     )
+
+
+def _counter_sources(problem, evaluator, memo, retry, anneal=None) -> dict:
+    """Where each of :data:`CHAIN_COUNTERS` accumulates, read now.
+
+    The problem, robust evaluator and memo keep counting across the
+    chains of a process, so a chain reports their growth; its retry
+    policy is its own, and its annealer reports skips only at the end
+    (``anneal``).
+    """
+    return {
+        "lint_rejections": problem.lint_rejections,
+        "retries": retry.total_retries if retry is not None else 0,
+        "cache_hits": memo.hits if memo is not None else 0,
+        "cache_misses": memo.misses if memo is not None else 0,
+        "corner_evals": (
+            evaluator.corner_evaluations if evaluator is not None else 0
+        ),
+        "screened_candidates": (
+            evaluator.screened_candidates if evaluator is not None else 0
+        ),
+        "store_hits": memo.store_hits if memo is not None else 0,
+        "surrogate_skips": anneal.surrogate_skips if anneal is not None else 0,
+    }
 
 
 def _ape_screen(task, template, cost_fn, chain_log):

@@ -120,14 +120,7 @@ def outcome_to_jsonable(outcome: Any) -> dict:
         },
         "degraded_design": outcome.degraded_design,
         "ape_seconds": outcome.ape_seconds,
-        "lint_rejections": outcome.lint_rejections,
-        "retries": outcome.retries,
-        "cache_hits": outcome.cache_hits,
-        "cache_misses": outcome.cache_misses,
-        "corner_evals": outcome.corner_evals,
-        "screened_candidates": outcome.screened_candidates,
-        "store_hits": outcome.store_hits,
-        "surrogate_skips": outcome.surrogate_skips,
+        **outcome.counts,
         "diagnostics": [
             _diagnostic_to_jsonable(d) for d in outcome.diagnostics
         ],
@@ -135,8 +128,13 @@ def outcome_to_jsonable(outcome: Any) -> dict:
 
 
 def outcome_from_jsonable(payload: dict) -> Any:
-    """Rebuild a ChainOutcome journaled by :func:`outcome_to_jsonable`."""
-    from ..parallel.executor import ChainOutcome
+    """Rebuild a ChainOutcome journaled by :func:`outcome_to_jsonable`.
+
+    A counter the record lacks replays as 0: records written before
+    robust synthesis, the store or the APE screen carry no corner,
+    screen, store or skip counters.
+    """
+    from ..parallel.executor import CHAIN_COUNTERS, ChainOutcome
     from ..synthesis.annealing import AnnealResult
 
     anneal = payload["anneal"]
@@ -162,17 +160,7 @@ def outcome_from_jsonable(payload: dict) -> Any:
         ),
         degraded_design=payload["degraded_design"],
         ape_seconds=payload["ape_seconds"],
-        lint_rejections=payload["lint_rejections"],
-        retries=payload["retries"],
-        cache_hits=payload["cache_hits"],
-        cache_misses=payload["cache_misses"],
-        # .get(): journals written before corner/yield-aware synthesis
-        # (or before the evaluation store) carry no robust/store
-        # counters; default them to zero on replay.
-        corner_evals=payload.get("corner_evals", 0),
-        screened_candidates=payload.get("screened_candidates", 0),
-        store_hits=payload.get("store_hits", 0),
-        surrogate_skips=payload.get("surrogate_skips", 0),
+        counts={name: payload.get(name, 0) for name in CHAIN_COUNTERS},
         diagnostics=[
             _diagnostic_from_jsonable(d) for d in payload["diagnostics"]
         ],

@@ -1,14 +1,17 @@
 """Process-wide performance counters for the synthesis session.
 
 Mirrors the role of :func:`~repro.runtime.diagnostics.global_log` for
-throughput: every synthesis run records its evaluation count, wall
-time and memo-cache traffic here, and ``repro diagnostics`` renders
-the totals so a long table run ends with one honest throughput line.
+throughput: every synthesis run records the work this process did for
+it here — its evaluations, wall time, memo-cache and store traffic,
+and the counters of the chains it ran — and ``repro diagnostics``
+renders the totals so a long table run ends with one honest throughput
+line.  A chain a resumed run replays from its journal was counted by
+the run (and the process) that made it, so it adds nothing here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = ["SessionStats", "global_stats"]
 
@@ -39,37 +42,20 @@ class SessionStats:
     #: chains of all runs.
     surrogate_skips: int = 0
 
-    def record_run(
-        self,
-        *,
-        evaluations: int,
-        seconds: float,
-        corner_evals: int = 0,
-        cache_hits: int = 0,
-        cache_misses: int = 0,
-        cache_evictions: int = 0,
-        worker_restarts: int = 0,
-        chains_quarantined: int = 0,
-        chains_resumed: int = 0,
-        interrupted: bool = False,
-        store_hits: int = 0,
-        store_writes: int = 0,
-        surrogate_skips: int = 0,
-    ) -> None:
+    #: Each derived rate of :meth:`to_dict`, keyed by the counter it
+    #: follows there.
+    _RATES = {"eval_seconds": "evals_per_second",
+              "cache_evictions": "cache_hit_rate"}
+
+    def record_run(self, **counts: float) -> None:
+        """Count one run and add its ``counts`` to the counters of the
+        same name; a count this session keeps no counter for (a chain's
+        lint rejections, say) is left out."""
         self.runs += 1
-        self.evaluations += evaluations
-        self.corner_evals += corner_evals
-        self.eval_seconds += seconds
-        self.cache_hits += cache_hits
-        self.cache_misses += cache_misses
-        self.cache_evictions += cache_evictions
-        self.worker_restarts += worker_restarts
-        self.chains_quarantined += chains_quarantined
-        self.chains_resumed += chains_resumed
-        self.runs_interrupted += 1 if interrupted else 0
-        self.store_hits += store_hits
-        self.store_writes += store_writes
-        self.surrogate_skips += surrogate_skips
+        for counter in fields(self):
+            if counter.name in counts:
+                total = getattr(self, counter.name) + counts[counter.name]
+                setattr(self, counter.name, total)
 
     @property
     def evals_per_second(self) -> float:
@@ -83,41 +69,18 @@ class SessionStats:
         return self.cache_hits / total if total else 0.0
 
     def clear(self) -> None:
-        self.runs = 0
-        self.evaluations = 0
-        self.corner_evals = 0
-        self.eval_seconds = 0.0
-        self.cache_hits = 0
-        self.cache_misses = 0
-        self.cache_evictions = 0
-        self.worker_restarts = 0
-        self.chains_quarantined = 0
-        self.chains_resumed = 0
-        self.runs_interrupted = 0
-        self.store_hits = 0
-        self.store_writes = 0
-        self.surrogate_skips = 0
+        for counter in fields(self):
+            setattr(self, counter.name, counter.default)
 
     def to_dict(self) -> dict:
         """JSON-serialisable snapshot of every counter plus derived rates."""
-        return {
-            "runs": self.runs,
-            "evaluations": self.evaluations,
-            "corner_evals": self.corner_evals,
-            "eval_seconds": self.eval_seconds,
-            "evals_per_second": self.evals_per_second,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "cache_evictions": self.cache_evictions,
-            "cache_hit_rate": self.cache_hit_rate,
-            "worker_restarts": self.worker_restarts,
-            "chains_quarantined": self.chains_quarantined,
-            "chains_resumed": self.chains_resumed,
-            "runs_interrupted": self.runs_interrupted,
-            "store_hits": self.store_hits,
-            "store_writes": self.store_writes,
-            "surrogate_skips": self.surrogate_skips,
-        }
+        snapshot = {}
+        for counter in fields(self):
+            snapshot[counter.name] = getattr(self, counter.name)
+            rate = self._RATES.get(counter.name)
+            if rate is not None:
+                snapshot[rate] = getattr(self, rate)
+        return snapshot
 
     def render(self) -> str:
         """One-paragraph human-readable summary."""

@@ -294,6 +294,7 @@ def synthesize_opamp(
                 box = tuple(sorted(contracted.items()))
 
     from ..parallel import (
+        CHAIN_COUNTERS,
         ChainTask,
         derive_chain_seed,
         effective_workers,
@@ -414,6 +415,9 @@ def synthesize_opamp(
     store_writes = (
         memo.store_writes - store_writes_before if memo is not None else 0
     )
+    cache_evictions = (
+        memo.evictions - evictions_before if memo is not None else 0
+    )
 
     report.resumed.extend(resumed_indices)
     for index in resumed_indices:
@@ -423,6 +427,28 @@ def synthesize_opamp(
     outcome_map = dict(journaled_outcomes)
     outcome_map.update(fresh_outcomes)
     outcomes = [outcome_map[index] for index in sorted(outcome_map)]
+
+    def chain_totals(chains) -> dict[str, int]:
+        return {
+            name: sum(o.counts[name] for o in chains)
+            for name in CHAIN_COUNTERS
+        }
+
+    # This process's work, for its session: a replayed chain was
+    # counted by the run that made it.
+    fresh = fresh_outcomes.values()
+    fresh_evaluations = sum(o.anneal.evaluations for o in fresh)
+    session = {
+        **chain_totals(fresh),
+        "evaluations": fresh_evaluations,
+        "eval_seconds": cpu,
+        "cache_evictions": cache_evictions,
+        "store_writes": store_writes,
+        "worker_restarts": report.worker_restarts,
+        "chains_quarantined": len(report.quarantined),
+        "chains_resumed": len(report.resumed),
+        "runs_interrupted": int(report.interrupted),
+    }
 
     for event in report.events:
         where = (
@@ -453,15 +479,7 @@ def synthesize_opamp(
             journal.append("run-finished", completed=0, best_cost=None)
         if store is not None:
             store.close()
-        global_stats().record_run(
-            evaluations=0,
-            seconds=cpu,
-            worker_restarts=report.worker_restarts,
-            chains_quarantined=len(report.quarantined),
-            chains_resumed=len(report.resumed),
-            interrupted=report.interrupted,
-            store_writes=store_writes,
-        )
+        global_stats().record_run(**session)
         return SynthesisResult(
             name=config.name,
             mode=config.mode,
@@ -485,6 +503,7 @@ def synthesize_opamp(
             feasibility=feasibility_report,
             store_dir=str(store_dir) if store_dir is not None else None,
             store_writes=store_writes,
+            cache_evictions=cache_evictions,
             surrogate=config.surrogate,
         )
 
@@ -497,16 +516,11 @@ def synthesize_opamp(
     result = best.anneal
     evaluations = sum(o.anneal.evaluations for o in outcomes)
     failed = sum(o.anneal.failed_evaluations for o in outcomes)
-    lint_rejections = sum(o.lint_rejections for o in outcomes)
-    chain_retries = sum(o.retries for o in outcomes)
-    cache_hits = sum(o.cache_hits for o in outcomes)
-    cache_misses = sum(o.cache_misses for o in outcomes)
-    store_hits = sum(getattr(o, "store_hits", 0) for o in outcomes)
-    surrogate_skips = sum(getattr(o, "surrogate_skips", 0) for o in outcomes)
+    totals = chain_totals(outcomes)
     if retry is not None:
         # Chains consume per-chain copies of the policy; fold their
         # retries back so shared policies keep session-wide totals.
-        retry.total_retries += chain_retries
+        retry.total_retries += totals["retries"]
     if budget is not None:
         budget.evaluations += evaluations
         budget.failures += failed
@@ -515,19 +529,18 @@ def synthesize_opamp(
     worst_corner = None
     estimated_yield = None
     robust_meets = None
-    corner_evals = 0
-    screened = 0
     if robust is not None:
-        corner_evals = sum(o.corner_evals for o in outcomes)
-        screened = sum(o.screened_candidates for o in outcomes)
         if result.best_params:
-            robust_detail = _robust_verify(
+            robust_detail, replayed = _robust_verify(
                 first_task, result.best_params, journal=journal, memo=memo
             )
-            # The verify fan-out counts whether it ran live or was
-            # replayed from the journal, so resumed and uninterrupted
-            # runs report identical totals.
-            corner_evals += len(robust.variant_labels) - 1
+            # The verify fan-out counts in the result whether it ran
+            # live or was replayed from the journal, so resumed and
+            # uninterrupted runs report identical totals.
+            fan_out = len(robust.variant_labels) - 1
+            totals["corner_evals"] += fan_out
+            if not replayed:
+                session["corner_evals"] += fan_out
             robust_cost = RobustCost(
                 synthesis_spec, robust.mode, yield_target=robust.yield_target
             )
@@ -535,7 +548,7 @@ def synthesize_opamp(
             estimated_yield = robust_cost.estimated_yield(robust_detail)
             robust_meets = robust_cost.meets_spec(robust_detail)
         if budget is not None:
-            budget.corner_evaluations += corner_evals
+            budget.corner_evaluations += totals["corner_evals"]
 
     degraded_chains = [o for o in outcomes if o.anneal.degraded]
     if degraded_chains:
@@ -563,10 +576,7 @@ def synthesize_opamp(
                 },
             )
         )
-    evals_per_second = evaluations / cpu if cpu > 0 else 0.0
-    cache_evictions = (
-        memo.evictions - evictions_before if memo is not None else 0
-    )
+    evals_per_second = fresh_evaluations / cpu if cpu > 0 else 0.0
     if config.restarts > 1:
         log.record(
             Diagnostic(
@@ -576,13 +586,15 @@ def synthesize_opamp(
                     f"{config.name}: {config.restarts} chains on "
                     f"{n_workers} worker(s): "
                     f"{evaluations} evaluations ({evals_per_second:.1f}/s), "
-                    f"cache {cache_hits} hits / {cache_misses} misses"
+                    f"cache {totals['cache_hits']} hits / "
+                    f"{totals['cache_misses']} misses"
                     + (
-                        f", store {store_hits} hits / {store_writes} writes"
+                        f", store {totals['store_hits']} hits / "
+                        f"{store_writes} writes"
                         if store is not None else ""
                     )
                     + (
-                        f", surrogate {surrogate_skips} skips"
+                        f", surrogate {totals['surrogate_skips']} skips"
                         if config.surrogate != "off" else ""
                     )
                 ),
@@ -590,29 +602,15 @@ def synthesize_opamp(
                     "name": config.name,
                     "restarts": config.restarts,
                     "workers": n_workers,
-                    "cache_hits": cache_hits,
-                    "cache_misses": cache_misses,
-                    "store_hits": store_hits,
+                    "cache_hits": totals["cache_hits"],
+                    "cache_misses": totals["cache_misses"],
+                    "store_hits": totals["store_hits"],
                     "store_writes": store_writes,
-                    "surrogate_skips": surrogate_skips,
+                    "surrogate_skips": totals["surrogate_skips"],
                 },
             )
         )
-    global_stats().record_run(
-        evaluations=evaluations,
-        seconds=cpu,
-        corner_evals=corner_evals,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
-        cache_evictions=cache_evictions,
-        worker_restarts=report.worker_restarts,
-        chains_quarantined=len(report.quarantined),
-        chains_resumed=len(report.resumed),
-        interrupted=report.interrupted,
-        store_hits=store_hits,
-        store_writes=store_writes,
-        surrogate_skips=surrogate_skips,
-    )
+    global_stats().record_run(**session)
     if store is not None:
         store.close()
     if journal is not None:
@@ -639,8 +637,6 @@ def synthesize_opamp(
         ape_seconds=outcomes[0].ape_seconds,
         params=result.best_params,
         failed_evaluations=failed,
-        lint_rejections=lint_rejections,
-        retries=chain_retries,
         degraded=(
             any(o.degraded_design for o in outcomes)
             or bool(degraded_chains)
@@ -655,8 +651,6 @@ def synthesize_opamp(
         diagnostics=list(log.records[records_before:]),
         restarts=config.restarts,
         workers=n_workers,
-        cache_hits=cache_hits,
-        cache_misses=cache_misses,
         evals_per_second=evals_per_second,
         chains=[o.anneal for o in outcomes],
         worker_restarts=report.worker_restarts,
@@ -666,17 +660,14 @@ def synthesize_opamp(
         run_dir=run_dir,
         cache_evictions=cache_evictions,
         robust_mode=robust.mode if robust is not None else None,
-        corner_evals=corner_evals,
-        screened_candidates=screened,
         worst_corner=worst_corner,
         estimated_yield=estimated_yield,
         corner_metrics=robust_detail if robust_detail is not None else {},
         feasibility=feasibility_report,
         store_dir=str(store_dir) if store_dir is not None else None,
-        store_hits=store_hits,
         store_writes=store_writes,
         surrogate=config.surrogate,
-        surrogate_skips=surrogate_skips,
+        **totals,
     )
 
 
@@ -763,7 +754,7 @@ def _robust_verify(task, params, *, journal, memo):
     The detail is journaled (``robust-verified``) keyed by the exact
     winning parameters, so a resumed run replays the recorded detail
     instead of recomputing it (JSON floats round-trip exactly, keeping
-    resume bit-for-bit).
+    resume bit-for-bit).  Returns ``(detail, replayed)``.
     """
     from ..parallel.executor import robust_detail
 
@@ -776,8 +767,8 @@ def _robust_verify(task, params, *, journal, memo):
                 return {
                     label: dict(metrics) if metrics is not None else None
                     for label, metrics in record["detail"].items()
-                }
+                }, True
     detail = robust_detail(task, params, memo)
     if journal is not None:
         journal.append("robust-verified", params=params, detail=detail)
-    return detail
+    return detail, False

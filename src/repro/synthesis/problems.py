@@ -322,7 +322,8 @@ class OpAmpSizingProblem(SizingProblem):
         self._system: System | None = None
         #: Template operating points at zero drive and, when that one
         #: rails, balanced (see :meth:`_solve_template`), and the error
-        #: of a template solve that failed, until a candidate records it.
+        #: of a template solve that failed, for every chain to record
+        #: (:meth:`record_template_failure`).
         self._warm_x0 = None
         self._balanced_x0 = None
         self._warm_ready = False
@@ -514,9 +515,8 @@ class OpAmpSizingProblem(SizingProblem):
         forking, so the workers inherit a ready problem.  It records
         nothing: a bench the structural pass rejects, or a system that
         will not compile, is left to the candidate whose gate records
-        it, and a failed template solve is recorded by the first
-        candidate to reach :meth:`_warm_start`, as if it had failed
-        there.
+        it, and a failed template solve is kept for
+        :meth:`record_template_failure`.
         """
         bench = self._placed()
         if self._warm_ready or not self._structure_ok(bench):
@@ -537,22 +537,10 @@ class OpAmpSizingProblem(SizingProblem):
         balance, or when the current system's unknown vector has
         another size.  ``None`` at zero drive is the solver's cold
         start; ``None`` balanced solves the candidate at zero drive
-        first.  The first call after a failed template solve records
-        the failure.
+        first.
         """
         if not self._warm_ready:
             self._solve_template()
-        error, self._template_error = self._template_error, None
-        if error is not None and self.diagnostics is not None:
-            self.diagnostics.record_exception(
-                "synthesis.evaluate",
-                error,
-                severity="info",
-                suggested_fix=(
-                    "template operating point unavailable; "
-                    "candidates fall back to cold-started solves"
-                ),
-            )
         size = self._system.size
         return tuple(
             x if x is not None and len(x) == size else None
@@ -566,8 +554,8 @@ class OpAmpSizingProblem(SizingProblem):
         rails there, its balanced operating point (see
         :meth:`_balance_template`), with fault injection suspended so
         the template solves never shift an armed injector's decision
-        stream.  A failed solve is kept for :meth:`_warm_start` to
-        record.
+        stream.  A failed solve is kept for
+        :meth:`record_template_failure`.
         """
         self._warm_ready = True
         previous = faults.active()
@@ -584,6 +572,25 @@ class OpAmpSizingProblem(SizingProblem):
         finally:
             if previous is not None:
                 faults.arm(previous)
+
+    def record_template_failure(self) -> None:
+        """Record a failed template solve in :attr:`diagnostics`.
+
+        The executor calls it at the start of every chain, after
+        :meth:`prepare`, so a run records the failure once per chain,
+        whichever process solved the template and whatever it ran
+        before.
+        """
+        if self._template_error is not None and self.diagnostics is not None:
+            self.diagnostics.record_exception(
+                "synthesis.evaluate",
+                self._template_error,
+                severity="info",
+                suggested_fix=(
+                    "template operating point unavailable; "
+                    "candidates fall back to cold-started solves"
+                ),
+            )
 
     def _balance_template(self, system: System, x0):
         """The template's balanced MNA vector, or ``None``.

@@ -537,6 +537,12 @@ class RobustEvaluator:
         for problem in self._all_problems():
             problem.prepare()
 
+    def record_template_failure(self) -> None:
+        """Every variant problem's failed template solve, nominal first
+        (:meth:`OpAmpSizingProblem.record_template_failure`)."""
+        for problem in self._all_problems():
+            problem.record_template_failure()
+
     def _all_problems(self):
         yield self.nominal
         for problem in self.problems.values():

@@ -857,6 +857,22 @@ def _refuse_template_solves(monkeypatch):
     monkeypatch.setattr(problems, "dc_operating_point", refusing)
 
 
+def floating_gate_bench(amp, v_diff=0.0):
+    """``open_loop_bench`` with its last transistor's gate floating
+    behind a capacitor: the structural lint pass rejects every
+    candidate of a problem built on it."""
+    from repro.spice.netlist import Circuit, Mosfet
+
+    bench = open_loop_bench(amp, v_diff=v_diff)
+    target = [e for e in bench if isinstance(e, Mosfet)][-1]
+    floated = dataclasses.replace(target, ng=target.ng + "_float")
+    rebuilt = Circuit(bench.title)
+    for element in bench:
+        rebuilt.add(floated if element is target else element)
+    rebuilt.c(target.ng, floated.ng, 1e-12, name="CACGATE")
+    return rebuilt
+
+
 def _is_template_failure(diagnostic) -> bool:
     return "template operating point unavailable" in diagnostic.suggested_fix
 
@@ -962,9 +978,8 @@ class TestReadyPool:
         each chain sets its problem up itself.  ``memo=False`` makes
         every candidate evaluate in every chain, so per-candidate
         Diagnostics and counters do not depend on scheduling.  A
-        template whose zero-drive solve fails is recorded, as before,
-        once per process, by the first chain to evaluate a candidate of
-        that problem there."""
+        template whose zero-drive solve fails is recorded by every
+        chain, once per problem of its bundle."""
         import repro.parallel.executor as executor
 
         spec, topology, robust = (
@@ -993,31 +1008,50 @@ class TestReadyPool:
                     (d.subsystem, d.severity, d.message, d.context)
                     for d in result.diagnostics
                     if d.subsystem != "synthesis.parallel"
-                    and not _is_template_failure(d)
                 ],
             ))
 
         assert pooled.workers == 2
         assert summary(pooled) == summary(one)
-        template_failures = [
-            sum(map(_is_template_failure, result.diagnostics))
-            for result in (one, pooled)
-        ]
-        # One record per problem of a bundle: OpAmp1's ss and ff corners
-        # have their own templates.
+        # One record per chain and problem of a bundle: OpAmp1's ss and
+        # ff corners have their own templates.
         problems = 3 if robust is not None else 1
-        if template_solves:
-            assert template_failures == [0, 0]
-        else:
-            assert template_failures[0] == problems
-            assert problems <= template_failures[1] <= 2 * problems
+        assert sum(map(_is_template_failure, pooled.diagnostics)) == (
+            0 if template_solves else 4 * problems
+        )
+
+    @pytest.mark.timeout(300)
+    @pytest.mark.parametrize("case", ["buffered", "oa3", "opamp1_worst"])
+    def test_a_failed_template_is_recorded_by_every_run(
+        self, case, monkeypatch
+    ):
+        """Runs on one cached problem, in this process and pooled, each
+        record a failed template solve once per chain and problem,
+        whatever ran before them."""
+        import repro.parallel.executor as executor
+
+        spec, topology, robust = (
+            (SPEC, TOPO, None) if case == "buffered" else SERIAL_CASES[case]
+        )
+        _refuse_template_solves(monkeypatch)
+        monkeypatch.setattr(executor, "_BUNDLES", {})
+        problems = 3 if robust is not None else 1
+        counts = []
+        for workers in (1, 1, 2, 2):
+            result = synthesize_opamp(
+                TECH, spec, topology, workers=workers, oversubscribe=True,
+                restarts=4, memo=False, robust=robust, **self.RUN,
+            )
+            assert result.workers == workers
+            counts.append(sum(map(_is_template_failure, result.diagnostics)))
+        assert counts == [4 * problems] * 4
 
     def test_prepare_records_nothing_and_defers_a_failed_template(
         self, monkeypatch
     ):
         """A problem set up ahead of its first candidate evaluates it as
-        an unprepared one does, recording the failed template solve
-        there."""
+        an unprepared one does.  Neither records the failed template
+        solve there: the problem keeps it for every chain to record."""
         _refuse_template_solves(monkeypatch)
         template, _ = coarse_design_opamp(TECH, SPEC, TOPO)
         variables = ape_ranges(template)
@@ -1035,6 +1069,10 @@ class TestReadyPool:
                 assert problem._system is not None
                 assert not problem.diagnostics.records
             metrics = problem.evaluate(point)
+            assert not any(
+                map(_is_template_failure, problem.diagnostics.records)
+            )
+            problem.record_template_failure()
             runs.append(repr((
                 metrics,
                 [(d.subsystem, d.severity, d.message)
@@ -1051,17 +1089,6 @@ class TestReadyPool:
         counts no rejection and records nothing of its own."""
         import repro.parallel.executor as executor
         import repro.synthesis.problems as problems
-        from repro.spice.netlist import Circuit, Mosfet
-
-        def floating_gate_bench(amp, v_diff=0.0):
-            bench = open_loop_bench(amp, v_diff=v_diff)
-            target = [e for e in bench if isinstance(e, Mosfet)][-1]
-            floated = dataclasses.replace(target, ng=target.ng + "_float")
-            rebuilt = Circuit(bench.title)
-            for element in bench:
-                rebuilt.add(floated if element is target else element)
-            rebuilt.c(target.ng, floated.ng, 1e-12, name="CACGATE")
-            return rebuilt
 
         monkeypatch.setattr(problems, "open_loop_bench", floating_gate_bench)
         kwargs = dict(restarts=4, memo=False, **self.RUN)

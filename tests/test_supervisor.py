@@ -241,10 +241,11 @@ class TestRunJournal:
             seed=123456789,
             degraded_design=True,
             ape_seconds=0.25,
-            lint_rejections=2,
-            retries=1,
-            cache_hits=7,
-            cache_misses=13,
+            counts=dict(
+                lint_rejections=2, retries=1, cache_hits=7, cache_misses=13,
+                corner_evals=0, screened_candidates=0, store_hits=0,
+                surrogate_skips=0,
+            ),
         )
         anneal = AnnealResult(
             best_params={"w1": 1.2345678901234567e-06, "l1": 1e-300},
@@ -278,14 +279,51 @@ class TestRunJournal:
         )
         payload = outcome_to_jsonable(
             ChainOutcome(chain_index=1, seed=9, anneal=anneal,
-                         surrogate_skips=12)
+                         counts={"surrogate_skips": 12})
         )
         # Journals of the ridge-screened code carried a refit counter.
         payload["surrogate_refits"] = 3
         payload["anneal"]["surrogate_refits"] = 3
         rebuilt = outcome_from_jsonable(payload)
         assert rebuilt.anneal == anneal
-        assert rebuilt.surrogate_skips == 12
+        assert rebuilt.counts["surrogate_skips"] == 12
+        assert "surrogate_refits" not in rebuilt.counts
+
+    def test_a_pre_robust_record_replays_the_newer_counters_as_zero(self):
+        """A record journaled before robust synthesis, the store and the
+        APE screen carries only the first four counters."""
+        from repro.parallel import CHAIN_COUNTERS
+
+        old = {
+            "chain_index": 0,
+            "seed": 9,
+            "anneal": {
+                "best_params": {"w1": 1e-6}, "best_cost": 0.1,
+                "best_metrics": None, "evaluations": 5, "accepted": 2,
+                "history": [0.2, 0.1], "failed_evaluations": 1,
+                "degraded": False, "stop_reason": "", "wall_seconds": 0.5,
+                "evals_per_second": 10.0,
+            },
+            "degraded_design": False,
+            "ape_seconds": 0.25,
+            "lint_rejections": 1,
+            "retries": 2,
+            "cache_hits": 3,
+            "cache_misses": 4,
+            "diagnostics": [],
+        }
+        rebuilt = outcome_from_jsonable(old)
+        assert rebuilt.anneal == AnnealResult(
+            best_params={"w1": 1e-6}, best_cost=0.1, best_metrics=None,
+            evaluations=5, accepted=2, history=[0.2, 0.1],
+            failed_evaluations=1, wall_seconds=0.5, evals_per_second=10.0,
+        )
+        assert list(rebuilt.counts) == list(CHAIN_COUNTERS)
+        assert rebuilt.counts == {
+            "lint_rejections": 1, "retries": 2, "cache_hits": 3,
+            "cache_misses": 4, "corner_evals": 0, "screened_candidates": 0,
+            "store_hits": 0, "surrogate_skips": 0,
+        }
 
     def test_journal_tolerates_torn_tail_line(self, tmp_path):
         journal = RunJournal(tmp_path)

@@ -69,10 +69,10 @@ def default_topology_choices() -> list["OpAmpTopology"]:
     model (its verdict would be vacuous), so it is not enumerated here;
     ``gain_stage=None`` lets the estimator pick per the gain target.
     """
-    from ..opamp.topology import OpAmpTopology
+    from ..opamp.topology import CURRENT_SOURCES, OpAmpTopology
 
     choices: list["OpAmpTopology"] = []
-    for current_source in ("mirror", "wilson", "cascode"):
+    for current_source in CURRENT_SOURCES:
         for diff_pair in ("cmos", "nmos"):
             choices.append(
                 OpAmpTopology(

@@ -32,16 +32,115 @@ fail-fast behaviour.  The fault-injection harness can be armed through
 from __future__ import annotations
 
 import argparse
-import math
+import inspect
 import sys
 from dataclasses import replace
 
 from .errors import ApeError
+from .opamp.topology import CURRENT_SOURCES, DIFF_PAIRS, OpAmpSpec, OpAmpTopology
+from .runtime import EvalBudget, RetryPolicy, RunJournal, SupervisorConfig
 from .runtime import faults as _faults
 from .runtime.diagnostics import DiagnosticLog, global_log
-from .units import format_si, parse_quantity
+from .spice.linalg import set_solver_mode, solver_mode
+from .synthesis.config import (
+    _RUN_KEYS,
+    _SPEC_KEYS,
+    _TOPOLOGY_KEYS,
+    FEASIBILITY_MODES,
+    MODES,
+    SURROGATE_MODES,
+    RunConfig,
+)
+from .synthesis.cost import ROBUST_COST_MODES
+from .synthesis.robust import RobustSpec
+from .units import format_quantity, format_si, parse_quantity
+from .variation.corners import parse_corner_list
 
 __all__ = ["main", "build_parser"]
+
+#: The run-request flags, by dest: the section of ``RunConfig``'s JSON
+#: request each one fills ("" is the top level), the class declaring
+#: its field, and its key.  Only ``--buffer`` and ``--budget`` are
+#: named otherwise than their key; ``gain_stage`` and ``name`` have no
+#: flag.
+_REQUEST_FLAGS = {
+    {"output_buffer": "buffer", "max_evaluations": "budget"}.get(key, key): (
+        section, owner, key
+    )
+    for section, owner, keys in (
+        ("spec", OpAmpSpec, _SPEC_KEYS),
+        ("topology", OpAmpTopology, _TOPOLOGY_KEYS),
+        ("", RunConfig, _RUN_KEYS),
+    )
+    for key in keys
+    if key not in ("gain_stage", "name")
+}
+
+#: The other flags that name a ``synthesize`` run, by dest: the class
+#: each one configures and the field it sets.
+_RUN_FLAGS = {
+    "deadline": (EvalBudget, "deadline_seconds"),
+    "max_failures": (EvalBudget, "max_failures"),
+    "heartbeat_timeout": (SupervisorConfig, "heartbeat_timeout_seconds"),
+    "chain_timeout": (SupervisorConfig, "chain_timeout_seconds"),
+    "max_chain_retries": (SupervisorConfig, "max_chain_retries"),
+    "corners": (RobustSpec, "corners"),
+    "mc_samples": (RobustSpec, "mc_samples"),
+    "robust_cost": (RobustSpec, "mode"),
+    "yield_target": (RobustSpec, "yield_target"),
+    "feasibility": (RunConfig, "feasibility"),
+    "surrogate": (RunConfig, "surrogate"),
+}
+
+#: The tuple each choice field is validated against, by flag dest.
+_CHOICES = {
+    "current_source": CURRENT_SOURCES,
+    "diff_pair": DIFF_PAIRS,
+    "mode": MODES,
+    "robust_cost": ROBUST_COST_MODES,
+    "feasibility": FEASIBILITY_MODES,
+    "surrogate": SURROGATE_MODES,
+}
+
+#: Each run flag's help, by dest; the default it shows is its field's.
+_HELP = {
+    "gain": "low-frequency differential gain",
+    "ugf": "unity-gain frequency [Hz]",
+    "ibias": "bias (tail) current [A]",
+    "cl": "load capacitance [F]",
+    "area": "gate-area budget [m^2]",
+    "slew_rate": "slew rate [V/s]; 0 leaves it unconstrained",
+    "current_source": "tail current source",
+    "diff_pair": "differential stage; folded is the folded cascode",
+    "buffer": "add a source-follower output buffer",
+    "z_load": "resistive load the buffer drives [ohm]",
+    "mode": "search box: around APE's template, or the paper's wide ranges",
+    "seed": "master seed; each chain's seed is derived from it",
+    "restarts": "independently seeded annealing chains; the best one wins",
+    "budget": "evaluations per annealing chain",
+    "deadline": "wall-clock budget for the run [s]",
+    "max_failures": "stop, degraded, after this many failed evaluations",
+    "heartbeat_timeout": "replace the worker of a chain silent this long [s]",
+    "chain_timeout": "hard wall-clock deadline per chain attempt [s]",
+    "max_chain_retries": "resubmissions of a chain whose worker was lost",
+    "corners": "size against these corners, e.g. TT,SS,FF or 'SS@-40C,4.5V'",
+    "mc_samples": "size against this many Pelgrom mismatch Monte Carlo samples",
+    "robust_cost": "aggregate the corners and samples by worst case or yield",
+    "yield_target": "target yield fraction for --robust-cost yield",
+    "feasibility": "reject a provably infeasible spec; contract also cuts the box",
+    "surrogate": "rank: evaluate only the APE-best of four proposals per move",
+}
+
+#: ``synthesize``'s run-request flags.
+_SYNTH_REQUEST = ("gain", "ugf", "ibias", "cl", "area", "mode", "budget",
+                  "seed", "restarts")
+
+#: The ``synthesize`` flags that name its run: ``--run-dir`` journals
+#: the ones given into the run directory's ``cli.json``, with the
+#: global ``--tech``, the tolerance and a forced ``--solver``, and
+#: ``--resume`` restores each one omitted from it.
+_JOURNALED = (*_SYNTH_REQUEST, *_RUN_FLAGS, "retries", "store_dir")
+_GLOBALS = ("tech", "tolerant", "solver")
 
 
 def _kv_pairs(pairs: list[str]) -> dict[str, object]:
@@ -67,6 +166,44 @@ def _print_estimate(title: str, estimate) -> None:
     print(f"{title}:")
     for key, value in estimate.as_dict().items():
         print(f"  {key:14s} {value:.6g}")
+
+
+def _field(dest: str) -> inspect.Parameter:
+    """The constructor parameter, or dataclass field, a run flag sets."""
+    owner, name = _RUN_FLAGS.get(dest) or _REQUEST_FLAGS[dest][1:]
+    return inspect.signature(owner).parameters[name]
+
+
+def _add_run_flags(
+    parser: argparse.ArgumentParser, dests, required: bool | str = True
+) -> None:
+    """Declare run flags, each from the field it sets: an integer, a
+    switch or text as the field's annotation says, showing the field's
+    default, choosing from its validation tuple.  An omitted flag is
+    ``None`` and leaves the field its default; a field without one is
+    required, by argparse or (``required`` text) by the command."""
+    for dest in dests:
+        field = _field(dest)
+        kind = str(field.annotation)
+        options: dict = {"default": None, "help": _HELP[dest]}
+        if kind == "bool":
+            options["action"] = "store_true"
+        else:
+            options["type"] = int if kind.startswith("int") else None
+            options["choices"] = _CHOICES.get(dest)
+            # --corners switches robust synthesis on; left out, the run
+            # is nominal, whatever RobustSpec's own corner list says.
+            default = None if dest == "corners" else field.default
+            if default is not field.empty:
+                if isinstance(default, float):
+                    default = format_quantity(default)
+                shown = "off" if default is None else default
+                options["help"] += f" (default: {shown})"
+            elif required is True:
+                options["required"] = True
+            else:
+                options["help"] += f" (required unless {required})"
+        parser.add_argument("--" + dest.replace("_", "-"), **options)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,15 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("estimate-opamp", help="size an op-amp from a spec")
-    p.add_argument("--gain", required=True)
-    p.add_argument("--ugf", required=True)
-    p.add_argument("--ibias", default="1u")
-    p.add_argument("--cl", default="10p")
-    p.add_argument("--current-source", default="mirror",
-                   choices=["mirror", "wilson", "cascode"])
-    p.add_argument("--diff-pair", default="cmos", choices=["cmos", "nmos"])
-    p.add_argument("--buffer", action="store_true")
-    p.add_argument("--z-load", default="inf")
+    _add_run_flags(p, (
+        "gain", "ugf", "ibias", "cl", "current_source", "diff_pair",
+        "buffer", "z_load",
+    ))
     p.add_argument("--verify", action="store_true",
                    help="also run the full-simulation verification")
 
@@ -119,33 +251,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", help="key=value spec entries")
 
     p = sub.add_parser("synthesize", help="run one synthesis leg")
-    p.add_argument("--gain", default=None,
-                   help="required unless --resume restores it from the "
-                        "run directory")
-    p.add_argument("--ugf", default=None,
-                   help="required unless --resume restores it from the "
-                        "run directory")
-    # Problem-defining flags default to None so --resume can tell
-    # "omitted" (restore from the run directory's sidecar) apart from
-    # "explicitly set"; flags still unset take RunConfig's defaults.
-    p.add_argument("--ibias", default=None, help="(default: 1u)")
-    p.add_argument("--cl", default=None, help="(default: 10p)")
-    p.add_argument("--area", default=None, help="(default: inf)")
-    p.add_argument("--mode", default=None,
-                   help="ape or standalone (default: ape)")
-    p.add_argument("--budget", type=int, default=None,
-                   help="(default: 150)")
-    p.add_argument("--seed", type=int, default=None, help="(default: 1)")
-    p.add_argument("--deadline", default=None,
-                   help="wall-clock budget for the run in seconds")
-    p.add_argument("--max-failures", type=int, default=None,
-                   help="stop (degraded) after this many failed evaluations")
+    _add_run_flags(
+        p, _SYNTH_REQUEST, "--resume restores it from the run directory"
+    )
     p.add_argument("--retries", type=int, default=None,
                    help="DC-solver retry attempts per evaluation "
                         "(deterministic jittered restarts; default: 0)")
-    p.add_argument("--restarts", type=int, default=None,
-                   help="independently seeded annealing chains; the best "
-                        "chain wins (default: 1, the classic serial run)")
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes for multi-restart runs "
                         "(default: one per usable CPU)")
@@ -159,50 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
                         "or interrupt")
     p.add_argument("--resume", default=None, metavar="RUN_DIR",
                    help="resume a journaled run: replay finished chains "
-                        "from RUN_DIR and execute only the rest "
-                        "(spec flags are restored from the run directory "
-                        "when omitted)")
-    p.add_argument("--heartbeat-timeout", default=None,
-                   help="declare a worker hung (and replace it) when a "
-                        "chain goes this many seconds without a "
-                        "heartbeat (default: off)")
-    p.add_argument("--chain-timeout", default=None,
-                   help="hard wall-clock deadline per chain attempt in "
-                        "seconds (default: off)")
-    p.add_argument("--max-chain-retries", type=int, default=None,
-                   help="resubmissions a chain may consume after losing "
-                        "its worker before it is quarantined "
-                        "(default: 2)")
-    p.add_argument("--corners", default=None, metavar="LIST",
-                   help="comma-separated process corners to size against "
-                        "(e.g. TT,SS,FF or 'SS@-40C,4.5V'); enables "
-                        "variation-robust synthesis")
-    p.add_argument("--mc-samples", type=int, default=None,
-                   help="deterministic Pelgrom mismatch Monte Carlo "
-                        "samples per candidate (default: 0)")
-    p.add_argument("--robust-cost", default=None,
-                   choices=["worst", "yield"],
-                   help="robust cost aggregation: worst-case over "
-                        "corners/samples, or yield-weighted "
-                        "(default: worst)")
-    p.add_argument("--yield-target", default=None,
-                   help="target yield fraction for --robust-cost yield "
-                        "(default: 1.0)")
-    p.add_argument("--feasibility", default=None,
-                   help="pre-solve interval feasibility gate: off, reject "
-                        "(provably infeasible specs before any "
-                        "evaluation) or contract (reject, and also "
-                        "contract the search box) (default: off)")
+                        "from RUN_DIR and execute only the rest; each "
+                        "flag naming the run that is omitted, the global "
+                        "ones too, is restored from RUN_DIR")
     p.add_argument("--store-dir", default=None, metavar="DIR",
                    help="persistent evaluation store: cache every "
                         "candidate's cost/metrics in DIR (SQLite) and "
                         "reuse them across runs that share the same "
                         "problem fingerprint")
-    p.add_argument("--surrogate", default=None,
-                   help="off or rank; rank screens annealing: draw four "
-                        "proposals per move, rank them by the cost of "
-                        "their APE closed-form estimates and evaluate "
-                        "only the best-ranked one (default: off)")
+    _add_run_flags(p, _RUN_FLAGS)
 
     p = sub.add_parser(
         "analyze",
@@ -213,25 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-file", default=None, metavar="PATH",
                    help="JSON spec fixture (see examples/specs/); "
                         "command-line flags override its entries")
-    p.add_argument("--gain", default=None,
-                   help="required unless --spec-file provides it")
-    p.add_argument("--ugf", default=None,
-                   help="required unless --spec-file provides it")
-    p.add_argument("--ibias", default=None, help="(default: 1u)")
-    p.add_argument("--cl", default=None, help="(default: 10p)")
-    p.add_argument("--area", default=None, help="(default: inf)")
-    p.add_argument("--slew-rate", default=None, help="(default: 0 = off)")
+    _add_run_flags(p, (
+        "gain", "ugf", "ibias", "cl", "area", "slew_rate",
+        "current_source", "diff_pair", "buffer", "z_load", "mode",
+    ), "--spec-file provides it")
     p.add_argument("--max-power", default=None,
                    help="extra dc_power <= BOUND constraint [W]")
-    p.add_argument("--current-source", default=None,
-                   choices=["mirror", "wilson", "cascode"])
-    p.add_argument("--diff-pair", default=None, choices=["cmos", "nmos"])
-    p.add_argument("--buffer", action="store_true", default=None)
-    p.add_argument("--z-load", default=None)
-    p.add_argument("--mode", default=None,
-                   help="parameter box to analyze: ape (+/-20%% around the "
-                        "APE template) or standalone (the paper's wide "
-                        "ranges) (default: ape)")
     p.add_argument("--no-contract", action="store_true",
                    help="skip the sound box contraction pass")
     p.add_argument("--screen", action="store_true",
@@ -323,22 +386,34 @@ def _render_diagnostics(log: DiagnosticLog) -> None:
             print(f"  {line}")
 
 
+def _run_config(args, payload: dict | None = None) -> RunConfig:
+    """The run that a command's request flags spell over a JSON run
+    request (a ``--spec-file`` fixture): a flag given overrides the
+    request's entry, and a field neither sets keeps its default."""
+    payload = dict(payload or {})
+    for dest, (section, _owner, key) in _REQUEST_FLAGS.items():
+        value = getattr(args, dest, None)
+        if value is None:
+            continue
+        if section:
+            payload[section] = {**payload.get(section, {}), key: value}
+        else:
+            payload[key] = value
+    if "spec" not in payload:
+        raise ApeError(f"{args.command} requires --gain and --ugf")
+    return RunConfig.from_payload(payload)
+
+
 def _cmd_estimate_opamp(args, tech) -> int:
     from .estimator import AnalogPerformanceEstimator
     from .opamp import verify_opamp
 
+    config = _run_config(args)
+    topology = config.topology or OpAmpTopology()
     ape = AnalogPerformanceEstimator(tech, tolerant=args.tolerant)
     amp = ape.estimate_opamp(
-        gain=parse_quantity(args.gain),
-        ugf=parse_quantity(args.ugf),
-        ibias=parse_quantity(args.ibias),
-        cl=parse_quantity(args.cl),
-        current_source=args.current_source,
-        diff_pair=args.diff_pair,
-        output_buffer=args.buffer,
-        z_load=(
-            math.inf if args.z_load == "inf" else parse_quantity(args.z_load)
-        ),
+        **vars(config.spec),
+        **{key: getattr(topology, key) for key in _TOPOLOGY_KEYS},
     )
     _print_estimate("estimate", amp.estimate)
     print("devices (W/L um):")
@@ -377,126 +452,63 @@ def _cmd_estimate_module(args, tech) -> int:
     return 0
 
 
-#: ``synthesize`` flags that define the problem (not the machinery):
-#: journaled into the run directory's ``cli.json`` sidecar so
-#: ``--resume RUN_DIR`` works without repeating them.
-_SYNTH_SIDECAR_ARGS = (
-    "gain", "ugf", "ibias", "cl", "area", "mode", "budget", "seed",
-    "restarts", "retries", "deadline", "max_failures",
-    "corners", "mc_samples", "robust_cost", "yield_target",
-    "feasibility", "store_dir", "surrogate",
-)
-
-
-def _given(**values) -> dict:
-    """The entries that are not ``None``: the flags the user set."""
-    return {key: value for key, value in values.items() if value is not None}
+def _fields(args, owner) -> dict:
+    """The fields of ``owner`` that the ``synthesize`` flags given set."""
+    fields = {}
+    for dest, (cls, name) in _RUN_FLAGS.items():
+        value = getattr(args, dest)
+        if cls is not owner or value is None:
+            continue
+        if dest == "corners":
+            # A modifier fragment ("4.5V" in "SS@-40C,4.5V") belongs to
+            # the corner before it: the list is not split on every comma.
+            value = tuple(c.canonical for c in parse_corner_list(value))
+        elif str(_field(dest).annotation).startswith("float"):
+            value = parse_quantity(value)
+        fields[name] = value
+    return fields
 
 
 def _cmd_synthesize(args, tech) -> int:
-    from .runtime import EvalBudget, RetryPolicy, RunJournal, SupervisorConfig
-    from .synthesis import RunConfig, synthesize_opamp
+    from .synthesis import synthesize_opamp
 
     resume = args.resume is not None
     run_dir = args.resume if resume else args.run_dir
-    if resume:
-        # Restore the problem-defining flags the user omitted from the
-        # run directory's sidecar, so "repro synthesize --resume DIR"
-        # needs nothing else.
-        saved = RunJournal(run_dir).load_sidecar("cli.json") or {}
-        for key in _SYNTH_SIDECAR_ARGS:
-            if getattr(args, key, None) is None and key in saved:
-                setattr(args, key, saved[key])
-    if args.gain is None or args.ugf is None:
-        raise ApeError(
-            "synthesize requires --gain and --ugf "
-            "(or --resume RUN_DIR with a cli.json sidecar)"
-        )
-    robust = None
-    if args.corners is not None or (args.mc_samples or 0) > 0:
-        from .synthesis import RobustSpec
-        from .variation.corners import parse_corner_list
-
-        # MC-only runs still need a corner list; plain "tt" aliases the
-        # nominal evaluation, so it costs nothing extra.  A modifier
-        # fragment ("4.5V" in "SS@-40C,4.5V") belongs to the corner
-        # before it, so the list is not split on every comma.
-        corners = (
-            tuple(c.canonical for c in parse_corner_list(args.corners))
-            if args.corners is not None else ("tt",)
-        )
-        robust = RobustSpec(
-            corners=corners,
-            mc_samples=args.mc_samples or 0,
-            mode=args.robust_cost or "worst",
-            yield_target=(
-                float(args.yield_target)
-                if args.yield_target is not None else 1.0
-            ),
-        )
-    # The spec and run flags parse as a JSON run request would; an
-    # omitted one takes RunConfig's default.
-    request = RunConfig.from_payload(_given(
-        spec=_given(gain=args.gain, ugf=args.ugf, ibias=args.ibias,
-                    cl=args.cl, area=args.area),
-        mode=args.mode, max_evaluations=args.budget, seed=args.seed,
-        restarts=args.restarts,
-    ))
-    config = replace(
-        request, tolerant=args.tolerant,
-        **_given(robust=robust, feasibility=args.feasibility,
-                 surrogate=args.surrogate),
+    robust = _fields(args, RobustSpec)
+    # MC-only runs still need a corner list; plain "tt" aliases the
+    # nominal evaluation, so it costs nothing extra.
+    robust_spec = (
+        RobustSpec(**{"corners": ("tt",), **robust})
+        if "corners" in robust or robust.get("mc_samples", 0) > 0
+        else None
     )
-    budget = None
-    if args.deadline is not None or args.max_failures is not None:
-        budget = EvalBudget(
-            deadline_seconds=(
-                parse_quantity(args.deadline)
-                if args.deadline is not None else None
-            ),
-            max_failures=args.max_failures,
-        )
+    config = replace(
+        _run_config(args), tolerant=args.tolerant, robust=robust_spec,
+        **_fields(args, RunConfig),
+    )
+    budget = _fields(args, EvalBudget)
+    supervisor = _fields(args, SupervisorConfig)
     retry = (
         RetryPolicy(max_attempts=args.retries + 1, seed=config.seed)
         if (args.retries or 0) > 0 else None
     )
-    supervisor = None
-    if (
-        args.heartbeat_timeout is not None
-        or args.chain_timeout is not None
-        or args.max_chain_retries is not None
-    ):
-        defaults = SupervisorConfig()
-        supervisor = SupervisorConfig(
-            heartbeat_timeout_seconds=(
-                parse_quantity(args.heartbeat_timeout)
-                if args.heartbeat_timeout is not None else None
-            ),
-            chain_timeout_seconds=(
-                parse_quantity(args.chain_timeout)
-                if args.chain_timeout is not None else None
-            ),
-            max_chain_retries=(
-                args.max_chain_retries
-                if args.max_chain_retries is not None
-                else defaults.max_chain_retries
-            ),
-        )
     if run_dir is not None and not resume:
-        RunJournal(run_dir).write_sidecar(
-            "cli.json",
-            {
-                key: getattr(args, key)
-                for key in _SYNTH_SIDECAR_ARGS
-                if getattr(args, key, None) is not None
-            },
-        )
+        sidecar = {
+            dest: getattr(args, dest)
+            for dest in (*_JOURNALED, "tech", "tolerant")
+            if getattr(args, dest) is not None
+        }
+        if solver_mode() != "auto":
+            sidecar["solver"] = solver_mode()
+        RunJournal(run_dir).write_sidecar("cli.json", sidecar)
     log = DiagnosticLog()
     result = synthesize_opamp(
         tech, **config.as_kwargs(),
-        budget=budget, retry=retry, diagnostics=log,
+        budget=EvalBudget(**budget) if budget else None,
+        retry=retry, diagnostics=log,
         workers=args.workers, oversubscribe=args.oversubscribe,
-        run_dir=run_dir, resume=resume, supervisor=supervisor,
+        run_dir=run_dir, resume=resume,
+        supervisor=SupervisorConfig(**supervisor) if supervisor else None,
         store_dir=args.store_dir,
     )
     print(f"mode:       {result.mode}")
@@ -565,44 +577,22 @@ def _cmd_analyze(args, tech) -> int:
     import json
 
     from .analysis import screen_topologies
-    from .synthesis.config import RunConfig
 
-    fixture: dict = {}
+    payload: dict = {}
     if args.spec_file is not None:
         with open(args.spec_file, "r", encoding="utf-8") as handle:
-            fixture = json.load(handle)
-        if not isinstance(fixture, dict):
+            payload = json.load(handle)
+        if not isinstance(payload, dict):
             raise ApeError(f"{args.spec_file}: expected a JSON object")
-
-    # Command-line flags override fixture entries; the result parses as
-    # a JSON run request, which refuses a key it does not know.  A
-    # fixture's "description" is prose, not part of the request.
-    payload = {key: value for key, value in fixture.items() if key != "description"}
-    payload["spec"] = {
-        **payload.get("spec", {}),
-        **_given(gain=args.gain, ugf=args.ugf, ibias=args.ibias, cl=args.cl,
-                 area=args.area, slew_rate=args.slew_rate),
-    }
-    if payload["spec"].get("gain") is None or payload["spec"].get("ugf") is None:
-        raise ApeError(
-            "analyze requires --gain and --ugf (or a --spec-file "
-            "providing them)"
-        )
-    topology = {
-        **payload.get("topology", {}),
-        **_given(current_source=args.current_source, diff_pair=args.diff_pair,
-                 output_buffer=args.buffer, z_load=args.z_load),
-    }
-    if topology:
-        payload["topology"] = topology
+        # A fixture's "description" is prose, not part of the request.
+        payload.pop("description", None)
     if args.max_power is not None:
         payload["constraints"] = [
             *payload.get("constraints", ()),
             {"metric": "dc_power", "kind": "le", "bound": args.max_power},
         ]
-    if args.mode is not None:
-        payload["mode"] = args.mode
-    config = RunConfig.from_payload(payload)
+    # The request refuses a key it does not know.
+    config = _run_config(args, payload)
 
     if args.screen:
         verdicts = screen_topologies(
@@ -778,7 +768,9 @@ def _cmd_serve(args, tech) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # The global flags parse unset, so a resume can tell one omitted
+    # from one given; the parser's defaults fill in the rest below.
+    args = parser.parse_args(argv, argparse.Namespace(tech=None, tolerant=None))
     from .technology import technology_by_name
 
     injector = None
@@ -786,9 +778,16 @@ def main(argv: list[str] | None = None) -> int:
         # Arm the deterministic fault-injection harness when requested
         # (REPRO_FAULTS="seed=7,spice.dc=0.2,..."); no-op otherwise.
         injector = _faults.arm_from_env()
+        if getattr(args, "resume", None) is not None:
+            # "repro synthesize --resume DIR" needs nothing else.
+            saved = RunJournal(args.resume).load_sidecar("cli.json") or {}
+            for dest in (*_JOURNALED, *_GLOBALS):
+                if getattr(args, dest) is None and dest in saved:
+                    setattr(args, dest, saved[dest])
+        for dest in _GLOBALS:
+            if getattr(args, dest) is None:
+                setattr(args, dest, parser.get_default(dest))
         if args.solver is not None:
-            from .spice import set_solver_mode
-
             set_solver_mode(args.solver)
         tech = technology_by_name(args.tech)
         handler = {

@@ -81,7 +81,3 @@ class SynthesisError(ApeError):
 
 class SpecificationError(SynthesisError):
     """A synthesis specification is malformed or self-contradictory."""
-
-
-class BudgetExhausted(ApeError):
-    """A strict-mode run ran out of its evaluation/wall-clock budget."""

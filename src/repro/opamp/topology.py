@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 from ..errors import SpecificationError
 
-__all__ = ["OpAmpSpec", "OpAmpTopology"]
+__all__ = ["OpAmpSpec", "OpAmpTopology", "CURRENT_SOURCES", "DIFF_PAIRS"]
+
+#: Tail current sources (paper Table 1, CurrSrc).
+CURRENT_SOURCES = ("mirror", "wilson", "cascode")
+
+#: Differential stages: mirror load, diode load, or folded cascode.
+DIFF_PAIRS = ("cmos", "nmos", "folded")
 
 
 @dataclass(frozen=True)
@@ -50,10 +56,11 @@ class OpAmpSpec:
 class OpAmpTopology:
     """Structural choices (paper Table 1: CurrSrc/Diffgain/Buff/Z)."""
 
-    #: Tail current source: 'mirror', 'wilson' or 'cascode'.
+    #: Tail current source, one of :data:`CURRENT_SOURCES`.
     current_source: str = "mirror"
-    #: Differential stage: 'cmos' (mirror load), 'nmos' (diode load) or
-    #: 'folded' (folded-cascode, high single-stage gain).
+    #: Differential stage, one of :data:`DIFF_PAIRS`: 'cmos' (mirror
+    #: load), 'nmos' (diode load) or 'folded' (folded-cascode, high
+    #: single-stage gain).
     diff_pair: str = "cmos"
     #: Second (common-source) gain stage: True/False, or None = choose
     #: automatically from the gain requirement.
@@ -66,11 +73,11 @@ class OpAmpTopology:
     compensated: bool = True
 
     def __post_init__(self) -> None:
-        if self.current_source.lower() not in ("mirror", "wilson", "cascode"):
+        if self.current_source.lower() not in CURRENT_SOURCES:
             raise SpecificationError(
                 f"unknown current source {self.current_source!r}"
             )
-        if self.diff_pair.lower() not in ("cmos", "nmos", "folded"):
+        if self.diff_pair.lower() not in DIFF_PAIRS:
             raise SpecificationError(f"unknown diff pair {self.diff_pair!r}")
         if self.diff_pair.lower() == "folded" and self.gain_stage:
             raise SpecificationError(
@@ -79,12 +86,3 @@ class OpAmpTopology:
             )
         if self.z_load <= 0:
             raise SpecificationError("z_load must be positive")
-        if self.output_buffer and math.isinf(self.z_load):
-            # A buffer with no resistive load is allowed but pointless;
-            # keep it legal for the paper's oa9 (Z = 10 k, buffer).
-            pass
-
-    @property
-    def describes_two_stage(self) -> bool | None:
-        """True/False when fixed; None when gain_stage is automatic."""
-        return self.gain_stage

@@ -99,6 +99,10 @@ __all__ = [
 #: keeps the master seed itself.
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
+#: Cadence of a pooled run's watchdog loop [s]: the parent wakes at
+#: least this often to check heartbeats, deadlines and signals.
+_POLL_SECONDS = 0.05
+
 
 def derive_chain_seed(master_seed: int, chain_index: int) -> int:
     """Deterministic per-chain seed; chain 0 is the master seed."""
@@ -948,7 +952,7 @@ def _run_pooled(
                 continue
             done, _ = concurrent.futures.wait(
                 list(in_flight),
-                timeout=config.poll_interval_seconds,
+                timeout=_POLL_SECONDS,
                 return_when=concurrent.futures.FIRST_COMPLETED,
             )
             lost: list[ChainTask] = []

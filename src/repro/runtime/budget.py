@@ -7,16 +7,12 @@ between moves.  When any limit trips, the search stops and returns the
 best point found so far, flagged ``degraded`` — it never hangs and
 never dies with a half-finished run.
 
-Per-evaluation timing is *soft*: a pure-Python evaluation cannot be
-preempted portably, so an evaluation that overruns ``per_eval_seconds``
-is completed, counted in ``slow_evaluations`` and reported via
-diagnostics rather than aborted mid-flight.
-
 Limits apply per annealing chain: a synthesis run hands every chain a
 :meth:`~EvalBudget.share` of the caller's budget (same limits, clock
-and start instant, counters at zero) and folds what the chains consumed
-back into the caller's counters, so a result never depends on how many
-workers ran the chains.
+and start instant, counters at zero) and folds what the chains it ran
+consumed back into the caller's counters, so a result never depends on
+how many workers ran the chains (a resumed run's replayed chains were
+charged by the run that made them).
 
 All timing uses ``time.monotonic`` (the default ``clock``), never the
 wall clock: an NTP step or DST change mid-run must not fire a deadline
@@ -51,26 +47,22 @@ class EvalBudget:
         *,
         deadline_seconds: float | None = None,
         max_failures: int | None = None,
-        per_eval_seconds: float | None = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         for name, value in (
             ("max_evaluations", max_evaluations),
             ("deadline_seconds", deadline_seconds),
             ("max_failures", max_failures),
-            ("per_eval_seconds", per_eval_seconds),
         ):
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         self.max_evaluations = max_evaluations
         self.deadline_seconds = deadline_seconds
         self.max_failures = max_failures
-        self.per_eval_seconds = per_eval_seconds
         self._clock = clock
         self._t0: float | None = None
         self.evaluations = 0
         self.failures = 0
-        self.slow_evaluations = 0
         #: Extra per-corner / per-mismatch-sample evaluations charged by
         #: variation-robust runs.  Informational: robust fan-out rides
         #: inside a candidate evaluation, so only the *candidate* counts
@@ -99,7 +91,6 @@ class EvalBudget:
             self.max_evaluations,
             deadline_seconds=self.deadline_seconds,
             max_failures=self.max_failures,
-            per_eval_seconds=self.per_eval_seconds,
             clock=self._clock,
         )
         share._t0 = self._t0
@@ -117,14 +108,12 @@ class EvalBudget:
 
     # ----------------------------------------------------------- accounting
 
-    def consume(self, *, failed: bool = False, seconds: float = 0.0) -> None:
+    def consume(self, *, failed: bool = False) -> None:
         """Charge one completed evaluation against the budget."""
         self.start()
         self.evaluations += 1
         if failed:
             self.failures += 1
-        if self.per_eval_seconds is not None and seconds > self.per_eval_seconds:
-            self.slow_evaluations += 1
 
     # ----------------------------------------------------------- exhaustion
 

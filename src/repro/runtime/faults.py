@@ -216,9 +216,6 @@ class FaultInjector:
         self.fires_by_site[site] = self.fires_by_site.get(site, 0) + 1
         return True
 
-    def total_fires(self) -> int:
-        return sum(self.fires_by_site.values())
-
     def absorb(self, other: "FaultInjector") -> None:
         """Add ``other``'s check and fire counts to this injector's."""
         for mine, theirs in (

@@ -60,8 +60,6 @@ class SupervisorConfig:
     #: evaluation) is older than this is declared hung and its worker
     #: killed; ``None`` disables hang detection.
     heartbeat_timeout_seconds: float | None = None
-    #: Cadence of the parent's watchdog loop.
-    poll_interval_seconds: float = 0.05
     #: Retried chains drop ``worker.*`` fault specs, modelling worker
     #: loss as a transient: the replayed chain completes and is
     #: bit-for-bit the chain a fault-free run would have produced.
@@ -83,11 +81,6 @@ class SupervisorConfig:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-        if self.poll_interval_seconds <= 0:
-            raise ValueError(
-                "poll_interval_seconds must be positive, "
-                f"got {self.poll_interval_seconds}"
-            )
 
 
 @dataclass

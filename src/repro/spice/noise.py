@@ -116,12 +116,6 @@ def _mosfet_noise_split(
     return thermal, flicker_coeff
 
 
-def _mosfet_noise_psd(system: System, op_x, mos: Mosfet, freq: float) -> float:
-    """Drain-current noise PSD of one device at the operating point."""
-    thermal, flicker_coeff = _mosfet_noise_split(system, op_x, mos)
-    return thermal + (flicker_coeff / freq if flicker_coeff else 0.0)
-
-
 def noise_analysis(
     circuit: Circuit,
     output_node: str,

@@ -3,12 +3,14 @@
 :class:`RunConfig` holds every parameter that decides a run's result,
 each with its default and its validation in one place.  The library
 call (:func:`~repro.synthesis.synthesize_opamp`), the chain tasks
-(:class:`~repro.parallel.ChainTask`), ``repro synthesize`` / ``repro
-analyze`` and the service's ``POST /jobs`` all build their run from it.
+(:class:`~repro.parallel.ChainTask`), ``repro synthesize`` / ``analyze``
+/ ``estimate-opamp`` and the service's ``POST /jobs`` all build their run
+from it.
 
 It also owns the run's JSON form (:meth:`RunConfig.from_payload` /
-:meth:`RunConfig.to_payload`, shared by job bodies and ``repro analyze
---spec-file`` fixtures) and its three fingerprints: the run journal's,
+:meth:`RunConfig.to_payload`, shared by job bodies, ``repro analyze
+--spec-file`` fixtures and the CLI's request flags) and its three
+fingerprints: the run journal's,
 the evaluation store's and the service job's.  Tests pin their bytes:
 run directories, stores and queue rows written earlier must keep
 matching.
@@ -23,6 +25,7 @@ from typing import Any, Callable, Mapping
 from ..errors import SpecificationError
 from ..opamp import OpAmpSpec, OpAmpTopology
 from ..runtime.journal import RunJournal, run_fingerprint
+from ..spice.linalg import solver_mode
 from ..units import parse_quantity
 from . import problems
 from .robust import RobustSpec
@@ -287,7 +290,7 @@ class RunConfig:
 
     def _problem_parts(self, tech: Any) -> dict[str, Any]:
         """The parts the journal and store fingerprints share."""
-        return {
+        parts: dict[str, Any] = {
             "tech": repr(tech),
             "spec": repr(self.spec),
             "topology": repr(self.topology),
@@ -297,6 +300,12 @@ class RunConfig:
             "range_factor": self.range_factor,
             "tolerant": self.tolerant,
         }
+        if solver_mode() != "auto":
+            # A forced backend moves the bits.  Like every optional
+            # part it appears only off its default, so run dirs and
+            # stores keyed before it existed keep matching.
+            parts["solver"] = solver_mode()
+        return parts
 
     def journal_parts(self, tech: Any, box: tuple | None) -> dict[str, Any]:
         """A run directory's identity; ``--resume`` refuses another.

@@ -19,7 +19,12 @@ __all__ = [
     "worst_case_metrics",
     "FAILURE_COST",
     "YIELD_PENALTY",
+    "ROBUST_COST_MODES",
 ]
+
+#: :class:`RobustCost`'s aggregations: the worst case over the
+#: variants, or the nominal cost plus a shortfall against a yield target.
+ROBUST_COST_MODES = ("worst", "yield")
 
 #: Cost assigned to a candidate that could not be simulated.
 FAILURE_COST = 100.0
@@ -157,9 +162,10 @@ class RobustCost:
         yield_target: float = 1.0,
         yield_penalty: float = YIELD_PENALTY,
     ) -> None:
-        if mode not in ("worst", "yield"):
+        if mode not in ROBUST_COST_MODES:
             raise ValueError(
-                f"unknown robust cost mode {mode!r}; expected 'worst' or 'yield'"
+                f"unknown robust cost mode {mode!r}; expected one of "
+                f"{ROBUST_COST_MODES}"
             )
         if not 0.0 <= yield_target <= 1.0:
             raise ValueError(

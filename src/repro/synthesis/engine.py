@@ -199,8 +199,9 @@ def synthesize_opamp(
     problem empties it.
     ``budget`` limits apply to each chain, which gets a share with the
     caller's limits and deadline instant (every chain stops at the same
-    moment, wherever it runs); the chains' consumption is added back
-    to ``budget``'s counters.
+    moment, wherever it runs); the consumption of the chains this call
+    runs is added back to ``budget``'s counters, and their retries to
+    ``retry``'s (a resumed run's replayed chains add nothing).
     ``workers`` is clamped to usable CPUs unless ``oversubscribe``.
 
     Runs are *supervised* (``supervisor`` overrides the default
@@ -517,13 +518,6 @@ def synthesize_opamp(
     evaluations = sum(o.anneal.evaluations for o in outcomes)
     failed = sum(o.anneal.failed_evaluations for o in outcomes)
     totals = chain_totals(outcomes)
-    if retry is not None:
-        # Chains consume per-chain copies of the policy; fold their
-        # retries back so shared policies keep session-wide totals.
-        retry.total_retries += totals["retries"]
-    if budget is not None:
-        budget.evaluations += evaluations
-        budget.failures += failed
 
     robust_detail = None
     worst_corner = None
@@ -547,8 +541,17 @@ def synthesize_opamp(
             worst_corner = robust_cost.worst_variant(robust_detail)
             estimated_yield = robust_cost.estimated_yield(robust_detail)
             robust_meets = robust_cost.meets_spec(robust_detail)
-        if budget is not None:
-            budget.corner_evaluations += totals["corner_evals"]
+
+    # Chains consume per-chain copies of the policy and shares of the
+    # budget; fold back what this call ran, so shared ones keep
+    # session-wide totals.  A replayed chain was charged by the run
+    # that made it.
+    if retry is not None:
+        retry.total_retries += session["retries"]
+    if budget is not None:
+        budget.evaluations += fresh_evaluations
+        budget.failures += sum(o.anneal.failed_evaluations for o in fresh)
+        budget.corner_evaluations += session["corner_evals"]
 
     degraded_chains = [o for o in outcomes if o.anneal.degraded]
     if degraded_chains:

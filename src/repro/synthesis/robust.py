@@ -61,7 +61,7 @@ from ..variation.montecarlo import (
     mismatched_model,
     perturbed_circuit,
 )
-from .cost import FAILURE_COST, RobustCost, worst_case_metrics
+from .cost import FAILURE_COST, ROBUST_COST_MODES, RobustCost, worst_case_metrics
 from .problems import OpAmpSizingProblem, Variable, _Candidate
 from .specs import SynthesisSpec
 
@@ -113,10 +113,10 @@ class RobustSpec:
     screen_threshold: float | None = DEFAULT_SCREEN_THRESHOLD
 
     def __post_init__(self) -> None:
-        if self.mode not in ("worst", "yield"):
+        if self.mode not in ROBUST_COST_MODES:
             raise SpecificationError(
                 f"unknown robust cost mode {self.mode!r}",
-                context={"mode": self.mode, "known": ("worst", "yield")},
+                context={"mode": self.mode, "known": ROBUST_COST_MODES},
             )
         if self.mc_samples < 0:
             raise SpecificationError(

@@ -11,7 +11,9 @@ surrogate skips) must keep wherever they travel:
   nonzero in at least one pinned run;
 * the process's :class:`~repro.runtime.stats.SessionStats` grows by
   exactly what each run's result reports, renders as before and clears
-  every field; a resumed run adds only the work it did itself.
+  every field; a resumed run adds only the work it did itself, and so
+  does it to the caller's :class:`~repro.runtime.EvalBudget` and
+  :class:`~repro.runtime.RetryPolicy`.
 """
 
 import dataclasses
@@ -24,7 +26,7 @@ import pytest
 import repro.parallel.executor as executor
 import repro.synthesis.problems as problems
 from repro.opamp import OpAmpSpec, OpAmpTopology
-from repro.runtime import RetryPolicy, SupervisorConfig
+from repro.runtime import EvalBudget, RetryPolicy, SupervisorConfig
 from repro.runtime.faults import injected_faults
 from repro.runtime.stats import SessionStats, global_stats
 from repro.synthesis import synthesize_opamp
@@ -164,6 +166,45 @@ class TestFullReplay:
         assert _counter_totals(again) == _counter_totals(first)
         for name in nonzero:
             assert getattr(first, name) > 0, name
+
+    @pytest.mark.timeout(300)
+    def test_a_full_replay_charges_a_fresh_budget_nothing(self, tmp_path):
+        """A replayed chain was charged to the budget of the run that
+        made it; the resume evaluates nothing, so it charges nothing."""
+        run_dir = str(tmp_path / "run")
+        kwargs = {**RUN, "restarts": 2, "workers": 1, "robust": ROBUST,
+                  "run_dir": run_dir}
+        budget = EvalBudget()
+        with injected_faults({"synthesis.evaluate": 0.2}, seed=7):
+            first = synthesize_opamp(TECH, SPEC, TOPO, budget=budget,
+                                     **kwargs)
+        assert budget.evaluations == first.evaluations > 0
+        assert budget.failures == first.failed_evaluations > 0
+        assert budget.corner_evaluations == first.corner_evals > 0
+        fresh = EvalBudget()
+        again = synthesize_opamp(TECH, SPEC, TOPO, budget=fresh,
+                                 resume=True, **kwargs)
+        assert again.resumed_chains == [0, 1]
+        assert again.evaluations == first.evaluations
+        assert (fresh.evaluations, fresh.failures,
+                fresh.corner_evaluations) == (0, 0, 0)
+
+    @pytest.mark.timeout(300)
+    def test_a_shared_retry_policy_keeps_its_total_across_a_replay(
+        self, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        kwargs = {**RUN, "restarts": 2, "workers": 1, "run_dir": run_dir}
+        policy = RetryPolicy(max_attempts=3, seed=7)
+        with injected_faults({"spice.dc.attempt": 0.2}, seed=5):
+            first = synthesize_opamp(TECH, SPEC, TOPO, retry=policy,
+                                     **kwargs)
+            assert policy.total_retries == first.retries > 0
+            again = synthesize_opamp(TECH, SPEC, TOPO, retry=policy,
+                                     resume=True, **kwargs)
+        assert again.resumed_chains == [0, 1]
+        assert again.retries == first.retries
+        assert policy.total_retries == first.retries
 
 
 # ---------------------------------------------------------------- session

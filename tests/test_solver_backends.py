@@ -573,3 +573,55 @@ class TestForeignOperatingPointRegression:
         op_a = dc_operating_point(a)
         ac = ac_analysis(variant, op=op_a, frequencies=[1e3])
         assert np.all(np.isfinite(ac.solutions))
+
+
+class TestForcedBackendKeysTheRun:
+    """A forced backend moves result bits, so it is part of the keys of
+    the evaluation store and the run journal: a sparse run never reads
+    a dense run's rows, and a sparse run dir never resumes under dense
+    (``auto``, the default, adds no key part)."""
+
+    SPEC = OpAmpSpec(gain=100.0, ugf=2e6)
+    RUN = dict(mode="ape", max_evaluations=40, seed=3)
+
+    @staticmethod
+    def _bits(result):
+        return (
+            result.best_cost.hex(),
+            sorted((k, v.hex()) for k, v in result.params.items()),
+            sorted((k, v.hex()) for k, v in result.metrics.items()),
+            [chain.history for chain in result.chains],
+        )
+
+    @pytest.mark.timeout(300)
+    def test_a_sparse_run_ignores_a_dense_store(self, tmp_path):
+        from repro.synthesis import synthesize_opamp
+
+        store_dir = str(tmp_path / "store")
+        with solver_override("dense"):
+            dense = synthesize_opamp(
+                TECH, self.SPEC, store_dir=store_dir, **self.RUN
+            )
+        with solver_override("sparse"):
+            stored = synthesize_opamp(
+                TECH, self.SPEC, store_dir=store_dir, **self.RUN
+            )
+            plain = synthesize_opamp(TECH, self.SPEC, **self.RUN)
+        assert dense.store_writes > 0
+        assert stored.store_hits == 0
+        assert self._bits(stored) == self._bits(plain)
+        # The backends do differ in the last bits here, so a shared
+        # key would have served the dense floats.
+        assert dense.metrics["ugf"] != plain.metrics["ugf"]
+
+    def test_a_sparse_run_dir_is_refused_under_dense(self, tmp_path):
+        from repro.errors import SpecificationError
+        from repro.synthesis import synthesize_opamp
+
+        run = dict(self.RUN, max_evaluations=5, run_dir=str(tmp_path / "r"))
+        with solver_override("sparse"):
+            synthesize_opamp(TECH, self.SPEC, **run)
+        with solver_override("dense"), pytest.raises(
+            SpecificationError, match="refusing to resume"
+        ):
+            synthesize_opamp(TECH, self.SPEC, resume=True, **run)

@@ -41,6 +41,7 @@ from .opamp.topology import CURRENT_SOURCES, DIFF_PAIRS, OpAmpSpec, OpAmpTopolog
 from .runtime import EvalBudget, RetryPolicy, RunJournal, SupervisorConfig
 from .runtime import faults as _faults
 from .runtime.diagnostics import DiagnosticLog, global_log
+from .service import ServiceConfig, run_service
 from .spice.linalg import set_solver_mode, solver_mode
 from .synthesis.config import (
     _RUN_KEYS,
@@ -92,6 +93,26 @@ _RUN_FLAGS = {
     "surrogate": (RunConfig, "surrogate"),
 }
 
+#: ``repro serve``'s flags, by dest: the ``ServiceConfig`` field each sets.
+_SERVE_FLAGS = {
+    "host": (ServiceConfig, "host"),
+    "port": (ServiceConfig, "port"),
+    "data_dir": (ServiceConfig, "data_dir"),
+    "service_workers": (ServiceConfig, "service_workers"),
+    "synth_workers": (ServiceConfig, "synth_workers"),
+    "oversubscribe": (ServiceConfig, "oversubscribe"),
+    "lease": (ServiceConfig, "lease_seconds"),
+    "max_queue_depth": (ServiceConfig, "max_queue_depth"),
+    "tenant_max_active": (ServiceConfig, "tenant_max_active"),
+    "tenant_max_evals": (ServiceConfig, "tenant_max_evals"),
+    "max_job_attempts": (ServiceConfig, "max_attempts"),
+    "drain_timeout": (ServiceConfig, "drain_timeout_s"),
+    "verbose": (ServiceConfig, "verbose"),
+}
+
+#: Every flag that sets one dataclass field, by dest.
+_FIELD_FLAGS = {**_RUN_FLAGS, **_SERVE_FLAGS}
+
 #: The tuple each choice field is validated against, by flag dest.
 _CHOICES = {
     "current_source": CURRENT_SOURCES,
@@ -102,7 +123,7 @@ _CHOICES = {
     "surrogate": SURROGATE_MODES,
 }
 
-#: Each run flag's help, by dest; the default it shows is its field's.
+#: Each field flag's help, by dest; the default it shows is its field's.
 _HELP = {
     "gain": "low-frequency differential gain",
     "ugf": "unity-gain frequency [Hz]",
@@ -129,6 +150,20 @@ _HELP = {
     "yield_target": "target yield fraction for --robust-cost yield",
     "feasibility": "reject a provably infeasible spec; contract also cuts the box",
     "surrogate": "rank: evaluate only the APE-best of four proposals per move",
+    "host": "bind address",
+    "port": "bind port; 0 picks a free port",
+    "data_dir": "job queue + run journals + shared eval store",
+    "service_workers": "concurrent jobs this server executes",
+    "synth_workers": "process-pool width per job",
+    "oversubscribe": "allow more synthesis workers than CPUs",
+    "lease": "job lease seconds; a crashed server's jobs become claimable "
+             "after this",
+    "max_queue_depth": "bound on queued+running jobs before 429s",
+    "tenant_max_active": "per-tenant concurrent job cap",
+    "tenant_max_evals": "per-tenant cap on summed max_evaluations of active jobs",
+    "max_job_attempts": "attempts before a job is quarantined as poison",
+    "drain_timeout": "seconds a SIGTERM drain waits for running jobs",
+    "verbose": "log each HTTP request to stderr",
 }
 
 #: ``synthesize``'s run-request flags.
@@ -143,23 +178,32 @@ _JOURNALED = (*_SYNTH_REQUEST, *_RUN_FLAGS, "retries", "store_dir")
 _GLOBALS = ("tech", "tolerant", "solver")
 
 
-def _kv_pairs(pairs: list[str]) -> dict[str, object]:
+def _kv_pairs(pairs: list[str], cls: type | None = None) -> dict[str, object]:
+    """``key=value`` entries, each typed by the annotation of the
+    ``cls.design`` parameter it sets: text for a ``str``, an integer
+    for an ``int``, else a quantity (or text where none parses)."""
+    params = inspect.signature(cls.design).parameters if cls else {}
     out: dict[str, object] = {}
     for pair in pairs:
         if "=" not in pair:
             raise ApeError(f"expected key=value, got {pair!r}")
         key, raw = pair.split("=", 1)
-        try:
-            out[key] = parse_quantity(raw)
-        except ApeError:
-            out[key] = raw  # string-valued options (topology names ...)
+        if params and key not in params:
+            raise ApeError(f"{cls.__name__}.design() has no parameter {key!r}")
+        annotation = str(params[key].annotation) if params else ""
+        if annotation == "str":
+            out[key] = raw
+        elif annotation == "int":
+            value = parse_quantity(raw)
+            if not value.is_integer():
+                raise ApeError(f"{key} must be an integer, got {raw!r}")
+            out[key] = int(value)
+        else:
+            try:
+                out[key] = parse_quantity(raw)
+            except ApeError:
+                out[key] = raw  # string-valued options (polarity ...)
     return out
-
-
-def _int_keys(spec: dict[str, object], keys: tuple[str, ...]) -> None:
-    for key in keys:
-        if key in spec:
-            spec[key] = int(spec[key])  # type: ignore[arg-type]
 
 
 def _print_estimate(title: str, estimate) -> None:
@@ -169,15 +213,15 @@ def _print_estimate(title: str, estimate) -> None:
 
 
 def _field(dest: str) -> inspect.Parameter:
-    """The constructor parameter, or dataclass field, a run flag sets."""
-    owner, name = _RUN_FLAGS.get(dest) or _REQUEST_FLAGS[dest][1:]
+    """The constructor parameter, or dataclass field, a flag sets."""
+    owner, name = _FIELD_FLAGS.get(dest) or _REQUEST_FLAGS[dest][1:]
     return inspect.signature(owner).parameters[name]
 
 
 def _add_run_flags(
     parser: argparse.ArgumentParser, dests, required: bool | str = True
 ) -> None:
-    """Declare run flags, each from the field it sets: an integer, a
+    """Declare flags, each from the field it sets: an integer, a
     switch or text as the field's annotation says, showing the field's
     default, choosing from its validation tuple.  An omitted flag is
     ``None`` and leaves the field its default; a field without one is
@@ -191,18 +235,18 @@ def _add_run_flags(
         else:
             options["type"] = int if kind.startswith("int") else None
             options["choices"] = _CHOICES.get(dest)
-            # --corners switches robust synthesis on; left out, the run
-            # is nominal, whatever RobustSpec's own corner list says.
-            default = None if dest == "corners" else field.default
-            if default is not field.empty:
-                if isinstance(default, float):
-                    default = format_quantity(default)
-                shown = "off" if default is None else default
-                options["help"] += f" (default: {shown})"
-            elif required is True:
-                options["required"] = True
-            else:
-                options["help"] += f" (required unless {required})"
+        # --corners switches robust synthesis on; left out, the run
+        # is nominal, whatever RobustSpec's own corner list says.
+        default = None if dest == "corners" else field.default
+        if default is not field.empty:
+            if isinstance(default, float):
+                default = format_quantity(default)
+            shown = "off" if default is None or default is False else default
+            options["help"] += f" (default: {shown})"
+        elif required is True:
+            options["required"] = True
+        else:
+            options["help"] += f" (required unless {required})"
         parser.add_argument("--" + dest.replace("_", "-"), **options)
 
 
@@ -332,34 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the durable synthesis service (HTTP + job queue)",
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument("--port", type=int, default=8765,
-                   help="bind port; 0 picks a free port (default: 8765)")
-    p.add_argument("--data-dir", default="service-data",
-                   help="job queue + run journals + shared eval store "
-                        "(default: ./service-data)")
-    p.add_argument("--service-workers", type=int, default=1,
-                   help="concurrent jobs this server executes")
-    p.add_argument("--synth-workers", type=int, default=1,
-                   help="process-pool width per job (default: 1)")
-    p.add_argument("--oversubscribe", action="store_true",
-                   help="allow more synthesis workers than CPUs")
-    p.add_argument("--lease", default="15",
-                   help="job lease seconds; a crashed server's jobs "
-                        "become claimable after this (default: 15)")
-    p.add_argument("--max-queue-depth", type=int, default=64,
-                   help="bound on queued+running jobs before 429s")
-    p.add_argument("--tenant-max-active", type=int, default=8,
-                   help="per-tenant concurrent job cap")
-    p.add_argument("--tenant-max-evals", type=int, default=100000,
-                   help="per-tenant cap on summed max_evaluations of "
-                        "active jobs")
-    p.add_argument("--max-job-attempts", type=int, default=3,
-                   help="attempts before a job is quarantined as poison")
-    p.add_argument("--drain-timeout", default="30",
-                   help="seconds a SIGTERM drain waits for running jobs")
-    p.add_argument("--verbose", action="store_true",
-                   help="log each HTTP request to stderr")
+    _add_run_flags(p, _SERVE_FLAGS)
 
     p = sub.add_parser("simulate", help="analyse a SPICE deck file")
     p.add_argument("deck", help="path to a .cir/.sp deck")
@@ -429,10 +446,11 @@ def _cmd_estimate_opamp(args, tech) -> int:
 
 
 def _cmd_estimate_component(args, tech) -> int:
-    from .estimator import AnalogPerformanceEstimator
+    from .estimator import _COMPONENT_KINDS, AnalogPerformanceEstimator
 
     ape = AnalogPerformanceEstimator(tech, tolerant=args.tolerant)
-    comp = ape.estimate_component(args.kind, **_kv_pairs(args.params))
+    spec = _kv_pairs(args.params, _COMPONENT_KINDS.get(args.kind.lower()))
+    comp = ape.estimate_component(args.kind, **spec)
     _print_estimate(args.kind, comp.estimate)
     for role, dev in sorted(comp.devices.items()):
         print(f"  {role:14s} W={format_si(dev.w, 'm')} L={format_si(dev.l, 'm')}")
@@ -441,11 +459,10 @@ def _cmd_estimate_component(args, tech) -> int:
 
 
 def _cmd_estimate_module(args, tech) -> int:
-    from .estimator import AnalogPerformanceEstimator
+    from .estimator import _MODULE_KINDS, AnalogPerformanceEstimator
 
     ape = AnalogPerformanceEstimator(tech)
-    spec = _kv_pairs(args.params)
-    _int_keys(spec, ("order", "bits"))
+    spec = _kv_pairs(args.params, _MODULE_KINDS.get(args.kind.lower()))
     module = ape.estimate_module(args.kind, **spec)
     _print_estimate(args.kind, module.estimate)
     print(f"  {'total_area':14s} {module.total_area:.6g}")
@@ -453,11 +470,11 @@ def _cmd_estimate_module(args, tech) -> int:
 
 
 def _fields(args, owner) -> dict:
-    """The fields of ``owner`` that the ``synthesize`` flags given set."""
+    """The fields of ``owner`` that the flags given set."""
     fields = {}
-    for dest, (cls, name) in _RUN_FLAGS.items():
-        value = getattr(args, dest)
-        if cls is not owner or value is None:
+    for dest, (cls, name) in _FIELD_FLAGS.items():
+        value = getattr(args, dest) if cls is owner else None
+        if value is None:
             continue
         if dest == "corners":
             # A modifier fragment ("4.5V" in "SS@-40C,4.5V") belongs to
@@ -746,24 +763,7 @@ def _cmd_simulate(args, tech) -> int:
 
 
 def _cmd_serve(args, tech) -> int:
-    from .service import ServiceConfig, run_service
-
-    config = ServiceConfig(
-        host=args.host,
-        port=args.port,
-        data_dir=args.data_dir,
-        service_workers=args.service_workers,
-        synth_workers=args.synth_workers,
-        oversubscribe=args.oversubscribe,
-        lease_seconds=parse_quantity(args.lease),
-        max_queue_depth=args.max_queue_depth,
-        tenant_max_active=args.tenant_max_active,
-        tenant_max_evals=args.tenant_max_evals,
-        max_attempts=args.max_job_attempts,
-        drain_timeout_s=parse_quantity(args.drain_timeout),
-        verbose=args.verbose,
-    )
-    return run_service(tech, config)
+    return run_service(tech, ServiceConfig(**_fields(args, ServiceConfig)))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,7 +16,6 @@ True
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 from .components import (
@@ -227,33 +226,25 @@ class AnalogPerformanceEstimator:
 
     # ----------------------------------------------------------- level 3
 
-    def estimate_opamp(
-        self,
-        *,
-        gain: float,
-        ugf: float,
-        ibias: float = 1e-6,
-        cl: float = 10e-12,
-        area: float = math.inf,
-        slew_rate: float = 0.0,
-        current_source: str = "mirror",
-        diff_pair: str = "cmos",
-        gain_stage: bool | None = None,
-        output_buffer: bool = False,
-        z_load: float = math.inf,
-        name: str = "opamp",
-    ) -> OpAmp:
-        """Size a complete op-amp from its specification — paper §4.3."""
-        spec = OpAmpSpec(
-            gain=gain, ugf=ugf, area=area, ibias=ibias, cl=cl,
-            slew_rate=slew_rate,
-        )
+    def estimate_opamp(self, *, name: str = "opamp", **fields: Any) -> OpAmp:
+        """Size a complete op-amp from its specification — paper §4.3.
+
+        The keywords are a run request's ``spec`` and ``topology`` keys:
+        the :class:`OpAmpSpec` fields (``gain`` and ``ugf`` required)
+        and the :class:`OpAmpTopology` ones but ``compensated``.  A
+        field left out takes its default.
+        """
+        from .synthesis.config import _SPEC_KEYS, _TOPOLOGY_KEYS
+
+        unknown = sorted(fields.keys() - {*_SPEC_KEYS, *_TOPOLOGY_KEYS})
+        if unknown:
+            raise TypeError(
+                f"estimate_opamp() got an unexpected keyword argument "
+                f"{unknown[0]!r}"
+            )
+        spec = OpAmpSpec(**{k: fields[k] for k in _SPEC_KEYS if k in fields})
         topology = OpAmpTopology(
-            current_source=current_source,
-            diff_pair=diff_pair,
-            gain_stage=gain_stage,
-            output_buffer=output_buffer,
-            z_load=z_load,
+            **{k: fields[k] for k in _TOPOLOGY_KEYS if k in fields}
         )
         if not self.tolerant:
             return design_opamp(self.tech, spec, topology, name=name)

@@ -32,6 +32,7 @@ nothing is lost crossing the disk boundary.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -96,28 +97,15 @@ def _diagnostic_from_jsonable(payload: dict) -> Any:
 
 
 def outcome_to_jsonable(outcome: Any) -> dict:
-    """Serialize a ChainOutcome (sans memo snapshot) for the journal."""
-    anneal = outcome.anneal
+    """Serialize a ChainOutcome (sans memo snapshot) for the journal.
+
+    The ``anneal`` object holds the :class:`AnnealResult` fields in
+    their declared order, which is the journal's key order.
+    """
     return {
         "chain_index": outcome.chain_index,
         "seed": outcome.seed,
-        "anneal": {
-            "best_params": dict(anneal.best_params),
-            "best_cost": anneal.best_cost,
-            "best_metrics": (
-                dict(anneal.best_metrics)
-                if anneal.best_metrics is not None else None
-            ),
-            "evaluations": anneal.evaluations,
-            "accepted": anneal.accepted,
-            "history": list(anneal.history),
-            "failed_evaluations": anneal.failed_evaluations,
-            "degraded": anneal.degraded,
-            "stop_reason": anneal.stop_reason,
-            "wall_seconds": anneal.wall_seconds,
-            "evals_per_second": anneal.evals_per_second,
-            "surrogate_skips": anneal.surrogate_skips,
-        },
+        "anneal": dataclasses.asdict(outcome.anneal),
         "degraded_design": outcome.degraded_design,
         "ape_seconds": outcome.ape_seconds,
         **outcome.counts,
@@ -132,7 +120,9 @@ def outcome_from_jsonable(payload: dict) -> Any:
 
     A counter the record lacks replays as 0: records written before
     robust synthesis, the store or the APE screen carry no corner,
-    screen, store or skip counters.
+    screen, store or skip counters.  An ``anneal`` key that
+    :class:`AnnealResult` does not declare (an older journal's refit
+    counter) is dropped.
     """
     from ..parallel.executor import CHAIN_COUNTERS, ChainOutcome
     from ..synthesis.annealing import AnnealResult
@@ -141,23 +131,11 @@ def outcome_from_jsonable(payload: dict) -> Any:
     return ChainOutcome(
         chain_index=payload["chain_index"],
         seed=payload["seed"],
-        anneal=AnnealResult(
-            best_params=dict(anneal["best_params"]),
-            best_cost=anneal["best_cost"],
-            best_metrics=(
-                dict(anneal["best_metrics"])
-                if anneal["best_metrics"] is not None else None
-            ),
-            evaluations=anneal["evaluations"],
-            accepted=anneal["accepted"],
-            history=list(anneal["history"]),
-            failed_evaluations=anneal["failed_evaluations"],
-            degraded=anneal["degraded"],
-            stop_reason=anneal["stop_reason"],
-            wall_seconds=anneal["wall_seconds"],
-            evals_per_second=anneal["evals_per_second"],
-            surrogate_skips=anneal.get("surrogate_skips", 0),
-        ),
+        anneal=AnnealResult(**{
+            field.name: anneal[field.name]
+            for field in dataclasses.fields(AnnealResult)
+            if field.name in anneal
+        }),
         degraded_design=payload["degraded_design"],
         ape_seconds=payload["ape_seconds"],
         counts={name: payload.get(name, 0) for name in CHAIN_COUNTERS},

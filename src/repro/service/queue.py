@@ -47,12 +47,15 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ApeError
 from ..runtime import faults
 from ..runtime.sqlite import leave_inherited, open_wal
 from .jobs import JobRequest, job_id_for
+
+if TYPE_CHECKING:
+    from .server import ServiceConfig
 
 __all__ = [
     "JobQueue",
@@ -189,32 +192,29 @@ class JobRecord:
 class JobQueue:
     """Crash-safe job queue over one SQLite database.
 
-    All public methods are thread-safe (one instance lock) and retry
-    transient SQLite lock errors a bounded number of times before
-    raising :class:`QueueError`.  ``clock`` is injectable for tests;
-    production uses wall-clock epoch seconds because leases and
-    backoff gates are *persisted* and must stay meaningful across
-    process restarts (a monotonic clock restarts with the machine).
+    The database lives in ``config.data_dir``; the retry ladder is
+    ``config``'s ``max_attempts``, ``backoff_base_s`` and
+    ``backoff_cap_s``.  All public methods are thread-safe (one
+    instance lock) and retry transient SQLite lock errors a bounded
+    number of times before raising :class:`QueueError`.  ``clock`` is
+    injectable for tests; production uses wall-clock epoch seconds
+    because leases and backoff gates are *persisted* and must stay
+    meaningful across process restarts (a monotonic clock restarts
+    with the machine).
     """
 
     def __init__(
         self,
-        data_dir: str | os.PathLike[str],
+        config: ServiceConfig,
         *,
         busy_timeout_s: float = 5.0,
         busy_retries: int = 5,
-        max_attempts: int = 3,
-        backoff_base_s: float = 0.5,
-        backoff_cap_s: float = 30.0,
         clock: Callable[[], float] | None = None,
     ) -> None:
-        self.data_dir = Path(data_dir)
-        self.path = self.data_dir / QUEUE_FILENAME
+        self.config = config
+        self.path = Path(config.data_dir) / QUEUE_FILENAME
         self.busy_timeout_s = busy_timeout_s
         self.busy_retries = busy_retries
-        self.max_attempts = max_attempts
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self._clock: Callable[[], float] = (
             clock if clock is not None
             else time.time  # deterministic-ok: persisted lease/backoff timestamps must survive restarts
@@ -405,7 +405,7 @@ class JobQueue:
                 "error=COALESCE(error, 'attempts exhausted "
                 "(crash-looping job)') "
                 "WHERE state='queued' AND attempts >= ?",
-                (now, self.max_attempts),
+                (now, self.config.max_attempts),
             ).rowcount
             row = conn.execute(
                 "SELECT * FROM jobs WHERE state='queued' AND not_before<=? "
@@ -498,14 +498,14 @@ class JobQueue:
             attempts = int(row["attempts"])
             if not retryable:
                 state = "failed"
-            elif attempts >= self.max_attempts:
+            elif attempts >= self.config.max_attempts:
                 state = "quarantined"
             else:
                 state = "queued"
             if state == "queued":
                 backoff = min(
-                    self.backoff_base_s * (2.0 ** (attempts - 1)),
-                    self.backoff_cap_s,
+                    self.config.backoff_base_s * (2.0 ** (attempts - 1)),
+                    self.config.backoff_cap_s,
                 )
                 conn.execute(
                     "UPDATE jobs SET state='queued', error=?, "

@@ -48,6 +48,7 @@ from urllib.parse import urlparse
 
 from ..errors import ApeError, SpecificationError
 from ..runtime.diagnostics import Diagnostic, global_log
+from ..synthesis.config import _integer
 from .jobs import AdmissionError, JobRequest, admit
 from .queue import JobQueue
 from .worker import JobWorker
@@ -57,16 +58,22 @@ __all__ = ["ServiceConfig", "SynthesisService", "ServiceServer", "run_service"]
 
 @dataclass
 class ServiceConfig:
-    """Tunables for one service instance."""
+    """Tunables for one service instance, each declared once: ``repro
+    serve``'s flags, :class:`JobQueue` and :class:`JobWorker` read them
+    here.  Validated on construction: an invalid value raises
+    :class:`~repro.errors.SpecificationError` naming the field."""
 
     host: str = "127.0.0.1"
-    port: int = 0
+    #: 0 picks a free port.
+    port: int = 8765
     data_dir: str = "service-data"
     #: Worker threads claiming jobs (each runs one job at a time).
     service_workers: int = 1
     #: Process-pool width handed to each job's ``synthesize_opamp``.
     synth_workers: int | None = 1
-    oversubscribe: bool = True
+    #: Allow more synthesis workers than usable CPUs.
+    oversubscribe: bool = False
+    #: A job's lease; a crashed server's jobs become claimable after it.
     lease_seconds: float = 15.0
     #: Timeout of an idle worker's wait.  ``submit`` wakes the workers
     #: as soon as it enqueues a job; the timeout only picks up retries
@@ -90,6 +97,32 @@ class ServiceConfig:
     #: Log each request to stderr (off keeps tests quiet).
     verbose: bool = False
 
+    def __post_init__(self) -> None:
+        for name in (
+            "service_workers", "max_queue_depth", "tenant_max_active",
+            "tenant_max_evals", "max_attempts",
+        ):
+            _integer(getattr(self, name), name, 1)
+        if self.synth_workers is not None:
+            _integer(self.synth_workers, "synth_workers", 1)
+        _integer(self.port, "port", 0)
+        for name, ok, bound in (
+            ("port", self.port <= 65535, "<= 65535"),
+            # A lease of 0 is born expired, and the heartbeat that paces
+            # itself by it would spin.
+            ("lease_seconds", self.lease_seconds > 0, "> 0"),
+            ("poll_interval_s", self.poll_interval_s > 0, "> 0"),
+            ("backoff_base_s", self.backoff_base_s >= 0, ">= 0"),
+            ("backoff_cap_s", self.backoff_cap_s >= 0, ">= 0"),
+            ("drain_timeout_s", self.drain_timeout_s >= 0, ">= 0"),
+        ):
+            if not ok:
+                value = getattr(self, name)
+                raise SpecificationError(
+                    f"{name} must be {bound}, got {value}",
+                    context={"parameter": name, "value": value},
+                )
+
 
 @dataclass
 class _AdmissionCounters:
@@ -106,29 +139,17 @@ class SynthesisService:
     def __init__(self, tech: Any, config: ServiceConfig) -> None:
         self.tech = tech
         self.config = config
-        self.queue = JobQueue(
-            config.data_dir,
-            max_attempts=config.max_attempts,
-            backoff_base_s=config.backoff_base_s,
-            backoff_cap_s=config.backoff_cap_s,
-        )
+        self.queue = JobQueue(config)
         self.counters = _AdmissionCounters()
         self.draining = threading.Event()
         self.started = time.perf_counter()
-        self.workers: list[JobWorker] = []
-        self._threads: list[threading.Thread] = []
-        for index in range(max(1, config.service_workers)):
-            worker = JobWorker(
-                self.queue,
-                tech,
-                config.data_dir,
-                owner=f"worker-{os.getpid()}-{index}",
-                lease_seconds=config.lease_seconds,
-                poll_interval_s=config.poll_interval_s,
-                synth_workers=config.synth_workers,
-                oversubscribe=config.oversubscribe,
+        self.workers = [
+            JobWorker(
+                self.queue, tech, config, owner=f"worker-{os.getpid()}-{index}"
             )
-            self.workers.append(worker)
+            for index in range(config.service_workers)
+        ]
+        self._threads: list[threading.Thread] = []
 
     # ------------------------------------------------------------ lifecycle
 

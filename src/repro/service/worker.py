@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 from ..errors import ApeError, SpecificationError
 from ..runtime import faults
@@ -34,6 +34,9 @@ from ..runtime.faults import CRASH_EXIT_CODE
 from ..runtime.journal import RunJournal
 from .jobs import JobRequest
 from .queue import JobQueue, JobRecord
+
+if TYPE_CHECKING:
+    from .server import ServiceConfig
 
 __all__ = ["JobWorker", "CRASH_EXIT_CODE"]
 
@@ -100,29 +103,24 @@ def _result_summary(result: Any) -> dict[str, Any]:
 
 
 class JobWorker:
-    """Claims jobs from the queue and executes them, one at a time."""
+    """Claims jobs from the queue and executes them, one at a time.
+
+    Its lease, poll interval, pool width and data dir are ``config``'s.
+    """
 
     def __init__(
         self,
         queue: JobQueue,
         tech: Any,
-        data_dir: str | os.PathLike[str],
+        config: ServiceConfig,
         *,
         owner: str,
-        lease_seconds: float = 30.0,
-        poll_interval_s: float = 0.2,
-        synth_workers: int | None = 1,
-        oversubscribe: bool = True,
         on_progress: Callable[[str, dict[str, Any]], None] | None = None,
     ) -> None:
         self.queue = queue
         self.tech = tech
-        self.data_dir = os.fspath(data_dir)
+        self.config = config
         self.owner = owner
-        self.lease_seconds = lease_seconds
-        self.poll_interval_s = poll_interval_s
-        self.synth_workers = synth_workers
-        self.oversubscribe = oversubscribe
         self.on_progress = on_progress
         self.stop_event = threading.Event()
         #: Set when a claim may find work: the service enqueued a job,
@@ -137,11 +135,11 @@ class JobWorker:
     # ------------------------------------------------------------- layout
 
     def run_dir_for(self, job_id: str) -> str:
-        return os.path.join(self.data_dir, "runs", job_id)
+        return os.path.join(self.config.data_dir, "runs", job_id)
 
     @property
     def store_dir(self) -> str:
-        return os.path.join(self.data_dir, "store")
+        return os.path.join(self.config.data_dir, "store")
 
     # -------------------------------------------------------------- loop
 
@@ -163,10 +161,10 @@ class JobWorker:
             record = None
             if not self.draining.is_set():
                 record = self.queue.claim(
-                    self.owner, lease_seconds=self.lease_seconds
+                    self.owner, lease_seconds=self.config.lease_seconds
                 )
             if record is None:
-                self.wake_event.wait(self.poll_interval_s)
+                self.wake_event.wait(self.config.poll_interval_s)
                 continue
             self.execute(record)
 
@@ -210,14 +208,15 @@ class JobWorker:
         # Monitor: heartbeat the lease and publish progress.  The
         # heartbeat cadence stays well inside the lease so a healthy
         # job never loses it.
-        interval = min(self.poll_interval_s, self.lease_seconds / 3.0)
+        lease = self.config.lease_seconds
+        interval = min(self.config.poll_interval_s, lease / 3.0)
         while thread.is_alive():
             thread.join(timeout=interval)
             if not thread.is_alive():
                 break
             progress = _journal_progress(run_dir)
             if not self.queue.heartbeat(
-                record.id, self.owner, lease_seconds=self.lease_seconds
+                record.id, self.owner, lease_seconds=lease
             ):
                 self.leases_lost += 1
             self.queue.update_progress(record.id, self.owner, progress)
@@ -252,8 +251,8 @@ class JobWorker:
         return synthesize_opamp(
             self.tech,
             **request.config.as_kwargs(),
-            workers=self.synth_workers,
-            oversubscribe=self.oversubscribe,
+            workers=self.config.synth_workers,
+            oversubscribe=self.config.oversubscribe,
             run_dir=run_dir,
             resume=journal.exists(),
             store_dir=self.store_dir,

@@ -629,13 +629,8 @@ class CompiledStamps:
         tran_ih = _Scatter(n)
         tran_pv = _Scatter(n)
         tran_ps = _Scatter(n)
-        src = np.zeros(n)
-        ac_b = np.zeros(n, dtype=complex)
-        tran_src = np.zeros(n)
         l_diag: list[tuple[int, float]] = []
         cap_hist: list[tuple[str, int, int]] = []
-        wave_v: list[tuple[int, VoltageSource]] = []
-        wave_i: list[tuple[int, int, CurrentSource]] = []
         mosfets = []
 
         # Per-element scatter positions for the value-only refresh fast
@@ -696,31 +691,8 @@ class CompiledStamps:
                     mat.add(b, br, -1.0)
                     mat.add(br, a, 1.0)
                     mat.add(br, b, -1.0)
-                src[br] -= element.dc
-                if element.ac:
-                    ac_b[br] += element.ac
-                if element.wave is None:
-                    tran_src[br] -= element.dc
-                else:
-                    wave_v.append((br, element))
             elif isinstance(element, CurrentSource):
-                a, b = idx(element.np), idx(element.nn)
-                if a >= 0:
-                    src[a] += element.dc
-                if b >= 0:
-                    src[b] -= element.dc
-                if element.ac:
-                    if a >= 0:
-                        ac_b[a] -= element.ac
-                    if b >= 0:
-                        ac_b[b] += element.ac
-                if element.wave is None:
-                    if a >= 0:
-                        tran_src[a] += element.dc
-                    if b >= 0:
-                        tran_src[b] -= element.dc
-                else:
-                    wave_i.append((a, b, element))
+                continue  # no matrix stamp; _refresh_sources below
             elif isinstance(element, Vcvs):
                 a, b = idx(element.np), idx(element.nn)
                 c, d = idx(element.cp), idx(element.cn)
@@ -766,13 +738,8 @@ class CompiledStamps:
         self.tran_ih = tran_ih.dense()
         self.tran_pv = tran_pv.dense()
         self.tran_ps = tran_ps.dense()
-        self.src_dc = src
-        self.has_src = bool(src.any())
-        self.ac_b = ac_b
-        self.tran_src = tran_src
+        self._refresh_sources(system)
         self.cap_hist = cap_hist
-        self.wave_v = wave_v
-        self.wave_i = wave_i
         self.mosfets = mosfets
         self.mos_vec = _MosVectors(mosfets, n) if mosfets else None
         self._dc_base: tuple[float, np.ndarray] | None = None
@@ -900,11 +867,10 @@ class CompiledStamps:
         return True
 
     def _refresh_sources(self, system: System) -> None:
-        """Rebuild the compiled source vectors from the current circuit.
+        """Compile the independent-source vectors from the current circuit.
 
-        Walks the elements in compile order, so every value lands in
-        the same position via the same float operations as a fresh
-        :class:`CompiledStamps` — bit-identical by construction.
+        The compiler and a ``dc`` retarget both build them here, so a
+        refresh is bit-identical to a fresh compile by construction.
         """
         n = self.n
         src = np.zeros(n)

@@ -1,5 +1,6 @@
 """The run flags of ``repro estimate-opamp``, ``synthesize`` and
-``analyze``, declared once from the fields they set.
+``analyze``, and the flags of ``repro serve``, declared once from the
+fields they set.
 
 Locks in that:
 
@@ -13,9 +14,15 @@ Locks in that:
   (``--diff-pair folded`` included);
 * ``repro synthesize --resume DIR`` alone resumes a run dir journaled
   with any global flag (``--strict``, ``--tech``, ``--solver``), and a
-  ``cli.json`` without those keys still resumes.
+  ``cli.json`` without those keys still resumes;
+* each ``repro serve`` flag sets exactly its ``ServiceConfig`` field,
+  no flag builds ``ServiceConfig()``, and no service or APE-facade
+  signature restates a field's default;
+* ``estimate-component`` and ``estimate-module`` type each
+  ``key=value`` by the annotation of the ``design()`` parameter it sets.
 """
 
+import dataclasses
 import inspect
 import json
 import os
@@ -23,11 +30,19 @@ import re
 
 import pytest
 
+import repro.cli
 import repro.parallel
 from repro.cli import main
+from repro.errors import ApeError
+from repro.estimator import (
+    _COMPONENT_KINDS,
+    _MODULE_KINDS,
+    AnalogPerformanceEstimator,
+)
 from repro.opamp import OpAmpSpec, OpAmpTopology, coarse_design_opamp
 from repro.opamp.topology import CURRENT_SOURCES, DIFF_PAIRS
 from repro.runtime import EvalBudget, SupervisionReport, SupervisorConfig
+from repro.service import JobQueue, JobWorker, ServiceConfig, SynthesisService
 from repro.spice import set_solver_mode, solver_mode
 from repro.synthesis import RunConfig
 from repro.synthesis.config import FEASIBILITY_MODES, MODES, SURROGATE_MODES
@@ -60,6 +75,24 @@ SYNTHESIZE = [case for case in REQUEST_FLAGS if case[0] in {
 ANALYZE = [case for case in REQUEST_FLAGS if case[0] not in {
     "--budget", "--seed", "--restarts",
 }]
+
+#: ``repro serve``'s flags: (flag, value given, the ServiceConfig field
+#: it sets, the value that field takes).
+SERVE_FLAGS = [
+    ("--host", "0.0.0.0", "host", "0.0.0.0"),
+    ("--port", "9000", "port", 9000),
+    ("--data-dir", "elsewhere", "data_dir", "elsewhere"),
+    ("--service-workers", "3", "service_workers", 3),
+    ("--synth-workers", "2", "synth_workers", 2),
+    ("--oversubscribe", True, "oversubscribe", True),
+    ("--lease", "2.5", "lease_seconds", 2.5),
+    ("--max-queue-depth", "7", "max_queue_depth", 7),
+    ("--tenant-max-active", "2", "tenant_max_active", 2),
+    ("--tenant-max-evals", "5000", "tenant_max_evals", 5000),
+    ("--max-job-attempts", "5", "max_attempts", 5),
+    ("--drain-timeout", "1.5k", "drain_timeout_s", 1500.0),
+    ("--verbose", True, "verbose", True),
+]
 
 
 def _argv(flag, value):
@@ -171,7 +204,7 @@ class TestRequestFlags:
 
 def _default(owner, name):
     default = inspect.signature(owner).parameters[name].default
-    if default is None:
+    if default is None or default is False:
         return "off"
     return format_quantity(default) if isinstance(default, float) else default
 
@@ -214,6 +247,10 @@ HELP_DEFAULTS = [
     ("synthesize", "--mc-samples", RobustSpec, "mc_samples"),
     ("synthesize", "--robust-cost", RobustSpec, "mode"),
     ("synthesize", "--yield-target", RobustSpec, "yield_target"),
+    *[
+        ("serve", flag, ServiceConfig, name)
+        for flag, _value, name, _expected in SERVE_FLAGS
+    ],
 ]
 
 #: (command, flag, the tuple its field is validated against).
@@ -337,3 +374,139 @@ class TestResume:
         )
         assert code == 2
         assert "different synthesis problem" in resumed.err
+
+
+# ----------------------------------------------------------------- serve
+
+
+@pytest.fixture
+def served(monkeypatch):
+    """The ServiceConfig each ``repro serve`` runs; nothing is served."""
+    seen = []
+
+    def record(tech, config):
+        seen.append(config)
+        return 0
+
+    monkeypatch.setattr(repro.cli, "run_service", record)
+    return seen
+
+
+class TestServeFlags:
+    def test_every_serve_flag_is_pinned_here(self, capsys, monkeypatch):
+        flags = set(_help(capsys, monkeypatch, "serve")) - {"-h"}
+        assert flags == {flag for flag, *_ in SERVE_FLAGS}
+
+    def test_no_flag_builds_the_default_config(self, served):
+        assert main(["serve"]) == 0
+        assert served == [ServiceConfig()]
+
+    @pytest.mark.parametrize(
+        "flag, value, field, expected", SERVE_FLAGS,
+        ids=[case[0] for case in SERVE_FLAGS],
+    )
+    def test_a_flag_sets_exactly_its_field(
+        self, served, flag, value, field, expected
+    ):
+        assert main(["serve", *_argv(flag, value)]) == 0
+        assert served == [
+            dataclasses.replace(ServiceConfig(), **{field: expected})
+        ]
+
+    def test_a_zero_lease_exits_2_naming_the_field(self, capsys, served):
+        assert main(["serve", "--lease", "0"]) == 2
+        assert "lease_seconds" in capsys.readouterr().err
+        assert served == []
+
+
+#: Every dataclass field whose default a signature below must not restate.
+DECLARED = {
+    field.name
+    for owner in (ServiceConfig, OpAmpSpec, OpAmpTopology)
+    for field in dataclasses.fields(owner)
+}
+
+
+@pytest.mark.parametrize("callable_", [
+    JobWorker, JobQueue, SynthesisService,
+    AnalogPerformanceEstimator.estimate_opamp,
+], ids=["JobWorker", "JobQueue", "SynthesisService", "estimate_opamp"])
+def test_no_signature_restates_a_fields_default(callable_):
+    parameters = inspect.signature(callable_).parameters
+    restated = {
+        name for name, param in parameters.items()
+        if param.default is not param.empty and name in DECLARED
+    }
+    assert restated == set()
+
+
+# ------------------------------------------------------------ key=value
+
+
+#: Every int-annotated ``design()`` parameter of a component or module:
+#: (command, kind, parameter).
+INT_PARAMETERS = [
+    (command, kind, name)
+    for command, kinds in (
+        ("estimate-component", _COMPONENT_KINDS),
+        ("estimate-module", _MODULE_KINDS),
+    )
+    for kind, cls in kinds.items()
+    for name, param in inspect.signature(cls.design).parameters.items()
+    if str(param.annotation) == "int"
+]
+
+
+def _designed(monkeypatch, command, argv):
+    """The keywords ``repro COMMAND ARGV`` hands the facade's sizing."""
+    seen = {}
+
+    def record(self, kind, **spec):
+        seen.update(spec)
+        raise ApeError("recorded")
+
+    method = command.replace("-", "_")
+    monkeypatch.setattr(AnalogPerformanceEstimator, method, record)
+    assert main([command, *argv]) == 2
+    return seen
+
+
+class TestKeyValueTypes:
+    def test_sigma_deltas_osr_is_among_the_int_parameters(self):
+        assert ("estimate-module", "sigma_delta", "osr") in INT_PARAMETERS
+
+    @pytest.mark.parametrize(
+        "command, kind, name", INT_PARAMETERS,
+        ids=[f"{kind}.{name}" for _, kind, name in INT_PARAMETERS],
+    )
+    def test_an_int_parameter_arrives_as_an_int(
+        self, monkeypatch, command, kind, name
+    ):
+        seen = _designed(monkeypatch, command, [kind, f"{name}=100"])
+        assert seen[name] == 100 and type(seen[name]) is int
+
+    def test_a_str_parameter_stays_text(self, monkeypatch):
+        seen = _designed(monkeypatch, "estimate-component", [
+            "mirror", "current=10u", "name=1k",
+        ])
+        assert seen == {"current": pytest.approx(1e-5), "name": "1k"}
+
+    @pytest.mark.parametrize("command, argv, named", [
+        ("estimate-component", ["mirror", "current=10u", "bogus=1"], "bogus"),
+        ("estimate-module", ["sigma_delta", "signal_bandwidth=20k",
+                             "osr=64.5"], "osr"),
+    ], ids=["unknown-key", "fractional-int"])
+    def test_a_bad_entry_exits_2_naming_its_key(
+        self, capsys, command, argv, named
+    ):
+        assert main([command, *argv]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_an_int_osr_sizes_a_measurable_modulator(self, monkeypatch):
+        """A float ``osr`` sizes too, but its SNR measurement slices by
+        it and raises ``TypeError``."""
+        seen = _designed(monkeypatch, "estimate-module", [
+            "sigma_delta", "signal_bandwidth=20k", "osr=100",
+        ])
+        module = _MODULE_KINDS["sigma_delta"].design(TECH, **seen)
+        assert module.measure_snr_db() == pytest.approx(66.32, abs=0.01)

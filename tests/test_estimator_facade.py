@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro import AnalogPerformanceEstimator
+from repro import (
+    AnalogPerformanceEstimator,
+    OpAmpSpec,
+    OpAmpTopology,
+    design_opamp,
+)
 from repro.components import CurrentMirror, DiffCmos
 from repro.errors import EstimationError, TechnologyError, TopologyError
 from repro.modules import InvertingAmplifier, SallenKeyLowPass
@@ -82,6 +87,20 @@ class TestLevel3(object):
         )
         assert amp.has_buffer
         assert "wilson" in type(amp.stages["tail_source"]).__name__.lower()
+
+    def test_an_omitted_field_takes_its_default(self, ape):
+        amp = ape.estimate_opamp(gain=100, ugf=2e6)
+        reference = design_opamp(
+            ape.tech, OpAmpSpec(100, 2e6), OpAmpTopology()
+        )
+        assert (amp.spec, amp.topology) == (reference.spec, reference.topology)
+        assert amp.estimate == reference.estimate
+        assert amp.initial_point() == reference.initial_point()
+
+    @pytest.mark.parametrize("keyword", ["compensated", "gian"])
+    def test_an_unknown_keyword_is_refused(self, ape, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            ape.estimate_opamp(gain=100, ugf=2e6, **{keyword: True})
 
     def test_initial_point_export(self, ape):
         amp = ape.estimate_opamp(gain=100, ugf=2e6)

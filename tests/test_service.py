@@ -16,7 +16,10 @@ Locks in the robustness contract of :mod:`repro.service`:
 * a server killed mid-job (``service.crash`` ≙ ``kill -9``) leaves a
   claimable job whose restart resumes from the journal and finishes
   with a cost bit-identical to an uncrashed reference run;
-* SIGTERM drains gracefully: exit 0, queue file intact.
+* SIGTERM drains gracefully: exit 0, queue file intact;
+* ``ServiceConfig`` validates on construction: a lease, poll interval,
+  count, backoff, drain window or port out of range raises
+  ``SpecificationError`` naming the field.
 """
 
 import json
@@ -82,14 +85,56 @@ class FakeClock:
 
 
 def make_queue(tmp_path, **kw):
-    kw.setdefault("clock", FakeClock())
-    return JobQueue(tmp_path / "svc", **kw)
+    """A queue in ``tmp_path`` on a fake clock; keywords other than the
+    queue's own ``clock`` and ``busy_retries`` are ServiceConfig fields."""
+    knobs = {"clock": kw.pop("clock", None) or FakeClock()}
+    if "busy_retries" in kw:
+        knobs["busy_retries"] = kw.pop("busy_retries")
+    config = ServiceConfig(data_dir=str(tmp_path / "svc"), **kw)
+    return JobQueue(config, **knobs)
 
 
 def make_request(**overrides):
     payload = {"spec": {"gain": 100, "ugf": "2Meg"}}
     payload.update(overrides)
     return JobRequest.from_payload(payload)
+
+
+# --------------------------------------------------------------------------
+# configuration
+
+
+class TestServiceConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("lease_seconds", 0.0),
+        ("lease_seconds", -1.0),
+        ("poll_interval_s", 0.0),
+        ("drain_timeout_s", -1.0),
+        ("backoff_base_s", -0.5),
+        ("backoff_cap_s", -1.0),
+        ("service_workers", 0),
+        ("max_queue_depth", 0),
+        ("tenant_max_active", 0),
+        ("tenant_max_evals", 0),
+        ("max_attempts", 0),
+        ("synth_workers", 0),
+        ("port", -1),
+        ("port", 65536),
+    ])
+    def test_an_out_of_range_value_is_refused(self, field, value):
+        with pytest.raises(SpecificationError, match=field):
+            ServiceConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("drain_timeout_s", 0.0),
+        ("backoff_base_s", 0.0),
+        ("backoff_cap_s", 0.0),
+        ("synth_workers", None),
+        ("port", 0),
+        ("port", 65535),
+    ])
+    def test_a_value_on_the_bound_is_kept(self, field, value):
+        assert getattr(ServiceConfig(**{field: value}), field) == value
 
 
 # --------------------------------------------------------------------------
@@ -455,11 +500,16 @@ class TestJobWorker:
         record, _ = queue.submit(request, request.fingerprint(TECH))
         return record
 
+    def _worker(self, tmp_path, **config):
+        config = ServiceConfig(
+            data_dir=str(tmp_path / "svc"), lease_seconds=5.0, **config
+        )
+        queue = JobQueue(config)
+        return queue, JobWorker(queue, TECH, config, owner="w1")
+
     def test_executes_job_to_done(self, tmp_path):
-        queue = JobQueue(tmp_path / "svc", max_attempts=2)
-        worker = JobWorker(
-            queue, TECH, tmp_path / "svc", owner="w1",
-            lease_seconds=5.0, poll_interval_s=0.05,
+        queue, worker = self._worker(
+            tmp_path, max_attempts=2, poll_interval_s=0.05
         )
         self._submit(queue)
         leased = queue.claim("w1", lease_seconds=5)
@@ -476,12 +526,9 @@ class TestJobWorker:
         assert record.result["store_writes"] > 0
 
     def test_poison_job_retries_then_quarantines(self, tmp_path):
-        queue = JobQueue(
-            tmp_path / "svc", max_attempts=2, backoff_base_s=0.01
-        )
-        worker = JobWorker(
-            queue, TECH, tmp_path / "svc", owner="w1",
-            lease_seconds=5.0, poll_interval_s=0.01,
+        queue, worker = self._worker(
+            tmp_path, max_attempts=2, backoff_base_s=0.01,
+            poll_interval_s=0.01,
         )
         record = self._submit(queue)
         with injected_faults({"job.poison": 1.0}) as injector:
@@ -499,12 +546,9 @@ class TestJobWorker:
         assert worker.jobs_failed == 2
 
     def test_poison_capped_at_one_fire_recovers(self, tmp_path):
-        queue = JobQueue(
-            tmp_path / "svc", max_attempts=3, backoff_base_s=0.01
-        )
-        worker = JobWorker(
-            queue, TECH, tmp_path / "svc", owner="w1",
-            lease_seconds=5.0, poll_interval_s=0.01,
+        queue, worker = self._worker(
+            tmp_path, max_attempts=3, backoff_base_s=0.01,
+            poll_interval_s=0.01,
         )
         record = self._submit(queue)
         with injected_faults(
@@ -917,7 +961,7 @@ def test_sigterm_drains_and_preserves_queue(tmp_path):
         if process.poll() is None:
             process.kill()
     # The queue database survived the drain with the job accounted for.
-    queue = JobQueue(data_dir)
+    queue = JobQueue(ServiceConfig(data_dir=str(data_dir)))
     record = queue.get(body["job"]["id"])
     assert record is not None
     assert record.state in ("done", "queued", "running")

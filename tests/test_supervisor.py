@@ -54,6 +54,35 @@ TOPO = OpAmpTopology(current_source="wilson", output_buffer=True, z_load=1e3)
 #: Small-but-real synthesis workload shared by the recovery tests.
 RUN_KW = dict(mode="ape", max_evaluations=20, name="sup", tolerant=True)
 
+#: A ``chain-finished`` line as the journal wrote it before its codec
+#: read ``AnnealResult``'s declaration (``repro synthesize --gain 100
+#: --ugf 2Meg --budget 3 --restarts 2 --workers 1 --seed 3 --run-dir D``).
+EARLIER_RECORD = (
+    '{"event": "chain-finished", "outcome": {"chain_index": 0, '
+    '"seed": 3, '
+    '"anneal": {"best_params": {"tail_source.input.w": 9e-07, '
+    '"tail_source.input.l": 3.5691466833682847e-06, '
+    '"tail_source.output.w": 8.45e-06, '
+    '"tail_source.output.l": 1.2e-06, "diff.pair.w": 5.35e-06, '
+    '"diff.pair.l": 1.2e-06, "diff.load.w": 9.149999999999999e-06, '
+    '"diff.load.l": 1.2e-06, "r.ref": 4052239.678129221}, '
+    '"best_cost": 0.03212217403158384, '
+    '"best_metrics": {"gate_area": 4.815223201503145e-11, '
+    '"dc_power": 0.00016061087015791924, "offset": 0.0, '
+    '"i_ref": 9.976586240408842e-07, "gain": 105.34306008644865, '
+    '"ugf": 2242351.399957827, "phase_margin": 90.35229110774682}, '
+    '"evaluations": 3, "accepted": 1, '
+    '"history": [0.03212217403158384, 0.03212217403158384, '
+    '0.03212223814435639], "failed_evaluations": 0, '
+    '"degraded": false, "stop_reason": "", '
+    '"wall_seconds": 0.004811061000509653, '
+    '"evals_per_second": 623.5630767687625, "surrogate_skips": 0}, '
+    '"degraded_design": false, "ape_seconds": 0.0005508879985427484, '
+    '"lint_rejections": 0, "retries": 0, "cache_hits": 0, '
+    '"cache_misses": 3, "corner_evals": 0, "screened_candidates": 0, '
+    '"store_hits": 0, "surrogate_skips": 0, "diagnostics": []}}'
+)
+
 
 def _chain_summary(result):
     """The scheduling/recovery-independent portion of a result."""
@@ -288,6 +317,15 @@ class TestRunJournal:
         assert rebuilt.anneal == anneal
         assert rebuilt.counts["surrogate_skips"] == 12
         assert "surrogate_refits" not in rebuilt.counts
+
+    def test_an_earlier_record_round_trips_byte_for_byte(self, tmp_path):
+        (tmp_path / "old").mkdir()
+        (tmp_path / "old" / "journal.jsonl").write_text(EARLIER_RECORD + "\n")
+        (outcome,) = RunJournal(tmp_path / "old").load_outcomes().values()
+        (tmp_path / "new").mkdir()
+        RunJournal(tmp_path / "new").record_outcome(outcome)
+        rewritten = (tmp_path / "new" / "journal.jsonl").read_text()
+        assert rewritten == EARLIER_RECORD + "\n"
 
     def test_a_pre_robust_record_replays_the_newer_counters_as_zero(self):
         """A record journaled before robust synthesis, the store and the

@@ -181,7 +181,8 @@ _GLOBALS = ("tech", "tolerant", "solver")
 def _kv_pairs(pairs: list[str], cls: type | None = None) -> dict[str, object]:
     """``key=value`` entries, each typed by the annotation of the
     ``cls.design`` parameter it sets: text for a ``str``, an integer
-    for an ``int``, else a quantity (or text where none parses)."""
+    for an ``int``, a tuple of comma-separated quantities for a float
+    sequence, else a quantity (or text where none parses)."""
     params = inspect.signature(cls.design).parameters if cls else {}
     out: dict[str, object] = {}
     for pair in pairs:
@@ -198,6 +199,13 @@ def _kv_pairs(pairs: list[str], cls: type | None = None) -> dict[str, object]:
             if not value.is_integer():
                 raise ApeError(f"{key} must be an integer, got {raw!r}")
             out[key] = int(value)
+        elif annotation.startswith(("tuple[float", "list[float")):
+            try:
+                out[key] = tuple(parse_quantity(v) for v in raw.split(","))
+            except ApeError:
+                raise ApeError(
+                    f"{key} must be comma-separated quantities, got {raw!r}"
+                ) from None
         else:
             try:
                 out[key] = parse_quantity(raw)

@@ -11,14 +11,9 @@ from __future__ import annotations
 
 import math
 
-from ..components import (
-    CascodeCurrentSource,
-    CurrentMirror,
-    WilsonCurrentSource,
-)
 from ..components.current_sources import DEFAULT_MIRROR_VOV
 from ..devices import size_for_id_vov
-from ..errors import EstimationError, SimulationError
+from ..errors import SimulationError
 from ..spice import (
     Circuit,
     PulseWave,
@@ -50,27 +45,6 @@ __all__ = [
 PlacementMap = dict[str, tuple[tuple[str, str], ...]]
 
 
-def _tail_ref_voltage(opamp: OpAmp) -> float:
-    """DC level of the tail source's reference node above VSS."""
-    tail = opamp.stages["tail_source"]
-    tech = opamp.tech
-    if isinstance(tail, CurrentMirror):
-        return tech.vss + tail.devices["input"].op.vgs
-    if isinstance(tail, CascodeCurrentSource):
-        return (
-            tech.vss
-            + tail.devices["input_bottom"].op.vgs
-            + tail.devices["input_top"].op.vgs
-        )
-    if isinstance(tail, WilsonCurrentSource):
-        return (
-            tech.vss
-            + tail.devices["diode"].op.vgs
-            + tail.devices["output"].op.vgs
-        )
-    raise EstimationError(f"unknown tail source type {type(tail).__name__}")
-
-
 def place_opamp(
     opamp: OpAmp,
     circuit: Circuit,
@@ -86,7 +60,7 @@ def place_opamp(
 
     Returns its placement map: each key of :meth:`OpAmp.initial_point`
     that the netlist carries verbatim — every device's
-    ``<stage>.<role>.w`` and ``.l``, and ``cc``, ``r.ref`` and
+    ``<stage>.<role>.w`` and ``.l``, ``r.ref``, and ``cc`` and
     ``r.bias`` when the amplifier has them — names the ``(element,
     field)`` pairs holding its value.  Derived elements (the nulling
     resistor, the sink-bias diode) are not in it.
@@ -104,14 +78,8 @@ def place_opamp(
     tail = f"{prefix}_tail"
 
     # Bias branch A: resistor-programmed reference for the tail source.
-    if opamp.r_ref > 0:
-        r_ref = opamp.r_ref
-    else:  # fall back to the template computation (pre-1.0 objects)
-        v_ref = _tail_ref_voltage(opamp)
-        r_ref = (tech.vdd - v_ref) / opamp.currents["tail_ref"]
-    circuit.r(vdd, nbias_a, r_ref, name=f"{prefix}RREF")
-    if opamp.r_ref > 0:
-        placed["r.ref"] = ((f"{prefix}RREF", "value"),)
+    circuit.r(vdd, nbias_a, opamp.r_ref, name=f"{prefix}RREF")
+    placed["r.ref"] = ((f"{prefix}RREF", "value"),)
     report("tail_source", opamp.stages["tail_source"].place(
         circuit, f"{prefix}TS", ref=nbias_a, out=tail, rail=vss
     ))
@@ -168,14 +136,8 @@ def place_opamp(
         bias_diode = size_for_id_vov(
             tech.nmos, tech, ids=SINK_BIAS_CURRENT, vov=DEFAULT_MIRROR_VOV
         )
-        if opamp.r_bias > 0:
-            r_b = opamp.r_bias
-        else:
-            v_ref_b = tech.vss + bias_diode.op.vgs
-            r_b = (tech.vdd - v_ref_b) / SINK_BIAS_CURRENT
-        circuit.r(vdd, nbias_b, r_b, name=f"{prefix}RBIASB")
-        if opamp.r_bias > 0:
-            placed["r.bias"] = ((f"{prefix}RBIASB", "value"),)
+        circuit.r(vdd, nbias_b, opamp.r_bias, name=f"{prefix}RBIASB")
+        placed["r.bias"] = ((f"{prefix}RBIASB", "value"),)
         circuit.m(
             nbias_b, nbias_b, vss, vss,
             bias_diode.device.model, bias_diode.w, bias_diode.l,

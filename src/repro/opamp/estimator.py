@@ -71,8 +71,11 @@ class OpAmp(Component):
     cc: float = 0.0
     #: Zero-nulling resistor in series with Cc [ohm].
     rz: float = 0.0
-    #: Bias-programming resistors [ohm] (0 = absent).  These are part
-    #: of the design point: ASTRX/OBLX treats bias values as unknowns.
+    #: Bias-programming resistors [ohm].  These are part of the design
+    #: point: ASTRX/OBLX treats bias values as unknowns.  ``r_ref``
+    #: programs the tail source and is always positive once
+    #: :func:`design_opamp` sized it; ``r_bias`` is 0 when there is no
+    #: sink-bias branch.
     r_ref: float = 0.0
     r_bias: float = 0.0
 
@@ -111,8 +114,7 @@ class OpAmp(Component):
                 point[f"{stage_name}.{role}.l"] = dev.l
         if self.cc > 0:
             point["cc"] = self.cc
-        if self.r_ref > 0:
-            point["r.ref"] = self.r_ref
+        point["r.ref"] = self.r_ref
         if self.r_bias > 0:
             point["r.bias"] = self.r_bias
         for branch, value in self.currents.items():

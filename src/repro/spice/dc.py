@@ -22,7 +22,7 @@ from ..runtime import faults
 from ..runtime.retry import RetryPolicy
 from .engine import StampStack, assemble_dc, solve_assembled
 from .mna import System, evaluate_mosfet
-from .netlist import Circuit, Mosfet, VoltageSource
+from .netlist import Circuit, VoltageSource
 
 __all__ = [
     "OperatingPointResult",
@@ -191,8 +191,9 @@ def _step(
 
     ``res`` and ``jac`` are the residual and Jacobian ``dx`` was solved
     from.  Returns True when ``x`` has converged, False when it has
-    failed and None when the run goes on.  Every Newton run of this
-    module, single or stacked, takes its steps here.
+    failed and None when the run goes on.  Every Newton run takes its
+    steps here: plain, bordered and stacked DC runs, and each transient
+    time point's.
     """
     # Reductions go through ndarray methods: the same ufunc reduce
     # as the np.max/np.all functions, without their wrapper cost.

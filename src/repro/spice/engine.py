@@ -13,9 +13,11 @@ circuit revision into dense cached matrices built with one vectorized
 
 The compiled linear parts are exact algebra, not an approximation: the
 DC residual is ``(G_lin + gmin·diag) x + source_scale · s`` plus MOSFET
-terms, AC is ``Y(ω) = G + jωC`` with a constant RHS, and the transient
-companion models factor into per-``(h, gmin)`` constant matrices plus a
-per-step matrix that depends only on the previous-step bias.
+terms, and AC is ``Y(ω) = G + jωC`` with a constant RHS.  Transient
+analysis compiles nothing of its own: :meth:`CompiledStamps.tran_linear`
+derives the trapezoidal companions of the capacitors and inductors from
+the DC/AC stamps once per ``(h, gmin)``, and each step adds the MOSFET
+capacitances, stamped as for AC at the previous-step bias.
 ``tests/test_engine_equivalence.py`` holds every entry point to the
 naive per-element loops (``tests/naive_mna.py``, the oracle) at
 ``rtol=1e-12`` on every fixture.
@@ -33,7 +35,7 @@ import math
 import numpy as np
 
 from . import linalg
-from .mna import System, evaluate_mosfet
+from .mna import System
 from .netlist import (
     Capacitor,
     CurrentSource,
@@ -87,16 +89,20 @@ class _Scatter:
         return matrix
 
 
-def _stamp_pair(matrix: np.ndarray, a: int, b: int, value: float) -> None:
-    """Two-terminal admittance stamp with ground (-1) guards."""
-    if a >= 0:
-        matrix[a, a] += value
-        if b >= 0:
-            matrix[a, b] -= value
-            matrix[b, a] -= value
-            matrix[b, b] += value
-    elif b >= 0:
-        matrix[b, b] += value
+def _stamp_two_terminal(
+    scatter: _Scatter, a: int, b: int, value: float
+) -> tuple[tuple[int, float], ...]:
+    """Stamp ``value`` between ``a`` and ``b`` (-1: ground).
+
+    Returns the ``(position, sign)`` slot of each stamped entry, which
+    :meth:`CompiledStamps.refresh` rewrites when the value changes.
+    """
+    slots: list[tuple[int, float]] = []
+    for row, col, sgn in ((a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)):
+        if row >= 0 and col >= 0:
+            slots.append((len(scatter.vals), sgn))
+            scatter.add(row, col, sgn * value)
+    return tuple(slots)
 
 
 def _flat(matrix: np.ndarray) -> np.ndarray:
@@ -109,17 +115,6 @@ def _flat(matrix: np.ndarray) -> np.ndarray:
     if not matrix.flags.c_contiguous:
         raise ValueError("stamp target must be C-contiguous")
     return matrix.reshape(-1)
-
-
-def _eval_at(x, mos, device, i_d, i_g, i_s, i_b):
-    return evaluate_mosfet(
-        mos,
-        device,
-        float(x[i_d]) if i_d >= 0 else 0.0,
-        float(x[i_g]) if i_g >= 0 else 0.0,
-        float(x[i_s]) if i_s >= 0 else 0.0,
-        float(x[i_b]) if i_b >= 0 else 0.0,
-    )
 
 
 class _MosVectors:
@@ -258,7 +253,7 @@ class _MosVectors:
             self._res_d_idx = self._res_d_idx + self._roff[d_live]
             self._res_s_idx = self._res_s_idx + self._roff[s_live]
         # Fixed scatter pattern for the forward-operation case: the
-        # five (a, b) pairs of _mos_cap_pairs laid out as blocks of m.
+        # five capacitance pairs (gs, gd, gb, db, sb) as blocks of m.
         a0 = np.concatenate(
             [self.raw_g, self.raw_g, self.raw_g, self.raw_d, self.raw_s]
         )
@@ -534,9 +529,10 @@ class _MosVectors:
     def stamp_caps(self, x: np.ndarray, cmat: np.ndarray) -> None:
         """Add every device's Meyer + junction capacitance stamp.
 
-        Vectorizes :meth:`MosDevice.capacitances` and
-        :func:`_mos_cap_pairs` across all devices (same region rules
-        and junction law as the scalar model, term for term).
+        Vectorizes :meth:`MosDevice.capacitances` across all devices
+        (same region rules and junction law as the scalar model, term
+        for term), each capacitance stamped between its effective
+        terminals.
         """
         self._stamp_caps(self._bias(x), cmat)
 
@@ -582,18 +578,6 @@ class _MosVectors:
         np.add.at(target, ba, neg)
 
 
-def _mos_cap_pairs(ev, caps, i_d, i_g, i_s, i_b):
-    """The five Meyer/junction pairs in effective-terminal indices."""
-    dp, sp = (i_s, i_d) if ev.swapped else (i_d, i_s)
-    return (
-        (i_g, sp, caps["cgs"]),
-        (i_g, dp, caps["cgd"]),
-        (i_g, i_b, caps["cgb"]),
-        (dp, i_b, caps["cdb"]),
-        (sp, i_b, caps["csb"]),
-    )
-
-
 class CompiledStamps:
     """All linear stamps of one circuit revision, densified once.
 
@@ -606,12 +590,10 @@ class CompiledStamps:
         Explicit capacitor stamps (raw farads); ``c_lin`` adds the
         inductor ``-L`` branch diagonal, giving the AC/AWE C matrix
         minus the bias-dependent MOSFET part.
-    ``tran_g`` / ``tran_ih`` / ``tran_pv`` / ``tran_ps``
-        Transient companion decomposition: the linear Jacobian at step
-        ``h`` is ``tran_g + (2/h)·cap_couple + h·tran_ih (+ gmin·diag)``
-        and the previous-state matrix is
-        ``(2/h)·cap_couple + h·tran_pv + tran_ps``, so each ``(h,
-        gmin)`` pair is assembled once per circuit and cached.
+    ``inductors``
+        ``(branch, a, b, L)`` per inductor.  No transient matrix is
+        compiled: :meth:`tran_linear` derives the companion matrices
+        of each step size from ``g_lin``, ``cap_couple`` and this list.
     """
 
     def __init__(self, system: System) -> None:
@@ -625,95 +607,56 @@ class CompiledStamps:
 
         g = _Scatter(n)
         cap = _Scatter(n)
-        tran_g = _Scatter(n)
-        tran_ih = _Scatter(n)
-        tran_pv = _Scatter(n)
-        tran_ps = _Scatter(n)
-        l_diag: list[tuple[int, float]] = []
+        inductors: list[tuple[int, int, int, float]] = []
         cap_hist: list[tuple[str, int, int]] = []
         mosfets = []
 
-        # Per-element scatter positions for the value-only refresh fast
-        # path: name -> ("R"|"C", slot tuple) or ("M", mosfet index).
-        value_slots: dict[str, tuple] = {}
+        # What the value-only refresh fast path rewrites: each R or C's
+        # (position, sign) scatter slots, each MOSFET's column.
+        value_slots: dict[str, tuple[tuple[int, float], ...]] = {}
+        mos_columns: dict[str, int] = {}
 
         for element in circuit:
             if isinstance(element, Resistor):
                 a, b = idx(element.n1), idx(element.n2)
-                conductance = 1.0 / element.value
-                r_slots: list[tuple[int, int, float]] = []
-                for mat_id, mat in ((0, g), (1, tran_g)):
-                    for row, col, sgn in (
-                        (a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)
-                    ):
-                        if row >= 0 and col >= 0:
-                            r_slots.append((mat_id, len(mat.vals), sgn))
-                            mat.add(row, col, sgn * conductance)
-                value_slots[element.name] = ("R", tuple(r_slots))
+                value_slots[element.name] = _stamp_two_terminal(
+                    g, a, b, 1.0 / element.value
+                )
             elif isinstance(element, Capacitor):
                 if element.value <= 0.0:
-                    value_slots[element.name] = ("C", ())
+                    value_slots[element.name] = ()
                     continue
                 a, b = idx(element.n1), idx(element.n2)
-                c_slots: list[tuple[int, float]] = []
-                for row, col, sgn in (
-                    (a, a, 1.0), (a, b, -1.0), (b, a, -1.0), (b, b, 1.0)
-                ):
-                    if row >= 0 and col >= 0:
-                        c_slots.append((len(cap.vals), sgn))
-                        cap.add(row, col, sgn * element.value)
+                value_slots[element.name] = _stamp_two_terminal(
+                    cap, a, b, element.value
+                )
                 cap_hist.append((element.name, a, b))
-                value_slots[element.name] = ("C", tuple(c_slots))
-            elif isinstance(element, Inductor):
-                a, b = idx(element.n1), idx(element.n2)
+            elif isinstance(element, (Inductor, VoltageSource, Vcvs)):
+                # Branch row v(a) - v(b) = source, or = gain·v(c, d) for
+                # an E; an inductor is a DC short, and tran_linear swaps
+                # in its companion row.
+                a, b = idx(element.nodes[0]), idx(element.nodes[1])
                 br = branch[element.name]
-                for mat in (g, tran_g):
-                    mat.add(a, br, 1.0)
-                    mat.add(b, br, -1.0)
-                # DC: short — branch row enforces v(a) - v(b) = 0.
+                g.add(a, br, 1.0)
+                g.add(b, br, -1.0)
                 g.add(br, a, 1.0)
                 g.add(br, b, -1.0)
-                l_diag.append((br, -element.value))
-                # Transient trapezoidal companion:
-                #   i_n - i_prev - (h/2L)(v_n + v_prev) = 0.
-                coeff = 1.0 / (2.0 * element.value)
-                tran_g.add(br, br, 1.0)
-                tran_ih.add(br, a, -coeff)
-                tran_ih.add(br, b, coeff)
-                tran_pv.add(br, a, coeff)
-                tran_pv.add(br, b, -coeff)
-                tran_ps.add(br, br, 1.0)
-            elif isinstance(element, VoltageSource):
-                a, b = idx(element.np), idx(element.nn)
-                br = branch[element.name]
-                for mat in (g, tran_g):
-                    mat.add(a, br, 1.0)
-                    mat.add(b, br, -1.0)
-                    mat.add(br, a, 1.0)
-                    mat.add(br, b, -1.0)
+                if isinstance(element, Vcvs):
+                    g.add(br, idx(element.cp), -element.gain)
+                    g.add(br, idx(element.cn), element.gain)
+                elif isinstance(element, Inductor):
+                    inductors.append((br, a, b, element.value))
             elif isinstance(element, CurrentSource):
                 continue  # no matrix stamp; _refresh_sources below
-            elif isinstance(element, Vcvs):
-                a, b = idx(element.np), idx(element.nn)
-                c, d = idx(element.cp), idx(element.cn)
-                br = branch[element.name]
-                for mat in (g, tran_g):
-                    mat.add(a, br, 1.0)
-                    mat.add(b, br, -1.0)
-                    mat.add(br, a, 1.0)
-                    mat.add(br, b, -1.0)
-                    mat.add(br, c, -element.gain)
-                    mat.add(br, d, element.gain)
             elif isinstance(element, Vccs):
                 a, b = idx(element.np), idx(element.nn)
                 c, d = idx(element.cp), idx(element.cn)
-                for mat in (g, tran_g):
-                    mat.add(a, c, element.gm)
-                    mat.add(a, d, -element.gm)
-                    mat.add(b, c, -element.gm)
-                    mat.add(b, d, element.gm)
+                g.add(a, c, element.gm)
+                g.add(a, d, -element.gm)
+                g.add(b, c, -element.gm)
+                g.add(b, d, element.gm)
             elif isinstance(element, Mosfet):
-                value_slots[element.name] = ("M", len(mosfets))
+                mos_columns[element.name] = len(mosfets)
                 mosfets.append(
                     (
                         element,
@@ -730,27 +673,18 @@ class CompiledStamps:
                 )
 
         self.g_lin = g.dense()
-        self.cap_couple = cap.dense()
-        self.c_lin = self.cap_couple.copy()
-        for br, value in l_diag:
-            self.c_lin[br, br] += value
-        self.tran_g = tran_g.dense()
-        self.tran_ih = tran_ih.dense()
-        self.tran_pv = tran_pv.dense()
-        self.tran_ps = tran_ps.dense()
+        self.inductors = inductors
+        self._g_scatter = g
+        self._cap_scatter = cap
+        self._densify_caps()
         self._refresh_sources(system)
         self.cap_hist = cap_hist
-        self.mosfets = mosfets
         self.mos_vec = _MosVectors(mosfets, n) if mosfets else None
         self._dc_base: tuple[float, np.ndarray] | None = None
         self._tran_lin_cache: dict[tuple[float, float], tuple] = {}
         self._step_ctx: tuple | None = None
-        self._g_scatter = g
-        self._cap_scatter = cap
-        self._tran_g_scatter = tran_g
-        self._tran_ih_scatter = tran_ih
-        self._l_diag = l_diag
         self._value_slots = value_slots
+        self._mos_columns = mos_columns
         self._elements_snapshot = circuit.elements
         #: The circuit object these stamps were compiled from.  Each
         #: Circuit counts revisions from zero, so a revision match
@@ -782,8 +716,6 @@ class CompiledStamps:
         new_elems = circuit.elements
         if len(new_elems) != len(old_elems):
             return False
-        g_dirty = False
-        cap_dirty = False
         src_changes = False
         r_changes: list = []
         c_changes: list = []
@@ -822,40 +754,26 @@ class CompiledStamps:
                 # and companion state; rebuild rather than track it.
                 return False
         for elem in r_changes:
-            _, slots = self._value_slots[elem.name]
-            conductance = 1.0 / elem.value
-            mats = (self._g_scatter, self._tran_g_scatter)
-            for mat_id, pos, sgn in slots:
-                mats[mat_id].vals[pos] = sgn * conductance
-            g_dirty = True
+            self._restamp(self._g_scatter, elem.name, 1.0 / elem.value)
+        if r_changes:
+            self.g_lin = self._g_scatter.dense()
+            self._dc_base = None
         for elem in c_changes:
-            _, slots = self._value_slots[elem.name]
-            for pos, sgn in slots:
-                self._cap_scatter.vals[pos] = sgn * elem.value
-            cap_dirty = True
+            self._restamp(self._cap_scatter, elem.name, elem.value)
+        if c_changes:
+            self._densify_caps()
         for elem in mos_changes:
-            _, k = self._value_slots[elem.name]
-            _, _, i_d, i_g, i_s, i_b = self.mosfets[k]
-            device = system.device(elem.name)
-            self.mosfets[k] = (elem, device, i_d, i_g, i_s, i_b)
-            self.mos_vec.write(k, elem, device)
+            self.mos_vec.write(
+                self._mos_columns[elem.name], elem, system.device(elem.name)
+            )
         if mos_changes:
             self.mos_vec.derive()
         if src_changes:
             self._refresh_sources(system)
-        if g_dirty:
-            self.g_lin = self._g_scatter.dense()
-            self.tran_g = self._tran_g_scatter.dense()
-            self._dc_base = None
-        if cap_dirty:
-            self.cap_couple = self._cap_scatter.dense()
-            self.c_lin = self.cap_couple.copy()
-            for br, value in self._l_diag:
-                self.c_lin[br, br] += value
-        if g_dirty or cap_dirty:
+        if r_changes or c_changes:
             self._tran_lin_cache.clear()
         self._step_ctx = None
-        if g_dirty or cap_dirty or mos_changes:
+        if r_changes or c_changes or mos_changes:
             # Values moved, positions did not: keep the sparsity
             # pattern, drop numeric factorizations built on the old
             # values.  A source-only retarget touches no matrix, so its
@@ -865,6 +783,18 @@ class CompiledStamps:
         self._elements_snapshot = new_elems
         self._circuit_ref = circuit
         return True
+
+    def _restamp(self, scatter: _Scatter, name: str, value: float) -> None:
+        """Rewrite the scatter slots of two-terminal element ``name``."""
+        for pos, sgn in self._value_slots[name]:
+            scatter.vals[pos] = sgn * value
+
+    def _densify_caps(self) -> None:
+        """``cap_couple`` from its scatter, and ``c_lin`` from it."""
+        self.cap_couple = self._cap_scatter.dense()
+        self.c_lin = self.cap_couple.copy()
+        for br, _a, _b, inductance in self.inductors:
+            self.c_lin[br, br] -= inductance
 
     def _refresh_sources(self, system: System) -> None:
         """Compile the independent-source vectors from the current circuit.
@@ -922,7 +852,8 @@ class CompiledStamps:
 
         Collected once per compiled revision from the scatter positions
         the compiler already recorded, plus the node diagonal (gmin),
-        the inductor branch diagonal (AC ``c_lin``) and the MOSFET
+        the inductor branch diagonal (AC ``c_lin`` and the transient
+        companion, whose other entries are ``g_lin``'s) and the MOSFET
         conduction/capacitance blocks.  MOSFET positions are
         swap-invariant — both operating orientations stay inside the
         raw-terminal rows and columns — so one structure covers the
@@ -930,27 +861,20 @@ class CompiledStamps:
         """
         pattern = self._sparse_pattern
         if pattern is None:
-            rows: list[int] = list(self._g_scatter.rows)
-            cols: list[int] = list(self._g_scatter.cols)
-            for scatter in (
-                self._cap_scatter,
-                self._tran_g_scatter,
-                self._tran_ih_scatter,
-            ):
-                rows += scatter.rows
-                cols += scatter.cols
-            for br, _value in self._l_diag:
-                rows.append(br)
-                cols.append(br)
+            rows = self._g_scatter.rows + self._cap_scatter.rows
+            cols = self._g_scatter.cols + self._cap_scatter.cols
             diag = list(range(self.node_diag.shape[0]))
+            diag += [br for br, _a, _b, _value in self.inductors]
             rows += diag
             cols += diag
-            for _mos, _dev, i_d, i_g, i_s, i_b in self.mosfets:
-                live = [i for i in (i_d, i_g, i_s, i_b) if i >= 0]
-                for a in live:
-                    for b in live:
-                        rows.append(a)
-                        cols.append(b)
+            mv = self.mos_vec
+            if mv is not None:
+                for terminals in zip(mv.raw_d, mv.raw_g, mv.raw_s, mv.raw_b):
+                    live = [int(i) for i in terminals if i >= 0]
+                    for a in live:
+                        for b in live:
+                            rows.append(a)
+                            cols.append(b)
             pattern = linalg.SparsePattern(rows, cols, self.n)
             self._sparse_pattern = pattern
         return pattern
@@ -1013,15 +937,30 @@ class CompiledStamps:
     def tran_linear(
         self, h: float, gmin: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Constant (Jacobian, previous-state) matrices for step ``h``."""
+        """Constant (Jacobian, previous-state) matrices for step ``h``.
+
+        Derived from the DC/AC stamps: each capacitor's trapezoidal
+        companion is ``(2/h)·cap_couple`` in both, and each inductor's
+        branch row, a DC short in ``g_lin``, becomes its trapezoidal
+        companion ``i_n - i_prev - (h/2L)(v_n + v_prev) = 0``.
+        """
         key = (h, gmin)
         cached = self._tran_lin_cache.get(key)
         if cached is None:
-            jac = self.tran_g + (2.0 / h) * self.cap_couple
-            jac += h * self.tran_ih
+            prev = (2.0 / h) * self.cap_couple
+            jac = self.g_lin + prev
+            for br, a, b, inductance in self.inductors:
+                coeff = h * (1.0 / (2.0 * inductance))
+                jac[br] = 0.0
+                jac[br, br] = 1.0
+                prev[br, br] = 1.0
+                if a >= 0:
+                    jac[br, a] -= coeff
+                    prev[br, a] += coeff
+                if b >= 0:
+                    jac[br, b] += coeff
+                    prev[br, b] -= coeff
             jac[self.node_diag, self.node_diag] += gmin
-            prev = (2.0 / h) * self.cap_couple + h * self.tran_pv
-            prev += self.tran_ps
             # Step halving visits few distinct h values; keep the cache
             # tiny so pathological runs cannot hoard memory.
             if len(self._tran_lin_cache) >= 16:
@@ -1040,10 +979,10 @@ class CompiledStamps:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Step-constant system matrix and constant vector.
 
-        The MOSFET backward-Euler capacitor companions depend only on
-        the previous-step bias, so within one time step every Newton
-        iteration shares the same ``(A, const)`` with
-        ``res = A @ x + const`` for the linear + capacitive part.
+        The MOSFET capacitances take the backward-Euler companion
+        ``C_mos / h`` at the previous-step bias, so within one time
+        step every Newton iteration shares the same ``(A, const)``
+        with ``res = A @ x + const`` for the linear + capacitive part.
         """
         ctx = self._step_ctx
         key = (t, h, gmin)
@@ -1054,19 +993,14 @@ class CompiledStamps:
             and ctx[2] == cap_currents
         ):
             return ctx[3], ctx[4]
-        jac_lin, prev = self.tran_linear(h, gmin)
-        a_step = jac_lin.copy()
-        total_prev = prev.copy()
-        for mos, device, i_d, i_g, i_s, i_b in self.mosfets:
-            ev = _eval_at(x_prev, mos, device, i_d, i_g, i_s, i_b)
-            caps = device.capacitances(ev.vgs, ev.vds, ev.vsb)
-            for a, b, cval in _mos_cap_pairs(ev, caps, i_d, i_g, i_s, i_b):
-                if cval == 0.0:
-                    continue
-                geq = cval / h
-                _stamp_pair(a_step, a, b, geq)
-                _stamp_pair(total_prev, a, b, geq)
-        const = -(total_prev @ x_prev)
+        a_step, prev = self.tran_linear(h, gmin)
+        if self.mos_vec is not None:
+            c_mos = np.zeros((self.n, self.n))
+            self.mos_vec.stamp_caps(x_prev, c_mos)
+            c_mos /= h
+            a_step = a_step + c_mos
+            prev = prev + c_mos
+        const = -(prev @ x_prev)
         const += self.tran_src
         for br, element in self.wave_v:
             const[br] -= element.value_at(t)
@@ -1213,7 +1147,7 @@ def solve_assembled(
     if not linalg.use_sparse(jac.shape[0]):
         return np.linalg.solve(jac, rhs)
     st = stamps_for(system)
-    factor_key = (kind, *key) if not st.mosfets else None
+    factor_key = (kind, *key) if st.mos_vec is None else None
     return st.sparse_solve(jac, rhs, factor_key=factor_key)
 
 

@@ -25,9 +25,14 @@ import numpy as np
 
 from ..errors import SimulationError
 from . import linalg
-from .dc import OperatingPointResult, dc_operating_point
+from .dc import (
+    MosfetOp,
+    OperatingPointResult,
+    _mosfet_op_table,
+    dc_operating_point,
+)
 from .engine import linearize_ac, sparse_pattern_for
-from .mna import System, evaluate_mosfet, system_for_op
+from .mna import system_for_op
 from .netlist import Circuit, Mosfet, Resistor, VoltageSource
 
 __all__ = ["NoiseResult", "noise_analysis", "BOLTZMANN", "TEMPERATURE"]
@@ -81,38 +86,24 @@ class NoiseResult:
 
 
 def _mosfet_noise_split(
-    system: System, op_x, mos: Mosfet
+    mos: Mosfet, l_eff: float, op: MosfetOp
 ) -> tuple[float, float]:
-    """Split one device's drain-current noise at the operating point.
+    """Split one device's drain-current noise at its operating point.
 
     Returns ``(thermal, flicker_coeff)`` so the PSD at any frequency is
     ``thermal + flicker_coeff / freq`` — the frequency-independent part
     is computed once per analysis instead of once per sweep point.
     """
-    device = system.device(mos.name)
-    ev = evaluate_mosfet(
-        mos,
-        device,
-        system.voltage(op_x, mos.nd),
-        system.voltage(op_x, mos.ng),
-        system.voltage(op_x, mos.ns),
-        system.voltage(op_x, mos.nb),
-    )
-    gm = device.gm(ev.vgs, ev.vds, ev.vsb)
-    if gm <= 0:
+    if op.gm <= 0:
         return 0.0, 0.0
-    region = device.region(ev.vgs, ev.vds, ev.vsb)
-    gamma = GAMMA_SAT if region.value == "saturation" else 1.0
-    thermal = 4.0 * BOLTZMANN * TEMPERATURE * gamma * gm
+    gamma = GAMMA_SAT if op.region == "saturation" else 1.0
+    thermal = 4.0 * BOLTZMANN * TEMPERATURE * gamma * op.gm
     model = mos.model
     kf = model.extra.get("kf", 0.0)
     af = model.extra.get("af", 1.0)
     flicker_coeff = 0.0
-    if kf > 0 and ev.ids_normalized > 0:
-        l_eff = device.l_eff
-        flicker_coeff = (
-            kf * ev.ids_normalized**af / (model.cox * l_eff * l_eff)
-        )
+    if kf > 0 and op.ids > 0:
+        flicker_coeff = kf * op.ids**af / (model.cox * l_eff * l_eff)
     return thermal, flicker_coeff
 
 
@@ -156,6 +147,7 @@ def noise_analysis(
     # flicker coefficient, terminal indices), and per frequency do one
     # scale-and-add plus the adjoint solve.
     g_mat, c_mat, _ = linearize_ac(system, op.x)
+    mosfet_ops = _mosfet_op_table(system, op.x)
     noisy: list[tuple[str, float, float, int, int]] = []
     for element in circuit:
         if isinstance(element, Resistor):
@@ -171,7 +163,9 @@ def noise_analysis(
             )
         elif isinstance(element, Mosfet):
             thermal, flicker_coeff = _mosfet_noise_split(
-                system, op.x, element
+                element,
+                system.device(element.name).l_eff,
+                mosfet_ops[element.name],
             )
             noisy.append(
                 (

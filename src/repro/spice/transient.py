@@ -1,11 +1,12 @@
 """Transient (time-domain) analysis.
 
-Fixed-step integration with Newton iteration at every time point.
-Explicit capacitors use the trapezoidal companion model; MOSFET
-parasitic capacitances use backward Euler (their values are bias-
-dependent, and BE's damping keeps the nonlinear loop robust); inductors
-use the trapezoidal branch companion.  A failing step is retried at
-half the step size a few times before giving up.
+Fixed-step integration with Newton iteration at every time point,
+each step damped and gated as the DC solver's.  Explicit capacitors
+use the trapezoidal companion model; MOSFET parasitic capacitances use
+backward Euler (their values are bias-dependent, and BE's damping
+keeps the nonlinear loop robust); inductors use the trapezoidal branch
+companion.  A failing step is retried at half the step size a few
+times before giving up.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ConvergenceError, SimulationError
-from .dc import (
-    MAX_STEP,
-    RESIDUAL_TOL,
-    VOLTAGE_TOL,
-    OperatingPointResult,
-    dc_operating_point,
-)
+from .dc import OperatingPointResult, _step, dc_operating_point
 from .engine import assemble_tran, solve_assembled
 from .mna import System, system_for_op
 from .netlist import Capacitor, Circuit
@@ -53,7 +48,6 @@ class TransientResult:
 
 def _newton_tran(
     system: System,
-    x0: np.ndarray,
     x_prev: np.ndarray,
     cap_currents: dict[str, float],
     t: float,
@@ -61,38 +55,20 @@ def _newton_tran(
     gmin: float,
     max_iter: int = 60,
 ) -> np.ndarray | None:
-    x = x0.copy()
+    """One time point's Newton run from ``x_prev``; None when it fails.
+
+    Each step is damped and gated by the DC solver's :func:`_step`.
+    """
+    x = x_prev.copy()
     for _ in range(max_iter):
         res, jac = assemble_tran(system, x, x_prev, cap_currents, t, h, gmin)
         try:
             dx = solve_assembled(system, jac, -res, kind="tran", key=(h, gmin))
         except np.linalg.LinAlgError:
             return None
-        if not np.all(np.isfinite(dx)):
-            return None
-        max_dx = float(np.max(np.abs(dx[: system.n_nodes]), initial=0.0))
-        if max_dx > MAX_STEP:
-            dx *= MAX_STEP / max_dx
-        x += dx
-        # Same SPICE-style reltol·|v| + abstol step gate as DC
-        # ``_newton``: an ill-conditioned Jacobian turns the
-        # floating-point residual floor into a dx noise floor that
-        # scales with the solution, so the old absolute ``1e-9`` gate
-        # stalled high-voltage steps that had in fact converged.
-        v_scale = float(np.max(np.abs(x[: system.n_nodes]), initial=0.0))
-        if max_dx < VOLTAGE_TOL * (1.0 + v_scale):
-            res_norm = float(np.max(np.abs(res)))
-            # Scaled residual check against the circuit's own current
-            # scale, with the absolute RESIDUAL_TOL floor kept for
-            # small-signal circuits.
-            i_scale = float(np.max(np.abs(jac) @ np.abs(x), initial=0.0))
-            if res_norm < RESIDUAL_TOL * (1.0 + i_scale):
-                return x
-            x_scale = float(np.max(np.abs(x), initial=0.0))
-            if res_norm < 1e-6 and float(
-                np.max(np.abs(dx))
-            ) < VOLTAGE_TOL * (1.0 + x_scale):
-                return x
+        verdict = _step(x, dx, res, jac, system.n_nodes)
+        if verdict is not None:
+            return x if verdict else None
     return None
 
 
@@ -128,7 +104,7 @@ def transient_analysis(
         halvings = 0
         while True:
             x_new = _newton_tran(
-                system, x_prev, x_prev, cap_currents, t + step, step, gmin
+                system, x_prev, cap_currents, t + step, step, gmin
             )
             if x_new is not None:
                 break

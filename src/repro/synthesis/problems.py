@@ -201,8 +201,7 @@ def standalone_ranges(template: OpAmp) -> list[Variable]:
             out.append(Variable(key, _l_hard_min(template, key), L_HARD_MAX))
     if template.cc > 0:
         out.append(Variable("cc", *CC_HARD))
-    if template.r_ref > 0:
-        out.append(Variable("r.ref", *RBIAS_HARD))
+    out.append(Variable("r.ref", *RBIAS_HARD))
     if template.r_bias > 0:
         out.append(Variable("r.bias", *RBIAS_HARD))
     return out
@@ -237,16 +236,18 @@ def ape_ranges(template: OpAmp, factor: float = 0.2) -> list[Variable]:
                 min(template.cc * (1 + factor), CC_HARD[1]),
             )
         )
-    for key, value in (("r.ref", template.r_ref), ("r.bias", template.r_bias)):
-        if value > 0:
-            centred = min(max(value, RBIAS_HARD[0]), RBIAS_HARD[1])
-            out.append(
-                Variable(
-                    key,
-                    max(centred * (1 - factor), RBIAS_HARD[0]),
-                    min(centred * (1 + factor), RBIAS_HARD[1]),
-                )
+    resistors = {"r.ref": template.r_ref}
+    if template.r_bias > 0:
+        resistors["r.bias"] = template.r_bias
+    for key, value in resistors.items():
+        centred = min(max(value, RBIAS_HARD[0]), RBIAS_HARD[1])
+        out.append(
+            Variable(
+                key,
+                max(centred * (1 - factor), RBIAS_HARD[0]),
+                min(centred * (1 + factor), RBIAS_HARD[1]),
             )
+        )
     return out
 
 
@@ -823,9 +824,8 @@ class OpAmpSizingProblem(SizingProblem):
         # The realized reference current — Table 1's Ibias is an input
         # the surrounding system provides, so a working design must
         # draw (roughly) that current through its reference branch.
-        if r_ref > 0:
-            v_bias = op.v("X1_nbias_a")
-            metrics["i_ref"] = (tech.vdd - v_bias) / r_ref
+        v_bias = op.v("X1_nbias_a")
+        metrics["i_ref"] = (tech.vdd - v_bias) / r_ref
         try:
             if model is None:
                 model = awe_poles(bench, "out", order=self.awe_order, op=op)

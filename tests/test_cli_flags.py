@@ -19,7 +19,8 @@ Locks in that:
   no flag builds ``ServiceConfig()``, and no service or APE-facade
   signature restates a field's default;
 * ``estimate-component`` and ``estimate-module`` type each
-  ``key=value`` by the annotation of the ``design()`` parameter it sets.
+  ``key=value`` by the annotation of the ``design()`` parameter it
+  sets, a float sequence (the adder's ``weights``) included.
 """
 
 import dataclasses
@@ -491,11 +492,28 @@ class TestKeyValueTypes:
         ])
         assert seen == {"current": pytest.approx(1e-5), "name": "1k"}
 
+    def test_a_float_sequence_is_comma_separated_quantities(
+        self, monkeypatch
+    ):
+        seen = _designed(monkeypatch, "estimate-module", [
+            "adder", "weights=1,2.5k", "bandwidth=10k",
+        ])
+        assert seen == {"weights": (1.0, 2500.0), "bandwidth": 1e4}
+
+    def test_an_adder_sizes_from_the_command_line(self, capsys):
+        assert main(["estimate-module", "adder", "weights=1,2",
+                     "bandwidth=10k"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("adder:")
+        assert re.search(r"n_inputs +2\n", out)
+
     @pytest.mark.parametrize("command, argv, named", [
         ("estimate-component", ["mirror", "current=10u", "bogus=1"], "bogus"),
         ("estimate-module", ["sigma_delta", "signal_bandwidth=20k",
                              "osr=64.5"], "osr"),
-    ], ids=["unknown-key", "fractional-int"])
+        ("estimate-module", ["adder", "weights=1,x", "bandwidth=10k"],
+         "weights"),
+    ], ids=["unknown-key", "fractional-int", "bad-sequence-entry"])
     def test_a_bad_entry_exits_2_naming_its_key(
         self, capsys, command, argv, named
     ):

@@ -97,6 +97,25 @@ def _mos_amp(model=TECH.nmos) -> Circuit:
     return ckt
 
 
+def _inverter_rlc() -> Circuit:
+    """MOSFETs and an inductor together: a pulsed CMOS inverter
+    driving an R-L-C load."""
+    ckt = Circuit("inverter-rlc")
+    ckt.v("vdd", "0", dc=TECH.vdd)
+    ckt.v(
+        "in", "0", dc=0.0, ac=1.0,
+        wave=PulseWave(v1=0.0, v2=TECH.vdd, delay=2e-8, rise=1e-9,
+                       fall=1e-9, width=1e-7, period=2e-7),
+    )
+    ckt.m("out", "in", "vdd", "vdd", TECH.pmos, w=20e-6, l=1e-6, name="MP")
+    ckt.m("out", "in", "0", "0", TECH.nmos, w=10e-6, l=1e-6, name="MN")
+    ckt.r("out", "a", 100.0)
+    ckt.ind("a", "load", 1e-6)
+    ckt.c("load", "0", 2e-12)
+    ckt.r("load", "0", 1e4)
+    return ckt
+
+
 def _opamp_bench() -> Circuit:
     amp = design_opamp(
         TECH, OpAmpSpec(gain=200.0, ugf=2e6, ibias=2e-6, cl=10e-12)
@@ -104,7 +123,14 @@ def _opamp_bench() -> Circuit:
     return open_loop_bench(amp, v_diff=0.0)
 
 
-FIXTURES = [_divider, _rc_with_sources, _rlc_controlled, _mos_amp, _opamp_bench]
+FIXTURES = [
+    _divider,
+    _rc_with_sources,
+    _rlc_controlled,
+    _mos_amp,
+    _inverter_rlc,
+    _opamp_bench,
+]
 
 
 def _bias_points(system: System) -> list[np.ndarray]:
@@ -340,6 +366,22 @@ class TestEndToEndEquivalence:
             tran_fast.solutions, tran_ref.solutions, rtol=1e-6, atol=1e-9
         )
 
+    def test_inverter_rlc_transient_run(self, monkeypatch):
+        # Both pulse edges: each MOSFET switches between cutoff and
+        # conduction while the inductor's companion row carries the
+        # load current.
+        def run():
+            ckt = _inverter_rlc()
+            op = dc_operating_point(ckt)
+            return transient_analysis(ckt, t_stop=2e-7, dt=1e-9, op=op)
+
+        tran_fast = run()
+        with naive_assembly(monkeypatch):
+            tran_ref = run()
+        np.testing.assert_allclose(
+            tran_fast.solutions, tran_ref.solutions, rtol=1e-6, atol=1e-9
+        )
+
 
 class TestPhaseMarginUnwrapRegression:
     """Bugfix: wrapped-phase interpolation near the crossover."""
@@ -521,7 +563,11 @@ class TestCompiledStampsRefresh:
         fresh = stamps_for(System(ckt.copy()))
         assert np.array_equal(st.g_lin, fresh.g_lin)
         assert np.array_equal(st.c_lin, fresh.c_lin)
-        assert np.array_equal(st.tran_g, fresh.tran_g)
+        for h, gmin in ((1e-9, 1e-12), (2e-8, 1e-6)):
+            for mat, fresh_mat in zip(
+                st.tran_linear(h, gmin), fresh.tran_linear(h, gmin)
+            ):
+                assert np.array_equal(mat, fresh_mat)
         assert np.array_equal(st.src_dc, fresh.src_dc)
         # At 0.3 V every device is off; at 1.5 V the NMOS conducts in
         # saturation, where beta and vdsat (Level 3: vc) enter.

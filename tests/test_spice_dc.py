@@ -207,14 +207,16 @@ class TestMosfetDC:
 def test_op_table_equals_four_evaluations(row):
     """One drain-law evaluation per MOSFET gives the table of four
     device-model evaluations, bit for bit, at each Table-1 bench's
-    zero-drive and balanced operating points."""
+    zero-drive and balanced operating points and at ±0.5 V drives that
+    rail the output (triode and cutoff devices)."""
     template, _ = coarse_design_opamp(
         TECH, row.spec(), row.topology(), name=row.name
     )
     ops = [
-        dc_operating_point(open_loop_bench(template)),
-        balanced_open_loop(template)[2],
+        dc_operating_point(open_loop_bench(template, v_diff=v_diff))
+        for v_diff in (0.0, 0.5, -0.5)
     ]
+    ops.append(balanced_open_loop(template)[2])
     for op in ops:
         table = op.mosfet_ops
         assert len(table) == len(op.system.circuit.mosfets())

@@ -1,15 +1,24 @@
 """Noise-analysis tests against closed-form results."""
 
+import dataclasses
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.spice import Circuit, dc_operating_point, noise_analysis
+from repro.opamp import coarse_design_opamp, open_loop_bench
+from repro.spice import Circuit, dc_operating_point, noise, noise_analysis
 from repro.spice.ac import log_frequencies
 from repro.spice.noise import BOLTZMANN, GAMMA_SAT, TEMPERATURE
 from repro.technology import generic_05um
+from tests.oracles import mosfet_op_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmarks"))
+
+from paper_tables import TABLE1  # noqa: E402
 
 TECH = generic_05um()
 KT4 = 4.0 * BOLTZMANN * TEMPERATURE
@@ -202,3 +211,35 @@ class TestOpAmpNoise:
         density = math.sqrt(result.input_psd[0])
         # Microamp-biased pairs: tens to hundreds of nV/sqrt(Hz).
         assert 1e-9 < density < 5e-6
+
+
+def _with_flicker(bench: Circuit) -> Circuit:
+    """A copy of ``bench`` whose MOSFET cards carry flicker KF and AF."""
+    noisy = bench.copy()
+    for mos in noisy.mosfets():
+        card = mos.model.with_(extra={"kf": 1e-26, "af": 1.2})
+        noisy.replace(dataclasses.replace(mos, model=card))
+    return noisy
+
+
+@pytest.mark.parametrize("row", TABLE1, ids=lambda row: row.name)
+def test_mosfet_terms_come_from_the_scalar_evaluation(row, monkeypatch):
+    """Noise results equal those from a table of four device-model
+    evaluations per MOSFET (``evaluate_mosfet``, ``device.gm``,
+    ``device.region``), bit for bit, on each Table-1 bench with flicker
+    cards at zero drive and at ±0.5 V drives that rail the output."""
+    template, _ = coarse_design_opamp(
+        TECH, row.spec(), row.topology(), name=row.name
+    )
+    freqs = [1.0, 1e3, 1e6]
+    for v_diff in (0.0, 0.5, -0.5):
+        bench = _with_flicker(open_loop_bench(template, v_diff=v_diff))
+        op = dc_operating_point(bench)
+        result = noise_analysis(bench, "out", freqs, op=op)
+        with monkeypatch.context() as patch:
+            patch.setattr(noise, "_mosfet_op_table", mosfet_op_table)
+            scalar = noise_analysis(bench, "out", freqs, op=op)
+        assert np.array_equal(result.output_psd, scalar.output_psd)
+        assert result.contributions.keys() == scalar.contributions.keys()
+        for name, psd in scalar.contributions.items():
+            assert np.array_equal(result.contributions[name], psd)
